@@ -36,8 +36,56 @@ GOLDEN_B_STDOUT = \
     "2a931c7e7c8e94e69a8ac265f474d02d5efa6a70fef9cdaa5f6af4d123950ba9"
 
 
+#: (tool, faulted) -> (--output, --events, deterministic --metrics-out)
+#: digests at ``--prefixes 96 --seed 20201027``; the faulted column adds
+#: ``--loss 0.05 --fault-seed 7 --retries 1``.  Captured at the commit
+#: before the engines moved onto ``core.runtime.ScanRuntime``.  The
+#: traceroute rows digest the output JSON minus ``response_kinds`` and
+#: the snapshot minus ``scan.responses.kind.*``: that engine never
+#: filled the field before the runtime's shared accounting.
+GOLDEN_BASELINES = {
+    ("yarrp-32", False): (
+        "50d845f2c65bb0f9fbbe8ec7a5b44914e854f27f6c3e623e72d03f359596200b",
+        "20f4f8324ee0de19177f471ee220e15c87ab51b6e5784d0a4db412b951268f5b",
+        "254500420f749f39464feebf417342eb5e483adbbce5593a10c25b27e5225aba"),
+    ("yarrp-32", True): (
+        "b1123569d9c9ee7d1b11e204ef50954dc8666975abd788d428e22b54093433b1",
+        "77b8ffaa528bd6dffd85c53bacd1303467312510d8453a61b3817bb0f2079098",
+        "6cc5e60be0996bc76b1b0b518e910e722face43db931ffd9b1dab54c224f0ded"),
+    ("yarrp-16", False): (
+        "7d8607e34cfbb75f993bc257aed983730ac489b4e7a0ce023fc49338ae544819",
+        "3f8e3838c8f5d5ee4018ee490485ae45101d50ea2ae5f39bdd73c5750a61b4d5",
+        "28cafcb763b5ef3b4006fb2b2fd448f6713114947c65113da34e470880fb89d7"),
+    ("yarrp-16", True): (
+        "d8d55c2555afaac4f03bc408756217f35ac1149b1c0700bc0e2ee45dbcd9f68a",
+        "12ed6d6c4d33a4605397a2d27271d42b25a43a50213dbe17ded20d8ff40d2f64",
+        "a5a7437c2c6202590a6c4f700e2e5746eeec85f05779cbba6510fdb4683dbe5a"),
+    ("scamper-16", False): (
+        "4439cb242a92273c0383f37b79904599b0eaa64bf163f0e516f3d6910a092be8",
+        "5e8abb776081328ff1ed89303ad16800a04860920443b73b5d8052fd0b95ba5a",
+        "a6dd3dfdd9b8425f0620bf0920c5add5402f89ffaaf6c020388c978bb594feac"),
+    ("scamper-16", True): (
+        "29466d7f0789af813c398422cc7aeebadc16cf27d822c133def9f09f509baf58",
+        "155ef76f8361189b49ddd9a9383fa127c1f6b53aa5a94095d0c140810b3abee3",
+        "022bb3c09729a50975720518920c77afcf71bc492b616752c8ce74b27a3bca6e"),
+    ("traceroute", False): (
+        "a6cb9136335fff720999beaa3e50db0177683d8562e038569b330dcc04e92af2",
+        "41e626b3f02c4e86d97d0142b574e22e4b792195c7311b26f298596ef08af2a8",
+        "ce3c80c4ad2abb11c53835aa7007da47fdc08762516fc1747ce7cc5c87c2ba62"),
+    ("traceroute", True): (
+        "ffbaf8e116e899da9ef6607e52fdbfdc0f660d764782e204e092bd4c131a64b3",
+        "bb699cfcaf44f28546f3533ff32622dd979c7430120c02c81803b7e1dcb09f2f",
+        "5a4fb5d55b1f6f0c8b051072b01fdcbebb5367915c1b6409f50524587f916747"),
+}
+
+
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _canonical_sha(document) -> str:
+    return hashlib.sha256(json.dumps(
+        document, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 class TestGoldenEquivalence:
@@ -57,9 +105,7 @@ class TestGoldenEquivalence:
         from repro.obs.metrics import deterministic_snapshot, load_snapshot
 
         snap = deterministic_snapshot(load_snapshot(str(metrics)))
-        digest = hashlib.sha256(json.dumps(
-            snap, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-        assert digest == GOLDEN_A_METRICS
+        assert _canonical_sha(snap) == GOLDEN_A_METRICS
 
     def test_faulted_json_scan_matches_pre_refactor_cli(self, tmp_path,
                                                         capsys):
@@ -71,6 +117,47 @@ class TestGoldenEquivalence:
         stdout = capsys.readouterr().out
         assert _sha(out) == GOLDEN_B_JSON
         assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_B_STDOUT
+
+    @pytest.mark.parametrize("tool,faulted", sorted(GOLDEN_BASELINES))
+    def test_baseline_engines_match_pre_runtime_cli(self, tmp_path, capsys,
+                                                    tool, faulted):
+        from repro.obs.metrics import deterministic_snapshot, load_snapshot
+
+        out = tmp_path / "out.json"
+        events = tmp_path / "events.jsonl"
+        metrics = tmp_path / "metrics.json"
+        argv = ["scan", "--tool", tool, "--prefixes", "96", "--seed",
+                "20201027", "--output", str(out), "--events", str(events),
+                "--metrics-out", str(metrics)]
+        if faulted:
+            argv += ["--loss", "0.05", "--fault-seed", "7", "--retries", "1"]
+        assert main(argv) == 0
+        snapshot = load_snapshot(str(metrics))
+        if tool == "traceroute":
+            document = json.loads(out.read_text())
+            del document["response_kinds"]
+            output_sha = _canonical_sha(document)
+            snapshot = deterministic_snapshot(
+                snapshot, exclude_prefixes=("scan.responses.kind.",))
+        else:
+            output_sha = _sha(out)
+            snapshot = deterministic_snapshot(snapshot)
+        assert (output_sha, _sha(events), _canonical_sha(snapshot)) \
+            == GOLDEN_BASELINES[tool, faulted]
+
+    def test_yarrp_interrupt_resume_matches_uninterrupted(self, tmp_path,
+                                                          capsys):
+        scan = ["scan", "--tool", "yarrp-32", "--prefixes", "96", "--seed",
+                "20201027"]
+        reference = tmp_path / "ref.json"
+        resumed = tmp_path / "resumed.json"
+        checkpoint = tmp_path / "scan.ckpt"
+        assert main(scan + ["--output", str(reference)]) == 0
+        assert main(scan + ["--checkpoint", str(checkpoint),
+                            "--interrupt-after-round", "3"]) == 130
+        assert main(["scan", "--resume", str(checkpoint),
+                     "--output", str(resumed)]) == 0
+        assert resumed.read_bytes() == reference.read_bytes()
 
 
 class TestScanRequest:
