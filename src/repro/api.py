@@ -35,10 +35,8 @@ Convenience one-liners::
             {"destination": "198.51.0.7", "flow": 3})).stream():
         print(hop)
 
-Direct construction of the probing engines (``FlashRoute()``,
-``Yarrp()``, …) is deprecated in favour of this facade or the scanner
-registry; the sanctioned constructors (:func:`flashroute` etc.) remain
-for callers that need a hand-built per-engine config.
+The per-engine constructors (:func:`flashroute` etc.) are for callers
+that need a hand-built per-engine config.
 """
 
 from __future__ import annotations
@@ -49,12 +47,7 @@ from typing import Dict, Iterator, List, Optional
 
 from .core.resilience import ResilienceConfig
 from .core.results import ScanResult
-from .core.scanner import (
-    ScannerOptions,
-    create_scanner,
-    sanctioned_construction,
-    scanner_names,
-)
+from .core.scanner import ScannerOptions, create_scanner, scanner_names
 from .net.addr import int_to_ip, ip_to_int
 from .net.icmp import ResponseKind
 from .simnet.config import TopologyConfig
@@ -577,26 +570,23 @@ def serve(*args, **kwargs):
     return _serve(*args, **kwargs)
 
 
-# -- sanctioned per-engine constructors -------------------------------- #
+# -- per-engine constructors ------------------------------------------- #
 # For callers that need a hand-built per-engine config (the experiment
 # drivers reproduce paper tables with knobs ScanRequest deliberately
-# does not carry).  These are the blessed replacements for direct
-# ``FlashRoute(...)``-style construction.
+# does not carry).
 
 def flashroute(config=None, telemetry=None):
     """A :class:`~repro.core.prober.FlashRoute` from an explicit config."""
     from .core.prober import FlashRoute
 
-    with sanctioned_construction():
-        return FlashRoute(config, telemetry=telemetry)
+    return FlashRoute(config, telemetry=telemetry)
 
 
 def yarrp(config=None, telemetry=None):
     """A :class:`~repro.baselines.yarrp.Yarrp` from an explicit config."""
     from .baselines.yarrp import Yarrp
 
-    with sanctioned_construction():
-        return Yarrp(config, telemetry=telemetry)
+    return Yarrp(config, telemetry=telemetry)
 
 
 def scamper(config=None, telemetry=None):
@@ -604,16 +594,14 @@ def scamper(config=None, telemetry=None):
     config."""
     from .baselines.scamper import Scamper
 
-    with sanctioned_construction():
-        return Scamper(config, telemetry=telemetry)
+    return Scamper(config, telemetry=telemetry)
 
 
 def traceroute_scanner(telemetry=None, **kwargs):
     """A :class:`~repro.baselines.traceroute.TracerouteScanner`."""
     from .baselines.traceroute import TracerouteScanner
 
-    with sanctioned_construction():
-        return TracerouteScanner(telemetry=telemetry, **kwargs)
+    return TracerouteScanner(telemetry=telemetry, **kwargs)
 
 
 def tools() -> tuple:

@@ -25,14 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
-from ..net.icmp import ResponseKind, distance_from_unreachable
+from ..net.icmp import ResponseKind
 from ..simnet.config import scaled_probing_rate
-from ..simnet.engine import VirtualClock
 from ..simnet.network import SimulatedNetwork
-from ..core.encoding import encode_probe
 from ..core.permutation import FeistelPermutation
 from ..core.results import ScanResult
-from ..core.scanner import warn_direct_construction
+from ..core.runtime import ScanRuntime, destination_distance
 from ..core.targets import random_targets
 
 
@@ -88,168 +86,48 @@ class Scamper:
 
     def __init__(self, config: Optional[ScamperConfig] = None,
                  telemetry=None) -> None:
-        warn_direct_construction("Scamper")
         self.config = config if config is not None else ScamperConfig()
         self.telemetry = telemetry
-        self._reg = telemetry.registry if telemetry is not None else None
-        self._events = telemetry.events if telemetry is not None else None
-        self._retries_sent = 0
-        self._retries_recovered = 0
-        self._retries_exhausted = 0
 
     def scan(self, network: SimulatedNetwork,
              targets: Optional[Dict[int, int]] = None,
              tool_name: str = "Scamper-16") -> ScanResult:
         config = self.config
-        topology = network.topology
         if targets is None:
-            targets = random_targets(topology, config.seed)
-        rate = (config.probing_rate if config.probing_rate is not None
-                else scaled_probing_rate(len(targets), paper_rate=10_000.0))
-        send_gap = 1.0 / rate
-
-        clock = VirtualClock()
-        result = ScanResult(tool=tool_name, num_targets=len(targets))
-        result.targets = dict(targets)
+            targets = random_targets(network.topology, config.seed)
+        rt = ScanRuntime(
+            network, tool_name, targets,
+            config.probing_rate if config.probing_rate is not None
+            else scaled_probing_rate(len(targets), paper_rate=10_000.0),
+            telemetry=self.telemetry, retries=config.retries)
         stop_set: Set[int] = set()
 
-        telemetry = self.telemetry
-        tracer = (telemetry.tracer if telemetry is not None
-                  and telemetry.tracer.enabled else None)
-        progress = telemetry.progress if telemetry is not None else None
-        self._reg = telemetry.registry if telemetry is not None else None
-        self._events = telemetry.events if telemetry is not None else None
-        self._retries_sent = 0
-        self._retries_recovered = 0
-        self._retries_exhausted = 0
-        if tracer is not None:
-            tracer.begin("scan", tool_name, clock.now,
-                         targets=len(targets), rate_pps=rate)
+        def trace_all() -> None:
+            prefixes = sorted(targets)
+            for position in FeistelPermutation(len(targets),
+                                               config.seed ^ 0x5CA9):
+                prefix = prefixes[position]
+                self._trace_one(rt, targets[prefix], prefix, stop_set)
+                rt.report_progress()
 
-        order = FeistelPermutation(len(targets), config.seed ^ 0x5CA9)
-        prefixes = sorted(targets)
-        for position in order:
-            prefix = prefixes[position]
-            self._trace_one(network, targets[prefix], prefix, clock,
-                            send_gap, stop_set, result)
-            if progress is not None and progress.due(clock.now):
-                progress.report(clock.now, {
-                    "tool": tool_name,
-                    "probes": result.probes_sent,
-                    "responses": result.responses,
-                    "pps": (result.probes_sent / clock.now
-                            if clock.now > 0 else 0.0),
-                    "interfaces": result.interface_count(),
-                })
-        result.duration = clock.now
-        if tracer is not None:
-            tracer.end("scan", tool_name, clock.now,
-                       probes=result.probes_sent,
-                       responses=result.responses,
-                       interfaces=result.interface_count())
-        if self._reg is not None and self.config.retries:
-            self._reg.inc("scan.retries.sent", self._retries_sent)
-            self._reg.inc("scan.retries.recovered", self._retries_recovered)
-            self._reg.inc("scan.retries.exhausted", self._retries_exhausted)
-        if telemetry is not None:
-            telemetry.record_result(result)
-        return result
+        return rt.run(trace_all)
 
-    # ------------------------------------------------------------------ #
-
-    def _probe(self, network: SimulatedNetwork, dst: int, ttl: int,
-               clock: VirtualClock, send_gap: float,
-               result: ScanResult):
-        """One hop's probing: a probe plus up to ``retries`` re-sends.
-
-        Scamper waits synchronously per hop, so a silent probe is simply
-        re-sent in place (real scamper's ``-q`` attempts) before the trace
-        decides the hop is silent.  With the default budget of 0 this is
-        exactly one :meth:`_probe_once` call — byte-identical to the
-        retry-free engine.
-        """
-        response = self._probe_once(network, dst, ttl, clock, send_gap,
-                                    result)
-        if response is not None:
-            return response
-        events = self._events
-        for attempt in range(1, self.config.retries + 1):
-            self._retries_sent += 1
-            if events is not None:
-                events.retry(clock.now, dst >> 8, ttl, attempt, dst)
-            response = self._probe_once(network, dst, ttl, clock, send_gap,
-                                        result, phase="retry")
-            if response is not None:
-                self._retries_recovered += 1
-                return response
-        if self.config.retries:
-            self._retries_exhausted += 1
-        return None
-
-    def _probe_once(self, network: SimulatedNetwork, dst: int, ttl: int,
-                    clock: VirtualClock, send_gap: float,
-                    result: ScanResult, phase: str = "trace"):
-        """One paced probe with synchronous response (see class docstring).
-
-        Scamper decides every next probe from the previous answer, so the
-        batch entry point is used with single-probe bursts: same fast path,
-        no reordering of the decision loop.
-        """
-        send_vt = clock.now
-        marking = encode_probe(dst, ttl, send_vt)
-        response = network.send_probes(
-            [(dst, ttl, send_vt, marking.src_port, marking.ipid,
-              marking.udp_length)])[0]
-        result.probes_sent += 1
-        result.ttl_probe_histogram[ttl] += 1
-        events = self._events
-        if events is not None:
-            events.probe_sent(send_vt, dst >> 8, ttl, dst,
-                              marking.src_port, phase)
-        clock.advance(send_gap)
-        if response is not None:
-            result.responses += 1
-            result.response_kinds[response.kind.value] += 1
-            rtt = (response.arrival_time - send_vt) * 1000.0
-            if self._reg is not None:
-                self._reg.observe("scan.rtt_ms", rtt)
-            if events is not None:
-                dist = None
-                if response.kind.is_unreachable \
-                        and response.responder == dst:
-                    dist = distance_from_unreachable(response, ttl)
-                events.response(response.arrival_time, dst >> 8, ttl,
-                                response.responder, response.kind.value,
-                                rtt=rtt, dist=dist)
-            dup = response.dup
-            if dup is not None:
-                # Synchronous receive loop: account the injected duplicate
-                # here (there is no response queue to unroll it).
-                result.responses += 1
-                result.duplicate_responses += 1
-                result.response_kinds[dup.kind.value] += 1
-                if self._reg is not None:
-                    self._reg.observe("scan.rtt_ms",
-                                      (dup.arrival_time - send_vt) * 1000.0)
-                if events is not None:
-                    events.response(dup.arrival_time, dst >> 8, ttl,
-                                    dup.responder, dup.kind.value,
-                                    rtt=(dup.arrival_time - send_vt)
-                                    * 1000.0, dup=True)
-        return response
-
-    def _trace_one(self, network: SimulatedNetwork, dst: int, prefix: int,
-                   clock: VirtualClock, send_gap: float, stop_set: Set[int],
-                   result: ScanResult) -> None:
+    def _trace_one(self, rt: ScanRuntime, dst: int, prefix: int,
+                   stop_set: Set[int]) -> None:
+        """One destination's lagged-Doubletree walk.  Every hop is one
+        ``probe_hop``: Scamper waits synchronously per hop, so a silent
+        probe is re-sent in place (real scamper's ``-q`` attempts) before
+        the trace decides the hop is silent."""
         config = self.config
+        result = rt.result
+        events = rt.events
 
         # Forward from the split point toward the target.
-        events = self._events
         silent_streak = 0
         reached = False
         ttl = config.first_ttl
         while ttl <= config.max_ttl and silent_streak < config.gap_limit:
-            response = self._probe(network, dst, ttl, clock, send_gap, result)
+            response = rt.probe_hop(dst, ttl, retry_event_first=True)
             if response is None:
                 silent_streak += 1
             elif response.kind is ResponseKind.TTL_EXCEEDED:
@@ -257,20 +135,21 @@ class Scamper:
                 result.add_hop(prefix, ttl, response.responder)
                 stop_set.add(response.responder)
             elif response.kind.is_unreachable:
-                if response.responder == dst:
-                    distance = distance_from_unreachable(response, ttl)
-                    if distance is not None:
-                        result.record_destination(prefix, distance)
+                distance = destination_distance(response, dst, ttl)
+                if distance is not None:
+                    result.record_destination(prefix, distance)
                 reached = True
                 break
             ttl += 1
         if events is not None:
             if reached:
-                events.stop_decision(clock.now, prefix, "dest_reached", ttl)
+                events.stop_decision(rt.clock.now, prefix, "dest_reached",
+                                     ttl)
             elif silent_streak >= config.gap_limit:
-                events.stop_decision(clock.now, prefix, "gap_limit", ttl - 1)
+                events.stop_decision(rt.clock.now, prefix, "gap_limit",
+                                     ttl - 1)
             else:
-                events.stop_decision(clock.now, prefix, "max_ttl",
+                events.stop_decision(rt.clock.now, prefix, "max_ttl",
                                      config.max_ttl)
 
         # Backward from the split point toward the vantage point, with
@@ -285,7 +164,7 @@ class Scamper:
                     stopped_at = ttl
                     break
                 lag_remaining -= 1
-            response = self._probe(network, dst, ttl, clock, send_gap, result)
+            response = rt.probe_hop(dst, ttl, retry_event_first=True)
             if response is not None:
                 if response.kind is ResponseKind.TTL_EXCEEDED:
                     hit = response.responder in stop_set
@@ -297,18 +176,17 @@ class Scamper:
                             break
                         if ttl > high and lag_remaining is None:
                             lag_remaining = config.stop_lag
-                elif response.kind.is_unreachable:
-                    if response.responder == dst:
-                        distance = distance_from_unreachable(response, ttl)
-                        if distance is not None:
-                            result.record_destination(prefix, distance)
+                else:
+                    distance = destination_distance(response, dst, ttl)
+                    if distance is not None:
+                        result.record_destination(prefix, distance)
             ttl -= 1
         if events is not None and config.first_ttl > 1:
             if stopped_at is not None:
-                events.stop_decision(clock.now, prefix, "stop_set",
+                events.stop_decision(rt.clock.now, prefix, "stop_set",
                                      stopped_at)
             else:
-                events.stop_decision(clock.now, prefix, "ttl1", 1)
+                events.stop_decision(rt.clock.now, prefix, "ttl1", 1)
 
 
 # --------------------------------------------------------------------- #

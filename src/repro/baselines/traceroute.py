@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..net.icmp import ResponseKind
-from ..simnet.engine import VirtualClock
+from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
+from ..obs.telemetry import Telemetry
 from ..simnet.network import SimulatedNetwork
-from .. import core
+from ..core.results import ScanResult
+from ..core.runtime import ScanRuntime
+from ..core.targets import random_targets
 
 
 @dataclass
@@ -32,22 +34,64 @@ class TracerouteResult:
     #: Distance implied by the residual TTL of the unreachable response.
     residual_distance: Optional[int] = None
     probes: int = 0
+    #: Responses observed, injected duplicates included.
     responses: int = 0
-    #: Injected duplicate replies observed (counted inside ``responses``).
-    duplicates: int = 0
-    #: ttl -> probes sent at that hop (> 1 only when retries re-sent a
-    #: silent probe).
-    probes_per_ttl: Dict[int, int] = field(default_factory=dict)
-    #: Silent probes that a retry answered / that stayed silent through
-    #: the whole retry budget.
-    retries_recovered: int = 0
-    retries_exhausted: int = 0
 
     def max_responding_ttl(self) -> Optional[int]:
         candidates: List[int] = list(self.hops)
         if self.triggering_ttl is not None:
             candidates.append(self.triggering_ttl)
         return max(candidates) if candidates else None
+
+
+def _unreachable_distance(response: IcmpResponse, dst: int,
+                          ttl: int) -> Optional[int]:
+    """Classic traceroute takes the first unreachable of any kind — a
+    gateway's included — as the end of the path."""
+    if response.kind.is_unreachable:
+        return distance_from_unreachable(response, ttl)
+    return None
+
+
+def _runtime(network: SimulatedNetwork, tool: str, targets: Dict[int, int],
+             inter_probe_gap: float, **options) -> ScanRuntime:
+    rt = ScanRuntime(network, tool, targets, 1.0 / inter_probe_gap,
+                     event_distance=_unreachable_distance, **options)
+    # Configured by its gap, not a rate: keep the gap to the last bit.
+    rt.send_gap = inter_probe_gap
+    return rt
+
+
+def _trace(rt: ScanRuntime, dst: int, max_ttl: int,
+           stop_at_unreachable: bool = True) -> TracerouteResult:
+    """The TTL 1..max_ttl walk toward ``dst``, low to high, one hop at a
+    time: each ``probe_hop`` waits out the round trip (or the pacing gap,
+    whichever is longer) and re-sends a silent probe in place."""
+    result = TracerouteResult(dst=dst)
+    probes_before = rt.result.probes_sent
+    responses_before = rt.result.responses
+    reached = False
+    for ttl in range(1, max_ttl + 1):
+        response = rt.probe_hop(dst, ttl, wait=True)
+        if response is None:
+            continue
+        if response.kind is ResponseKind.TTL_EXCEEDED:
+            result.hops[ttl] = response.responder
+        elif response.kind.is_unreachable:
+            if result.triggering_ttl is None:
+                result.triggering_ttl = ttl
+                result.residual_distance = distance_from_unreachable(
+                    response, ttl)
+            if stop_at_unreachable:
+                reached = True
+                break
+    if rt.events is not None:
+        rt.events.stop_decision(rt.clock.now, dst >> 8,
+                                "dest_reached" if reached else "max_ttl",
+                                ttl if reached else max_ttl)
+    result.probes = rt.result.probes_sent - probes_before
+    result.responses = rt.result.responses - responses_before
+    return result
 
 
 class ClassicTraceroute:
@@ -76,91 +120,18 @@ class ClassicTraceroute:
         #: sends 3 probes per hop; 0 — the default — matches the paper's
         #: one-probe-per-hop comparison setup).
         self.retries = retries
-        self.clock = VirtualClock(start_time)
-        #: Optional observability sinks (a MetricsRegistry and an
-        #: EventRecorder); ``None`` keeps the trace loop untouched.
-        self.registry = registry
-        self.events = events
+        #: ``registry``/``events`` are optional observability sinks (a
+        #: MetricsRegistry and an EventRecorder).
+        self.runtime = _runtime(
+            network, "Traceroute", {}, inter_probe_gap,
+            telemetry=Telemetry(registry, events=events, metrics=False),
+            retries=retries, start_time=start_time)
+        self.clock = self.runtime.clock
 
     def trace(self, dst: int) -> TracerouteResult:
         """Probe ``dst`` at TTL 1..max_ttl, low to high, one at a time."""
-        result = TracerouteResult(dst=dst)
-        events = self.events
-        reached = False
-        for ttl in range(1, self.max_ttl + 1):
-            response = None
-            for attempt in range(self.retries + 1):
-                send_vt = self.clock.now
-                marking = core.encode_probe(dst, ttl, send_vt)
-                # Classic traceroute is strictly synchronous, so the batch
-                # entry point carries exactly one probe per decision.
-                response = self.network.send_probes(
-                    [(dst, ttl, send_vt, marking.src_port,
-                      marking.ipid, marking.udp_length)])[0]
-                result.probes += 1
-                result.probes_per_ttl[ttl] = \
-                    result.probes_per_ttl.get(ttl, 0) + 1
-                if events is not None:
-                    events.probe_sent(send_vt, dst >> 8, ttl, dst,
-                                      marking.src_port,
-                                      "trace" if attempt == 0 else "retry")
-                    if attempt:
-                        events.retry(send_vt, dst >> 8, ttl, attempt, dst)
-                # Sequential semantics: wait out the round trip (or the
-                # pacing gap, whichever is longer) before the next hop.
-                if response is not None:
-                    self.clock.advance_to(response.arrival_time)
-                self.clock.advance(self.inter_probe_gap)
-                if response is not None:
-                    if attempt:
-                        result.retries_recovered += 1
-                    break
-            if response is None:
-                if self.retries:
-                    result.retries_exhausted += 1
-                continue
-            result.responses += 1
-            rtt = (response.arrival_time - send_vt) * 1000.0
-            if self.registry is not None:
-                self.registry.observe("scan.rtt_ms", rtt)
-            if response.dup is not None:
-                # Synchronous receive: the injected duplicate arrives while
-                # waiting and is observed (and discarded) right here.
-                result.responses += 1
-                result.duplicates += 1
-                if self.registry is not None:
-                    self.registry.observe(
-                        "scan.rtt_ms",
-                        (response.dup.arrival_time - send_vt) * 1000.0)
-                if events is not None:
-                    events.response(
-                        response.dup.arrival_time, dst >> 8, ttl,
-                        response.dup.responder, response.dup.kind.value,
-                        rtt=(response.dup.arrival_time - send_vt) * 1000.0,
-                        dup=True)
-            dist = None
-            if response.kind is ResponseKind.TTL_EXCEEDED:
-                result.hops[ttl] = response.responder
-            elif response.kind.is_unreachable:
-                if result.triggering_ttl is None:
-                    result.triggering_ttl = ttl
-                    from ..net.icmp import distance_from_unreachable
-                    result.residual_distance = distance_from_unreachable(
-                        response, ttl)
-                    dist = result.residual_distance
-                if self.stop_at_unreachable:
-                    reached = True
-            if events is not None:
-                events.response(response.arrival_time, dst >> 8, ttl,
-                                response.responder, response.kind.value,
-                                rtt=rtt, dist=dist)
-            if reached:
-                break
-        if events is not None:
-            events.stop_decision(self.clock.now, dst >> 8,
-                                 "dest_reached" if reached else "max_ttl",
-                                 ttl if reached else self.max_ttl)
-        return result
+        return _trace(self.runtime, dst, self.max_ttl,
+                      self.stop_at_unreachable)
 
     def triggering_ttl(self, dst: int) -> Optional[int]:
         """Just the first TTL that triggers port-unreachable (Fig. 3)."""
@@ -179,7 +150,6 @@ class TracerouteScanner:
 
     def __init__(self, max_ttl: int = 32, inter_probe_gap: float = 0.02,
                  seed: int = 1, retries: int = 0, telemetry=None) -> None:
-        core.scanner.warn_direct_construction("TracerouteScanner")
         self.max_ttl = max_ttl
         self.inter_probe_gap = inter_probe_gap
         self.seed = seed
@@ -188,64 +158,24 @@ class TracerouteScanner:
 
     def scan(self, network: SimulatedNetwork,
              targets: Optional[Dict[int, int]] = None,
-             tool_name: str = "Traceroute") -> "core.ScanResult":
+             tool_name: str = "Traceroute") -> ScanResult:
         if targets is None:
-            targets = core.random_targets(network.topology, self.seed)
-        result = core.ScanResult(tool=tool_name, num_targets=len(targets))
-        result.targets = dict(targets)
-        telemetry = self.telemetry
-        tracer = ClassicTraceroute(
-            network, max_ttl=self.max_ttl,
-            inter_probe_gap=self.inter_probe_gap,
-            retries=self.retries,
-            registry=telemetry.registry if telemetry is not None else None,
-            events=telemetry.events if telemetry is not None else None)
-        span_tracer = (telemetry.tracer if telemetry is not None
-                       and telemetry.tracer.enabled else None)
-        progress = telemetry.progress if telemetry is not None else None
-        if span_tracer is not None:
-            span_tracer.begin("scan", tool_name, tracer.clock.now,
-                              targets=len(targets))
-        retries_sent = retries_recovered = retries_exhausted = 0
-        for prefix in sorted(targets):
-            trace = tracer.trace(targets[prefix])
-            result.probes_sent += trace.probes
-            result.responses += trace.responses
-            result.duplicate_responses += trace.duplicates
-            retries_sent += trace.probes - len(trace.probes_per_ttl)
-            retries_recovered += trace.retries_recovered
-            retries_exhausted += trace.retries_exhausted
-            for ttl, count in trace.probes_per_ttl.items():
-                result.ttl_probe_histogram[ttl] += count
-            for ttl, responder in trace.hops.items():
-                result.add_hop(prefix, ttl, responder)
-            if trace.residual_distance is not None:
-                result.record_destination(prefix, trace.residual_distance)
-            now = tracer.clock.now
-            if progress is not None and progress.due(now):
-                progress.report(now, {
-                    "tool": tool_name,
-                    "probes": result.probes_sent,
-                    "responses": result.responses,
-                    "pps": result.probes_sent / now if now > 0 else 0.0,
-                    "interfaces": result.interface_count(),
-                })
-        result.duration = tracer.clock.now
-        if span_tracer is not None:
-            span_tracer.end("scan", tool_name, tracer.clock.now,
-                            probes=result.probes_sent,
-                            responses=result.responses,
-                            interfaces=result.interface_count())
-        if telemetry is not None and telemetry.registry is not None \
-                and self.retries:
-            telemetry.registry.inc("scan.retries.sent", retries_sent)
-            telemetry.registry.inc("scan.retries.recovered",
-                                   retries_recovered)
-            telemetry.registry.inc("scan.retries.exhausted",
-                                   retries_exhausted)
-        if telemetry is not None:
-            telemetry.record_result(result)
-        return result
+            targets = random_targets(network.topology, self.seed)
+        rt = _runtime(network, tool_name, targets, self.inter_probe_gap,
+                      telemetry=self.telemetry, retries=self.retries)
+        result = rt.result
+
+        def trace_all() -> None:
+            for prefix in sorted(targets):
+                trace = _trace(rt, targets[prefix], self.max_ttl)
+                for ttl, responder in trace.hops.items():
+                    result.add_hop(prefix, ttl, responder)
+                if trace.residual_distance is not None:
+                    result.record_destination(prefix,
+                                              trace.residual_distance)
+                rt.report_progress()
+
+        return rt.run(trace_all)
 
 
 # --------------------------------------------------------------------- #

@@ -25,25 +25,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
+from ..net.icmp import IcmpResponse, ResponseKind
 from ..net.packets import PROTO_TCP, PROTO_UDP, UDP_HEADER_LEN
-from ..simnet.config import scaled_probing_rate
-from ..simnet.engine import ResponseQueue, VirtualClock
 from ..simnet.network import SimulatedNetwork
-from ..core.encoding import decode_response, encode_probe, rtt_ms
-from ..core.output import result_from_dict, result_to_dict
+from ..core.encoding import DecodedProbe
 from ..core.permutation import MultiplicativeCycle
-from ..core.resilience import (AdaptiveRateController, CheckpointError,
-                               ScanInterrupted, response_from_dict,
-                               response_to_dict, write_checkpoint)
+from ..core.resilience import CheckpointError
 from ..core.results import ScanResult
-from ..core.scanner import warn_direct_construction
+from ..core.runtime import (ScanRuntime, checkpointed_result,
+                            destination_distance)
 from ..core.targets import random_targets
 
-_SETTLE_SECONDS = 1.0
-
-#: Probes emitted per ``send_probes`` burst in the stateless bulk phase.
+#: Probes emitted per burst in the stateless bulk phase, and steps per
+#: boundary (checkpoint capture, rate-control window) in either.
 _BULK_CHUNK = 64
+
+#: Yarrp has no rounds, so the adaptive controller's observation windows
+#: close at the first chunk boundary at least this long after the last.
+_RATE_WINDOW_SECONDS = 1.0
 
 #: Real Yarrp UDP encodes elapsed milliseconds in the packet length; the
 #: system rejects datagrams beyond this size ("Message too long").
@@ -123,7 +122,6 @@ class Yarrp:
 
     def __init__(self, config: Optional[YarrpConfig] = None,
                  telemetry=None) -> None:
-        warn_direct_construction("Yarrp")
         self.config = config if config is not None else YarrpConfig.yarrp_32()
         #: Optional :class:`repro.obs.Telemetry`; ``None`` keeps the
         #: stateless bulk loop on its zero-overhead path.
@@ -144,10 +142,7 @@ class Yarrp:
         supplied.  The resumed scan finishes with a :class:`ScanResult`
         byte-identical to an uninterrupted run (pinned by tests).
         """
-        if state.get("engine") != "yarrp":
-            raise CheckpointError(
-                f"checkpoint engine {state.get('engine')!r} is not yarrp")
-        partial = result_from_dict(state["result"])
+        partial = checkpointed_result(state, "yarrp")
         run = _YarrpRun(self.config, network, dict(partial.targets),
                         partial.tool, telemetry=self.telemetry)
         run.restore_state(state)
@@ -155,36 +150,30 @@ class Yarrp:
 
 
 class _YarrpRun:
+    """Yarrp's probing policy for one scan: the (destination x TTL)
+    permutation, fill mode, neighborhood protection and the post-bulk
+    retry ledger, over a :class:`ScanRuntime`."""
+
     def __init__(self, config: YarrpConfig, network: SimulatedNetwork,
                  targets: Optional[Dict[int, int]],
                  tool_name: Optional[str],
                  telemetry=None) -> None:
         self.config = config
-        self.network = network
-        self.telemetry = telemetry
-        self._reg = telemetry.registry if telemetry is not None else None
-        self._tracer = (telemetry.tracer if telemetry is not None
-                        and telemetry.tracer.enabled else None)
-        self._progress = (telemetry.progress if telemetry is not None
-                          else None)
-        self._events = telemetry.events if telemetry is not None else None
-        topology = network.topology
-        self.base_prefix = topology.base_prefix
-        self.num_prefixes = topology.num_prefixes
         if targets is None:
-            targets = random_targets(topology, config.seed)
+            targets = random_targets(network.topology, config.seed)
         self.targets = targets
+        udp = config.probe_type == "udp"
+        # Real Yarrp TCP mode times via the external recorder, so the
+        # result's RTT ledger stays UDP-only.
+        self.rt = rt = ScanRuntime(
+            network, tool_name if tool_name is not None else config.label,
+            targets, config.probing_rate, telemetry=telemetry,
+            resilience=config.resilience, engine="yarrp",
+            on_response=self._on_response, policy_state=self._policy_state,
+            proto=PROTO_UDP if udp else PROTO_TCP, rtt_ledger=udp)
+        self._udp_length = self._udp_length_for if udp else None
+        self.base_prefix = rt.base_prefix
         self.offsets = sorted(prefix - self.base_prefix for prefix in targets)
-        self.rate = (config.probing_rate if config.probing_rate is not None
-                     else scaled_probing_rate(self.num_prefixes))
-        self.send_gap = 1.0 / self.rate
-        self.clock = VirtualClock()
-        self.queue = ResponseQueue()
-        self.result = ScanResult(
-            tool=tool_name if tool_name is not None else config.label,
-            num_targets=len(targets))
-        self.result.targets = dict(targets)
-        self.proto = PROTO_TCP if config.probe_type == "tcp_ack" else PROTO_UDP
         #: Fill-mode probes waiting to be sent (dst, ttl).
         self.fill_backlog: List[Tuple[int, int]] = []
         #: Neighborhood protection state: per protected TTL, the virtual
@@ -193,32 +182,15 @@ class _YarrpRun:
             ttl: 0.0 for ttl in range(1, config.neighborhood_radius + 1)}
         self.skipped_by_protection = 0
         self._seen_ifaces: set = set()
-        # ---- resilience (see repro.core.resilience) ----
-        resil = config.resilience
-        self._resil = resil
-        budget = resil.retries if resil is not None else 0
-        self._retry_budget = budget
         #: (dst, ttl) pairs probed / answered — only tracked when a retry
         #: budget exists, so the default path carries no per-probe cost.
-        self._sent: Optional[set] = set() if budget > 0 else None
-        self._answered: Optional[set] = set() if budget > 0 else None
+        self._sent: Optional[set] = set() if rt.retries > 0 else None
+        self._answered: Optional[set] = set() if rt.retries > 0 else None
         self._retried: set = set()
-        self._retries_sent = 0
-        self._controller = (AdaptiveRateController(self.rate, resil)
-                            if resil is not None and resil.adaptive_rate
-                            else None)
-        self._ctrl_last = 0.0
-        self._ctrl_probes = 0
-        self._ctrl_responses = 0
-        self._ctrl_drops = 0
         #: Multiplicative-cycle group steps consumed by the bulk phase —
         #: the resumable checkpoint cursor (see MultiplicativeCycle
         #: .iter_steps).
         self._steps_done = 0
-        self._boundaries = 0
-        self._ckpt_state: Optional[dict] = None
-        self._since_ckpt = 0
-        self._checkpoints_written = 0
 
     # ------------------------------------------------------------------ #
 
@@ -237,93 +209,35 @@ class _YarrpRun:
         if ttl > config.neighborhood_radius:
             return False
         last_new = self.last_new_iface_at.get(ttl, 0.0)
-        return (self.clock.now - last_new) > config.neighborhood_timeout
+        return (self.rt.clock.now - last_new) > config.neighborhood_timeout
 
-    def _send(self, dst: int, ttl: int, phase: str = "bulk") -> None:
-        self._send_chunk([(dst, ttl)], phase=phase)
+    def _probe(self, items: List[Tuple[int, int]], phase: str = "bulk",
+               attempt: int = 0) -> None:
+        """Enter ``(dst, ttl)`` pairs in the retry ledger and emit them."""
+        if self._sent is not None:
+            self._sent.update(items)
+        self.rt.emit(items, phase, [attempt] * len(items) if attempt else None,
+                     self._udp_length)
 
-    def _send_chunk(self, items: List[Tuple[int, int]],
-                    phase: str = "bulk", attempt: int = 0) -> None:
-        """Emit ``(dst, ttl)`` probes back-to-back through ``send_probes``.
+    def _flush_fill_backlog(self, drain_between: bool = False) -> None:
+        while self.fill_backlog:
+            self._probe([self.fill_backlog.pop()], "fill")
+            if drain_between:
+                self.rt.drain()
 
-        Pacing, encodings and the UDP length-field failure are identical to
-        sending one by one; the ``finally`` flushes probes already built
-        when the UDP encoding outgrows the MTU mid-chunk, so the partial
-        burst reaches the network exactly as the scalar path would have.
-        """
-        clock = self.clock
-        gap = self.send_gap
-        proto = self.proto
-        udp = proto == PROTO_UDP
-        histogram = self.result.ttl_probe_histogram
-        events = self._events
-        sent = self._sent
-        probes: List[Tuple[int, int, float, int, int, int]] = []
-        try:
-            for dst, ttl in items:
-                now = clock.now
-                marking = encode_probe(dst, ttl, now)
-                if udp:
-                    udp_length = self._udp_length_for(now)
-                else:
-                    udp_length = marking.udp_length
-                probes.append((dst, ttl, now, marking.src_port, marking.ipid,
-                               udp_length))
-                if sent is not None:
-                    sent.add((dst, ttl))
-                if events is not None:
-                    events.probe_sent(now, dst >> 8, ttl, dst,
-                                      marking.src_port, phase)
-                    if attempt:
-                        events.retry(now, dst >> 8, ttl, attempt, dst)
-                histogram[ttl] += 1
-                clock.advance(gap)
-        finally:
-            self.result.probes_sent += len(probes)
-            self.queue.push_many(self.network.send_probes(probes, proto=proto))
-
-    def _drain(self, until: float) -> None:
-        for response in self.queue.pop_until(until):
-            self._process(response)
-
-    def _process(self, response: IcmpResponse) -> None:
-        decoded = decode_response(response)
-        offset = (decoded.dst >> 8) - self.base_prefix
-        if not 0 <= offset < self.num_prefixes:
-            return
+    def _on_response(self, response: IcmpResponse, decoded: DecodedProbe,
+                     offset: int) -> None:
         if self._answered is not None:
             self._answered.add((decoded.dst, decoded.initial_ttl))
-        self.result.responses += 1
-        if response.is_duplicate:
-            self.result.duplicate_responses += 1
-        self.result.response_kinds[response.kind.value] += 1
-        rtt = rtt_ms(decoded, response.arrival_time)
-        if self.proto == PROTO_UDP:
-            # Real Yarrp TCP mode times via the external recorder, so
-            # the result's RTT ledger stays UDP-only; the simulator's
-            # quotations make the RTT computable either way, so the
-            # histogram and events record it for both probe types.
-            self.result.add_rtt(rtt)
-        if self._reg is not None:
-            self._reg.observe("scan.rtt_ms", rtt)
-        prefix = self.base_prefix + offset
-        if self._events is not None:
-            dist = None
-            if response.kind.is_unreachable \
-                    and response.responder == decoded.dst:
-                dist = distance_from_unreachable(response,
-                                                 decoded.initial_ttl)
-            self._events.response(
-                response.arrival_time, prefix, decoded.initial_ttl,
-                response.responder, response.kind.value, rtt=rtt,
-                dist=dist, dup=response.is_duplicate)
         config = self.config
+        result = self.rt.result
+        prefix = self.base_prefix + offset
+        ttl = decoded.initial_ttl
 
         if response.kind is ResponseKind.TTL_EXCEEDED:
-            ttl = decoded.initial_ttl
-            known = self.result.routes.get(prefix)
+            known = result.routes.get(prefix)
             is_new_iface = response.responder not in self._seen_ifaces
-            self.result.add_hop(prefix, ttl, response.responder)
+            result.add_hop(prefix, ttl, response.responder)
             if is_new_iface:
                 self._seen_ifaces.add(response.responder)
                 if ttl in self.last_new_iface_at:
@@ -337,109 +251,13 @@ class _YarrpRun:
                 self.fill_backlog.append((decoded.dst, ttl + 1))
             return
 
-        if response.kind.is_unreachable:
-            if response.responder == decoded.dst:
-                distance = distance_from_unreachable(response,
-                                                     decoded.initial_ttl)
-                if distance is not None:
-                    self.result.record_destination(prefix, distance)
-
-    def _report_progress(self) -> None:
-        progress = self._progress
-        if progress is None or not progress.due(self.clock.now):
-            return
-        now = self.clock.now
-        result = self.result
-        progress.report(now, {
-            "tool": result.tool,
-            "probes": result.probes_sent,
-            "responses": result.responses,
-            "pps": result.probes_sent / now if now > 0 else 0.0,
-            "interfaces": result.interface_count(),
-        })
-
-    def _finalize(self) -> ScanResult:
-        self.result.duration = self.clock.now
-        self.result.skipped_probes = self.skipped_by_protection
-        if self._tracer is not None:
-            self._tracer.end("scan", self.result.tool, self.clock.now,
-                             probes=self.result.probes_sent,
-                             responses=self.result.responses,
-                             interfaces=self.result.interface_count())
-        self._fold_resilience_metrics()
-        if self.telemetry is not None:
-            self.telemetry.record_result(self.result)
-        return self.result
-
-    def _fold_resilience_metrics(self) -> None:
-        reg = self._reg
-        if reg is None:
-            return
-        if self._sent is not None:
-            reg.inc("scan.retries.sent", self._retries_sent)
-            reg.inc("scan.retries.recovered",
-                    len(self._retried & self._answered))
-            reg.inc("scan.retries.exhausted",
-                    len(self._retried - self._answered))
-        if self._controller is not None:
-            reg.inc("scan.adaptive.backoffs", self._controller.backoffs)
-            reg.inc("scan.adaptive.recoveries", self._controller.recoveries)
-        if self._checkpoints_written:
-            reg.inc("scan.checkpoints.written", self._checkpoints_written)
+        distance = destination_distance(response, decoded.dst, ttl)
+        if distance is not None:
+            result.record_destination(prefix, distance)
 
     # ------------------------------------------------------------------ #
-    # Resilience: rate control, retry passes, checkpoint/resume
+    # Retry passes, checkpoint/resume
     # ------------------------------------------------------------------ #
-
-    def _boundary(self) -> None:
-        """One chunk boundary: the scan's analogue of FlashRoute's round
-        boundary — rate-control observation window, checkpoint capture
-        point, and interrupt hook site."""
-        self._observe_rate()
-        resil = self._resil
-        if resil is None:
-            return
-        self._boundaries += 1
-        if resil.checkpoint_path is not None:
-            self._ckpt_state = self._capture_state()
-            self._since_ckpt += 1
-            if resil.checkpoint_every \
-                    and self._since_ckpt >= resil.checkpoint_every:
-                self._write_checkpoint()
-                self._since_ckpt = 0
-        if resil.round_hook is not None:
-            resil.round_hook(self._boundaries)
-
-    def _observe_rate(self) -> None:
-        """Feed the adaptive controller one observation window.
-
-        Yarrp has no rounds, so windows close at the first chunk boundary
-        at least one virtual second after the previous window — long
-        enough that in-flight responses (RTT ≪ 1 s) cannot masquerade as
-        loss."""
-        controller = self._controller
-        if controller is None:
-            return
-        now = self.clock.now
-        if now - self._ctrl_last < 1.0:
-            return
-        probes = self.result.probes_sent
-        responses = self.result.responses
-        drops = getattr(self.network, "drop_count", 0)
-        decision = controller.observe_round(
-            probes - self._ctrl_probes,
-            responses - self._ctrl_responses,
-            drops - self._ctrl_drops)
-        self._ctrl_last = now
-        self._ctrl_probes = probes
-        self._ctrl_responses = responses
-        self._ctrl_drops = drops
-        if decision is not None:
-            reason, new_rate = decision
-            self.rate = new_rate
-            self.send_gap = 1.0 / new_rate
-            if self._events is not None:
-                self._events.rate_change(now, new_rate, reason)
 
     def _run_retry_passes(self) -> None:
         """Re-probe unanswered (dst, ttl) pairs, up to the retry budget.
@@ -448,53 +266,40 @@ class _YarrpRun:
         (deterministic), settles, and flushes any fill chains the
         recovered hops opened.  Pairs answered after a retry count as
         recovered; pairs silent through every pass as exhausted."""
-        if self._retry_budget == 0 or self._sent is None:
+        if self._sent is None:
             return
         unanswered = sorted(self._sent - self._answered)
         if not unanswered:
             return
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("phase", "retry", self.clock.now)
-        for attempt in range(1, self._retry_budget + 1):
+        rt = self.rt
+        rt.span_begin("phase", "retry")
+        for attempt in range(1, rt.retries + 1):
             if not unanswered:
                 break
             self._retried.update(unanswered)
-            self._retries_sent += len(unanswered)
+            rt.retries_sent += len(unanswered)
             for start in range(0, len(unanswered), _BULK_CHUNK):
-                self._send_chunk(unanswered[start:start + _BULK_CHUNK],
-                                 phase="retry", attempt=attempt)
-                self._drain(self.clock.now)
-            self.clock.advance(_SETTLE_SECONDS)
-            self._drain(self.clock.now)
+                self._probe(unanswered[start:start + _BULK_CHUNK],
+                            "retry", attempt)
+                rt.drain()
+            rt.settle()
             while self.fill_backlog:
-                while self.fill_backlog:
-                    fill_dst, fill_ttl = self.fill_backlog.pop()
-                    self._send(fill_dst, fill_ttl, phase="fill")
-                self.clock.advance(_SETTLE_SECONDS)
-                self._drain(self.clock.now)
+                self._flush_fill_backlog()
+                rt.settle()
             unanswered = sorted(self._sent - self._answered)
-        if tracer is not None:
-            tracer.end("phase", "retry", self.clock.now,
-                       retries=self._retries_sent,
-                       exhausted=len(unanswered))
+        rt.retries_recovered = len(self._retried & self._answered)
+        rt.retries_exhausted = len(self._retried - self._answered)
+        rt.span_end("phase", "retry", retries=rt.retries_sent,
+                    exhausted=len(unanswered))
 
-    def _capture_state(self) -> dict:
-        """Snapshot the bulk-phase scan state at a chunk boundary.
-
-        Read-only — capturing never perturbs the scan.  The permutation
+    def _policy_state(self) -> dict:
+        """The policy half of a chunk-boundary snapshot.  The permutation
         itself is not stored: it is reconstructed from the seed, and
         ``steps_done`` is the resumable cursor into it."""
-        now = self.clock.now
-        state = {
-            "engine": "yarrp",
+        return {
             "bulk_ttl": self.config.bulk_ttl,
-            "clock": now,
-            "rate": self.rate,
             "steps_done": self._steps_done,
-            "boundaries": self._boundaries,
-            "result": result_to_dict(self.result),
-            "queue": [response_to_dict(r) for r in self.queue.snapshot()],
+            "boundaries": self.rt.boundaries,
             "sent": (sorted(self._sent)
                      if self._sent is not None else None),
             "answered": (sorted(self._answered)
@@ -503,32 +308,17 @@ class _YarrpRun:
             "last_new_iface_at": sorted(self.last_new_iface_at.items()),
             "seen_ifaces": sorted(self._seen_ifaces),
             "skipped": self.skipped_by_protection,
-            "adaptive": (self._controller.state_dict()
-                         if self._controller is not None else None),
-            "network": None,
         }
-        export = getattr(self.network, "export_dynamic_state", None)
-        if export is not None:
-            state["network"] = export(now)
-        return state
 
     def restore_state(self, state: dict) -> None:
-        """Load a :meth:`_capture_state` snapshot (resume path)."""
-        if state.get("engine") != "yarrp":
-            raise CheckpointError(
-                f"checkpoint engine {state.get('engine')!r} is not yarrp")
+        """Load a checkpoint snapshot (resume path)."""
         if state["bulk_ttl"] != self.config.bulk_ttl:
             raise CheckpointError(
                 f"checkpoint bulk TTL {state['bulk_ttl']} does not match "
                 f"this scan's {self.config.bulk_ttl}")
-        self.clock.now = state["clock"]
-        self.rate = state["rate"]
-        self.send_gap = 1.0 / self.rate
-        self.result = result_from_dict(state["result"])
+        self.rt.restore_state(state)
+        self.rt.boundaries = state["boundaries"]
         self._steps_done = state["steps_done"]
-        self._boundaries = state["boundaries"]
-        self.queue.load(response_from_dict(entry)
-                        for entry in state["queue"])
         if state.get("sent") is not None and self._sent is not None:
             self._sent.update(tuple(pair) for pair in state["sent"])
         if state.get("answered") is not None and self._answered is not None:
@@ -540,93 +330,51 @@ class _YarrpRun:
                                   in state["last_new_iface_at"]}
         self._seen_ifaces = set(state["seen_ifaces"])
         self.skipped_by_protection = state["skipped"]
-        if state.get("adaptive") is not None \
-                and self._controller is not None:
-            self._controller.restore_state(state["adaptive"])
-        if state.get("network") is not None:
-            restore = getattr(self.network, "restore_dynamic_state", None)
-            if restore is not None:
-                restore(state["network"])
-
-    def _write_checkpoint(self) -> str:
-        resil = self._resil
-        path = write_checkpoint(resil.checkpoint_path, "yarrp",
-                                self._ckpt_state, resil.checkpoint_meta)
-        self._checkpoints_written += 1
-        if self._events is not None:
-            self._events.checkpoint(self.clock.now,
-                                    self._ckpt_state["boundaries"])
-        return path
-
-    def _interrupt_checkpoint(self) -> Optional[str]:
-        resil = self._resil
-        if resil is None or resil.checkpoint_path is None \
-                or self._ckpt_state is None:
-            return None
-        return self._write_checkpoint()
 
     # ------------------------------------------------------------------ #
 
     def execute(self) -> ScanResult:
+        return self.rt.run(self._scan)
+
+    def _scan(self) -> None:
         config = self.config
-        domain = len(self.offsets) * config.bulk_ttl
-        cycle = MultiplicativeCycle(domain, config.seed ^ 0x59A44)
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("scan", self.result.tool, self.clock.now,
-                         targets=self.result.num_targets, rate_pps=self.rate)
-        try:
-            if config.fill_start is None \
-                    and config.neighborhood_radius == 0:
-                self._run_bulk_stateless(cycle)
-            else:
-                self._run_bulk_stateful(cycle)
-        except KeyboardInterrupt:
-            path = self._interrupt_checkpoint()
-            if path is not None:
-                raise ScanInterrupted(path, self._boundaries) from None
-            raise
+        cycle = MultiplicativeCycle(len(self.offsets) * config.bulk_ttl,
+                                    config.seed ^ 0x59A44)
+        if config.fill_start is None and config.neighborhood_radius == 0:
+            self._run_bulk_stateless(cycle)
+        else:
+            self._run_bulk_stateful(cycle)
         self._run_retry_passes()
-        return self._finalize()
+        self.rt.result.skipped_probes = self.skipped_by_protection
 
     def _run_bulk_stateful(self, cycle: MultiplicativeCycle) -> None:
         """Bulk probing with fill mode and/or neighborhood protection."""
         config = self.config
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("phase", "bulk+fill", self.clock.now)
+        rt = self.rt
+        rt.span_begin("phase", "bulk+fill")
         processed = 0
         for step, value in cycle.iter_steps(self._steps_done):
-            self._drain(self.clock.now)
-            while self.fill_backlog:
-                fill_dst, fill_ttl = self.fill_backlog.pop()
-                self._send(fill_dst, fill_ttl, phase="fill")
-                self._drain(self.clock.now)
+            rt.drain()
+            self._flush_fill_backlog(drain_between=True)
             index, ttl_index = divmod(value, config.bulk_ttl)
             ttl = ttl_index + 1
             if self._protected(ttl):
                 self.skipped_by_protection += 1
             else:
-                dst = self.targets[self.base_prefix + self.offsets[index]]
-                self._send(dst, ttl)
-                self._report_progress()
+                self._probe([(self.targets[self.base_prefix
+                                           + self.offsets[index]], ttl)])
+                rt.report_progress()
             self._steps_done = step + 1
             processed += 1
             if processed % _BULK_CHUNK == 0:
-                self._boundary()
+                rt.boundary(window=_RATE_WINDOW_SECONDS)
         # Let the tail of fill chains complete.
-        while True:
-            self.clock.advance(_SETTLE_SECONDS)
-            self._drain(self.clock.now)
-            if not self.fill_backlog:
-                break
-            while self.fill_backlog:
-                fill_dst, fill_ttl = self.fill_backlog.pop()
-                self._send(fill_dst, fill_ttl, phase="fill")
-        if tracer is not None:
-            tracer.end("phase", "bulk+fill", self.clock.now,
-                       probes=self.result.probes_sent,
-                       skipped=self.skipped_by_protection)
+        rt.settle()
+        while self.fill_backlog:
+            self._flush_fill_backlog()
+            rt.settle()
+        rt.span_end("phase", "bulk+fill", probes=rt.result.probes_sent,
+                    skipped=self.skipped_by_protection)
 
     def _run_bulk_stateless(self, cycle: MultiplicativeCycle) -> None:
         """The bulk phase with no fill mode and no neighborhood protection.
@@ -636,33 +384,28 @@ class _YarrpRun:
         emitted in chunks with one drain per chunk — same send times, same
         responses, same :class:`ScanResult`, far less per-probe overhead.
         """
-        config = self.config
-        bulk_ttl = config.bulk_ttl
+        bulk_ttl = self.config.bulk_ttl
         targets = self.targets
         base_prefix = self.base_prefix
         offsets = self.offsets
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("phase", "bulk", self.clock.now)
+        rt = self.rt
+        rt.span_begin("phase", "bulk")
         chunk: List[Tuple[int, int]] = []
         for step, value in cycle.iter_steps(self._steps_done):
             index, ttl_index = divmod(value, bulk_ttl)
             chunk.append((targets[base_prefix + offsets[index]],
                           ttl_index + 1))
             if len(chunk) >= _BULK_CHUNK:
-                self._send_chunk(chunk)
-                self._drain(self.clock.now)
+                self._probe(chunk)
+                rt.drain()
                 chunk.clear()
-                self._report_progress()
+                rt.report_progress()
                 self._steps_done = step + 1
-                self._boundary()
+                rt.boundary(window=_RATE_WINDOW_SECONDS)
         if chunk:
-            self._send_chunk(chunk)
-        self.clock.advance(_SETTLE_SECONDS)
-        self._drain(self.clock.now)
-        if tracer is not None:
-            tracer.end("phase", "bulk", self.clock.now,
-                       probes=self.result.probes_sent)
+            self._probe(chunk)
+        rt.settle()
+        rt.span_end("phase", "bulk", probes=rt.result.probes_sent)
 
 
 # --------------------------------------------------------------------- #

@@ -74,12 +74,6 @@ class FlashRouteConfig:
     #: Safety valve: abort scans that somehow exceed this many rounds.
     max_rounds: int = 4096
 
-    #: Serve probes from the simulator's flat route cache (the default fast
-    #: path).  ``False`` forces the original per-probe resolution for the
-    #: whole scan — an A/B and debugging escape hatch; results are
-    #: identical either way (see ``docs/simulator.md``).
-    route_cache: bool = True
-
     #: Optional :class:`repro.core.resilience.ResilienceConfig` enabling
     #: probe retransmission, adaptive rate backoff and checkpoint/resume
     #: (see ``docs/robustness.md``).  ``None`` — or an inert config with

@@ -24,7 +24,6 @@ from ..simnet.network import SimulatedNetwork
 from .config import FlashRouteConfig, PreprobeMode
 from .prober import FlashRoute
 from .results import ScanResult, union_interfaces
-from .scanner import sanctioned_construction
 
 
 @dataclass
@@ -92,12 +91,8 @@ def run_discovery_optimized(network: SimulatedNetwork,
     stop_set: Set[int] = set()
     rng = random.Random(seed)
 
-    # Library-internal orchestration: construction is sanctioned here so
-    # only *callers outside* the library see the deprecation nudge.
-    with sanctioned_construction():
-        main_scanner = FlashRoute(base)
-    main = main_scanner.scan(network, targets=targets, stop_set=stop_set,
-                             tool_name="FlashRoute-32 (main)")
+    main = FlashRoute(base).scan(network, targets=targets, stop_set=stop_set,
+                                 tool_name="FlashRoute-32 (main)")
     if targets is None:
         targets = dict(main.targets)
 
@@ -121,9 +116,7 @@ def run_discovery_optimized(network: SimulatedNetwork,
                                gap_limit=0,  # backward probing only
                                scan_offset=index,
                                seed=base.seed + index)
-        with sanctioned_construction():
-            extra_scanner = FlashRoute(extra_config)
-        extra = extra_scanner.scan(
+        extra = FlashRoute(extra_config).scan(
             network, targets=extra_targets, stop_set=stop_set,
             start_ttls=start_ttls, tool_name=f"extra-scan-{index}")
         extras.append(extra)

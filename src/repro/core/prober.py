@@ -29,28 +29,29 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
 from ..obs.telemetry import record_scan_ring
-from ..simnet.config import scaled_probing_rate
-from ..simnet.engine import ResponseQueue, VirtualClock
 from ..simnet.network import SimulatedNetwork
 from .config import FlashRouteConfig, PreprobeMode
 from .dcb import DCBArray, initial_order
-from .encoding import decode_response, destination_intact, encode_probe, rtt_ms
-from .output import result_from_dict, result_to_dict as _result_to_dict
+from .encoding import DecodedProbe
 from .preprobe import PreprobeOutcome, clamp_distance, predict_distances
-from .resilience import (AdaptiveRateController, CheckpointError,
-                         ResilienceConfig, RetryTracker, ScanInterrupted,
-                         response_from_dict, response_to_dict,
-                         write_checkpoint)
-from .scanner import warn_direct_construction
+from .resilience import CheckpointError, RetryTracker
 from .results import ScanResult
+from .runtime import ScanRuntime, checkpointed_result
 from .targets import hitlist_targets, random_targets
 
-#: Extra virtual time after the last probe of a phase, enough for any
-#: response still in flight to arrive (worst case: 2 * 32 hops * hop
-#: latency + jitter, far below a second in the default latency model).
-_SETTLE_SECONDS = 1.0
-
 _PREPROBE_TTL = 32
+
+
+def _measured_distance(response: IcmpResponse, dst: int,
+                       ttl: int) -> Optional[int]:
+    """Destination distance FlashRoute reads off a response: only a port
+    unreachable (or RST) from the target itself measures it — a
+    host-unreachable says the target is not there, not how far it is."""
+    if response.kind.is_unreachable \
+            and response.kind is not ResponseKind.HOST_UNREACHABLE \
+            and response.responder == dst:
+        return distance_from_unreachable(response, ttl)
+    return None
 
 
 class FlashRoute:
@@ -58,7 +59,6 @@ class FlashRoute:
 
     def __init__(self, config: Optional[FlashRouteConfig] = None,
                  telemetry=None) -> None:
-        warn_direct_construction("FlashRoute")
         self.config = config if config is not None else FlashRouteConfig()
         #: Optional :class:`repro.obs.Telemetry`; ``None`` keeps every
         #: path byte-identical to the pre-telemetry engine.
@@ -104,20 +104,18 @@ class FlashRoute:
         ``invocation`` block by the CLI.  The returned ``ScanResult`` is
         byte-identical to an uninterrupted same-seed run.
         """
-        if state.get("engine") != "flashroute":
-            raise CheckpointError(
-                f"checkpoint was written by engine "
-                f"{state.get('engine')!r}, not flashroute")
-        partial = result_from_dict(state["result"])
-        run = _ScanRun(self.config, network, dict(partial.targets), None,
-                       None, None, partial.tool, None,
+        partial_result = checkpointed_result(state, "flashroute")
+        run = _ScanRun(self.config, network, dict(partial_result.targets),
+                       None, None, None, partial_result.tool, None,
                        telemetry=self.telemetry)
         run.restore_state(state)
         return run.execute(skip_preprobe=True)
 
 
 class _ScanRun:
-    """State and logic of a single scan (one-shot)."""
+    """FlashRoute's probing policy for a single scan (one-shot): the DCB
+    ring, preprobing and split points, backward/forward stopping and the
+    in-ring retry ledger, over a :class:`ScanRuntime`."""
 
     def __init__(self, config: FlashRouteConfig, network: SimulatedNetwork,
                  targets: Optional[Dict[int, int]],
@@ -128,29 +126,7 @@ class _ScanRun:
                  excluded: Optional[Iterable[int]],
                  telemetry=None) -> None:
         self.config = config
-        self.network = network
-        self.telemetry = telemetry
-        #: Hot-path handles: ``None`` when telemetry is off, so the only
-        #: cost a disabled run pays is an identity test per checkpoint.
-        self._reg = telemetry.registry if telemetry is not None else None
-        self._tracer = (telemetry.tracer if telemetry is not None
-                        and telemetry.tracer.enabled else None)
-        self._progress = (telemetry.progress if telemetry is not None
-                          else None)
-        self._events = telemetry.events if telemetry is not None else None
         topology = network.topology
-        # Block granularity (paper §5.4): the control-state array holds one
-        # DCB per /granularity block; at the default 24 a block is a /24.
-        self.block_shift = 32 - config.granularity
-        scale = 1 << (config.granularity - 24)
-        self.base_prefix = topology.base_prefix * scale
-        self.num_prefixes = topology.num_prefixes * scale
-
-        excluded_offsets = sorted(
-            {prefix - self.base_prefix for prefix in (excluded or ())
-             if 0 <= prefix - self.base_prefix < self.num_prefixes})
-        self.excluded_offsets = excluded_offsets
-
         if targets is None:
             targets = random_targets(topology, config.seed,
                                      granularity=config.granularity)
@@ -171,67 +147,57 @@ class _ScanRun:
             and config.split_ttl == _PREPROBE_TTL
             and config.max_ttl == _PREPROBE_TTL)
 
-        self.rate = (config.probing_rate
-                     if config.probing_rate is not None
-                     else scaled_probing_rate(topology.num_prefixes))
-        self.send_gap = 1.0 / self.rate
-
-        self.clock = VirtualClock()
-        self.queue = ResponseQueue()
+        # Block granularity (paper §5.4): the control-state array holds one
+        # DCB per /granularity block; at the default 24 a block is a /24.
+        self.rt = rt = ScanRuntime(
+            network, tool_name if tool_name is not None
+            else f"FlashRoute-{config.split_ttl}", targets,
+            config.probing_rate, telemetry=telemetry,
+            resilience=config.resilience, engine="flashroute",
+            on_response=self._on_response, policy_state=self._policy_state,
+            event_distance=_measured_distance,
+            block_shift=32 - config.granularity,
+            scan_offset=config.scan_offset, verify_quotes=True,
+            rtt_ledger=True, fold_preprobe=self.fold_preprobe)
+        self.base_prefix = rt.base_prefix
+        self.num_prefixes = rt.num_prefixes
         self.stop_set: Set[int] = stop_set if stop_set is not None else set()
-        self.start_ttls = start_ttls or {}
-
-        name = tool_name if tool_name is not None else (
-            f"FlashRoute-{config.split_ttl}")
-        self.result = ScanResult(tool=name, num_targets=len(targets),
-                                 granularity=config.granularity)
-        self.result.targets = dict(targets)
-
-        self.dcb = self._build_dcbs()
+        self.dcb = self._build_dcbs(excluded or (), start_ttls or {})
         self.preprobe_outcome = PreprobeOutcome()
-        self.in_preprobe = False
-
-        #: Resilience layer (``docs/robustness.md``).  With ``None`` — or
-        #: an inert config — the tracker/controller handles below stay
-        #: ``None`` and every hot path is byte-identical to the seed.
-        resil: Optional[ResilienceConfig] = config.resilience
-        self._resil = resil
+        #: Unanswered-probe ledger (``docs/robustness.md``); ``None``
+        #: without a retry budget, which keeps the ring walk on its seed
+        #: path.
         self._retry: Optional[RetryTracker] = (
-            RetryTracker(resil.retries, resil.retry_timeout)
-            if resil is not None and resil.retries > 0 else None)
-        self._controller: Optional[AdaptiveRateController] = (
-            AdaptiveRateController(self.rate, resil)
-            if resil is not None and resil.adaptive_rate else None)
-        #: Last round-boundary snapshot; what an interrupt flushes to disk.
-        self._ckpt_state: Optional[dict] = None
-        self._rounds_since_ckpt = 0
-        self._checkpoints_written = 0
+            RetryTracker(rt.retries, config.resilience.retry_timeout)
+            if rt.retries > 0 else None)
 
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
 
-    def _build_dcbs(self) -> DCBArray:
+    def _build_dcbs(self, excluded: Iterable[int],
+                    start_ttls: Dict[int, int]) -> DCBArray:
         destinations = []
         missing = object()
+        block_shift = self.rt.block_shift
         for offset in range(self.num_prefixes):
             addr = self.targets.get(self.base_prefix + offset, missing)
             if addr is missing:
                 destinations.append(
-                    (self.base_prefix + offset) << self.block_shift)
+                    (self.base_prefix + offset) << block_shift)
             else:
                 destinations.append(addr)
         dcb = DCBArray(destinations, self.config.split_ttl,
                        self.config.gap_limit)
         absent = {offset for offset in range(self.num_prefixes)
                   if self.base_prefix + offset not in self.targets}
-        banned = set(self.excluded_offsets) | absent
+        banned = {prefix - self.base_prefix for prefix in excluded} | absent
         order = initial_order(self.num_prefixes,
                               self.config.seed ^ 0x0D0B0D0B, banned)
         if not order:
             raise ValueError("every prefix is excluded; nothing to scan")
         dcb.link_ring(order)
-        for prefix, ttl in self.start_ttls.items():
+        for prefix, ttl in start_ttls.items():
             offset = prefix - self.base_prefix
             if 0 <= offset < self.num_prefixes:
                 dcb.set_distance(offset, ttl, predicted=False)
@@ -240,246 +206,119 @@ class _ScanRun:
         return dcb
 
     # ------------------------------------------------------------------ #
-    # Probe emission
+    # Response policy
     # ------------------------------------------------------------------ #
 
-    def _send(self, dst: int, ttl: int, is_preprobe: bool) -> None:
-        marking = encode_probe(dst, ttl, self.clock.now,
-                               is_preprobe=is_preprobe,
-                               scan_offset=self.config.scan_offset)
-        response = self.network.send_probe(
-            dst, ttl, self.clock.now, marking.src_port,
-            ipid=marking.ipid, udp_length=marking.udp_length,
-            # Hitlist preprobes hit their representative exactly once and
-            # the main phase targets a different address in the /24, so
-            # building a route-cache table for them would never pay off.
-            single=is_preprobe and not self.fold_preprobe)
-        if self._events is not None:
-            self._events.probe_sent(
-                self.clock.now, dst >> self.block_shift, ttl, dst,
-                marking.src_port,
-                "preprobe" if is_preprobe else "main")
-        self.result.probes_sent += 1
-        if is_preprobe:
-            self.result.preprobe_probes += 1
-        self.result.ttl_probe_histogram[ttl] += 1
-        if response is not None:
-            self.queue.push(response)
-        self.clock.advance(self.send_gap)
-
-    def _send_batch(self, items: List[Tuple[int, int]],
-                    retry_attempts: Optional[Dict[int, int]] = None) -> None:
-        """Emit a back-to-back burst of main-phase ``(dst, ttl)`` probes
-        through ``send_probes``, pacing each at its own clock tick.
-
-        The burst lies entirely between two drain points (the ring walk
-        drains before every destination), so batching is observation-
-        equivalent to per-probe sends: same send times, same encodings,
-        same response arrivals.  ``retry_attempts`` (ttl -> attempt
-        number) marks which items are retransmissions; absent items are
-        first attempts.
-        """
-        clock = self.clock
-        gap = self.send_gap
-        scan_offset = self.config.scan_offset
-        histogram = self.result.ttl_probe_histogram
-        events = self._events
-        block_shift = self.block_shift
-        retry = self._retry
-        offset = ((items[0][0] >> block_shift) - self.base_prefix
-                  if retry is not None else -1)
-        probes = []
-        for dst, ttl in items:
-            now = clock.now
-            marking = encode_probe(dst, ttl, now, is_preprobe=False,
-                                   scan_offset=scan_offset)
-            probes.append((dst, ttl, now, marking.src_port, marking.ipid,
-                           marking.udp_length))
-            attempt = 0
-            if retry is not None:
-                if retry_attempts is not None:
-                    attempt = retry_attempts.get(ttl, 0)
-                retry.record_sent(offset, ttl, now, attempt)
-            if events is not None:
-                events.probe_sent(now, dst >> block_shift, ttl, dst,
-                                  marking.src_port,
-                                  "main" if attempt == 0 else "retry")
-                if attempt:
-                    events.retry(now, dst >> block_shift, ttl, attempt, dst)
-            histogram[ttl] += 1
-            clock.advance(gap)
-        self.result.probes_sent += len(probes)
-        self.queue.push_many(self.network.send_probes(probes))
-
-    # ------------------------------------------------------------------ #
-    # Receive path
-    # ------------------------------------------------------------------ #
-
-    def _drain(self, until: float) -> None:
-        for response in self.queue.pop_until(until):
-            self._process(response)
-
-    def _process(self, response: IcmpResponse) -> None:
-        decoded = decode_response(response)
-        if not destination_intact(decoded, self.config.scan_offset):
-            self.result.mismatched_quotes += 1
-            return
-        offset = (decoded.dst >> self.block_shift) - self.base_prefix
-        if not 0 <= offset < self.num_prefixes:
-            return
-        if self._retry is not None and not decoded.is_preprobe:
+    def _on_response(self, response: IcmpResponse, decoded: DecodedProbe,
+                     offset: int) -> None:
+        if decoded.is_preprobe:
+            if response.kind is ResponseKind.PORT_UNREACHABLE \
+                    and response.responder == decoded.dst:
+                distance = distance_from_unreachable(response, _PREPROBE_TTL)
+                clamped = (clamp_distance(distance, self.config.max_ttl)
+                           if distance is not None else None)
+                if clamped is not None:
+                    self.preprobe_outcome.measured[offset] = clamped
+            if not self.fold_preprobe:
+                return
+        elif self._retry is not None:
             # Any answer — original or retry, whatever its kind — settles
             # the outstanding (destination, ttl) probe.
             self._retry.record_response(offset, decoded.initial_ttl)
-        self.result.responses += 1
-        if response.is_duplicate:
-            self.result.duplicate_responses += 1
-        self.result.response_kinds[response.kind.value] += 1
-        rtt = rtt_ms(decoded, response.arrival_time)
-        self.result.add_rtt(rtt)
-        if self._reg is not None:
-            self._reg.observe("scan.rtt_ms", rtt)
-        if self._events is not None:
-            # `pre` marks preprobe responses the engine does not fold
-            # into routes; `dist` is the distance record_destination
-            # will see, computed at the same call-site conditions.
-            pre = decoded.is_preprobe and not self.fold_preprobe
-            dist = None
-            if not pre and response.kind.is_unreachable \
-                    and response.kind is not ResponseKind.HOST_UNREACHABLE \
-                    and response.responder == decoded.dst:
-                dist = distance_from_unreachable(response,
-                                                 decoded.initial_ttl)
-            self._events.response(
-                response.arrival_time, decoded.dst >> self.block_shift,
-                decoded.initial_ttl, response.responder,
-                response.kind.value, rtt=rtt, dist=dist, pre=pre,
-                dup=response.is_duplicate)
 
-        if decoded.is_preprobe:
-            self._process_preprobe(response, decoded, offset)
-            if not self.fold_preprobe:
-                return
-        self._process_main(response, decoded, offset)
-
-    def _process_preprobe(self, response: IcmpResponse, decoded, offset: int) -> None:
-        if response.kind is ResponseKind.PORT_UNREACHABLE \
-                and response.responder == decoded.dst:
-            distance = distance_from_unreachable(response, _PREPROBE_TTL)
-            if distance is not None:
-                clamped = clamp_distance(distance, self.config.max_ttl)
-                if clamped is not None:
-                    self.preprobe_outcome.measured[offset] = clamped
-
-    def _process_main(self, response: IcmpResponse, decoded, offset: int) -> None:
         dcb = self.dcb
         config = self.config
+        reg = self.rt.reg
+        events = self.rt.events
         prefix = self.base_prefix + offset
         kind = response.kind
 
         if kind is ResponseKind.TTL_EXCEEDED:
             ttl = decoded.initial_ttl
-            self.result.add_hop(prefix, ttl, response.responder)
+            self.rt.result.add_hop(prefix, ttl, response.responder)
             horizon = min(ttl + config.gap_limit, 255)
             if horizon > dcb.forward_horizon[offset]:
                 dcb.forward_horizon[offset] = horizon
             if ttl <= dcb.split[offset] and dcb.next_backward[offset] > 0:
+                reason = None
                 if ttl == 1:
-                    dcb.next_backward[offset] = 0
-                    if self._reg is not None:
-                        self._reg.inc("scan.backward_stops.ttl1")
-                    if self._events is not None:
-                        self._events.stop_decision(
-                            response.arrival_time, prefix, "ttl1", ttl)
+                    reason = "ttl1"
                 elif (config.redundancy_removal
                       and response.responder in self.stop_set):
+                    reason = "stop_set"
+                if reason is not None:
                     dcb.next_backward[offset] = 0
-                    if self._reg is not None:
-                        self._reg.inc("scan.backward_stops.stop_set")
-                    if self._events is not None:
-                        self._events.stop_decision(
-                            response.arrival_time, prefix, "stop_set", ttl)
+                    if reg is not None:
+                        reg.inc(f"scan.backward_stops.{reason}")
+                    if events is not None:
+                        events.stop_decision(response.arrival_time, prefix,
+                                             reason, ttl)
             self.stop_set.add(response.responder)
             return
 
         if kind.is_unreachable:
-            if (self._reg is not None or self._events is not None) \
+            if (reg is not None or events is not None) \
                     and not dcb.dest_reached(offset):
-                if self._reg is not None:
-                    self._reg.inc("scan.forward_stops.dest_reached")
-                if self._events is not None:
-                    self._events.stop_decision(
-                        response.arrival_time, prefix, "dest_reached",
-                        decoded.initial_ttl)
+                if reg is not None:
+                    reg.inc("scan.forward_stops.dest_reached")
+                if events is not None:
+                    events.stop_decision(response.arrival_time, prefix,
+                                         "dest_reached", decoded.initial_ttl)
             dcb.mark_dest_reached(offset)
-            if kind is not ResponseKind.HOST_UNREACHABLE \
-                    and response.responder == decoded.dst:
-                distance = distance_from_unreachable(response,
-                                                     decoded.initial_ttl)
-                if distance is not None:
-                    self.result.record_destination(prefix, distance)
+            distance = _measured_distance(response, decoded.dst,
+                                          decoded.initial_ttl)
+            if distance is not None:
+                self.rt.result.record_destination(prefix, distance)
 
     # ------------------------------------------------------------------ #
     # Phases
     # ------------------------------------------------------------------ #
 
     def _run_preprobe(self) -> None:
-        self.in_preprobe = True
-        started = self.clock.now
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.begin("phase", "preprobe", started,
-                         folded=self.fold_preprobe)
+        rt = self.rt
+        started = rt.clock.now
+        rt.span_begin("phase", "preprobe", folded=self.fold_preprobe)
         for offset in self.dcb.iter_ring():
-            prefix = self.base_prefix + offset
-            target = self.preprobe_targets.get(prefix)
+            target = self.preprobe_targets.get(self.base_prefix + offset)
             if target is None:
                 continue
-            self._drain(self.clock.now)
-            self._send(target, _PREPROBE_TTL, is_preprobe=True)
-        self.clock.advance(_SETTLE_SECONDS)
-        self._drain(self.clock.now)
-        self.in_preprobe = False
+            rt.drain()
+            rt.emit([(target, _PREPROBE_TTL)], "preprobe", preprobe=True)
+        rt.settle()
 
         outcome = self.preprobe_outcome
-        outcome.probes = self.result.preprobe_probes
-        outcome.duration = self.clock.now - started
+        outcome.probes = rt.result.preprobe_probes
+        outcome.duration = rt.clock.now - started
         outcome.predicted = predict_distances(
             outcome.measured, self.num_prefixes, self.config.proximity_span)
         self._apply_split_points(outcome)
-        if self._reg is not None:
+        if rt.reg is not None:
             # Prediction ledger (§3.3.4): measured = a preprobe answered,
             # predicted = proximity-span extension, unresolved = neither
             # (the destination falls back to the default split TTL).
-            reg = self._reg
-            reg.inc("scan.preprobe.measured", len(outcome.measured))
-            reg.inc("scan.preprobe.predicted", len(outcome.predicted))
-            reg.inc("scan.preprobe.unresolved",
-                    max(0, len(self.dcb) - len(outcome.measured)
-                        - len(outcome.predicted)))
-        if tracer is not None:
-            tracer.end("phase", "preprobe", self.clock.now,
-                       probes=outcome.probes,
-                       measured=len(outcome.measured),
-                       predicted=len(outcome.predicted))
+            rt.reg.inc("scan.preprobe.measured", len(outcome.measured))
+            rt.reg.inc("scan.preprobe.predicted", len(outcome.predicted))
+            rt.reg.inc("scan.preprobe.unresolved",
+                       max(0, len(self.dcb) - len(outcome.measured)
+                           - len(outcome.predicted)))
+        rt.span_end("phase", "preprobe", probes=outcome.probes,
+                    measured=len(outcome.measured),
+                    predicted=len(outcome.predicted))
 
     def _apply_split_points(self, outcome: PreprobeOutcome) -> None:
         gap_limit = self.config.gap_limit
-        events = self._events
-        for offset, distance in outcome.measured.items():
-            self.dcb.set_distance(offset, distance, predicted=False)
-            self.dcb.forward_horizon[offset] = min(distance + gap_limit, 255)
-            if events is not None:
-                events.preprobe_predict(self.clock.now,
-                                        self.base_prefix + offset,
-                                        distance, "measured")
-        for offset, distance in outcome.predicted.items():
-            self.dcb.set_distance(offset, distance, predicted=True)
-            self.dcb.forward_horizon[offset] = min(distance + gap_limit, 255)
-            if events is not None:
-                events.preprobe_predict(self.clock.now,
-                                        self.base_prefix + offset,
-                                        distance, "predicted")
+        events = self.rt.events
+        now = self.rt.clock.now
+        for source, distances in (("measured", outcome.measured),
+                                  ("predicted", outcome.predicted)):
+            for offset, distance in distances.items():
+                self.dcb.set_distance(offset, distance,
+                                      predicted=source == "predicted")
+                self.dcb.forward_horizon[offset] = min(distance + gap_limit,
+                                                       255)
+                if events is not None:
+                    events.preprobe_predict(now, self.base_prefix + offset,
+                                            distance, source)
         if self.fold_preprobe:
             # Preprobing was the first main round: destinations without a
             # measured distance continue downward from TTL 31 (§3.3.5).
@@ -505,7 +344,10 @@ class _ScanRun:
         """Retire a finished destination, attributing the forward-probing
         stop reason (telemetry only; removal itself is unconditional)."""
         dcb = self.dcb
-        if (self._reg is not None or self._events is not None) \
+        reg = self.rt.reg
+        events = self.rt.events
+        now = self.rt.clock.now
+        if (reg is not None or events is not None) \
                 and not dcb.dest_reached(offset):
             # The forward walk ran out without an answer from the target:
             # a horizon below max_ttl means GapLimit silent hops in a row
@@ -513,73 +355,48 @@ class _ScanRun:
             limit = min(dcb.forward_horizon[offset], self.config.max_ttl)
             reason = ("gap_limit" if limit < self.config.max_ttl
                       else "max_ttl")
-            if self._reg is not None:
-                self._reg.inc(f"scan.forward_stops.{reason}")
-            if self._events is not None:
-                self._events.stop_decision(
-                    self.clock.now, self.base_prefix + offset, reason,
-                    limit)
+            if reg is not None:
+                reg.inc(f"scan.forward_stops.{reason}")
+            if events is not None:
+                events.stop_decision(now, self.base_prefix + offset, reason,
+                                     limit)
         dcb.remove(offset)
-        if self._events is not None:
-            self._events.dcb_release(self.clock.now,
-                                     self.base_prefix + offset)
-
-    def _report_round_progress(self) -> None:
-        progress = self._progress
-        if progress is None or not progress.due(self.clock.now):
-            return
-        now = self.clock.now
-        result = self.result
-        progress.report(now, {
-            "tool": result.tool,
-            "round": result.rounds,
-            "probes": result.probes_sent,
-            "responses": result.responses,
-            "pps": result.probes_sent / now if now > 0 else 0.0,
-            "remaining": len(self.dcb),
-            "interfaces": result.interface_count(),
-        })
+        if events is not None:
+            events.dcb_release(now, self.base_prefix + offset)
 
     def _run_main_rounds(self) -> None:
         config = self.config
         dcb = self.dcb
-        reg = self._reg
-        tracer = self._tracer
+        rt = self.rt
+        clock = rt.clock
         retry = self._retry
-        controller = self._controller
-        resil = self._resil
-        responses_before = 0
-        drops_before = 0
+        result = rt.result
+        rt.open_window()
         while len(dcb) > 0:
-            if self.result.rounds >= config.max_rounds:
-                self.result.aborted = True
+            if result.rounds >= config.max_rounds:
+                result.aborted = True
                 break
-            self.result.rounds += 1
-            round_start = self.clock.now
+            result.rounds += 1
+            round_start = clock.now
             occupancy = len(dcb)
-            if reg is not None:
-                record_scan_ring(reg, occupancy)
-            if tracer is not None:
-                tracer.begin("round", f"round-{self.result.rounds}",
-                             round_start, occupancy=occupancy)
-            probes_before = self.result.probes_sent
-            if controller is not None:
-                responses_before = self.result.responses
-                drops_before = getattr(self.network, "drop_count", 0)
+            if rt.reg is not None:
+                record_scan_ring(rt.reg, occupancy)
+            rt.span_begin("round", f"round-{result.rounds}",
+                          occupancy=occupancy)
+            probes_before = result.probes_sent
             for offset in dcb.iter_ring():
-                self._drain(self.clock.now)
+                rt.drain()
                 if dcb.is_removed(offset):
                     continue
                 destination = dcb.destination[offset]
                 pair: List[Tuple[int, int]] = []
-                retry_attempts: Optional[Dict[int, int]] = None
+                attempts: Optional[List[int]] = None
                 if retry is not None:
+                    # Re-armed probes lead the burst, lowest TTL first,
+                    # ahead of the round's regular pair.
                     due = retry.take_due(offset)
-                    if due:
-                        # Re-armed probes lead the burst, lowest TTL
-                        # first, ahead of the round's regular pair.
-                        retry_attempts = dict(due)
-                        pair.extend((destination, ttl) for ttl, _ in due)
+                    pair.extend((destination, ttl) for ttl, _ in due)
+                    attempts = [attempt for _, attempt in due] + [0, 0]
                 backward = dcb.next_backward[offset]
                 if backward >= 1:
                     pair.append((destination, backward))
@@ -591,180 +408,67 @@ class _ScanRun:
                         pair.append((destination, forward))
                         dcb.next_forward[offset] = forward + 1
                 if pair:
-                    self._send_batch(pair, retry_attempts)
+                    sent = rt.emit(pair, attempts=attempts)
+                    if retry is not None:
+                        for probe, attempt in zip(sent, attempts):
+                            retry.record_sent(offset, probe[1], probe[2],
+                                              attempt)
                 elif self._destination_finished(offset):
                     self._remove_finished(offset)
-            self.clock.advance_to(round_start + config.round_seconds)
-            self._drain(self.clock.now)
+            clock.advance_to(round_start + config.round_seconds)
+            rt.drain()
             if retry is not None:
-                retry.sweep(self.clock.now)
-            if controller is not None:
-                decision = controller.observe_round(
-                    self.result.probes_sent - probes_before,
-                    self.result.responses - responses_before,
-                    getattr(self.network, "drop_count", 0) - drops_before)
-                if decision is not None:
-                    reason, new_rate = decision
-                    self.rate = new_rate
-                    self.send_gap = 1.0 / new_rate
-                    if self._events is not None:
-                        self._events.rate_change(self.clock.now, new_rate,
-                                                 reason)
-            if tracer is not None:
-                tracer.end("round", f"round-{self.result.rounds}",
-                           self.clock.now,
-                           probes=self.result.probes_sent - probes_before,
-                           remaining=len(dcb))
-            self._report_round_progress()
-            if resil is not None:
-                if resil.checkpoint_path is not None:
-                    self._ckpt_state = self._capture_state()
-                    self._rounds_since_ckpt += 1
-                    if resil.checkpoint_every \
-                            and self._rounds_since_ckpt \
-                            >= resil.checkpoint_every:
-                        self._write_checkpoint()
-                        self._rounds_since_ckpt = 0
-                if resil.round_hook is not None:
-                    resil.round_hook(self.result.rounds)
+                retry.sweep(clock.now)
+            rt.span_end("round", f"round-{result.rounds}",
+                        probes=result.probes_sent - probes_before,
+                        remaining=len(dcb))
+            rt.report_progress(remaining=len(dcb))
+            rt.boundary()
 
     # ------------------------------------------------------------------ #
-    # Checkpoint/resume
+    # Checkpoint/resume: the policy half (the runtime holds the rest)
     # ------------------------------------------------------------------ #
 
-    def _capture_state(self) -> dict:
-        """Snapshot the complete scan state at a round boundary.
-
-        Read-only: capturing never perturbs the scan, so enabling
-        checkpointing keeps the ScanResult byte-identical (pinned by
-        tests).  The route cache and its counters are excluded — they
-        are derived from the immutable topology and performance-only.
-        """
-        now = self.clock.now
-        state = {
-            "engine": "flashroute",
+    def _policy_state(self) -> dict:
+        return {
             "granularity": self.config.granularity,
-            "clock": now,
-            "rate": self.rate,
-            "rounds_done": self.result.rounds,
-            "result": _result_to_dict(self.result),
+            "rounds_done": self.rt.result.rounds,
             "stop_set": sorted(self.stop_set),
             "dcb": self.dcb.state_dict(),
-            "queue": [response_to_dict(r) for r in self.queue.snapshot()],
             "retry": (self._retry.state_dict()
                       if self._retry is not None else None),
-            "adaptive": (self._controller.state_dict()
-                         if self._controller is not None else None),
-            "network": None,
         }
-        export = getattr(self.network, "export_dynamic_state", None)
-        if export is not None:
-            state["network"] = export(now)
-        return state
 
     def restore_state(self, state: dict) -> None:
-        """Load a :meth:`_capture_state` snapshot (resume path)."""
-        if state.get("engine") != "flashroute":
-            raise CheckpointError(
-                f"checkpoint engine {state.get('engine')!r} is not "
-                f"flashroute")
+        """Load a checkpoint snapshot (resume path)."""
         if state["granularity"] != self.config.granularity:
             raise CheckpointError(
                 f"checkpoint granularity /{state['granularity']} does not "
                 f"match this scan's /{self.config.granularity}")
-        self.clock.now = state["clock"]
-        self.rate = state["rate"]
-        self.send_gap = 1.0 / self.rate
-        self.result = result_from_dict(state["result"])
+        self.rt.restore_state(state)
+        self.rt.boundaries = state["rounds_done"]
         self.stop_set.clear()
         self.stop_set.update(state["stop_set"])
         self.dcb.restore_state(state["dcb"])
-        self.queue.load(response_from_dict(entry)
-                        for entry in state["queue"])
         if state.get("retry") is not None and self._retry is not None:
             self._retry.restore_state(state["retry"])
-        if state.get("adaptive") is not None \
-                and self._controller is not None:
-            self._controller.restore_state(state["adaptive"])
-        if state.get("network") is not None:
-            restore = getattr(self.network, "restore_dynamic_state", None)
-            if restore is not None:
-                restore(state["network"])
-
-    def _write_checkpoint(self) -> str:
-        resil = self._resil
-        path = write_checkpoint(resil.checkpoint_path, "flashroute",
-                                self._ckpt_state, resil.checkpoint_meta)
-        self._checkpoints_written += 1
-        if self._events is not None:
-            self._events.checkpoint(self.clock.now,
-                                    self._ckpt_state["rounds_done"])
-        return path
-
-    def _interrupt_checkpoint(self) -> Optional[str]:
-        """Flush the last round-boundary snapshot on interrupt; ``None``
-        when checkpointing is off or no boundary was reached yet."""
-        resil = self._resil
-        if resil is None or resil.checkpoint_path is None \
-                or self._ckpt_state is None:
-            return None
-        return self._write_checkpoint()
-
-    def _fold_resilience_metrics(self) -> None:
-        reg = self._reg
-        if reg is None:
-            return
-        if self._retry is not None:
-            reg.inc("scan.retries.sent", self._retry.sent)
-            reg.inc("scan.retries.recovered", self._retry.recovered)
-            reg.inc("scan.retries.exhausted", self._retry.exhausted)
-        if self._controller is not None:
-            reg.inc("scan.adaptive.backoffs", self._controller.backoffs)
-            reg.inc("scan.adaptive.recoveries", self._controller.recoveries)
-        if self._checkpoints_written:
-            reg.inc("scan.checkpoints.written", self._checkpoints_written)
 
     def execute(self, skip_preprobe: bool = False) -> ScanResult:
-        set_cache = getattr(self.network, "set_route_cache_enabled", None)
-        was_cached = None
-        if not self.config.route_cache and set_cache is not None:
-            was_cached = set_cache(False)
-        tracer = self._tracer
-        try:
-            if tracer is not None:
-                tracer.begin("scan", self.result.tool, self.clock.now,
-                             targets=self.result.num_targets,
-                             rate_pps=self.rate)
-            if not skip_preprobe \
-                    and self.config.preprobe is not PreprobeMode.NONE:
-                self._run_preprobe()
-            if tracer is not None:
-                tracer.begin("phase", "main", self.clock.now)
-            try:
-                self._run_main_rounds()
-            except KeyboardInterrupt:
-                path = self._interrupt_checkpoint()
-                if path is not None:
-                    raise ScanInterrupted(path,
-                                          self.result.rounds) from None
-                raise
-            self.clock.advance(_SETTLE_SECONDS)
-            self._drain(self.clock.now)
-            self.result.duration = self.clock.now
-            if tracer is not None:
-                tracer.end("phase", "main", self.clock.now,
-                           rounds=self.result.rounds)
-                tracer.end("scan", self.result.tool, self.clock.now,
-                           probes=self.result.probes_sent,
-                           responses=self.result.responses,
-                           interfaces=self.result.interface_count())
-            self._fold_resilience_metrics()
-            if self.telemetry is not None:
-                self.telemetry.record_result(self.result)
-            return self.result
-        finally:
-            if was_cached:
-                set_cache(True)
+        return self.rt.run(self._scan, skip_preprobe)
+
+    def _scan(self, skip_preprobe: bool) -> None:
+        rt = self.rt
+        if not skip_preprobe \
+                and self.config.preprobe is not PreprobeMode.NONE:
+            self._run_preprobe()
+        rt.span_begin("phase", "main")
+        self._run_main_rounds()
+        rt.settle()
+        rt.span_end("phase", "main", rounds=rt.result.rounds)
+        if self._retry is not None:
+            rt.retries_sent = self._retry.sent
+            rt.retries_recovered = self._retry.recovered
+            rt.retries_exhausted = self._retry.exhausted
 
 
 # --------------------------------------------------------------------- #

@@ -18,9 +18,7 @@ the real tools' command lines differ.
 
 from __future__ import annotations
 
-import contextlib
 import importlib
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
@@ -75,45 +73,6 @@ class ScannerOptions:
 
 
 ScannerFactory = Callable[[ScannerOptions], Scanner]
-
-# --------------------------------------------------------------------- #
-# Construction sanctioning (the repro.api deprecation contract)
-# --------------------------------------------------------------------- #
-
-#: Non-zero while construction flows through a sanctioned entry point
-#: (:func:`create_scanner` or the ``repro.api`` facade).  Plain int, not a
-#: thread-local: sanctioning only spans the synchronous factory call.
-_SANCTIONED_DEPTH = 0
-
-
-@contextlib.contextmanager
-def sanctioned_construction():
-    """Mark engine constructions inside the block as facade-sanctioned,
-    suppressing the direct-construction :class:`DeprecationWarning`."""
-    global _SANCTIONED_DEPTH
-    _SANCTIONED_DEPTH += 1
-    try:
-        yield
-    finally:
-        _SANCTIONED_DEPTH -= 1
-
-
-def warn_direct_construction(class_name: str) -> None:
-    """Emit the deprecation warning for a direct engine construction.
-
-    Engines call this from ``__init__``; constructions routed through
-    :func:`create_scanner` or ``repro.api`` are sanctioned and stay
-    silent.  Direct construction keeps working — the public entry points
-    are ``repro.api.scan()``/``open_session()`` and the registry, which
-    keep per-scan state explicit and will absorb future constructor
-    changes (see docs/service.md).
-    """
-    if _SANCTIONED_DEPTH == 0:
-        warnings.warn(
-            f"constructing {class_name} directly is deprecated; use "
-            f"repro.api (scan()/open_session()/serve()) or "
-            f"repro.core.scanner.create_scanner() instead",
-            DeprecationWarning, stacklevel=3)
 
 _REGISTRY: Dict[str, ScannerFactory] = {}
 _DEFAULTS_LOADED = False
@@ -179,5 +138,4 @@ def create_scanner(name: str,
     if factory is None:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
         raise KeyError(f"unknown scanner {name!r} (known: {known})")
-    with sanctioned_construction():
-        return factory(options if options is not None else ScannerOptions())
+    return factory(options if options is not None else ScannerOptions())

@@ -227,17 +227,6 @@ class SimulatedNetwork:
         session._lk = None
         return session
 
-    def set_route_cache_enabled(self, enabled: bool) -> bool:
-        """Enable/disable the route-cache fast path; returns the previous
-        setting.  Disabling drops the cache; re-enabling builds a cold one."""
-        was = self.route_cache is not None
-        if enabled and self.route_cache is None:
-            self.route_cache = RouteCache(self.topology)
-        elif not enabled:
-            self.route_cache = None
-        self._lk = None
-        return was
-
     # ------------------------------------------------------------------ #
 
     def _epoch(self, send_time: float) -> int:

@@ -328,42 +328,25 @@ class TestEngineSessions:
         assert second.network.route_cache is first.network.route_cache
 
 
+@pytest.mark.filterwarnings("error::DeprecationWarning")
 class TestDeprecation:
-    """Direct engine construction warns; sanctioned paths stay silent."""
+    """The PR 7 direct-construction ``DeprecationWarning`` is gone: with
+    deprecations escalated to errors, every construction path builds
+    and scans."""
 
-    def test_direct_flashroute_construction_warns(self):
-        from repro.core.prober import FlashRoute
-
-        with pytest.warns(DeprecationWarning,
-                          match="constructing FlashRoute directly"):
-            FlashRoute()
-
-    def test_direct_baseline_construction_warns(self):
-        from repro.baselines.yarrp import Yarrp, YarrpConfig
+    def test_sanctioned_paths_do_not_warn(self):
         from repro.baselines.scamper import Scamper
         from repro.baselines.traceroute import TracerouteScanner
+        from repro.baselines.yarrp import Yarrp
+        from repro.core.prober import FlashRoute
 
-        with pytest.warns(DeprecationWarning, match="Yarrp"):
-            Yarrp(YarrpConfig.yarrp_32())
-        with pytest.warns(DeprecationWarning, match="Scamper"):
-            Scamper()
-        with pytest.warns(DeprecationWarning, match="TracerouteScanner"):
-            TracerouteScanner()
-
-    @pytest.mark.filterwarnings(
-        "error:constructing \\w+ directly:DeprecationWarning")
-    def test_sanctioned_paths_do_not_warn(self):
-        # With the deprecation escalated to an error, every blessed
-        # construction path must stay silent.
+        for build in (FlashRoute, Yarrp, Scamper, TracerouteScanner,
+                      api.flashroute, api.yarrp, api.scamper,
+                      api.traceroute_scanner):
+            build()
         create_scanner("flashroute-16", ScannerOptions())
-        api.flashroute()
-        api.yarrp()
-        api.scamper()
-        api.traceroute_scanner()
         api.scan(tool="traceroute", prefixes=4)
 
-    @pytest.mark.filterwarnings(
-        "error:constructing \\w+ directly:DeprecationWarning")
     def test_discovery_mode_is_sanctioned(self):
         from repro.core.discovery import run_discovery_optimized
         from repro.simnet import SimulatedNetwork, Topology, TopologyConfig

@@ -101,6 +101,14 @@ class TestToolsScript:
         out = capsys.readouterr().out
         assert "scan.rounds" in out
 
+    def test_calibrate_main(self, capsys):
+        import importlib
+
+        importlib.import_module("tools.calibrate").main(["64"])
+        out = capsys.readouterr().out
+        assert "FR16/Yarrp32 probes" in out
+        assert "hitlist-preprobe measured" in out
+
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             metrics_report(str(tmp_path / "nope.json"))

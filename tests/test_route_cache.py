@@ -185,19 +185,18 @@ class TestScanEquivalence:
         for use_cache in (True, False):
             network = SimulatedNetwork(tiny_topology,
                                        use_route_cache=use_cache)
-            scanner = FlashRoute(FlashRouteConfig(route_cache=use_cache))
-            results.append(scanner.scan(network, targets=tiny_targets))
+            results.append(FlashRoute(FlashRouteConfig()).scan(
+                network, targets=tiny_targets))
         assert _result_fields(results[0]) == _result_fields(results[1])
 
     def test_flashroute_config_flag_disables_cache(
             self, tiny_topology: Topology, tiny_targets):
-        network = SimulatedNetwork(tiny_topology)
-        result = FlashRoute(FlashRouteConfig(route_cache=False)).scan(
+        network = SimulatedNetwork(tiny_topology, use_route_cache=False)
+        result = FlashRoute(FlashRouteConfig()).scan(
             network, targets=tiny_targets)
         assert result.probes_sent > 0
-        # The scan ran uncached, and execute() restored the fast path after.
-        assert network.route_cache is not None
-        assert network.route_cache.hits == 0
+        # The network's serving mode is the switch; a scan leaves it alone.
+        assert network.route_cache is None
 
     @pytest.mark.parametrize("config_name", ["yarrp_16", "yarrp_32"])
     def test_yarrp_scan_identical(self, tiny_topology: Topology,
@@ -209,15 +208,6 @@ class TestScanEquivalence:
             config = getattr(YarrpConfig, config_name)()
             results.append(Yarrp(config).scan(network, targets=tiny_targets))
         assert _result_fields(results[0]) == _result_fields(results[1])
-
-    def test_set_route_cache_enabled_round_trip(
-            self, small_topology: Topology):
-        network = SimulatedNetwork(small_topology)
-        assert network.set_route_cache_enabled(False) is True
-        assert network.route_cache is None
-        assert network.set_route_cache_enabled(False) is False
-        assert network.set_route_cache_enabled(True) is False
-        assert network.route_cache is not None
 
     def test_cache_survives_reset(self, small_topology: Topology):
         network = SimulatedNetwork(small_topology)

@@ -96,6 +96,7 @@ class TestEveryScannerScans:
         assert isinstance(result, ScanResult)
         assert result.probes_sent > 0
         assert result.interface_count() > 0
+        assert sum(result.response_kinds.values()) == result.responses
 
 
 class TestTracerouteScanner:

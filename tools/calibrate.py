@@ -4,18 +4,25 @@ shape metrics the paper reports, next to the paper's values.
 
 Usage: python tools/calibrate.py [num_prefixes] [seed]
 """
+import pathlib
 import sys
 import time
 
-from repro.simnet import Topology, TopologyConfig, SimulatedNetwork
-from repro.core import FlashRoute, FlashRouteConfig, random_targets
-from repro.core.prober import _ScanRun
-from repro.baselines import Yarrp, YarrpConfig, Scamper, ScamperConfig
+if __package__ in (None, ""):  # allow "python tools/calibrate.py"
+    sys.path.insert(
+        0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from repro import api  # noqa: E402
+from repro.baselines import ScamperConfig, YarrpConfig  # noqa: E402
+from repro.core import FlashRouteConfig, random_targets  # noqa: E402
+from repro.obs.telemetry import Telemetry  # noqa: E402
+from repro.simnet import SimulatedNetwork, Topology, TopologyConfig  # noqa: E402
 
 
-def main() -> None:
-    num_prefixes = int(sys.argv[1]) if len(sys.argv) > 1 else 2048
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20201027
+def main(argv=None) -> None:
+    argv = sys.argv[1:] if argv is None else argv
+    num_prefixes = int(argv[0]) if len(argv) > 0 else 2048
+    seed = int(argv[1]) if len(argv) > 1 else 20201027
     topo = Topology(TopologyConfig(num_prefixes=num_prefixes, seed=seed))
     targets = random_targets(topo, seed=1)
     rows = {}
@@ -29,17 +36,18 @@ def main() -> None:
               f'wall={time.time()-t0:5.1f}s')
         return res
 
-    run('FR-16', lambda: FlashRoute(FlashRouteConfig.flashroute_16()).scan(
+    run('FR-16', lambda: api.flashroute(FlashRouteConfig.flashroute_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('FR-32', lambda: FlashRoute(FlashRouteConfig.flashroute_32()).scan(
+    run('FR-32', lambda: api.flashroute(FlashRouteConfig.flashroute_32()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Yarrp-16', lambda: Yarrp(YarrpConfig.yarrp_16()).scan(
+    run('Yarrp-16', lambda: api.yarrp(YarrpConfig.yarrp_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Yarrp-32', lambda: Yarrp(YarrpConfig.yarrp_32()).scan(
+    run('Yarrp-32', lambda: api.yarrp(YarrpConfig.yarrp_32()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Scamper-16', lambda: Scamper(ScamperConfig.scamper_16()).scan(
+    run('Scamper-16', lambda: api.scamper(ScamperConfig.scamper_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('sim', lambda: FlashRoute(FlashRouteConfig.yarrp32_udp_simulation()).scan(
+    run('sim', lambda: api.flashroute(
+        FlashRouteConfig.yarrp32_udp_simulation()).scan(
         SimulatedNetwork(topo), targets=targets, tool_name='sim'))
 
     fr16, fr32, y16, y32, sc, sim = (rows[k] for k in
@@ -62,13 +70,13 @@ def main() -> None:
 
     for mode, want_m, want_p in (('hitlist', 0.100, 0.282),
                                  ('random', 0.040, 0.190)):
-        net = SimulatedNetwork(topo)
-        run_state = _ScanRun(
-            FlashRouteConfig(split_ttl=16, preprobe=mode), net, targets,
-            None, None, None, None, None)
-        run_state._run_preprobe()
-        measured = len(run_state.preprobe_outcome.measured) / num_prefixes
-        predicted = len(run_state.preprobe_outcome.predicted) / num_prefixes
+        telemetry = Telemetry()
+        api.flashroute(FlashRouteConfig(split_ttl=16, preprobe=mode),
+                       telemetry=telemetry).scan(SimulatedNetwork(topo),
+                                                 targets=targets)
+        counter = telemetry.registry.counter
+        measured = counter('scan.preprobe.measured') / num_prefixes
+        predicted = counter('scan.preprobe.predicted') / num_prefixes
         print(f'  {mode}-preprobe measured     {measured:6.3f}  (paper {want_m:.3f})')
         print(f'  {mode}-preprobe predicted    {predicted:6.3f}  (paper {want_p:.3f})')
 
