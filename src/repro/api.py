@@ -45,7 +45,7 @@ import dataclasses
 from dataclasses import dataclass, fields
 from typing import Dict, Iterator, List, Optional
 
-from .core.resilience import ResilienceConfig
+from .core.resilience import CheckpointError, ResilienceConfig
 from .core.results import ScanResult
 from .core.scanner import ScannerOptions, create_scanner, scanner_names
 from .net.addr import int_to_ip, ip_to_int
@@ -97,7 +97,6 @@ class ScanRequest:
     loss: float = 0.0
     blackout: float = 0.0
     fault_seed: int = 0
-    route_cache: bool = True
     retries: int = 0
     adaptive_rate: bool = False
     shards: Optional[int] = None
@@ -117,6 +116,27 @@ class ScanRequest:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
+        if self.tool not in scanner_names():
+            raise ValueError(
+                f"unknown tool {self.tool!r} (known: "
+                f"{', '.join(scanner_names())})")
+        if self.shard_slices < 1:
+            raise ValueError(f"shard_slices must be >= 1, got "
+                             f"{self.shard_slices}")
+        if self.shards is None:
+            if self.shard_index is not None:
+                raise ValueError(
+                    "shard_index needs shards (the worker count the "
+                    "index selects from)")
+        elif not 1 <= self.shards <= self.shard_slices:
+            raise ValueError(
+                f"shards must be in [1, shard_slices={self.shard_slices}]"
+                f", got {self.shards}")
+        elif self.shard_index is not None \
+                and not 0 <= self.shard_index < self.shards:
+            raise ValueError(
+                f"shard_index must be in [0, {self.shards}), got "
+                f"{self.shard_index}")
 
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-able dict; the exact field set, nothing more."""
@@ -148,29 +168,12 @@ class ScanRequest:
                     f"{', '.join(missing)}")
         return cls(**payload)
 
-    # -- CLI namespace bridging ------------------------------------------
-
-    #: ``argparse`` destinations that map 1:1 onto request fields (the
-    #: one exception, ``--no-route-cache``, inverts into ``route_cache``).
-    _ARG_FIELDS = ("tool", "prefixes", "seed", "split_ttl", "gap_limit",
-                   "preprobe", "rate", "loss", "blackout", "fault_seed",
-                   "retries", "adaptive_rate", "shards", "shard_index",
-                   "shard_slices")
-
     @classmethod
     def from_args(cls, args) -> "ScanRequest":
-        """Build a request from the CLI's parsed ``scan`` namespace."""
-        values = {name: getattr(args, name) for name in cls._ARG_FIELDS}
-        values["route_cache"] = not args.no_route_cache
-        return cls(**values)
-
-    def apply_to_args(self, args) -> None:
-        """Replay this request onto a parsed namespace (``--resume``:
-        the checkpoint's invocation record overrides the scan flags so
-        the identical topology, faults and scanner are rebuilt)."""
-        for name in self._ARG_FIELDS:
-            setattr(args, name, getattr(self, name))
-        args.no_route_cache = not self.route_cache
+        """Build a request from the CLI's parsed ``scan`` namespace
+        (every field is an ``argparse`` destination of the same name)."""
+        return cls(**{spec.name: getattr(args, spec.name)
+                      for spec in fields(cls)})
 
     # -- derived builders ------------------------------------------------
 
@@ -300,7 +303,6 @@ class Engine:
     """
 
     def __init__(self, topology_config: Optional[TopologyConfig] = None,
-                 use_route_cache: bool = True,
                  topology: Optional[Topology] = None) -> None:
         if topology is None:
             topology = Topology(topology_config if topology_config
@@ -309,13 +311,11 @@ class Engine:
         #: The warm core network.  Its route cache persists across
         #: sessions (a pure function of the topology), so the daemon's
         #: later traces are served from tables earlier ones built.
-        self.network = SimulatedNetwork(topology,
-                                        use_route_cache=use_route_cache)
+        self.network = SimulatedNetwork(topology)
 
     @classmethod
     def from_request(cls, request: ScanRequest) -> "Engine":
-        return cls(request.topology_config(),
-                   use_route_cache=request.route_cache)
+        return cls(request.topology_config())
 
     # -- address space ---------------------------------------------------
 
@@ -341,13 +341,12 @@ class Engine:
         service ``health`` op reports (an engine only exists once the
         topology and network are built, so ``warm`` is definitionally
         true; the route-cache occupancy shows how warm)."""
-        cache = self.network.stats()["route_cache"]
         return {
             "warm": True,
             "prefixes": self.topology.num_prefixes,
             "address_space": self.address_space(),
-            "route_cache_entries": (cache["entries"]
-                                    if cache is not None else None),
+            "route_cache_entries":
+                self.network.stats()["route_cache"]["entries"],
         }
 
     # -- sessions --------------------------------------------------------
@@ -392,8 +391,7 @@ class ScanSession:
         #: The session's private network view; callers may wrap it
         #: (e.g. ``CapturingNetwork`` for ``--pcap``) before running.
         self.network = engine.network.open_session(
-            faults=request.fault_model(),
-            use_route_cache=request.route_cache)
+            faults=request.fault_model())
         self.scanner = create_scanner(
             request.tool,
             request.scanner_options(telemetry=telemetry,
@@ -408,7 +406,7 @@ class ScanSession:
         """Continue a checkpointed scan from its ``state`` section."""
         resume = getattr(self.scanner, "resume", None)
         if resume is None:
-            raise ValueError(
+            raise CheckpointError(
                 f"tool {self.request.tool!r} does not support "
                 f"checkpoint/resume")
         return resume(self.network, state)
@@ -532,7 +530,9 @@ def scan(request: Optional[ScanRequest] = None, telemetry=None,
         api.scan(tool="yarrp-32", prefixes=256, seed=7)
 
     A request with ``shards`` set runs through the sharded executor and
-    returns the merged (worker-count-invariant) result.
+    returns the merged (worker-count-invariant) result; its slices run
+    in worker processes, so a caller-side ``telemetry`` bundle cannot
+    observe them and is refused.
     """
     if request is None:
         request = ScanRequest(**overrides)
@@ -541,6 +541,12 @@ def scan(request: Optional[ScanRequest] = None, telemetry=None,
     if request.shards is not None:
         from .core.sharding import ShardPlan, run_sharded_scan
 
+        if telemetry is not None:
+            raise ValueError(
+                "a sharded scan cannot fill a caller's telemetry bundle "
+                "(slices run in worker processes); build a ShardPlan "
+                "with its collect_metrics/collect_trace/events_format "
+                "wishes and call run_sharded_scan")
         return run_sharded_scan(ShardPlan.from_request(request)).result
     engine = Engine.from_request(request)
     return engine.open_session(request, telemetry=telemetry).run()
@@ -602,9 +608,3 @@ def traceroute_scanner(telemetry=None, **kwargs):
     from .baselines.traceroute import TracerouteScanner
 
     return TracerouteScanner(telemetry=telemetry, **kwargs)
-
-
-def tools() -> tuple:
-    """Registered tool names (sorted) — the valid ``ScanRequest.tool``
-    values."""
-    return scanner_names()

@@ -45,7 +45,6 @@ from .experiments import (
     run_table4,
     run_table5,
 )
-from .simnet.faults import FaultModel
 
 _EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
     "table1": run_table1,
@@ -151,6 +150,13 @@ def _fraction(text: str) -> float:
     return value
 
 
+def _output_file(text: str) -> str:
+    if not text.endswith((".json", ".csv")):
+        raise argparse.ArgumentTypeError(
+            f"must end in .json or .csv, got {text!r}")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flashroute-sim",
@@ -183,17 +189,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            "+ same scan = identical faults)")
     scan.add_argument("--json", action="store_true",
                       help="print the result as JSON")
-    scan.add_argument("--output", metavar="FILE", default=None,
+    scan.add_argument("--output", metavar="FILE", type=_output_file,
+                      default=None,
                       help="save the full result (.json) or the hop list "
                            "(.csv)")
     scan.add_argument("--pcap", metavar="FILE", default=None,
                       help="capture every probe and response to a pcap "
                            "file (with --shards, one suffixed file per "
                            "slice: out.pcap -> out.slice00.pcap, ...)")
-    scan.add_argument("--no-route-cache", action="store_true",
-                      help="bypass the simulator's flat route cache and "
-                           "resolve every probe from scratch (A/B and "
-                           "debugging; results are identical)")
     scan.add_argument("--metrics-out", metavar="FILE", default=None,
                       help="write a metrics-registry snapshot (JSON) after "
                            "the scan (see docs/observability.md)")
@@ -475,7 +478,11 @@ def _scan_flag_error(message: str) -> "SystemExit":
 
 
 def _validate_shard_flags(args: argparse.Namespace) -> None:
-    """Cross-field checks argparse types can't express (exit code 2)."""
+    """Cross-field checks argparse types can't express (exit code 2).
+
+    :class:`~repro.api.ScanRequest` enforces the same shard shape for
+    every caller; these run first so the CLI's messages stay spelled in
+    flags."""
     if args.shard_index is not None and args.shards is None:
         raise _scan_flag_error(
             "--shard-index requires --shards N (the worker count the "
@@ -500,43 +507,6 @@ def _validate_shard_flags(args: argparse.Namespace) -> None:
             "shard workers at slice boundaries)")
 
 
-def _invocation_meta(args: argparse.Namespace) -> Dict[str, object]:
-    """The checkpoint's invocation record: the scan's
-    :class:`~repro.api.ScanRequest`, serialized — everything needed to
-    rebuild the same topology, faults and scanner on ``--resume``."""
-    return ScanRequest.from_args(args).to_dict()
-
-
-def _build_resilience(args: argparse.Namespace):
-    """A ResilienceConfig when any robustness flag is set; ``None`` keeps
-    every engine on its byte-identical seed path."""
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None and args.resume is not None:
-        # Resumed scans keep checkpointing to the file they came from,
-        # so interrupt → resume chains need no extra flags.
-        checkpoint_path = args.resume
-    if not (args.retries or args.adaptive_rate or checkpoint_path
-            or args.interrupt_after_round):
-        return None
-    from .core.resilience import ResilienceConfig
-
-    hook = None
-    if args.interrupt_after_round is not None:
-        limit = args.interrupt_after_round
-
-        def hook(rounds: int) -> None:
-            if rounds >= limit:
-                raise KeyboardInterrupt
-
-    return ResilienceConfig(
-        retries=args.retries,
-        adaptive_rate=args.adaptive_rate,
-        checkpoint_path=checkpoint_path,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_meta=_invocation_meta(args),
-        round_hook=hook)
-
-
 def _scan_to_json(result: ScanResult) -> str:
     payload = result.as_row()
     payload.update({
@@ -547,56 +517,58 @@ def _scan_to_json(result: ScanResult) -> str:
 
 
 def _save_output(result: ScanResult, path: str) -> None:
+    """Write ``--output`` (the parser admits only .json and .csv)."""
     from .core.output import save_json, write_hops_csv
 
     if path.endswith(".csv"):
         with open(path, "w", encoding="utf-8", newline="") as stream:
             write_hops_csv(result, stream)
-    elif path.endswith(".json"):
-        save_json(result, path)
     else:
-        raise SystemExit(f"--output must end in .json or .csv: {path!r}")
+        save_json(result, path)
 
 
-def _load_resume_document(args: argparse.Namespace):
-    """Load ``--resume`` and replay its invocation record onto ``args``,
-    so the rest of the scan path rebuilds the identical topology, faults
-    and scanner.  Exits 2 (via SystemExit) on any unusable file."""
+def _load_resume(path: str):
+    """Load ``--resume``: ``(request, state)``, the request rebuilt
+    from the checkpoint's invocation record so the scan runs on the
+    identical topology, faults and scanner.  Exits 2 (via SystemExit) on
+    any unusable file."""
     from .core.resilience import CheckpointError, load_checkpoint
 
     try:
-        document = load_checkpoint(args.resume)
+        document = load_checkpoint(path)
     except (OSError, CheckpointError) as exc:
         print(f"resume: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    invocation = document.get("invocation")
     try:
-        if not isinstance(invocation, dict):
-            raise ValueError("no invocation record")
-        request = ScanRequest.from_dict(invocation, complete=True)
+        request = ScanRequest.from_dict(document.get("invocation"),
+                                        complete=True)
     except ValueError:
-        print(f"resume: {args.resume}: checkpoint carries no usable "
+        print(f"resume: {path}: checkpoint carries no usable "
               f"invocation record (written by an API caller? rebuild the "
               f"scan in code and call the engine's resume())",
               file=sys.stderr)
         raise SystemExit(2)
-    request.apply_to_args(args)
-    return document
+    return request, document["state"]
 
 
-def _run_scan(args: argparse.Namespace) -> int:
-    _validate_shard_flags(args)
-    resume_document = None
-    if args.resume is not None:
-        resume_document = _load_resume_document(args)
-        # The replayed invocation may have (re)introduced shard flags.
-        _validate_shard_flags(args)
-    if args.shards is not None:
-        return _run_sharded_scan(args, resume_document)
-    request = ScanRequest.from_args(args)
-    telemetry = _build_telemetry(args)
+def _scan_session(args: argparse.Namespace, request: ScanRequest,
+                  resume_state: Optional[dict],
+                  checkpoint_path: Optional[str], hook, telemetry):
+    """The one-process scan: ``(result, simnet stats)``."""
+    resilience = None
+    if (request.retries or request.adaptive_rate or checkpoint_path
+            or hook is not None):
+        from .core.resilience import ResilienceConfig
+
+        resilience = ResilienceConfig(
+            retries=request.retries,
+            adaptive_rate=request.adaptive_rate,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_meta=request.to_dict(),
+            round_hook=hook)
     session = Engine.from_request(request).open_session(
-        request, telemetry=telemetry, resilience=_build_resilience(args))
+        request, telemetry=telemetry, resilience=resilience)
     network = session.network
     pcap_handle = None
     if args.pcap is not None:
@@ -605,106 +577,36 @@ def _run_scan(args: argparse.Namespace) -> int:
         pcap_handle = open(args.pcap, "wb")
         session.network = network = CapturingNetwork(network, pcap_handle)
     try:
-        try:
-            if resume_document is not None:
-                from .core.resilience import CheckpointError
-
-                try:
-                    result = session.resume(resume_document["state"])
-                except CheckpointError as exc:
-                    print(f"resume: {exc}", file=sys.stderr)
-                    return 2
-                except ValueError as exc:
-                    # The session refuses tools without a resume() hook.
-                    print(f"resume: {exc}", file=sys.stderr)
-                    return 2
-            else:
-                result = session.run()
-        except KeyboardInterrupt as exc:
-            checkpoint_path = getattr(exc, "checkpoint_path", None)
-            if checkpoint_path is not None:
-                print(f"interrupted: checkpoint written to "
-                      f"{checkpoint_path} (continue with "
-                      f"--resume {checkpoint_path})", file=sys.stderr)
-            else:
-                print("interrupted: no checkpoint (pass --checkpoint FILE "
-                      "to make scans resumable)", file=sys.stderr)
-            if telemetry is not None:
-                telemetry.close()
-            return 130
+        if resume_state is not None:
+            result = session.resume(resume_state)
+        else:
+            result = session.run()
     finally:
         if pcap_handle is not None:
             pcap_handle.close()
-    if args.loss or args.blackout:
-        # Fault-injection runs carry the simulator's cache/fault counters
-        # with the result (as_row columns + the human summary line below).
-        result.attach_simnet_stats(network.stats())
     if telemetry is not None:
         telemetry.record_network(network)
         if args.metrics_out is not None:
             telemetry.registry.save(args.metrics_out)
-        telemetry.close()
-    if args.output is not None:
-        _save_output(result, args.output)
-    if args.json:
-        print(_scan_to_json(result))
-    else:
-        print(result.summary())
-        print(f"  responses={result.responses:,} "
-              f"mismatched={result.mismatched_quotes:,} "
-              f"probes/target={result.probes_per_target():.1f}")
-        if args.loss or args.blackout:
-            print(f"  holes={result.route_holes():,} "
-                  f"duplicates={result.duplicate_responses:,}")
-            stats = network.stats()
-            cache = stats.get("route_cache")
-            fault_stats = stats.get("faults")
-            if cache is not None:
-                print(f"  cache: hits={cache['hits']:,} "
-                      f"misses={cache['misses']:,}")
-            if fault_stats is not None:
-                print(f"  faults: probes_lost={fault_stats['probes_lost']:,} "
-                      f"responses_lost={fault_stats['responses_lost']:,} "
-                      f"blackout_drops={fault_stats['blackout_drops']:,} "
-                      f"duplicates_injected="
-                      f"{fault_stats['duplicates_injected']:,}")
-        if args.pcap is not None:
-            print(f"  pcap: {args.pcap}")
-        if args.output is not None:
-            print(f"  saved: {args.output}")
-        if args.metrics_out is not None:
-            print(f"  metrics: {args.metrics_out}")
-        if args.trace is not None:
-            print(f"  trace: {args.trace}")
-        if args.events is not None:
-            print(f"  events: {args.events}")
-        if args.checkpoint is not None and os.path.exists(args.checkpoint):
-            print(f"  checkpoint: {args.checkpoint}")
-    return 0
+    return result, network.stats()
 
 
-def _run_sharded_scan(args: argparse.Namespace,
-                      resume_document: Optional[dict]) -> int:
-    """The ``--shards N`` scan path: slice, fan out, merge, emit.
-
-    Output handling mirrors the unsharded tail of :func:`_run_scan`; the
-    merged result, metrics snapshot and event log are byte-identical for
-    every worker count (see docs/scaling.md).
-    """
-    from .core.resilience import CheckpointError
-    from .core.sharding import (
-        SHARDED_ENGINE,
-        ShardError,
-        ShardPlan,
-        run_sharded_scan,
-    )
+def _scan_sharded(args: argparse.Namespace, request: ScanRequest,
+                  resume_state: Optional[dict],
+                  checkpoint_path: Optional[str], hook):
+    """The ``--shards N`` scan: slice, fan out, merge, and write the
+    merged telemetry files; returns the
+    :class:`~repro.core.sharding.ShardedOutcome`.  The merged result,
+    metrics snapshot and event log are byte-identical for every worker
+    count (see docs/scaling.md)."""
+    from .core.sharding import ShardPlan, run_sharded_scan
 
     events_format = None
     if args.events is not None:
         events_format = ("binary" if args.events.endswith(".bin")
                          else "jsonl")
     plan = ShardPlan.from_request(
-        ScanRequest.from_args(args),
+        request,
         collect_metrics=args.metrics_out is not None,
         events_format=events_format,
         events_sample=args.events_sample, events_ring=args.events_ring,
@@ -712,20 +614,8 @@ def _run_sharded_scan(args: argparse.Namespace,
         pcap_base=args.pcap,
         heartbeat_interval=args.progress)
 
-    resume_state = None
-    if resume_document is not None:
-        if resume_document.get("engine") != SHARDED_ENGINE:
-            print(f"resume: {args.resume}: checkpoint engine "
-                  f"{resume_document.get('engine')!r} is not a sharded "
-                  f"scan", file=sys.stderr)
-            return 2
-        resume_state = resume_document["state"]
-    checkpoint_path = args.checkpoint
-    if checkpoint_path is None and args.resume is not None:
-        checkpoint_path = args.resume
-
     chaos = None
-    if getattr(args, "chaos_spec", None) is not None:
+    if args.chaos_spec is not None:
         from .testing.chaos import ChaosError, load_chaos_spec
 
         try:
@@ -745,7 +635,6 @@ def _run_sharded_scan(args: argparse.Namespace,
         else:
             salvage_path = "flashroute-scan.salvage.ckpt"
 
-    interrupt_after = args.interrupt_after_round
     progress_view = None
     if args.progress is not None:
         from .obs.shardobs import ShardProgressView
@@ -754,46 +643,21 @@ def _run_sharded_scan(args: argparse.Namespace,
         # the workers' heartbeat throttle, wall seconds for the parent's
         # render throttle (the parent has no virtual clock).
         progress_view = ShardProgressView(
-            slices=plan.slices,
-            workers=plan.shards if plan.shard_index is None else 1,
+            slices=request.shard_slices,
+            workers=request.shards if request.shard_index is None else 1,
             interval=args.progress)
 
-    def slice_hook(finished: int) -> None:
-        if interrupt_after is not None and finished >= interrupt_after:
-            raise KeyboardInterrupt
+    outcome = run_sharded_scan(
+        plan,
+        checkpoint_path=checkpoint_path,
+        checkpoint_every=args.checkpoint_every,
+        resume_state=resume_state,
+        slice_hook=hook,
+        progress=progress_view,
+        slice_retries=args.slice_retries,
+        chaos=chaos,
+        salvage_path=salvage_path)
 
-    try:
-        outcome = run_sharded_scan(
-            plan,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_meta=_invocation_meta(args),
-            resume_state=resume_state,
-            slice_hook=slice_hook if interrupt_after is not None
-            else None,
-            progress=progress_view,
-            slice_retries=args.slice_retries,
-            chaos=chaos,
-            salvage_path=salvage_path)
-    except CheckpointError as exc:
-        print(f"resume: {exc}", file=sys.stderr)
-        return 2
-    except ShardError as exc:
-        print(f"scan: {exc}", file=sys.stderr)
-        return 1
-    except KeyboardInterrupt as exc:
-        saved = getattr(exc, "checkpoint_path", None)
-        if saved is not None:
-            print(f"interrupted: checkpoint written to {saved} "
-                  f"(continue with --resume {saved})", file=sys.stderr)
-        else:
-            print("interrupted: no checkpoint (pass --checkpoint FILE "
-                  "to make scans resumable)", file=sys.stderr)
-        return 130
-
-    result = outcome.result
-    if args.loss or args.blackout:
-        result.attach_simnet_stats(outcome.simnet_stats)
     if args.metrics_out is not None:
         from .obs.metrics import save_snapshot
         from .obs.shardobs import shard_wall_report
@@ -815,53 +679,118 @@ def _run_sharded_scan(args: argparse.Namespace,
         else:
             with open(args.events, "w", encoding="utf-8") as stream:
                 stream.write(payload)
+    return outcome
+
+
+def _run_scan(args: argparse.Namespace) -> int:
+    from .core.resilience import CheckpointError
+
+    _validate_shard_flags(args)
+    resume_state = None
+    if args.resume is not None:
+        request, resume_state = _load_resume(args.resume)
+    else:
+        request = ScanRequest.from_args(args)
+    # Resumed scans keep checkpointing to the file they came from, so
+    # interrupt → resume chains need no extra flags.
+    checkpoint_path = (args.checkpoint if args.checkpoint is not None
+                       else args.resume)
+    hook = None
+    if args.interrupt_after_round is not None:
+        limit = args.interrupt_after_round
+
+        def hook(boundaries: int) -> None:
+            if boundaries >= limit:
+                raise KeyboardInterrupt
+
+    outcome = None
+    telemetry = None
+    try:
+        if request.shards is not None:
+            # Imported here: a one-process scan never loads the pool.
+            from .core.sharding import ShardError
+
+            try:
+                outcome = _scan_sharded(args, request, resume_state,
+                                        checkpoint_path, hook)
+            except ShardError as exc:
+                print(f"scan: {exc}", file=sys.stderr)
+                return 1
+            result, stats = outcome.result, outcome.simnet_stats
+        else:
+            telemetry = _build_telemetry(args)
+            result, stats = _scan_session(args, request, resume_state,
+                                          checkpoint_path, hook, telemetry)
+    except CheckpointError as exc:
+        print(f"resume: {exc}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt as exc:
+        saved = getattr(exc, "checkpoint_path", None)
+        if saved is not None:
+            print(f"interrupted: checkpoint written to {saved} "
+                  f"(continue with --resume {saved})", file=sys.stderr)
+        else:
+            print("interrupted: no checkpoint (pass --checkpoint FILE "
+                  "to make scans resumable)", file=sys.stderr)
+        return 130
+    finally:
+        if telemetry is not None:
+            telemetry.close()
+
+    faulted = bool(request.loss or request.blackout)
+    if faulted:
+        # Fault-injection runs carry the simulator's cache/fault counters
+        # with the result (as_row columns + the human summary line below).
+        result.attach_simnet_stats(stats)
     if args.output is not None:
         _save_output(result, args.output)
     if args.json:
         print(_scan_to_json(result))
-    else:
-        print(result.summary())
-        print(f"  responses={result.responses:,} "
-              f"mismatched={result.mismatched_quotes:,} "
-              f"probes/target={result.probes_per_target():.1f}")
-        if args.loss or args.blackout:
-            print(f"  holes={result.route_holes():,} "
-                  f"duplicates={result.duplicate_responses:,}")
-            stats = outcome.simnet_stats
-            cache = stats.get("route_cache")
-            fault_stats = stats.get("faults")
-            if cache is not None:
-                print(f"  cache: hits={cache['hits']:,} "
-                      f"misses={cache['misses']:,}")
-            if fault_stats is not None:
-                print(f"  faults: probes_lost={fault_stats['probes_lost']:,} "
-                      f"responses_lost={fault_stats['responses_lost']:,} "
-                      f"blackout_drops={fault_stats['blackout_drops']:,} "
-                      f"duplicates_injected="
-                      f"{fault_stats['duplicates_injected']:,}")
-        shard_note = (f"worker {plan.shard_index} of {plan.shards}"
-                      if plan.shard_index is not None
-                      else f"{plan.shards} workers")
+        return 0
+    print(result.summary())
+    print(f"  responses={result.responses:,} "
+          f"mismatched={result.mismatched_quotes:,} "
+          f"probes/target={result.probes_per_target():.1f}")
+    if faulted:
+        print(f"  holes={result.route_holes():,} "
+              f"duplicates={result.duplicate_responses:,}")
+        cache = stats["route_cache"]
+        fault_stats = stats.get("faults")
+        print(f"  cache: hits={cache['hits']:,} "
+              f"misses={cache['misses']:,}")
+        if fault_stats is not None:
+            print(f"  faults: probes_lost={fault_stats['probes_lost']:,} "
+                  f"responses_lost={fault_stats['responses_lost']:,} "
+                  f"blackout_drops={fault_stats['blackout_drops']:,} "
+                  f"duplicates_injected="
+                  f"{fault_stats['duplicates_injected']:,}")
+    if outcome is not None:
+        shard_note = (f"worker {request.shard_index} of {request.shards}"
+                      if request.shard_index is not None
+                      else f"{request.shards} workers")
         print(f"  shards: {shard_note}, "
               f"{outcome.slices_total} slices"
               + (f" ({outcome.slices_resumed} resumed)"
                  if outcome.slices_resumed else ""))
-        if args.output is not None:
-            print(f"  saved: {args.output}")
-        if args.metrics_out is not None:
-            print(f"  metrics: {args.metrics_out}")
-        if args.trace is not None:
-            print(f"  trace: {args.trace} (merged span forest, "
-                  f"{outcome.slices_total} roots)")
-        if args.pcap is not None and outcome.pcap_paths:
-            paths = outcome.pcap_paths
-            print(f"  pcap: {len(paths)} per-slice captures "
-                  f"{paths[0]} .. {paths[-1]} "
-                  f"(merge externally, e.g. mergecap -w {args.pcap})")
-        if args.events is not None:
-            print(f"  events: {args.events}")
-        if args.checkpoint is not None and os.path.exists(args.checkpoint):
-            print(f"  checkpoint: {args.checkpoint}")
+    elif args.pcap is not None:
+        print(f"  pcap: {args.pcap}")
+    if args.output is not None:
+        print(f"  saved: {args.output}")
+    if args.metrics_out is not None:
+        print(f"  metrics: {args.metrics_out}")
+    if args.trace is not None:
+        print(f"  trace: {args.trace}"
+              + (f" (merged span forest, {outcome.slices_total} roots)"
+                 if outcome is not None else ""))
+    if outcome is not None and outcome.pcap_paths:
+        paths = outcome.pcap_paths
+        print(f"  pcap: {len(paths)} per-slice captures "
+              f"{paths[0]} .. {paths[-1]} "
+              f"(merge externally, e.g. mergecap -w {args.pcap})")
+    if args.events is not None:
+        print(f"  events: {args.events}")
+    if args.checkpoint is not None and os.path.exists(args.checkpoint):
+        print(f"  checkpoint: {args.checkpoint}")
     return 0
 
 
@@ -998,10 +927,8 @@ def _run_scan_diff(args: argparse.Namespace) -> int:
 
     fault_model = None
     if args.loss or args.blackout:
-        fault_model = FaultModel(probe_loss=args.loss,
-                                 response_loss=args.loss,
-                                 blackout_fraction=args.blackout,
-                                 seed=args.fault_seed)
+        fault_model = ScanRequest(loss=args.loss, blackout=args.blackout,
+                                  fault_seed=args.fault_seed).fault_model()
     try:
         view_a = load_view(args.a)
         view_b = load_view(args.b)

@@ -41,7 +41,9 @@ from ..net.icmp import IcmpResponse, ResponseKind
 from ..net.packets import ProbeHeader
 
 CHECKPOINT_FORMAT = "flashroute-sim-checkpoint"
-CHECKPOINT_VERSION = 1
+#: 2: the invocation record lost ``route_cache`` (the switch is gone), so
+#: a version-1 file's record no longer rebuilds a ``ScanRequest``.
+CHECKPOINT_VERSION = 2
 
 
 class CheckpointError(ValueError):

@@ -6,11 +6,11 @@ The scan keyspace is cut into a **fixed number of logical slices**
 domain assigns the ``k``-th emitted prefix to slice ``k % slices``
 (exactly :meth:`~repro.core.permutation.MultiplicativeCycle.iter_shard`'s
 stride-residue partition).  Each slice runs as an independent, fully
-deterministic subscan — its own scanner instance, its own
-:class:`~repro.simnet.network.SimulatedNetwork` (fresh virtual clock,
-rate-limiter bins, route cache and fault counters) over the *shared
-read-only* :class:`~repro.simnet.topology.Topology` — and ``--shards N``
-merely distributes the slices over ``N`` worker processes.
+deterministic subscan — its own :class:`~repro.api.ScanSession` on a
+fresh :class:`~repro.api.Engine` (fresh virtual clock, rate-limiter
+bins, route cache and fault counters) over the *shared read-only*
+:class:`~repro.simnet.topology.Topology` — and ``--shards N`` merely
+distributes the slices over ``N`` worker processes.
 
 Because a slice's outcome depends only on (topology config, tool options,
 slice membership) and never on which worker ran it or when, the merged
@@ -24,7 +24,7 @@ in completion order.
 Worker-init contract (enforced by tests/test_sharding_workerinit.py):
 the parent builds the :class:`Topology` once and workers inherit it via
 ``fork`` (copy-on-write, no per-worker rebuild); under ``spawn`` each
-worker rebuilds it from the picklable
+worker rebuilds it from the request's picklable
 :class:`~repro.simnet.config.TopologyConfig`, which is deterministic in
 its seed, so both start methods serve identical topologies.  Workers
 never mutate the topology — all mutable per-scan state (rate-limiter
@@ -48,20 +48,17 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..simnet.config import TopologyConfig
-from ..simnet.faults import FaultModel
-from ..simnet.network import SimulatedNetwork
+from ..api import Engine, ScanRequest
 from ..simnet.topology import Topology
 from .output import result_from_dict, result_to_dict
 from .permutation import MultiplicativeCycle
 from .resilience import (
     CheckpointError,
-    ResilienceConfig,
     ScanInterrupted,
     write_checkpoint,
 )
 from .results import ScanResult
-from .scanner import ScannerOptions, create_scanner
+from .scanner import create_scanner
 from .targets import random_targets
 
 #: Logical slices the keyspace always splits into, independent of the
@@ -108,33 +105,19 @@ class ShardError(RuntimeError):
 class ShardPlan:
     """Everything a worker needs to run one slice — plain, picklable data.
 
-    ``shards`` is the worker-process count; ``slices`` the (fixed) logical
-    decomposition.  ``shard_index`` selects one worker's residue class of
-    slices (``slice % shards == shard_index``) for standalone runs.
-    ``events_format`` is ``None`` (no event log), ``"jsonl"`` or
-    ``"binary"``.
+    A shard is *the scan plus a residue class*: ``request`` is the scan's
+    :class:`repro.api.ScanRequest`, whose ``shards`` is the
+    worker-process count (``None`` reads as 1), ``shard_slices`` the
+    (fixed) logical decomposition and ``shard_index`` one worker's
+    residue class of slices (``slice % shards == shard_index``) for
+    standalone runs.  The other fields are the telemetry *wishes* of
+    this particular run, deliberately not part of the serialized
+    request; telemetry objects are built worker-side so the plan stays
+    picklable.  ``events_format`` is ``None`` (no event log),
+    ``"jsonl"`` or ``"binary"``.
     """
 
-    tool: str
-    topology: TopologyConfig = field(default_factory=TopologyConfig)
-    shards: int = 1
-    shard_index: Optional[int] = None
-    slices: int = DEFAULT_SLICES
-    # Scanner knobs (mirror ScannerOptions; telemetry/resilience objects
-    # are built worker-side so the plan stays picklable).
-    probing_rate: Optional[float] = None
-    split_ttl: Optional[int] = None
-    gap_limit: Optional[int] = None
-    preprobe: Optional[str] = None
-    # Fault model + serving mode.
-    loss: float = 0.0
-    blackout: float = 0.0
-    fault_seed: int = 0
-    use_route_cache: bool = True
-    # Resilience (per-slice; checkpointing lives at the shard layer).
-    retries: int = 0
-    adaptive_rate: bool = False
-    # Telemetry wishes.
+    request: ScanRequest
     collect_metrics: bool = False
     events_format: Optional[str] = None
     events_sample: float = 1.0
@@ -150,52 +133,11 @@ class ShardPlan:
     heartbeat_interval: Optional[float] = None
 
     @classmethod
-    def from_request(cls, request, *, collect_metrics: bool = False,
-                     events_format: Optional[str] = None,
-                     events_sample: float = 1.0,
-                     events_ring: Optional[int] = None,
-                     collect_trace: bool = False,
-                     pcap_base: Optional[str] = None,
-                     heartbeat_interval: Optional[float] = None
-                     ) -> "ShardPlan":
-        """The plan a :class:`repro.api.ScanRequest` implies.
-
-        The request carries the scan's identity (tool, topology, knobs,
-        faults, shard decomposition); the keyword-only extras are the
-        telemetry *wishes* of this particular run, which are
-        deliberately not part of the serialized request.
-        """
-        return cls(
-            tool=request.tool, topology=request.topology_config(),
-            shards=request.shards if request.shards is not None else 1,
-            shard_index=request.shard_index,
-            slices=request.shard_slices,
-            probing_rate=request.rate, split_ttl=request.split_ttl,
-            gap_limit=request.gap_limit, preprobe=request.preprobe,
-            loss=request.loss, blackout=request.blackout,
-            fault_seed=request.fault_seed,
-            use_route_cache=request.route_cache,
-            retries=request.retries, adaptive_rate=request.adaptive_rate,
-            collect_metrics=collect_metrics, events_format=events_format,
-            events_sample=events_sample, events_ring=events_ring,
-            collect_trace=collect_trace, pcap_base=pcap_base,
-            heartbeat_interval=heartbeat_interval)
+    def from_request(cls, request: ScanRequest, **wishes) -> "ShardPlan":
+        """The plan ``request`` implies, with this run's wishes."""
+        return cls(request, **wishes)
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.slices < 1:
-            raise ValueError(f"slices must be >= 1, got {self.slices}")
-        if self.shards > self.slices:
-            raise ValueError(
-                f"shards ({self.shards}) must not exceed the logical "
-                f"slice count ({self.slices}); raise slices or lower "
-                f"shards")
-        if self.shard_index is not None \
-                and not 0 <= self.shard_index < self.shards:
-            raise ValueError(
-                f"shard_index must be in [0, {self.shards}), got "
-                f"{self.shard_index}")
         if self.events_format not in (None, "jsonl", "binary"):
             raise ValueError(
                 f"events_format must be None, 'jsonl' or 'binary', got "
@@ -245,17 +187,10 @@ def _tool_profile(plan: ShardPlan) -> Tuple[int, int]:
     prefixes, so per-slice draws would not compose) and hand each slice
     its sub-dict.
     """
-    probe = create_scanner(plan.tool, _scanner_options(plan, None, None))
+    probe = create_scanner(plan.request.tool,
+                           plan.request.scanner_options())
     config = getattr(probe, "config", probe)
     return getattr(config, "seed", 1), getattr(config, "granularity", 24)
-
-
-def _scanner_options(plan: ShardPlan, telemetry, resilience
-                     ) -> ScannerOptions:
-    return ScannerOptions(
-        probing_rate=plan.probing_rate, split_ttl=plan.split_ttl,
-        gap_limit=plan.gap_limit, preprobe=plan.preprobe,
-        telemetry=telemetry, resilience=resilience)
 
 
 def slice_assignment(num_prefixes: int, seed: int,
@@ -281,13 +216,14 @@ def build_slice_targets(topology: Topology, plan: ShardPlan
     along the same prefix partition.
     """
     seed, granularity = _tool_profile(plan)
+    slices = plan.request.shard_slices
     full = random_targets(topology, seed, granularity=granularity)
     prefixes = list(topology.scanned_prefixes())
-    assignment = slice_assignment(len(prefixes), seed, plan.slices)
+    assignment = slice_assignment(len(prefixes), seed, slices)
     slice_of = {prefix: assignment[index]
                 for index, prefix in enumerate(prefixes)}
     shift = granularity - 24
-    per_slice: List[Dict[int, int]] = [{} for _ in range(plan.slices)]
+    per_slice: List[Dict[int, int]] = [{} for _ in range(slices)]
     for block, addr in full.items():
         per_slice[slice_of[block >> shift]][block] = addr
     return per_slice
@@ -312,8 +248,8 @@ def _worker_init(plan: ShardPlan,
     Under ``fork`` the parent populated :data:`_WORKER` before creating
     the pool, so the built topology is inherited copy-on-write and this
     returns immediately; under ``spawn`` the topology is rebuilt from the
-    plan's picklable :class:`TopologyConfig` (deterministic in its seed,
-    hence identical).
+    request's picklable :class:`~repro.simnet.config.TopologyConfig`
+    (deterministic in its seed, hence identical).
 
     ``heartbeat`` is the upstream heartbeat channel: a multiprocessing
     queue (pool mode) or a direct callable (sequential mode); ``None``
@@ -329,24 +265,8 @@ def _worker_init(plan: ShardPlan,
     if _WORKER.get("plan") == plan and _WORKER.get("topology") is not None:
         return
     _WORKER["plan"] = plan
-    _WORKER["topology"] = Topology(plan.topology)
+    _WORKER["topology"] = Topology(plan.request.topology_config())
     _WORKER["slice_targets"] = slice_targets
-
-
-def _build_faults(plan: ShardPlan) -> FaultModel:
-    # Mirror the CLI scan path, which always constructs a FaultModel (a
-    # zero-rate model draws nothing), so per-slice networks serve probes
-    # exactly as an unsharded CLI scan's network would.
-    return FaultModel(probe_loss=plan.loss, response_loss=plan.loss,
-                      blackout_fraction=plan.blackout,
-                      seed=plan.fault_seed)
-
-
-def _slice_resilience(plan: ShardPlan) -> Optional[ResilienceConfig]:
-    if not (plan.retries or plan.adaptive_rate):
-        return None
-    return ResilienceConfig(retries=plan.retries,
-                            adaptive_rate=plan.adaptive_rate)
 
 
 def _execute_slice(plan: ShardPlan, topology: Topology,
@@ -359,9 +279,6 @@ def _execute_slice(plan: ShardPlan, topology: Topology,
     from ..obs.telemetry import Telemetry
     from ..obs.trace import ScanTracer
 
-    network = SimulatedNetwork(topology,
-                               use_route_cache=plan.use_route_cache,
-                               faults=_build_faults(plan))
     telemetry = None
     events_sink = None
     trace_sink = None
@@ -394,23 +311,25 @@ def _execute_slice(plan: ShardPlan, topology: Topology,
             registry=MetricsRegistry() if plan.collect_metrics else None,
             metrics=plan.collect_metrics,
             tracer=tracer, progress=progress, events=events)
+    # A fresh engine per slice (not one shared per worker): every slice
+    # starts from a cold route cache, so simnet.cache.* and the merged
+    # route_cache stats never depend on which worker ran what before.
+    session = Engine(topology=topology).open_session(plan.request,
+                                                     telemetry=telemetry)
+    network = session.network
     pcap_path = None
     pcap_handle = None
-    scan_network = network
     if plan.pcap_base is not None:
         from ..simnet.capture import CapturingNetwork
 
         pcap_path = slice_pcap_path(plan.pcap_base, slice_index,
-                                    plan.slices)
+                                    plan.request.shard_slices)
         pcap_handle = open(pcap_path, "wb")
-        scan_network = CapturingNetwork(network, pcap_handle)
-    scanner = create_scanner(
-        plan.tool,
-        _scanner_options(plan, telemetry, _slice_resilience(plan)))
+        session.network = CapturingNetwork(network, pcap_handle)
     cpu_start = time.process_time()
     wall_start = time.perf_counter()
     try:
-        result = scanner.scan(scan_network, targets=dict(targets))
+        result = session.run(targets=dict(targets))
     finally:
         if pcap_handle is not None:
             pcap_handle.close()
@@ -607,7 +526,8 @@ def _shard_metrics(plan: ShardPlan, snapshot: Optional[Dict[str, object]],
 
     pairs = [(payload["slice"], result)
              for payload, result in zip(ordered, results)]
-    return add_shard_dimension(snapshot, pairs, plan.slices)
+    return add_shard_dimension(snapshot, pairs,
+                               plan.request.shard_slices)
 
 
 # --------------------------------------------------------------------- #
@@ -650,8 +570,8 @@ def _checkpoint_state(plan: ShardPlan,
                       ) -> Dict[str, object]:
     return {
         "engine": SHARDED_ENGINE,
-        "tool": plan.tool,
-        "slices": plan.slices,
+        "tool": plan.request.tool,
+        "slices": plan.request.shard_slices,
         "completed": {str(index): _payload_to_state(completed[index])
                       for index in sorted(completed)},
     }
@@ -667,18 +587,19 @@ def load_sharded_state(plan: ShardPlan, state: Dict[str, object]
         raise CheckpointError(
             f"checkpoint engine {state.get('engine')!r} is not "
             f"{SHARDED_ENGINE!r}")
-    if state.get("tool") != plan.tool:
+    request = plan.request
+    if state.get("tool") != request.tool:
         raise CheckpointError(
             f"checkpoint tool {state.get('tool')!r} does not match "
-            f"{plan.tool!r}")
-    if state.get("slices") != plan.slices:
+            f"{request.tool!r}")
+    if state.get("slices") != request.shard_slices:
         raise CheckpointError(
             f"checkpoint has {state.get('slices')!r} slices, this scan "
-            f"uses {plan.slices}")
+            f"uses {request.shard_slices}")
     completed = {}
     for key, payload_state in state.get("completed", {}).items():
         index = int(key)
-        if not 0 <= index < plan.slices:
+        if not 0 <= index < request.shard_slices:
             raise CheckpointError(f"checkpoint slice {index} out of range")
         if plan.collect_trace and "trace" not in payload_state:
             raise CheckpointError(
@@ -724,7 +645,6 @@ def run_sharded_scan(plan: ShardPlan, *,
                      topology: Optional[Topology] = None,
                      checkpoint_path: Optional[str] = None,
                      checkpoint_every: int = 1,
-                     checkpoint_meta: Optional[dict] = None,
                      resume_state: Optional[dict] = None,
                      slice_hook: Optional[Callable[[int], None]] = None,
                      progress=None,
@@ -742,7 +662,8 @@ def run_sharded_scan(plan: ShardPlan, *,
     completed slices are flushed and :class:`ScanInterrupted` is raised;
     ``resume_state`` (the ``"state"`` payload of such a checkpoint) skips
     the already-completed slices, and the finished scan is byte-identical
-    to an uninterrupted one.
+    to an uninterrupted one.  Every checkpoint records ``plan.request``
+    as its invocation, which is all ``scan --resume`` needs.
 
     ``progress`` is a :class:`repro.obs.shardobs.ShardProgressView` (or
     compatible object with ``observe``/``slice_done``/``finish``): slice
@@ -768,19 +689,21 @@ def run_sharded_scan(plan: ShardPlan, *,
     if slice_retries < 0:
         raise ValueError(
             f"slice_retries must be >= 0, got {slice_retries}")
+    request = plan.request
+    shards = request.shards if request.shards is not None else 1
     if topology is None:
-        topology = Topology(plan.topology)
+        topology = Topology(request.topology_config())
     slice_targets = build_slice_targets(topology, plan)
     completed: Dict[int, Dict[str, object]] = {}
     if resume_state is not None:
         completed = load_sharded_state(plan, resume_state)
     slices_resumed = len(completed)
     slices_retried = 0
-    pending = [index for index in range(plan.slices)
+    pending = [index for index in range(request.shard_slices)
                if index not in completed]
-    if plan.shard_index is not None:
+    if request.shard_index is not None:
         pending = [index for index in pending
-                   if index % plan.shards == plan.shard_index]
+                   if index % shards == request.shard_index]
 
     def flush_checkpoint(target: Optional[str] = None) -> Optional[str]:
         path = target if target is not None else checkpoint_path
@@ -788,7 +711,7 @@ def run_sharded_scan(plan: ShardPlan, *,
             return None
         return write_checkpoint(path, SHARDED_ENGINE,
                                 _checkpoint_state(plan, completed),
-                                meta=checkpoint_meta)
+                                meta=request.to_dict())
 
     def salvage() -> Optional[str]:
         """Exhausted retries: persist every completed slice so the scan
@@ -826,7 +749,7 @@ def run_sharded_scan(plan: ShardPlan, *,
 
     heartbeats = plan.heartbeat_interval is not None \
         and progress is not None
-    workers = min(plan.shards, len(pending))
+    workers = min(shards, len(pending))
     try:
         if workers <= 1:
             # Sequential mode: heartbeats short-circuit the queue and
@@ -905,7 +828,7 @@ def run_sharded_scan(plan: ShardPlan, *,
             plan, _merged_metrics(plan, ordered, result), ordered,
             results),
         events_payload=_merged_events(plan, ordered),
-        slices_total=plan.slices,
+        slices_total=request.shard_slices,
         slices_resumed=slices_resumed,
         slices_retried=slices_retried,
         slice_stats=[{"slice": payload["slice"],

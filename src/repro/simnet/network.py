@@ -15,10 +15,10 @@ resolved once per ``(dst, flow-class, flap-shift)`` key, so a probe costs a
 table lookup plus (for responders only) rate limiting and response
 construction.  ``send_probes`` batches a burst of probes between two drain
 points, amortizing the per-destination lookups; engines use it for the
-back-to-back probes of one ring-walk step.  Construct with
-``use_route_cache=False`` (or flip :meth:`set_route_cache_enabled`) to run
-the original resolution path — both paths are behavior-identical and the
-equivalence tests assert it probe-for-probe.
+back-to-back probes of one ring-walk step.  Constructing with
+``use_route_cache=False`` runs the original resolution path instead — the
+reference the equivalence tests compare the fast path against,
+probe-for-probe; no scan entry point selects it.
 
 Fault injection (:mod:`repro.simnet.faults`) composes with every serving
 mode: when a :class:`~repro.simnet.faults.FaultModel` is enabled, resolved
@@ -168,15 +168,14 @@ class SimulatedNetwork:
             self.faults.restore_counters(fault_state)
 
     def open_session(self, faults: Optional[FaultModel] = None,
-                     use_route_cache: Optional[bool] = None,
                      rate_limit: Optional[int] = None,
                      log_probes: bool = False) -> "SimulatedNetwork":
         """A per-scan *session view* over this network's warm core.
 
         The view shares the immutable :class:`Topology`, the stateless
-        :class:`LatencyModel` and (by default) the warm
-        :class:`RouteCache` — everything that is a pure function of the
-        topology — while owning every piece of dynamic per-scan state
+        :class:`LatencyModel` and the warm :class:`RouteCache` (this
+        network's serving mode) — everything that is a pure function of
+        the topology — while owning every piece of dynamic per-scan state
         privately: fresh rate-limiter bins, zeroed send/response/fault
         counters, its own last-key memo and (when ``faults`` enables one)
         its own :class:`FaultInjector`.
@@ -190,10 +189,7 @@ class SimulatedNetwork:
         virtual send time, so two scans whose clocks overlap would fill
         each other's bins.
 
-        ``use_route_cache=None`` inherits this network's serving mode
-        (sharing the warm cache when one exists); ``True``/``False``
-        force the cached/uncached path for this session only.  Sharing
-        the cache is safe: outcome tables are deterministic pure
+        Sharing the cache is safe: outcome tables are deterministic pure
         functions of the topology, and lazily realized slots are
         idempotent, so concurrent sessions can only ever write the same
         values.
@@ -207,14 +203,7 @@ class SimulatedNetwork:
         session.rate_limiter = IcmpRateLimiter(
             rate_limit if rate_limit is not None else cfg.icmp_rate_limit,
             num_interfaces=len(self.topology.iface_addrs))
-        if use_route_cache is None:
-            session.route_cache = self.route_cache
-        elif use_route_cache:
-            session.route_cache = (self.route_cache
-                                   if self.route_cache is not None
-                                   else RouteCache(self.topology))
-        else:
-            session.route_cache = None
+        session.route_cache = self.route_cache
         session._stamp_len = (len(session.rate_limiter._stamp)
                               if session.rate_limiter._stamp is not None
                               else -1)

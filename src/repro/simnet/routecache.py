@@ -50,9 +50,8 @@ lookup is a single dict probe.
 
 The cache is a pure function of the immutable :class:`Topology`; it is
 safe to share across scans and never needs invalidation beyond the epoch
-key.  ``SimulatedNetwork(use_route_cache=False)`` (or the
-``--no-route-cache`` CLI flag) bypasses it entirely for A/B experiments
-and debugging.
+key.  ``SimulatedNetwork(use_route_cache=False)`` bypasses it entirely;
+the equivalence tests and ``tools/bench_report.py`` are its callers.
 
 Fault injection (:mod:`repro.simnet.faults`) never touches the cache:
 outcome tables stay fault-free, and ``SimulatedNetwork`` applies the

@@ -165,8 +165,7 @@ class TestScanRequest:
         request = api.ScanRequest(tool="yarrp-16", prefixes=128, seed=7,
                                   split_ttl=12, gap_limit=3,
                                   preprobe="none", rate=250.0, loss=0.1,
-                                  blackout=0.05, fault_seed=3,
-                                  route_cache=False, retries=2,
+                                  blackout=0.05, fault_seed=3, retries=2,
                                   adaptive_rate=True, shards=4,
                                   shard_index=1, shard_slices=32)
         payload = request.to_dict()
@@ -201,18 +200,37 @@ class TestScanRequest:
         with pytest.raises(ValueError):
             api.ScanRequest(retries=-1)
 
+    @pytest.mark.parametrize("fields", [
+        dict(shard_index=3),                 # no shards to index into
+        dict(shards=4, shard_index=9),
+        dict(shards=0),
+        dict(shards=17),                     # > the 16 default slices
+        dict(shard_slices=0),
+        dict(tool="no-such-tool"),
+    ])
+    def test_shard_shape_and_tool_validation(self, fields):
+        """The cross-field checks hold for every caller, not just the
+        CLI: a malformed shard shape used to run a full unsharded scan
+        (or fail deep in the pool) when it came through the API."""
+        with pytest.raises(ValueError):
+            api.ScanRequest(prefixes=64, **fields)
+
+    def test_sharded_scan_refuses_caller_telemetry(self):
+        from repro.obs import Telemetry
+
+        with pytest.raises(ValueError, match="collect_"):
+            api.scan(api.ScanRequest(prefixes=64, shards=2),
+                     telemetry=Telemetry())
+
     def test_shard_plan_from_request_matches_hand_built(self):
         request = api.ScanRequest(tool="yarrp-32", prefixes=64, seed=5,
                                   loss=0.02, fault_seed=9, shards=2,
                                   shard_slices=8, retries=1)
         plan = ShardPlan.from_request(request, collect_metrics=True,
                                       events_format="jsonl")
-        expected = ShardPlan(
-            tool="yarrp-32", topology=request.topology_config(),
-            shards=2, shard_index=None, slices=8,
-            loss=0.02, fault_seed=9, retries=1,
-            collect_metrics=True, events_format="jsonl")
-        assert plan == expected
+        assert plan == ShardPlan(request, collect_metrics=True,
+                                 events_format="jsonl")
+        assert plan.request is request
 
 
 class TestTraceRequest:

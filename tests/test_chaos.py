@@ -11,10 +11,10 @@ import json
 
 import pytest
 
+from repro.api import ScanRequest
 from repro.core.resilience import load_checkpoint
 from repro.core.sharding import ShardError, ShardPlan, run_sharded_scan
 from repro.obs.metrics import deterministic_snapshot
-from repro.simnet.config import TopologyConfig
 from repro.testing.chaos import (
     ChaosError,
     ChaosKilled,
@@ -29,13 +29,10 @@ _PREFIXES = 64
 _SEED = 11
 
 
-def _plan(**overrides) -> ShardPlan:
-    settings = dict(tool="flashroute-16",
-                    topology=TopologyConfig(num_prefixes=_PREFIXES,
-                                            seed=_SEED),
-                    collect_metrics=True, events_format="jsonl")
-    settings.update(overrides)
-    return ShardPlan(**settings)
+def _plan(**request_fields) -> ShardPlan:
+    request = ScanRequest(tool="flashroute-16", prefixes=_PREFIXES,
+                          seed=_SEED, **request_fields)
+    return ShardPlan(request, collect_metrics=True, events_format="jsonl")
 
 
 def _deterministic(outcome):

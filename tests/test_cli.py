@@ -115,11 +115,19 @@ class TestScanOutputs:
         assert text.startswith("prefix,target,ttl,interface,is_destination")
         assert text.count("\n") > 10
 
-    def test_output_rejects_unknown_extension(self, tmp_path):
-        import pytest as _pytest
-        with _pytest.raises(SystemExit):
-            main(["scan", "--prefixes", "128", "--seed", "3",
-                  "--output", str(tmp_path / "scan.xml")])
+    def test_output_rejects_unknown_extension(self, tmp_path, capsys):
+        """Refused by the parser, on the unsharded and the sharded path,
+        before the scan runs and before any telemetry file is written
+        (it used to die with exit 1 after both)."""
+        metrics = tmp_path / "metrics.json"
+        for extra in ([], ["--shards", "2"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["scan", "--prefixes", "128", "--seed", "3",
+                      "--output", str(tmp_path / "scan.xml"),
+                      "--metrics-out", str(metrics)] + extra)
+            assert exc_info.value.code == 2
+            assert "must end in .json or .csv" in capsys.readouterr().err
+            assert not metrics.exists()
 
     def test_pcap_capture(self, tmp_path, capsys):
         path = tmp_path / "scan.pcap"

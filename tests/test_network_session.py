@@ -150,23 +150,6 @@ class TestSessionIsolation:
         assert warm.route_cache.stats()["misses"] == misses_after_first
         assert warm.route_cache.stats()["hits"] > 0
 
-    def test_session_route_cache_opt_out(self):
-        topology = _topology()
-        warm = SimulatedNetwork(topology)
-        session = warm.open_session(use_route_cache=False)
-        assert session.route_cache is None
-        probes = _probe_script(topology, salt=0)
-        assert _run_script(session, probes) \
-            == _run_script(warm.open_session(), probes)
-
-    def test_uncached_core_can_open_cached_session(self):
-        topology = _topology()
-        warm = SimulatedNetwork(topology, use_route_cache=False)
-        session = warm.open_session(use_route_cache=True)
-        assert session.route_cache is not None
-        probes = _probe_script(topology, salt=0)
-        assert _run_script(session, probes) == _run_script(warm, probes)
-
     def test_batched_sends_are_session_private_too(self):
         topology = _topology()
         warm = SimulatedNetwork(topology)

@@ -5,7 +5,9 @@ the seed behaviour for every scanner, and an interrupted-then-resumed
 scan equals an uninterrupted one."""
 
 import dataclasses
+import gc
 import json
+import warnings
 
 import pytest
 
@@ -495,6 +497,25 @@ class TestCliInterruptResume:
         assert exc_info.value.code == 2
         assert "version" in capsys.readouterr().err
 
+    def test_resume_refuses_a_version_1_checkpoint(self, capsys, tmp_path):
+        """Version 1 invocation records carried ``route_cache``; such a
+        file must be named as an old version, not as a file without a
+        usable invocation record."""
+        ckpt = tmp_path / "scan.ckpt"
+        assert main(SCAN_ARGS + ["--checkpoint", str(ckpt),
+                                 "--interrupt-after-round", "1"]) == 130
+        capsys.readouterr()
+        document = json.loads(ckpt.read_text())
+        assert document["version"] == 2
+        document["version"] = 1
+        document["invocation"]["route_cache"] = True
+        ckpt.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--resume", str(ckpt)])
+        assert exc_info.value.code == 2
+        assert "checkpoint version 1 is not supported" in \
+            capsys.readouterr().err
+
     def test_resume_unsupported_tool_exits_2(self, capsys, tmp_path):
         """A checkpoint whose invocation names a tool without resume()."""
         ckpt = tmp_path / "scan.ckpt"
@@ -505,9 +526,16 @@ class TestCliInterruptResume:
         document["invocation"]["tool"] = "traceroute"
         ckpt.write_text(json.dumps(document))
         # The checksum covers only the state payload, so the edited
-        # invocation loads fine; the scan path then refuses the tool.
-        assert main(["scan", "--resume", str(ckpt)]) == 2
+        # invocation loads fine; the scan path then refuses the tool —
+        # and closes the telemetry files it had already opened.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["scan", "--resume", str(ckpt), "--events",
+                         str(tmp_path / "events.jsonl")]) == 2
+            gc.collect()
         assert "does not support" in capsys.readouterr().err
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_retry_flags_on_cli(self, capsys):
         assert main(SCAN_ARGS + ["--loss", "0.05", "--fault-seed", "7",

@@ -3,20 +3,25 @@
 The acceptance pin: merged N-shard output is byte-identical to the
 single-worker (``shards=1``) run of the same plan — result fingerprint,
 deterministic metrics snapshot, and event logs (JSONL and binary) — at
-N in {2, 4}, cached and uncached, with and without faults, composed with
-retries, and across an interrupt/resume cycle.
+N in {2, 4}, with and without faults, composed with retries, and across
+an interrupt/resume cycle.
 """
 
+import dataclasses
+import json
 import pickle
 
 import pytest
 
+from repro.api import Engine, ScanRequest
+from repro.core.output import result_to_dict
 from repro.core.resilience import (
     CheckpointError,
     ScanInterrupted,
     load_checkpoint,
 )
 from repro.core.results import ScanResult
+from repro.core.scanner import scanner_names
 from repro.core import sharding
 from repro.core.sharding import (
     DEFAULT_SLICES,
@@ -38,20 +43,22 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import METRICS_SCHEMA, deterministic_snapshot, \
     merge_snapshots
-from repro.simnet.config import TopologyConfig
 from repro.simnet.topology import Topology
 
 _PREFIXES = 96
 _SEED = 11
+_REQUEST_FIELDS = {spec.name for spec in dataclasses.fields(ScanRequest)}
 
 
 def _plan(**overrides) -> ShardPlan:
-    settings = dict(tool="flashroute-16",
-                    topology=TopologyConfig(num_prefixes=_PREFIXES,
-                                            seed=_SEED),
+    """A plan from mixed request fields and telemetry wishes."""
+    settings = dict(tool="flashroute-16", prefixes=_PREFIXES, seed=_SEED,
                     collect_metrics=True, events_format="jsonl")
     settings.update(overrides)
-    return ShardPlan(**settings)
+    request = ScanRequest(**{name: settings.pop(name)
+                             for name in list(settings)
+                             if name in _REQUEST_FIELDS})
+    return ShardPlan(request, **settings)
 
 
 def _deterministic(outcome):
@@ -62,10 +69,9 @@ def _deterministic(outcome):
 
 
 class TestByteStableMerge:
-    @pytest.mark.parametrize("use_route_cache", [True, False])
     @pytest.mark.parametrize("faulty", [False, True])
-    def test_worker_count_invariance(self, use_route_cache, faulty):
-        overrides = {"use_route_cache": use_route_cache}
+    def test_worker_count_invariance(self, faulty):
+        overrides = {}
         if faulty:
             overrides.update(loss=0.03, blackout=0.05, fault_seed=9)
         baseline = _deterministic(
@@ -140,6 +146,32 @@ class TestByteStableMerge:
             assert entry["probes"] > 0
 
 
+class TestSliceIsAScanSession:
+    """What lets ``_execute_slice`` own no construction code: slice *i*
+    is exactly ``Engine.open_session(request).run(targets=slice i)``."""
+
+    @pytest.mark.parametrize("faults", [
+        {}, dict(loss=0.05, fault_seed=7, retries=1)],
+        ids=["clean", "lossy-retried"])
+    @pytest.mark.parametrize("tool", scanner_names())
+    def test_slice_equals_open_session_run(self, tmp_path, tool, faults):
+        request = ScanRequest(tool=tool, prefixes=48, seed=_SEED,
+                              shard_slices=4, **faults)
+        plan = ShardPlan(request)
+        topology = Topology(request.topology_config())
+        path = str(tmp_path / "slices.ckpt")
+        run_sharded_scan(plan, topology=topology, checkpoint_path=path)
+        completed = load_checkpoint(path)["state"]["completed"]
+        per_slice = build_slice_targets(topology, plan)
+        assert sorted(completed) == [str(i) for i in range(len(per_slice))]
+        for index, targets in enumerate(per_slice):
+            session = Engine(topology=topology).open_session(request)
+            direct = result_to_dict(session.run(targets=targets))
+            # The checkpoint stored the slice's dict through JSON.
+            assert completed[str(index)]["result"] == \
+                json.loads(json.dumps(direct)), f"{tool} slice {index}"
+
+
 class TestShardedCheckpoint:
     def _interrupt_after(self, count):
         def hook(finished):
@@ -157,6 +189,7 @@ class TestShardedCheckpoint:
         assert exc_info.value.checkpoint_path == path
         document = load_checkpoint(path)
         assert document["engine"] == sharding.SHARDED_ENGINE
+        assert document["invocation"] == plan.request.to_dict()
         resumed = run_sharded_scan(plan,
                                    resume_state=document["state"])
         assert resumed.slices_resumed == 5
@@ -185,7 +218,7 @@ class TestShardedCheckpoint:
         with pytest.raises(CheckpointError):
             load_sharded_state(_plan(tool="scamper-16"), state)
         with pytest.raises(CheckpointError):
-            load_sharded_state(_plan(slices=8), state)
+            load_sharded_state(_plan(shard_slices=8), state)
         with pytest.raises(CheckpointError):
             load_sharded_state(plan, dict(state, engine="flashroute"))
 
@@ -227,9 +260,9 @@ class TestSliceConstruction:
 
     def test_build_slice_targets_partitions_full_draw(self):
         plan = _plan(shards=1)
-        topology = Topology(plan.topology)
+        topology = Topology(plan.request.topology_config())
         per_slice = build_slice_targets(topology, plan)
-        assert len(per_slice) == plan.slices
+        assert len(per_slice) == plan.request.shard_slices
         union = {}
         total = 0
         for targets in per_slice:
@@ -243,9 +276,9 @@ class TestSliceConstruction:
         with pytest.raises(ValueError):
             _plan(shards=0)
         with pytest.raises(ValueError):
-            _plan(slices=0)
+            _plan(shard_slices=0)
         with pytest.raises(ValueError):
-            _plan(shards=4, slices=2)
+            _plan(shards=4, shard_slices=2)
         with pytest.raises(ValueError):
             _plan(shards=2, shard_index=2)
         with pytest.raises(ValueError):

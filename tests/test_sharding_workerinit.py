@@ -7,8 +7,11 @@ must never perturb it — all mutable per-scan state lives in each slice's
 own SimulatedNetwork.
 """
 
+import copy
+import multiprocessing
 import pickle
 
+from repro.api import ScanRequest
 from repro.core import sharding
 from repro.core.scanner import ScannerOptions, create_scanner
 from repro.core.sharding import ShardPlan, build_slice_targets
@@ -19,10 +22,11 @@ from repro.simnet.topology import Topology
 _CONFIG = TopologyConfig(num_prefixes=64, seed=5)
 
 
-def _plan(**overrides) -> ShardPlan:
-    settings = dict(tool="flashroute-16", topology=_CONFIG)
-    settings.update(overrides)
-    return ShardPlan(**settings)
+def _plan(events_format=None, **request_fields) -> ShardPlan:
+    settings = dict(tool="flashroute-16", prefixes=_CONFIG.num_prefixes,
+                    seed=_CONFIG.seed)
+    settings.update(request_fields)
+    return ShardPlan(ScanRequest(**settings), events_format=events_format)
 
 
 class TestPicklability:
@@ -34,7 +38,15 @@ class TestPicklability:
         plan = _plan(shards=4, loss=0.1, events_format="jsonl")
         clone = pickle.loads(pickle.dumps(plan))
         assert clone == plan
-        assert clone.topology == _CONFIG
+        assert clone.request.topology_config() == _CONFIG
+
+    def test_plan_round_trips_through_a_spawned_worker(self):
+        """``spawn`` pickles the plan into a cold interpreter (which
+        imports ``repro.core.sharding`` before ``repro.api``) and the
+        ``_WORKER`` fast path compares plans by ``==``."""
+        plan = _plan(shards=4, loss=0.1, events_format="binary")
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            assert pool.apply(copy.copy, (plan,)) == plan
 
 
 class TestDeterministicRebuild:
@@ -73,7 +85,7 @@ class TestWorkerInit:
         monkeypatch.setattr(sharding, "_WORKER", {})
         sharding._worker_init(_plan(), [])
         first = sharding._WORKER["topology"]
-        other = _plan(topology=TopologyConfig(num_prefixes=32, seed=5))
+        other = _plan(prefixes=32)
         sharding._worker_init(other, [])
         assert sharding._WORKER["topology"] is not first
         assert sharding._WORKER["topology"].num_prefixes == 32

@@ -23,6 +23,7 @@ import multiprocessing
 
 import pytest
 
+from repro.api import ScanRequest
 from repro.core.sharding import ShardPlan, run_sharded_scan
 from repro.obs.metrics import deterministic_snapshot
 from repro.obs.report import render_shard_breakdown, shard_breakdown_rows
@@ -43,17 +44,14 @@ from repro.obs.trace import (
     deterministic_trace,
     validate_trace,
 )
-from repro.simnet.config import TopologyConfig
 
 _PREFIXES = 96
 _SEED = 11
 
 
-def _plan(shards=1, **kwargs):
-    return ShardPlan(tool="flashroute-16",
-                     topology=TopologyConfig(num_prefixes=_PREFIXES,
-                                             seed=_SEED),
-                     shards=shards, **kwargs)
+def _plan(shards=1, **wishes):
+    return ShardPlan(ScanRequest(tool="flashroute-16", prefixes=_PREFIXES,
+                                 seed=_SEED, shards=shards), **wishes)
 
 
 def _header_line():

@@ -207,6 +207,7 @@ def run_scaling_benchmark(num_prefixes: int = None, seed: int = None,
     best-of ``_SCALING_REPEATS`` per point, same noise rationale as the
     stream benchmark.
     """
+    from repro.api import ScanRequest
     from repro.core.sharding import ShardPlan, run_sharded_scan
 
     topology = bench_topology(num_prefixes, seed)
@@ -214,8 +215,10 @@ def run_scaling_benchmark(num_prefixes: int = None, seed: int = None,
     base_aggregate = None
     probes = None
     for count in workers:
-        plan = ShardPlan(tool=_SCALING_TOOL, topology=topology.config,
-                         shards=count, slices=max(16, count))
+        plan = ShardPlan(ScanRequest(
+            tool=_SCALING_TOOL, prefixes=topology.num_prefixes,
+            seed=topology.config.seed, shards=count,
+            shard_slices=max(16, count)))
         best_wall = None
         best_aggregate = None
         for _ in range(_SCALING_REPEATS):
@@ -268,6 +271,7 @@ def run_heartbeat_benchmark(num_prefixes: int = None,
     the acceptance bar is ``overhead <= 1.15`` (heartbeat-on throughput
     within 15% of heartbeat-off).  Interleaved best-of, as everywhere.
     """
+    from repro.api import ScanRequest
     from repro.core.sharding import ShardPlan, run_sharded_scan
     from repro.obs.shardobs import ShardProgressView
 
@@ -277,13 +281,14 @@ def run_heartbeat_benchmark(num_prefixes: int = None,
     probes = None
     for _ in range(_HEARTBEAT_REPEATS):
         for label, interval in modes.items():
-            plan = ShardPlan(tool=_SCALING_TOOL, topology=topology.config,
-                             shards=_HEARTBEAT_SHARDS,
-                             heartbeat_interval=interval)
+            request = ScanRequest(
+                tool=_SCALING_TOOL, prefixes=topology.num_prefixes,
+                seed=topology.config.seed, shards=_HEARTBEAT_SHARDS)
+            plan = ShardPlan(request, heartbeat_interval=interval)
             progress = None
             if interval is not None:
                 progress = ShardProgressView(
-                    slices=plan.slices, workers=plan.shards,
+                    slices=request.shard_slices, workers=request.shards,
                     interval=3600.0, stream=io.StringIO())
             gc.collect()
             outcome = run_sharded_scan(plan, topology=topology,
