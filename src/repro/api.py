@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional
+from typing import (Dict, Iterator, List, Optional, get_args,
+                    get_type_hints)
 
 from .core.resilience import CheckpointError, ResilienceConfig
 from .core.results import ScanResult
@@ -166,6 +167,21 @@ class ScanRequest:
                 raise ValueError(
                     f"scan request record is missing field(s): "
                     f"{', '.join(missing)}")
+        # The record comes from a file anyone can edit: hold each value
+        # to its field's declared type — exactly, so a bool is not an
+        # int, except that JSON's one number type makes an int a valid
+        # float — and name a wrong one here, where it is a ValueError,
+        # rather than die of a TypeError inside __post_init__.
+        hints = get_type_hints(cls)
+        for spec in fields(cls):
+            kinds = get_args(hints[spec.name]) or (hints[spec.name],)
+            if float in kinds:
+                kinds += (int,)
+            if spec.name in payload \
+                    and type(payload[spec.name]) not in kinds:
+                raise ValueError(
+                    f"scan request field {spec.name!r} must be "
+                    f"{spec.type}, got {payload[spec.name]!r}")
         return cls(**payload)
 
     @classmethod

@@ -12,7 +12,7 @@ a probing engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
 from ..obs.telemetry import Telemetry
@@ -36,12 +36,6 @@ class TracerouteResult:
     probes: int = 0
     #: Responses observed, injected duplicates included.
     responses: int = 0
-
-    def max_responding_ttl(self) -> Optional[int]:
-        candidates: List[int] = list(self.hops)
-        if self.triggering_ttl is not None:
-            candidates.append(self.triggering_ttl)
-        return max(candidates) if candidates else None
 
 
 def _unreachable_distance(response: IcmpResponse, dst: int,

@@ -141,10 +141,6 @@ class ResilienceConfig:
                 or self.checkpoint_path is not None
                 or self.round_hook is not None)
 
-    @property
-    def checkpoint_enabled(self) -> bool:
-        return self.checkpoint_path is not None
-
 
 class RetryTracker:
     """Deterministic ledger of unanswered probes awaiting retransmission.

@@ -31,12 +31,6 @@ class TableResult:
         return render_table(self.headers, self.rows,
                             title=f"[{self.table_id}]")
 
-    def row_by_label(self, label: str) -> List[object]:
-        for row in self.rows:
-            if row[0] == label:
-                return row
-        raise KeyError(label)
-
 
 # --------------------------------------------------------------------- #
 # Table 1: impact of redundancy elimination during backward probing

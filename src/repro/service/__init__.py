@@ -8,15 +8,14 @@ cache with epoch-based invalidation, and the load-test harness live
 here; see docs/service.md for the wire protocol and operations guide.
 """
 
-from .daemon import (CacheEntry, Flight, ServiceError, TraceService,
-                     serve, start_service)
+from .daemon import (Flight, ServiceError, TraceService, serve,
+                     start_service)
 from .client import (DEFAULT_TIMEOUT, DaemonClient, request_trace,
                      trace_stream)
 from .obs import RateRing, RequestContext, ServiceTelemetry
 from .top import render_frame, run_top
 
 __all__ = [
-    "CacheEntry",
     "DEFAULT_TIMEOUT",
     "DaemonClient",
     "Flight",

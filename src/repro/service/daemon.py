@@ -23,11 +23,12 @@ Wire protocol (see docs/service.md for the full reference)::
 Coalescing: requests for the same ``(destination, flow)`` while a trace
 is in flight share its probe stream — a late subscriber first replays
 the hops already streamed, then rides along live.  Caching: a finished
-trace is stored under its key, tagged with the **route epoch** it ran
-in; a lookup in a later epoch discards the entry (the simulated
+flight *is* the cache entry, kept under its key with the **route
+epoch** it ran in; a lookup in a later epoch discards it (the simulated
 network's routes flap every ``flap_epoch_seconds``, so the cached path
-may no longer exist).  Cache hits re-stream the stored hops without
-touching the network — the engine's probe counters stay flat.
+may no longer exist).  A cache hit subscribes to the finished flight
+like a late joiner whose replay is the whole trace — nothing touches
+the network and the engine's probe counters stay flat.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import json
 import math
 import signal
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
 
 from ..api import Engine, ScanRequest, TraceRequest
+from ..simnet.ratelimit import MAX_VIRTUAL_SECONDS
 from .obs import ServiceTelemetry
 
 #: Traces a warm engine can answer per second is bounded by the event
@@ -68,35 +70,43 @@ DEFAULT_DRAIN_SECONDS = 5.0
 #: backing clients off harder the deeper the backlog.
 RETRY_AFTER_UNIT_MS = 100.0
 
+#: How a served request is reported, by the wire's ``cache`` mode:
+#: ``(telemetry outcome, span phase that follows the lookup)``.
+_MODES = {"hit": ("hit", "cache-replay"),
+          "coalesced": ("coalesced", "coalesce-join"),
+          "miss": ("fresh", "probe-stream")}
+
 
 class ServiceError(ValueError):
     """A client-visible request failure (maps to an ``error`` record)."""
 
 
-class _DeadlineExceeded(Exception):
-    """Internal control flow: a request ran out of its deadline budget
-    mid-stream (converted to a ``deadline_exceeded`` error record)."""
+class _Terminal(Exception):
+    """Internal control flow: the request ends here without a trace.
+    ``args`` is ``(outcome, error, record)`` — the telemetry outcome
+    class, its ``error`` field and the terminal wire record — which
+    :meth:`TraceService.handle_trace`'s single exit counts and sends."""
 
 
-@dataclass
-class CacheEntry:
-    """One finished trace, stored under its ``(destination, flow)`` key."""
-
-    epoch: int
-    hops: List[dict]
-    result: dict
+def _internal_error(exc: Exception) -> dict:
+    """The terminal record of a server-side bug (``code: internal``)."""
+    return {"type": "error", "code": "internal",
+            "error": f"internal error: {exc.__class__.__name__}: {exc}"}
 
 
 class Flight:
-    """One in-flight trace and its subscribers.
+    """One trace and its subscribers: the only per-key record.
 
     The probe stream runs in a detached task; every subscriber —
     the originating client plus any coalesced late joiners — gets the
     already-streamed prefix on subscribe, then live records via its own
     queue.  A subscriber that disconnects unsubscribes its queue; the
-    flight itself always runs to completion so the result is cached for
-    the next request either way.
+    flight itself always runs to completion, and a flight that finished
+    without error is the cache entry the next request is served from.
     """
+
+    __slots__ = ("key", "epoch", "hops", "result", "error", "done",
+                 "task", "_queues")
 
     _DONE = object()  # queue sentinel
 
@@ -119,14 +129,14 @@ class Flight:
 
         Synchronous on purpose: the snapshot and the registration happen
         in one event-loop step, so no hop can fall between them.  A
-        finished flight returns no queue — the snapshot is complete.
+        finished flight returns no queue — its hop list is complete
+        (and final, so it is handed out as it is).
         """
-        replay = list(self.hops)
         if self.done:
-            return replay, None
+            return self.hops, None
         queue: asyncio.Queue = asyncio.Queue()
         self._queues.append(queue)
-        return replay, queue
+        return list(self.hops), queue
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         try:
@@ -144,6 +154,7 @@ class Flight:
         self.result = result
         self.error = error
         self.done = True
+        self.task = None  # a cached flight must not pin its dead task
         queues, self._queues = self._queues, []
         for queue in queues:
             queue.put_nowait(self._DONE)
@@ -196,8 +207,11 @@ class TraceService:
         #: The service's virtual clock — trace start times are drawn from
         #: it, which is what ties results to route epochs.
         self.now = 0.0
-        self._cache: "OrderedDict[Tuple[int, int], CacheEntry]" = \
-            OrderedDict()
+        # One record type, two tables: the running flights (coalescing)
+        # and the LRU of finished ones (the cache) — apart, so capacity
+        # counts finished entries only and eviction never has to scan
+        # past a running flight.
+        self._cache: "OrderedDict[Tuple[int, int], Flight]" = OrderedDict()
         self._flights: Dict[Tuple[int, int], Flight] = {}
         # Admission bookkeeping: an explicit counter plus a FIFO of
         # waiter futures (not an asyncio.Semaphore — the explicit deque
@@ -234,28 +248,22 @@ class TraceService:
             raise ServiceError("advance needs a finite number of seconds")
         if seconds < 0:
             raise ServiceError("cannot advance time backwards")
+        # The result, not just the step: two finite steps can sum to
+        # infinity, and a clock past the simulated network's range fails
+        # every later trace — the same lifelong poisoning.
+        if not self.now + seconds < MAX_VIRTUAL_SECONDS:
+            raise ServiceError(
+                f"cannot advance past virtual second {MAX_VIRTUAL_SECONDS}"
+                f" (the simulated network's clock range)")
         self.now += seconds
 
     # -- cache -----------------------------------------------------------
 
-    def cache_lookup(self, key: Tuple[int, int]) -> Optional[CacheEntry]:
-        entry = self._cache.get(key)
-        if entry is None:
-            return None
-        if entry.epoch != self.epoch:
-            # The routes this trace saw have flapped since; the entry is
-            # stale for good, not just for this request.
-            del self._cache[key]
-            self.evicted_epoch += 1
-            return None
-        self._cache.move_to_end(key)
-        return entry
-
-    def cache_store(self, key: Tuple[int, int], entry: CacheEntry) -> None:
+    def cache_store(self, flight: Flight) -> None:
         if self.cache_size == 0:
             return
-        self._cache[key] = entry
-        self._cache.move_to_end(key)
+        self._cache[flight.key] = flight
+        self._cache.move_to_end(flight.key)
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
             self.evicted_lru += 1
@@ -286,33 +294,35 @@ class TraceService:
                 "milliseconds")
         return float(value)
 
-    def _deadline_record(self, deadline_ms: Optional[float]) -> dict:
-        return {"type": "error", "code": "deadline_exceeded",
-                "error": f"deadline of {deadline_ms:g} ms exceeded",
-                "deadline_ms": deadline_ms}
+    @staticmethod
+    def _deadline_exceeded(deadline_ms: float) -> _Terminal:
+        return _Terminal("deadline", "deadline_exceeded", {
+            "type": "error", "code": "deadline_exceeded",
+            "error": f"deadline of {deadline_ms:g} ms exceeded",
+            "deadline_ms": deadline_ms})
 
-    def _retry_after_ms(self) -> float:
-        """The backoff hint shed responses carry: linear in the backlog
-        (admitted + queued), so deeper overload pushes clients further
-        out.  Deterministic in the admission state."""
-        backlog = self._admitted + len(self._admit_queue)
-        return round(RETRY_AFTER_UNIT_MS * max(1, backlog), 1)
-
-    async def _acquire_slot(self, loop,
-                            deadline_at: Optional[float]
-                            ) -> Optional[str]:
+    async def _acquire_slot(self, loop, deadline_at: Optional[float],
+                            deadline_ms: Optional[float]) -> None:
         """Admission gate (only called when ``max_inflight`` is set).
 
-        Returns ``None`` once a slot is held, ``"shed"`` when the wait
-        queue is full, ``"deadline"`` when the request's deadline
-        expired while queued.  FIFO: a freed slot goes to the oldest
-        still-live waiter (see :meth:`_release_slot`).
+        Returns once a slot is held; raises the ``overloaded`` shed when
+        the wait queue is full and ``deadline_exceeded`` when the
+        request's deadline expired while queued.  FIFO: a freed slot
+        goes to the oldest still-live waiter (see :meth:`_release_slot`).
         """
         if self._admitted < self.max_inflight and not self._admit_queue:
             self._admitted += 1
-            return None
+            return
         if len(self._admit_queue) >= self.max_queued:
-            return "shed"
+            # The backoff hint is linear in the backlog (admitted +
+            # queued), so deeper overload pushes clients further out.
+            backlog = self._admitted + len(self._admit_queue)
+            raise _Terminal("shed", "overloaded", {
+                "type": "error", "code": "overloaded",
+                "error": f"server overloaded ({self._admitted} in flight, "
+                         f"{len(self._admit_queue)} queued)",
+                "retry_after_ms": round(
+                    RETRY_AFTER_UNIT_MS * max(1, backlog), 1)})
         future: asyncio.Future = loop.create_future()
         self._admit_queue.append(future)
         try:
@@ -325,23 +335,17 @@ class TraceService:
                 await asyncio.wait_for(future, remaining)
             # Granted: _release_slot already moved the slot count to us
             # and popped the future from the queue.
-            return None
-        except asyncio.TimeoutError:
-            granted = future.done() and not future.cancelled()
-            with contextlib.suppress(ValueError):
-                self._admit_queue.remove(future)
-            if granted:  # pragma: no cover - same-tick grant/timeout race
-                self._release_slot()
-            return "deadline"
-        except BaseException:
-            # Client vanished (or the handler was cancelled) while
-            # queued: surrender the queue position — and the slot, if
-            # one was granted in the same tick.
+        except BaseException as exc:
+            # Deadline passed, client vanished or handler cancelled
+            # while queued: surrender the queue position — or the slot,
+            # if one was granted in the same tick.
             if future.done() and not future.cancelled():
                 self._release_slot()
             else:
                 with contextlib.suppress(ValueError):
                     self._admit_queue.remove(future)
+            if isinstance(exc, asyncio.TimeoutError):
+                raise self._deadline_exceeded(deadline_ms) from None
             raise
 
     def _release_slot(self) -> None:
@@ -356,6 +360,29 @@ class TraceService:
                 return
 
     # -- flights ---------------------------------------------------------
+
+    def _lookup(self, request: TraceRequest) -> Tuple[Flight, str]:
+        """The one per-request lookup: the flight that answers this key
+        and how — ``"hit"`` (finished, current epoch), ``"coalesced"``
+        (running) or ``"miss"`` (started here)."""
+        key = request.key
+        flight = self._cache.get(key)
+        if flight is not None:
+            if flight.epoch == self.epoch:
+                self._cache.move_to_end(key)
+                self.cache_hits += 1
+                return flight, "hit"
+            # The routes this trace saw have flapped since; the entry is
+            # stale for good, not just for this request.
+            del self._cache[key]
+            self.evicted_epoch += 1
+        flight = self._flights.get(key)
+        if flight is not None:
+            self.coalesced += 1
+            return flight, "coalesced"
+        # TraceSession construction validates the destination against
+        # the engine's address space (ValueError).
+        return self._start_flight(request), "miss"
 
     def _start_flight(self, request: TraceRequest) -> Flight:
         epoch = self.epoch
@@ -381,11 +408,8 @@ class TraceService:
             if self.telemetry is not None:
                 self.telemetry.record_flight_probes(
                     session.network.probes_sent)
-            self.cache_store(flight.key,
-                             CacheEntry(epoch=flight.epoch,
-                                        hops=list(flight.hops),
-                                        result=result))
             flight.finish(result)
+            self.cache_store(flight)
         except asyncio.CancelledError:
             flight.finish(None, error="trace cancelled (shutdown)")
             raise
@@ -416,131 +440,39 @@ class TraceService:
 
         Gate order: deadline extraction → drain latch → admission →
         parse/serve.  A shed request is refused before any parsing or
-        engine work is spent on it.
+        engine work is spent on it.  Hit, coalesced join and fresh trace
+        then share one stream — subscribe, replay, ride the live queue —
+        and every ending, served or refused, leaves through the one exit
+        below the ``except`` clauses.
         """
         obs = self.telemetry
         ctx = obs.begin_request(self.now) if obs is not None else None
         self.requests += 1
         admitted = False
+        flight = None
         try:
             try:
                 deadline_ms = self._take_deadline(payload)
-            except ServiceError as exc:
-                self.errors += 1
-                if ctx is not None:
-                    ctx.phase("respond", self.now)
-                yield {"type": "error", "error": str(exc)}
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "error", self.now,
-                                       error=str(exc))
-                return
-            loop = asyncio.get_running_loop()
-            deadline_at = (loop.time() + deadline_ms / 1000.0
-                           if deadline_ms is not None else None)
-            if self.draining:
-                self.shed += 1
-                if obs is not None:
-                    obs.record_shed("draining")
-                if ctx is not None:
-                    ctx.phase("respond", self.now)
-                yield {"type": "error", "code": "draining",
-                       "error": "daemon is draining (shutting down); "
-                                "no new traces are accepted"}
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "shed", self.now,
-                                       error="draining")
-                return
-            if self.max_inflight is not None:
-                verdict = await self._acquire_slot(loop, deadline_at)
-                if verdict == "shed":
-                    self.shed += 1
-                    if obs is not None:
-                        obs.record_shed("overloaded")
-                    if ctx is not None:
-                        ctx.phase("respond", self.now)
-                    yield {"type": "error", "code": "overloaded",
-                           "error": f"server overloaded "
-                                    f"({self._admitted} in flight, "
-                                    f"{len(self._admit_queue)} queued)",
-                           "retry_after_ms": self._retry_after_ms()}
-                    if ctx is not None:
-                        obs.finish_request(self, ctx, "shed", self.now,
-                                           error="overloaded")
-                    return
-                if verdict == "deadline":
-                    self.deadlined += 1
-                    if ctx is not None:
-                        ctx.phase("respond", self.now)
-                    yield self._deadline_record(deadline_ms)
-                    if ctx is not None:
-                        obs.finish_request(self, ctx, "deadline",
-                                           self.now,
-                                           error="deadline_exceeded")
-                    return
-                admitted = True
-            try:
+                loop = asyncio.get_running_loop()
+                deadline_at = (loop.time() + deadline_ms / 1000.0
+                               if deadline_ms is not None else None)
+                if self.draining:
+                    raise _Terminal("shed", "draining", {
+                        "type": "error", "code": "draining",
+                        "error": "daemon is draining (shutting down); "
+                                 "no new traces are accepted"})
+                if self.max_inflight is not None:
+                    await self._acquire_slot(loop, deadline_at, deadline_ms)
+                    admitted = True
                 request = TraceRequest.parse(payload)
-                key = request.key
                 if ctx is not None:
                     ctx.describe(request)
                     ctx.phase("cache-lookup", self.now)
-                cached = self.cache_lookup(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    if ctx is not None:
-                        ctx.phase("cache-replay", self.now)
-                    for record in cached.hops:
-                        yield {"type": "hop", **record}
-                    if ctx is not None:
-                        ctx.phase("respond", self.now)
-                    yield {"type": "done", "cache": "hit",
-                           "epoch": cached.epoch, "trace": cached.result}
-                    if ctx is not None:
-                        obs.finish_request(
-                            self, ctx, "hit", self.now,
-                            virtual_ms=self._virtual_ms(cached.result),
-                            hops=len(cached.hops))
-                    return
-                flight = self._flights.get(key)
-                if flight is not None:
-                    self.coalesced += 1
-                    mode = "coalesced"
-                    if ctx is not None:
-                        ctx.phase("coalesce-join", self.now)
-                else:
-                    # TraceSession construction validates the destination
-                    # against the engine's address space (ValueError).
-                    flight = self._start_flight(request)
-                    mode = "miss"
-                    if ctx is not None:
-                        ctx.phase("probe-stream", self.now)
-            except (ServiceError, ValueError) as exc:
-                self.errors += 1
+                flight, mode = self._lookup(request)
+                outcome, phase = _MODES[mode]
                 if ctx is not None:
-                    ctx.phase("respond", self.now)
-                yield {"type": "error", "error": str(exc)}
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "error", self.now,
-                                       error=str(exc))
-                return
-            except Exception as exc:
-                # Session-exception isolation: a broken ScanSession /
-                # TraceSession (or engine bug) answers this one request
-                # with a structured record and leaves the daemon up.
-                self.errors += 1
-                self.internal_errors += 1
-                message = (f"internal error: "
-                           f"{exc.__class__.__name__}: {exc}")
-                if ctx is not None:
-                    ctx.phase("respond", self.now)
-                yield {"type": "error", "code": "internal",
-                       "error": message}
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "error", self.now,
-                                       error=message)
-                return
-            replay, queue = flight.subscribe()
-            try:
+                    ctx.phase(phase, self.now)
+                replay, queue = flight.subscribe()
                 try:
                     for record in replay:
                         yield {"type": "hop", **record}
@@ -549,14 +481,15 @@ class TraceService:
                             if deadline_at is None:
                                 item = await queue.get()
                             else:
-                                remaining = deadline_at - loop.time()
-                                if remaining <= 0:
-                                    raise _DeadlineExceeded
                                 try:
+                                    remaining = deadline_at - loop.time()
+                                    if remaining <= 0:
+                                        raise asyncio.TimeoutError
                                     item = await asyncio.wait_for(
                                         queue.get(), remaining)
                                 except asyncio.TimeoutError:
-                                    raise _DeadlineExceeded from None
+                                    raise self._deadline_exceeded(
+                                        deadline_ms) from None
                             if item is Flight._DONE:
                                 break
                             yield {"type": "hop", **item}
@@ -566,36 +499,46 @@ class TraceService:
                     # the flight itself runs on so the result is cached.
                     if queue is not None:
                         flight.unsubscribe(queue)
-            except _DeadlineExceeded:
+                if flight.error is not None:
+                    raise _Terminal("error", flight.error, {
+                        "type": "error", "error": flight.error})
+                error = None
+                record = {"type": "done", "cache": mode,
+                          "epoch": flight.epoch, "trace": flight.result}
+            except _Terminal as end:
+                outcome, error, record = end.args
+            except (ServiceError, ValueError) as exc:
+                outcome, error = "error", str(exc)
+                record = {"type": "error", "error": error}
+            except Exception as exc:
+                # Session-exception isolation: a broken ScanSession /
+                # TraceSession (or engine bug) answers this one request
+                # with a structured record and leaves the daemon up.
+                self.internal_errors += 1
+                record = _internal_error(exc)
+                outcome, error = "error", record["error"]
+            # The single exit: count the outcome, close the span's last
+            # phase, send the terminal record, complete the request.
+            if outcome == "error":
+                self.errors += 1
+            elif outcome == "deadline":
                 self.deadlined += 1
-                if ctx is not None:
-                    ctx.phase("respond", self.now)
-                yield self._deadline_record(deadline_ms)
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "deadline", self.now,
-                                       hops=len(flight.hops),
-                                       error="deadline_exceeded")
-                return
+            elif outcome == "shed":
+                self.shed += 1
+                if obs is not None:
+                    obs.record_shed(error)
             if ctx is not None:
                 ctx.phase("respond", self.now)
-            if flight.error is not None:
-                self.errors += 1
-                yield {"type": "error", "error": flight.error}
-                if ctx is not None:
-                    obs.finish_request(self, ctx, "error", self.now,
-                                       hops=len(flight.hops),
-                                       error=flight.error)
-            else:
-                yield {"type": "done", "cache": mode,
-                       "epoch": flight.epoch, "trace": flight.result}
-                if ctx is not None:
-                    outcome = "fresh" if mode == "miss" else "coalesced"
-                    probes = (flight.result or {}).get("probes", 0) \
-                        if mode == "miss" else 0
-                    obs.finish_request(
-                        self, ctx, outcome, self.now,
-                        virtual_ms=self._virtual_ms(flight.result),
-                        probes=probes, hops=len(flight.hops))
+            yield record
+            if ctx is not None:
+                result = flight.result if error is None else None
+                obs.finish_request(
+                    self, ctx, outcome, self.now,
+                    virtual_ms=self._virtual_ms(result),
+                    probes=(result.get("probes", 0)
+                            if result and outcome == "fresh" else 0),
+                    hops=len(flight.hops) if flight is not None else 0,
+                    error=error)
         finally:
             if admitted:
                 self._release_slot()
@@ -691,8 +634,7 @@ class TraceService:
         """Wait for every in-flight trace to finish (tests, shutdown)."""
         tasks = [flight.task for flight in self._flights.values()
                  if flight.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
 
     def cancel_flights(self) -> int:
         """Cancel every in-flight trace task (drain-timeout teardown).
@@ -729,14 +671,12 @@ async def _handle_connection(service: TraceService,
                              shutdown: asyncio.Event,
                              reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter,
-                             connections: Optional[Set[asyncio.Task]] = None
-                             ) -> None:
+                             connections: Set[asyncio.Task]) -> None:
     # Track this handler task so drain() can cancel connections that sit
     # idle in readline() (wait_closed() does not wait for handlers, and
     # an idle client would otherwise hold the drain open forever).
     task = asyncio.current_task()
-    if connections is not None and task is not None:
-        connections.add(task)
+    connections.add(task)
     try:
         while True:
             try:
@@ -752,16 +692,18 @@ async def _handle_connection(service: TraceService,
                 continue
             try:
                 payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                problem = (None if isinstance(payload, dict)
+                           else "request must be a JSON object")
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and the
+                # UnicodeDecodeError of a line that is not UTF-8;
+                # RecursionError is a line nested deeper than the
+                # parser's stack.  None may drop the connection.
+                problem = f"invalid JSON: {exc}"
+            if problem is not None:
                 service.errors += 1
-                await _write_record(writer, {
-                    "type": "error", "error": f"invalid JSON: {exc}"})
-                continue
-            if not isinstance(payload, dict):
-                service.errors += 1
-                await _write_record(writer, {
-                    "type": "error",
-                    "error": "request must be a JSON object"})
+                await _write_record(writer, {"type": "error",
+                                             "error": problem})
                 continue
             #: Clients may tag a request with an ``id``; it is echoed on
             #: every record of the response, so one connection's
@@ -789,10 +731,7 @@ async def _handle_connection(service: TraceService,
                     # whole connection (let alone the daemon).
                     service.errors += 1
                     service.internal_errors += 1
-                    response = {"type": "error", "code": "internal",
-                                "error": f"internal error: "
-                                         f"{exc.__class__.__name__}: "
-                                         f"{exc}"}
+                    response = _internal_error(exc)
                 await _write_record(writer, stamped(response))
                 continue
             try:
@@ -808,15 +747,11 @@ async def _handle_connection(service: TraceService,
                 # connection without a terminal record.
                 service.errors += 1
                 service.internal_errors += 1
-                await _write_record(writer, stamped({
-                    "type": "error", "code": "internal",
-                    "error": f"internal error: "
-                             f"{exc.__class__.__name__}: {exc}"}))
+                await _write_record(writer, stamped(_internal_error(exc)))
     except (ConnectionResetError, BrokenPipeError):
         pass  # client went away mid-stream; flights keep running
     finally:
-        if connections is not None and task is not None:
-            connections.discard(task)
+        connections.discard(task)
         writer.close()
         # CancelledError included: the loop may tear this handler down
         # while the transport drains; the close is already issued.
@@ -845,36 +780,27 @@ class ServerHandle:
     service: TraceService
     server: asyncio.AbstractServer
     shutdown: asyncio.Event
-    host: Optional[str] = None
-    port: Optional[int] = None
-    socket_path: Optional[str] = None
-    #: Addresses the OS actually bound (resolves ``port=0``).
-    bound: Tuple = field(default_factory=tuple)
+    #: Live connection-handler tasks (drain cancels stragglers).
+    connections: Set[asyncio.Task]
     #: The telemetry sampler task (only when telemetry is enabled).
     monitor: Optional[asyncio.Task] = None
-    #: Live connection-handler tasks (drain cancels stragglers).
-    connections: Set[asyncio.Task] = field(default_factory=set)
-
-    async def close(self) -> None:
-        self.server.close()
-        await self.server.wait_closed()
-        await self.service.drain()
-        if self.monitor is not None:
-            self.monitor.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self.monitor
+    host: Optional[str] = None
+    #: The port the OS actually bound (resolves ``port=0``).
+    port: Optional[int] = None
+    socket_path: Optional[str] = None
 
     async def drain(self, drain_seconds: float = DEFAULT_DRAIN_SECONDS
                     ) -> None:
         """Graceful shutdown: stop accepting, finish what's in flight.
 
-        New traces are refused with a structured ``draining`` error the
-        moment this starts; already-admitted streams get
-        ``drain_seconds`` to run to completion, after which any
-        stragglers are cancelled (their subscribers receive a
-        ``trace cancelled (shutdown)`` error record rather than a
-        hang).  Idle connections are then torn down and the telemetry
-        monitor stopped.
+        The only shutdown sequence — the ``shutdown`` op, SIGTERM and
+        every test that stops a daemon end here.  New traces are refused
+        with a structured ``draining`` error the moment this starts;
+        already-admitted streams get ``drain_seconds`` to run to
+        completion, after which any stragglers are cancelled (their
+        subscribers receive a ``trace cancelled (shutdown)`` error
+        record rather than a hang).  Idle connections are then torn
+        down and the telemetry monitor stopped.
         """
         self.service.draining = True
         self.server.close()
@@ -890,8 +816,7 @@ class ServerHandle:
                 set(self.connections), timeout=0.25)
             for task in lingering:
                 task.cancel()
-            if lingering:
-                await asyncio.gather(*lingering, return_exceptions=True)
+            await asyncio.gather(*lingering, return_exceptions=True)
         with contextlib.suppress(Exception):
             await self.server.wait_closed()
         if self.monitor is not None:
@@ -901,24 +826,20 @@ class ServerHandle:
 
 
 async def start_service(engine: Engine,
-                        host: str = "127.0.0.1", port: int = 0,
+                        host: Optional[str] = "127.0.0.1", port: int = 0,
                         socket_path: Optional[str] = None,
-                        cache_size: int = DEFAULT_CACHE_SIZE,
-                        trace_tick: float = TRACE_TICK,
-                        telemetry: Optional[ServiceTelemetry] = None,
-                        default_deadline_ms: Optional[float] = None,
-                        max_inflight: Optional[int] = None,
-                        max_queued: int = 0
-                        ) -> ServerHandle:
-    """Bind the daemon and return a handle (used by serve() and tests)."""
-    service = TraceService(engine, cache_size=cache_size,
-                           trace_tick=trace_tick, telemetry=telemetry,
-                           default_deadline_ms=default_deadline_ms,
-                           max_inflight=max_inflight,
-                           max_queued=max_queued)
+                        **service_knobs) -> ServerHandle:
+    """Bind the daemon and return a handle (used by serve() and tests).
+
+    ``service_knobs`` go to :class:`TraceService` unchanged — its
+    constructor is the one place that declares, defaults and validates
+    ``cache_size``, ``trace_tick``, ``telemetry``,
+    ``default_deadline_ms``, ``max_inflight`` and ``max_queued``.
+    """
+    service = TraceService(engine, **service_knobs)
     shutdown = asyncio.Event()
     monitor = (asyncio.ensure_future(_telemetry_monitor(service))
-               if telemetry is not None else None)
+               if service.telemetry is not None else None)
     connections: Set[asyncio.Task] = set()
 
     def factory(reader, writer):
@@ -926,105 +847,75 @@ async def start_service(engine: Engine,
                                   connections)
 
     if socket_path is not None:
+        host = port = None
         server = await asyncio.start_unix_server(factory, path=socket_path,
                                                  limit=MAX_LINE)
-        return ServerHandle(service=service, server=server,
-                            shutdown=shutdown, socket_path=socket_path,
-                            monitor=monitor, connections=connections)
-    server = await asyncio.start_server(factory, host=host, port=port,
-                                        limit=MAX_LINE)
-    bound = tuple(sock.getsockname() for sock in server.sockets)
-    actual_port = bound[0][1] if bound else port
-    return ServerHandle(service=service, server=server, shutdown=shutdown,
-                        host=host, port=actual_port, bound=bound,
-                        monitor=monitor, connections=connections)
-
-
-async def _serve_async(request: ScanRequest, host: str, port: int,
-                       socket_path: Optional[str],
-                       cache_size: int, trace_tick: float,
-                       telemetry: Optional[ServiceTelemetry],
-                       metrics_out: Optional[str],
-                       announce=print,
-                       default_deadline_ms: Optional[float] = None,
-                       max_inflight: Optional[int] = None,
-                       max_queued: int = 0,
-                       drain_seconds: float = DEFAULT_DRAIN_SECONDS
-                       ) -> TraceService:
-    engine = Engine.from_request(request)
-    handle = await start_service(engine, host=host, port=port,
-                                 socket_path=socket_path,
-                                 cache_size=cache_size,
-                                 trace_tick=trace_tick,
-                                 telemetry=telemetry,
-                                 default_deadline_ms=default_deadline_ms,
-                                 max_inflight=max_inflight,
-                                 max_queued=max_queued)
-    if socket_path is not None:
-        announce(f"flashroute-sim serve: listening on {socket_path} "
-                 f"(unix), space {engine.address_space()}")
     else:
-        announce(f"flashroute-sim serve: listening on "
-                 f"{handle.host}:{handle.port}, space "
-                 f"{engine.address_space()}")
-    loop = asyncio.get_running_loop()
-    sigterm_installed = False
-    try:
-        # SIGTERM triggers the same graceful drain as the ``shutdown``
-        # control op.  Unavailable on some platforms/loops — degrade to
-        # default signal handling rather than refuse to serve.
-        loop.add_signal_handler(signal.SIGTERM, handle.shutdown.set)
-        sigterm_installed = True
-    except (NotImplementedError, RuntimeError, ValueError):
-        pass
-    try:
-        await handle.shutdown.wait()
-    finally:
-        if sigterm_installed:
-            with contextlib.suppress(Exception):
-                loop.remove_signal_handler(signal.SIGTERM)
-        await handle.drain(drain_seconds)
-        if telemetry is not None:
-            if metrics_out is not None:
-                telemetry.save(metrics_out, handle.service)
-            telemetry.close()
-    return handle.service
+        server = await asyncio.start_server(factory, host=host, port=port,
+                                            limit=MAX_LINE)
+        if server.sockets:
+            port = server.sockets[0].getsockname()[1]
+    return ServerHandle(service=service, server=server, shutdown=shutdown,
+                        connections=connections, monitor=monitor,
+                        host=host, port=port, socket_path=socket_path)
 
 
 def serve(request: Optional[ScanRequest] = None, *,
           host: str = "127.0.0.1", port: int = 4792,
           socket_path: Optional[str] = None,
-          cache_size: int = DEFAULT_CACHE_SIZE,
-          trace_tick: float = TRACE_TICK,
-          telemetry: Optional[ServiceTelemetry] = None,
           metrics_out: Optional[str] = None,
           announce=print,
-          default_deadline_ms: Optional[float] = None,
-          max_inflight: Optional[int] = None,
-          max_queued: int = 0,
-          drain_seconds: float = DEFAULT_DRAIN_SECONDS) -> TraceService:
+          drain_seconds: float = DEFAULT_DRAIN_SECONDS,
+          **service_knobs) -> TraceService:
     """Run the daemon until a ``shutdown`` control op, SIGTERM, or ^C.
 
-    ``request`` describes the warm engine (topology size/seed and route
-    cache mode); trace-irrelevant scan fields are ignored.  Returns the
-    final :class:`TraceService` so callers can read the counters after
-    shutdown.  ``telemetry`` enables the service observability bundle
-    (request tracing, latency histograms, the ``metrics``/``health``
-    ops); ``metrics_out`` persists its final snapshot on shutdown.
-
-    Hardening knobs: ``default_deadline_ms`` bounds every request that
-    does not carry its own ``deadline_ms``; ``max_inflight`` /
+    ``request`` describes the warm engine (topology size and seed);
+    trace-irrelevant scan fields are ignored.  Returns the final
+    :class:`TraceService` so callers can read the counters after
+    shutdown.  ``service_knobs`` are :class:`TraceService`'s keyword
+    arguments, forwarded as they are: ``telemetry`` enables the service
+    observability bundle (request tracing, latency histograms, the
+    ``metrics``/``health`` ops), whose final snapshot ``metrics_out``
+    persists on shutdown; ``default_deadline_ms`` bounds every request
+    that does not carry its own ``deadline_ms``; ``max_inflight`` /
     ``max_queued`` admit that many concurrent trace streams and shed
-    the rest with structured ``overloaded`` errors; ``drain_seconds``
-    bounds the graceful-shutdown window before in-flight traces are
-    cancelled.
+    the rest with structured ``overloaded`` errors; ``cache_size`` and
+    ``trace_tick`` size the result cache and the virtual-clock step.
+    ``drain_seconds`` bounds the graceful-shutdown window before
+    in-flight traces are cancelled.
     """
-    if request is None:
-        request = ScanRequest()
-    return asyncio.run(_serve_async(request, host, port, socket_path,
-                                    cache_size, trace_tick, telemetry,
-                                    metrics_out, announce,
-                                    default_deadline_ms=default_deadline_ms,
-                                    max_inflight=max_inflight,
-                                    max_queued=max_queued,
-                                    drain_seconds=drain_seconds))
+    engine = Engine.from_request(request if request is not None
+                                 else ScanRequest())
+
+    async def run() -> TraceService:
+        handle = await start_service(engine, host=host, port=port,
+                                     socket_path=socket_path,
+                                     **service_knobs)
+        where = (f"{socket_path} (unix)" if socket_path is not None
+                 else f"{handle.host}:{handle.port}")
+        announce(f"flashroute-sim serve: listening on {where}, "
+                 f"space {engine.address_space()}")
+        loop = asyncio.get_running_loop()
+        # SIGTERM triggers the same graceful drain as the ``shutdown``
+        # control op.  Unavailable on some platforms/loops — degrade to
+        # default signal handling rather than refuse to serve.
+        with contextlib.suppress(NotImplementedError, RuntimeError,
+                                 ValueError):
+            loop.add_signal_handler(signal.SIGTERM, handle.shutdown.set)
+        try:
+            await handle.shutdown.wait()
+        finally:
+            # This loop is serve()'s own, so the only SIGTERM handler it
+            # can hold is ours; removing one that never got installed
+            # is a no-op (or the same platform refusal, suppressed).
+            with contextlib.suppress(Exception):
+                loop.remove_signal_handler(signal.SIGTERM)
+            await handle.drain(drain_seconds)
+            telemetry = handle.service.telemetry
+            if telemetry is not None:
+                if metrics_out is not None:
+                    telemetry.save(metrics_out, handle.service)
+                telemetry.close()
+        return handle.service
+
+    return asyncio.run(run())

@@ -161,7 +161,7 @@ async def _run(prefixes: int, seed: int, clients: int, keys: int,
     except Exception:
         daemon_survived = False
     stats = handle.service.stats()
-    await handle.close()
+    await handle.drain()
 
     latencies_ms.sort()
     admitted_ms.sort()

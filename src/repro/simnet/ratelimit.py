@@ -25,6 +25,12 @@ from typing import Dict, Optional, Tuple
 #: lives above them so stamps from before a reset can never collide.
 _GENERATION_SHIFT = 34
 
+#: The virtual clock's range in seconds — what the stamp layout above
+#: assumes.  Code that lets outside input move a clock (the daemon's
+#: ``advance`` op) checks against it: a second that does not fit a
+#: stamp fails every probe sent after it.
+MAX_VIRTUAL_SECONDS = 1 << _GENERATION_SHIFT
+
 
 class IcmpRateLimiter:
     """One-second-bin rate limiter shared by all interfaces of a scan.

@@ -222,15 +222,18 @@ def maybe_kill_slice(spec: Optional[ChaosSpec], slice_index: int,
 # --------------------------------------------------------------------- #
 
 #: Garbage lines the malformed flood cycles through: broken JSON, valid
-#: JSON of the wrong shape, and an unparseable trace request.  Each must
-#: draw exactly one structured ``error`` record without killing the
-#: connection.
+#: JSON of the wrong shape, an unparseable trace request, bytes that are
+#: not UTF-8, and nesting deeper than the JSON parser's stack (30 KB,
+#: under the daemon's 64 KB line cap).  Each must draw exactly one
+#: structured ``error`` record without killing the connection.
 MALFORMED_LINES: Tuple[bytes, ...] = (
     b'{"destination": "20.0.0.7", "flow":',
     b'[1, 2, 3]',
     b'"just a string"',
     b'{"destination": "not-an-ip", "flow": 0}',
     b'{"destination": "20.0.0.7", "flow": 0, "bogus_field": 1}',
+    b'{"destination": "\xff\xfe"}',
+    b'[' * 30_000,
 )
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import api
 from repro.cli import main
@@ -188,6 +190,43 @@ class TestScanRequest:
         del payload["fault_seed"]
         api.ScanRequest.from_dict(payload)  # partial is fine by default
         with pytest.raises(ValueError, match="missing field"):
+            api.ScanRequest.from_dict(payload, complete=True)
+
+    def test_int_is_a_valid_float_but_bool_is_not_an_int(self):
+        payload = dict(api.ScanRequest().to_dict(), loss=0, rate=500)
+        request = api.ScanRequest.from_dict(payload, complete=True)
+        assert (request.loss, request.rate) == (0, 500)
+        for field, value in (("prefixes", True), ("loss", False),
+                             ("adaptive_rate", 1)):
+            with pytest.raises(ValueError, match=repr(field)):
+                api.ScanRequest.from_dict({field: value})
+
+    @given(data=st.data())
+    def test_wrong_typed_value_names_its_field(self, data):
+        """One field, one value of a type its declaration does not
+        admit: always a ValueError naming the field, never the
+        TypeError ``__post_init__`` would die with."""
+        hints = typing.get_type_hints(api.ScanRequest)
+        spec = data.draw(st.sampled_from(
+            dataclasses.fields(api.ScanRequest)))
+        kinds = typing.get_args(hints[spec.name]) or (hints[spec.name],)
+        wrong = {
+            str: st.text(),
+            bool: st.booleans(),
+            int: st.integers(),
+            float: st.floats(),
+            type(None): st.none(),
+            list: st.lists(st.integers(), max_size=2),
+            dict: st.dictionaries(st.text(max_size=2), st.none(),
+                                  max_size=1),
+        }
+        for kind in kinds:
+            del wrong[kind]
+        if float in kinds:
+            del wrong[int]  # JSON's one number type
+        value = data.draw(st.one_of(*wrong.values()))
+        payload = dict(api.ScanRequest().to_dict(), **{spec.name: value})
+        with pytest.raises(ValueError, match=repr(spec.name)):
             api.ScanRequest.from_dict(payload, complete=True)
 
     def test_validation(self):

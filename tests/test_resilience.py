@@ -516,6 +516,28 @@ class TestCliInterruptResume:
         assert "checkpoint version 1 is not supported" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("prefixes", "64"), ("loss", None), ("shards", "2")])
+    def test_resume_wrongly_typed_invocation_exits_2(self, capsys,
+                                                     tmp_path, field,
+                                                     value):
+        """The invocation record sits outside ``state_sha256``, so a
+        hand-edited one loads; a wrong type must be refused as an
+        unusable record, not die comparing ``str <= int``."""
+        ckpt = tmp_path / "scan.ckpt"
+        assert main(SCAN_ARGS + ["--checkpoint", str(ckpt),
+                                 "--interrupt-after-round", "1"]) == 130
+        capsys.readouterr()
+        document = json.loads(ckpt.read_text())
+        document["invocation"][field] = value
+        ckpt.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--resume", str(ckpt)])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "no usable invocation record" in err
+        assert "Traceback" not in err
+
     def test_resume_unsupported_tool_exits_2(self, capsys, tmp_path):
         """A checkpoint whose invocation names a tool without resume()."""
         ckpt = tmp_path / "scan.ckpt"

@@ -189,7 +189,7 @@ class TestScanEquivalence:
                 network, targets=tiny_targets))
         assert _result_fields(results[0]) == _result_fields(results[1])
 
-    def test_flashroute_config_flag_disables_cache(
+    def test_scan_leaves_an_uncached_network_uncached(
             self, tiny_topology: Topology, tiny_targets):
         network = SimulatedNetwork(tiny_topology, use_route_cache=False)
         result = FlashRoute(FlashRouteConfig()).scan(

@@ -268,7 +268,7 @@ class TestProtocol:
                                                 {"control": "defrag"})
             writer.close()
             await writer.wait_closed()
-            await handle.close()
+            await handle.drain()
             return out
 
         out = asyncio.run(run())
@@ -308,7 +308,7 @@ class TestProtocol:
             writer.close()
             await writer.wait_closed()
             await asyncio.wait_for(handle.shutdown.wait(), timeout=5)
-            await handle.close()
+            await handle.drain()
             return ok
 
         ok = asyncio.run(run())
@@ -322,7 +322,7 @@ class TestProtocol:
                                          socket_path=path)
             result = await trace_stream({"destination": "20.0.0.3"},
                                         socket_path=path)
-            await handle.close()
+            await handle.drain()
             return result
 
         hops, done = asyncio.run(run())

@@ -11,11 +11,13 @@ real loopback server.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
 from repro import api
-from repro.service.client import DaemonClient, trace_stream
+from repro.service.client import (DaemonClient, open_connection,
+                                  send_request, trace_stream)
 from repro.service.daemon import (
     Flight,
     ServiceError,
@@ -227,6 +229,37 @@ class TestAdmissionControl:
         assert len(service._admit_queue) == 0, \
             "an expired waiter must leave the queue"
 
+    def test_client_gone_while_queued_surrenders_its_place(self):
+        async def run():
+            service = TraceService(_engine(), max_inflight=1,
+                                   max_queued=1,
+                                   telemetry=ServiceTelemetry())
+            task, flight = self._occupy(service)
+            await asyncio.sleep(0)
+            other = {"destination": "20.0.9.9", "flow": 5}
+            waiter = asyncio.ensure_future(_collect(service, other))
+            await asyncio.sleep(0.01)
+            assert len(service._admit_queue) == 1
+            waiter.cancel()
+            await asyncio.gather(waiter, return_exceptions=True)
+            assert len(service._admit_queue) == 0, \
+                "a vanished waiter must leave the queue"
+            # Its place is free again: the next request queues (not
+            # shed) and is served once the occupier lets go.
+            successor = asyncio.ensure_future(_collect(service, other))
+            await asyncio.sleep(0.01)
+            flight.finish({"probes": 0, "first": 0.0, "last": 0.0})
+            await asyncio.gather(task, return_exceptions=True)
+            _, terminal = await successor
+            counters = service.telemetry.registry.snapshot()["counters"]
+            return service, terminal, counters
+
+        service, terminal, counters = asyncio.run(run())
+        assert terminal["type"] == "done"
+        assert service.shed == 0
+        assert counters["service.requests.cancelled"] == 1
+        assert counters["service.requests.total"] == service.requests == 3
+
     def test_constructor_rejects_bad_limits(self):
         with pytest.raises(ValueError):
             TraceService(_engine(), max_inflight=0)
@@ -345,7 +378,7 @@ class TestFaultIsolation:
             _, pong = await trace_stream({"control": "ping"},
                                          host=handle.host,
                                          port=handle.port)
-            await handle.close()
+            await handle.drain()
             return terminal, pong
 
         terminal, pong = asyncio.run(run())
@@ -362,7 +395,7 @@ class TestHostileClients:
             _, pong = await trace_stream({"control": "ping"},
                                          host=handle.host,
                                          port=handle.port)
-            await handle.close()
+            await handle.drain()
             return summary, pong
 
         summary, pong = asyncio.run(run())
@@ -370,6 +403,36 @@ class TestHostileClients:
         assert summary["error_records"] == len(MALFORMED_LINES), \
             "every malformed line gets its own structured error record"
         assert pong["type"] == "pong"
+
+    @pytest.mark.parametrize("line", [
+        b'{"destination": "\xff\xfe"}',  # UnicodeDecodeError
+        b'[' * 30_000,                     # RecursionError
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unparseable_line_answers_and_keeps_the_connection(self, line):
+        # Both escaped the JSONDecodeError-only handler: the connection
+        # dropped with a daemon-side traceback and no record.
+        assert line in MALFORMED_LINES
+
+        async def run():
+            handle = await start_service(_engine(), port=0)
+            reader, writer = await open_connection(handle.host,
+                                                   handle.port)
+            writer.write(line + b"\n")
+            await writer.drain()
+            record = json.loads(await reader.readline())
+            _, pong = await send_request(reader, writer,
+                                         {"control": "ping"})
+            writer.close()
+            await writer.wait_closed()
+            stats = handle.service.stats()
+            await handle.drain()
+            return record, pong, stats
+
+        record, pong, stats = asyncio.run(run())
+        assert record["type"] == "error"
+        assert record["error"].startswith("invalid JSON: ")
+        assert pong == {"type": "pong"}, "same connection, still served"
+        assert stats["errors"] == 1
 
     def test_reset_and_slow_loris_leave_daemon_alive(self):
         async def run():
@@ -383,7 +446,7 @@ class TestHostileClients:
             _, pong = await trace_stream({"control": "ping"},
                                          host=handle.host,
                                          port=handle.port)
-            await handle.close()
+            await handle.drain()
             return pong
 
         assert asyncio.run(run())["type"] == "pong"
@@ -399,7 +462,7 @@ class TestHostileClients:
             _, pong = await trace_stream({"control": "ping"},
                                          host=handle.host,
                                          port=handle.port)
-            await handle.close()
+            await handle.drain()
             return summary, pong
 
         summary, pong = asyncio.run(run())
@@ -438,7 +501,7 @@ class TestClientTimeout:
             async with DaemonClient(host=handle.host, port=handle.port,
                                     timeout=None) as client:
                 pong = await client.control("ping")
-            await handle.close()
+            await handle.drain()
             return pong
 
         assert asyncio.run(run())["type"] == "pong"

@@ -92,7 +92,7 @@ class TestAdvanceValidation:
                 record = await client.control("advance",
                                               seconds=float("nan"))
                 stats = await client.control("stats")
-            await handle.close()
+            await handle.drain()
             return record, stats
 
         record, stats = asyncio.run(run())
@@ -100,6 +100,50 @@ class TestAdvanceValidation:
         assert "finite" in record["error"]
         assert stats["now"] == 0.0
         assert not math.isnan(stats["now"])
+
+    def test_finite_steps_cannot_poison_the_clock_either(self):
+        # PR 8 checked the *argument*; two finite 1e308 steps still sum
+        # to infinity, after which every trace answered `internal error:
+        # OverflowError` and stats/health raised the same, for life.
+        # The *result* is what must stay inside the clock's range.
+        async def run():
+            handle = await start_service(_engine(), host="127.0.0.1",
+                                         port=0)
+            async with DaemonClient(host=handle.host,
+                                    port=handle.port) as client:
+                records = [await client.control("advance", seconds=1e308)
+                           for _ in range(2)]
+                _, terminal = await client.request(
+                    {"destination": _destination(handle.service.engine),
+                     "flow": 0})
+                stats = await client.control("stats")
+                health = await client.control("health")
+            await handle.drain()
+            return records, terminal, stats, health
+
+        records, terminal, stats, health = asyncio.run(run())
+        assert [record["type"] for record in records] == ["error"] * 2
+        assert "advance" in records[1]["error"]
+        assert "code" not in records[1], "a client mistake, not a bug"
+        assert terminal["type"] == "done"
+        assert stats["type"] == "stats" and health["type"] == "health"
+        assert stats["now"] == 1.0, "only the trace's own tick moved it"
+        assert stats["errors"] == 2 and stats["internal_errors"] == 0
+
+    def test_advance_up_to_the_range_bound_still_traces(self):
+        from repro.simnet.ratelimit import MAX_VIRTUAL_SECONDS
+
+        async def run():
+            service = TraceService(_engine())
+            service.advance(MAX_VIRTUAL_SECONDS - 10.0)
+            with pytest.raises(ServiceError):
+                service.advance(10.0)
+            assert service.now == MAX_VIRTUAL_SECONDS - 10.0
+            return await _collect(service, {
+                "destination": _destination(service.engine), "flow": 0})
+
+        hops, terminal = asyncio.run(run())
+        assert terminal["type"] == "done" and hops
 
 
 # --------------------------------------------------------------------- #
@@ -424,7 +468,7 @@ class TestConcurrentTracing:
             async with DaemonClient(host=handle.host,
                                     port=handle.port) as client:
                 metrics = await client.control("metrics")
-            await handle.close()
+            await handle.drain()
             return handle.service, metrics
 
         service, metrics = asyncio.run(run())
@@ -515,7 +559,7 @@ class TestTopDashboard:
             code = await _top_loop(handle.host, handle.port, None,
                                    interval=0.01, iterations=2,
                                    stream=buffer, clear=False)
-            await handle.close()
+            await handle.drain()
             return code, buffer.getvalue()
 
         code, text = asyncio.run(run())
