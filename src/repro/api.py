@@ -42,6 +42,7 @@ that need a hand-built per-engine config.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 from typing import (Dict, Iterator, List, Optional, get_args,
                     get_type_hints)
@@ -113,8 +114,9 @@ class ScanRequest:
         if not 0.0 <= self.blackout < 1.0:
             raise ValueError(f"blackout must be in [0, 1), got "
                              f"{self.blackout}")
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be a positive finite number, got "
+                             f"{self.rate}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.tool not in scanner_names():

@@ -32,13 +32,9 @@ from ..core.encoding import DecodedProbe
 from ..core.permutation import MultiplicativeCycle
 from ..core.resilience import CheckpointError
 from ..core.results import ScanResult
-from ..core.runtime import (ScanRuntime, checkpointed_result,
+from ..core.runtime import (BURST_PROBES, ScanRuntime, checkpointed_result,
                             destination_distance)
 from ..core.targets import random_targets
-
-#: Probes emitted per burst in the stateless bulk phase, and steps per
-#: boundary (checkpoint capture, rate-control window) in either.
-_BULK_CHUNK = 64
 
 #: Yarrp has no rounds, so the adaptive controller's observation windows
 #: close at the first chunk boundary at least this long after the last.
@@ -278,8 +274,8 @@ class _YarrpRun:
                 break
             self._retried.update(unanswered)
             rt.retries_sent += len(unanswered)
-            for start in range(0, len(unanswered), _BULK_CHUNK):
-                self._probe(unanswered[start:start + _BULK_CHUNK],
+            for start in range(0, len(unanswered), BURST_PROBES):
+                self._probe(unanswered[start:start + BURST_PROBES],
                             "retry", attempt)
                 rt.drain()
             rt.settle()
@@ -366,7 +362,7 @@ class _YarrpRun:
                 rt.report_progress()
             self._steps_done = step + 1
             processed += 1
-            if processed % _BULK_CHUNK == 0:
+            if processed % BURST_PROBES == 0:
                 rt.boundary(window=_RATE_WINDOW_SECONDS)
         # Let the tail of fill chains complete.
         rt.settle()
@@ -395,7 +391,7 @@ class _YarrpRun:
             index, ttl_index = divmod(value, bulk_ttl)
             chunk.append((targets[base_prefix + offsets[index]],
                           ttl_index + 1))
-            if len(chunk) >= _BULK_CHUNK:
+            if len(chunk) >= BURST_PROBES:
                 self._probe(chunk)
                 rt.drain()
                 chunk.clear()

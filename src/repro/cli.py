@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, Dict, List, Optional
@@ -90,8 +91,9 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {value}")
     return value
 
 
@@ -100,9 +102,9 @@ def _nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value < 0:
+    if not 0 <= value < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be non-negative, got {value}")
+            f"must be a non-negative finite number, got {value}")
     return value
 
 

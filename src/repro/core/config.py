@@ -9,6 +9,7 @@ configurations evaluated in the paper's tables.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -90,8 +91,9 @@ class FlashRouteConfig:
             raise ValueError("max_ttl must be within [1, 32] (5-bit encoding)")
         if self.proximity_span < 0:
             raise ValueError("proximity_span must be non-negative")
-        if self.probing_rate is not None and self.probing_rate <= 0:
-            raise ValueError("probing_rate must be positive")
+        if self.probing_rate is not None \
+                and not 0 < self.probing_rate < math.inf:
+            raise ValueError("probing_rate must be a positive finite number")
         if self.round_seconds < 0:
             raise ValueError("round_seconds must be non-negative")
         if not 24 <= self.granularity <= 30:

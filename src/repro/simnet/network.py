@@ -13,9 +13,10 @@ default it is served from a :class:`~repro.simnet.routecache.RouteCache`
 fast path: the route and every send-time-independent response decision are
 resolved once per ``(dst, flow-class, flap-shift)`` key, so a probe costs a
 table lookup plus (for responders only) rate limiting and response
-construction.  ``send_probes`` batches a burst of probes between two drain
-points, amortizing the per-destination lookups; engines use it for the
-back-to-back probes of one ring-walk step.  Constructing with
+construction.  ``send_probes`` batches a burst of probes none of which
+depends on a response to another, amortizing the per-destination lookups
+and the per-call set-up; FlashRoute's ring walk and Yarrp's bulk phase
+arrive in bursts of up to 64.  Constructing with
 ``use_route_cache=False`` runs the original resolution path instead — the
 reference the equivalence tests compare the fast path against,
 probe-for-probe; no scan entry point selects it.
@@ -43,6 +44,10 @@ from .latency import LatencyModel
 from .ratelimit import _GENERATION_SHIFT, IcmpRateLimiter
 from .routecache import ROUTE_CACHE_TTLS, RouteCache, host_answers_tcp
 from .topology import Topology
+
+#: Outcome-table slots hold the response kind as its value (atoms only,
+#: see ``routecache.Outcome``); responses carry the member.
+_KIND = {kind.value: kind for kind in ResponseKind}
 
 #: One probe of a ``send_probes`` batch: (dst, ttl, send_time, src_port,
 #: ipid, udp_length).  Destination port, protocol and flow are per-batch.
@@ -324,7 +329,7 @@ class SimulatedNetwork:
         quoted.tcp_seq = 0
         quoted.payload = b""
         response = IcmpResponse.__new__(IcmpResponse)
-        response.kind = kind
+        response.kind = _KIND[kind]
         response.responder = responder
         response.quoted = quoted
         response.arrival_time = send_time + rt_delay
@@ -343,11 +348,10 @@ class SimulatedNetwork:
         """Inject a burst of probes; return one response slot per probe.
 
         ``probes`` yields ``(dst, ttl, send_time, src_port, ipid,
-        udp_length)`` tuples, already paced by the caller's clock.  The
-        burst must lie between two of the caller's drain points — batching
-        never reorders or delays responses, it only amortizes the
-        per-destination route lookups, which is why engines batch the
-        back-to-back probes of one ring-walk step rather than whole rounds.
+        udp_length)`` tuples, already paced by the caller's clock.  No
+        probe of the burst may depend on a response to an earlier one —
+        batching never reorders or delays responses, it only amortizes the
+        per-destination route lookups and the per-call set-up.
         Semantically equivalent to calling :meth:`send_probe` per tuple.
         """
         cache = self.route_cache
@@ -444,7 +448,7 @@ class SimulatedNetwork:
             quoted.tcp_seq = 0
             quoted.payload = b""
             response = IcmpResponse.__new__(IcmpResponse)
-            response.kind = kind
+            response.kind = _KIND[kind]
             response.responder = responder
             response.quoted = quoted
             response.arrival_time = send_time + rt_delay

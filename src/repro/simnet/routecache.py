@@ -95,13 +95,16 @@ def rewritten_dst(dst: int) -> int:
 
 
 #: One slot of a per-protocol outcome table, or ``None`` for silence:
-#: (response kind, responder address, rate-limited interface id or -1,
-#:  one-way delay, round-trip delay, quoted residual TTL, quoted
-#:  destination address, middlebox-rewrite flag).  Slots in the at/past-
-#: destination region hold a shared :class:`LazyDest` placeholder until
-#: their first probe realizes (and memoizes) the concrete tuple.
-Outcome = Optional[Tuple[ResponseKind, int, int, float, float, int, int,
-                         bool]]
+#: (response kind *value*, responder address, rate-limited interface id
+#:  or -1, one-way delay, round-trip delay, quoted residual TTL, quoted
+#:  destination address, middlebox-rewrite flag).  Atoms only (the kind as
+#: its string, which ``SimulatedNetwork`` maps back), so the collector
+#: untracks a slot on first sight instead of traversing ~10 of them per
+#: probed destination in every later pass.
+#: Slots in the at/past-destination region hold a shared
+#: :class:`LazyDest` placeholder until their first probe realizes (and
+#: memoizes) the concrete tuple.
+Outcome = Optional[Tuple[str, int, int, float, float, int, int, bool]]
 
 #: Shared all-silent table served for destinations outside the scanned
 #: space (the uncached path returns ``None`` for them too).  A tuple, so
@@ -135,7 +138,7 @@ class LazyDest:
     __slots__ = ("kind", "dst", "iface", "ow_base", "rt_base", "dest_depth",
                  "quoted_dst", "rewrite", "jit", "half_span", "span")
 
-    def __init__(self, kind: ResponseKind, dst: int, iface: int,
+    def __init__(self, kind: str, dst: int, iface: int,
                  ow_base: float, rt_base: float, dest_depth: int,
                  quoted_dst: int, rewrite: bool, jit: int,
                  half_span: float, span: float) -> None:
@@ -340,11 +343,11 @@ class RouteCache:
         special_hosts = record.special_hosts
         if tcp:
             dest_silent = not host_answers_tcp(dst, self._host_tcp_rst)
-            dest_kind = ResponseKind.TCP_RST
+            dest_kind = ResponseKind.TCP_RST.value
         else:
             dest_silent = False
-            dest_kind = ResponseKind.PORT_UNREACHABLE
-        ttl_exceeded = ResponseKind.TTL_EXCEEDED
+            dest_kind = ResponseKind.PORT_UNREACHABLE.value
+        ttl_exceeded = ResponseKind.TTL_EXCEEDED.value
 
         # Inlined LatencyModel.one_way/round_trip: base tables indexed by
         # depth plus the jitter hash with the dst term folded into `jit`
@@ -499,7 +502,7 @@ class RouteCache:
                 # for latency here; the responder address and the delay
                 # bases are per-slot constants, only the jitter varies.
                 depth = stub.gateway_depth
-                unreachable = ResponseKind.HOST_UNREACHABLE
+                unreachable = ResponseKind.HOST_UNREACHABLE.value
                 last_addr = iface_addrs[last_hop]
                 gw_ow_base = ow_base[depth]
                 gw_rt_base = rt_base[depth]

@@ -20,6 +20,7 @@ from hypothesis import given, strategies as st
 
 from repro import api
 from repro.cli import main
+from repro.core.config import FlashRouteConfig
 from repro.core.scanner import create_scanner, ScannerOptions
 from repro.core.sharding import ShardPlan
 
@@ -163,6 +164,16 @@ class TestGoldenEquivalence:
 
 
 class TestScanRequest:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"),
+                                      float("-inf"), 0.0])
+    def test_rejects_a_rate_that_is_not_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="rate must be a positive "
+                                             "finite number"):
+            api.ScanRequest(rate=rate)
+        with pytest.raises(ValueError, match="probing_rate must be a "
+                                             "positive finite number"):
+            FlashRouteConfig(probing_rate=rate)
+
     def test_round_trips_through_dict(self):
         request = api.ScanRequest(tool="yarrp-16", prefixes=128, seed=7,
                                   split_ttl=12, gap_limit=3,

@@ -58,6 +58,29 @@ class TestAddrChecksum:
     def test_valid_port_range(self, addr):
         assert 1024 <= addr_checksum(addr) <= 65535
 
+    @staticmethod
+    def reference(addr):
+        """The definition: the Internet checksum of the address's four
+        bytes, lifted out of the privileged range."""
+        checksum = internet_checksum(struct.pack("!I", addr))
+        return checksum + 1024 if checksum < 1024 else checksum
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_arithmetic_equals_the_checksum_of_the_bytes(self, addr):
+        assert addr_checksum(addr) == self.reference(addr)
+
+    @pytest.mark.parametrize("addr", [
+        0, 0xFFFF, 0x0001FFFF, 0xFFFFFFFF,  # no carry, all-ones, one carry
+        0xFFFF0001, 0x8000_8000,            # carry out of the word sum
+        0xFC000000,                         # checksum 1023: lifted to 2047
+    ])
+    def test_carry_edges(self, addr):
+        assert addr_checksum(addr) == self.reference(addr)
+
+    def test_a_privileged_checksum_is_lifted(self):
+        assert internet_checksum(struct.pack("!I", 0xFC000000)) == 1023
+        assert addr_checksum(0xFC000000) == 2047
+
 
 class TestFlowSourcePort:
     def test_offset_zero_matches_base(self):

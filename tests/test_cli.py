@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 
 
 class TestScanCommand:
@@ -74,6 +74,33 @@ class TestScanValidation:
             main(argv)
         assert exc_info.value.code == 2  # argparse usage error
         assert "error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_scan_rejects_a_non_finite_rate(self, capsys, value):
+        """``--rate nan`` used to die inside ``encode_probe`` and
+        ``--rate inf`` to run a scan with a zero send gap: NaN and +inf
+        pass a bare ``value <= 0`` test."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--prefixes", "32", f"--rate={value}"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "finite number" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("scan", "--progress"), ("serve", "--slow-ms"),
+        ("serve", "--default-deadline-ms"), ("serve", "--drain-seconds"),
+        ("top", "--interval"), ("serve-bench", "--default-deadline-ms"),
+        ("serve-bench", "--deadline-ms"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_every_float_flag_rejects_non_finite_values(self, capsys,
+                                                        command, flag, value):
+        # Parsed only: an accepted value would start the daemon.
+        with pytest.raises(SystemExit) as exc_info:
+            _build_parser().parse_args([command, f"{flag}={value}"])
+        assert exc_info.value.code == 2
+        assert "finite number" in capsys.readouterr().err
 
 
 class TestExperimentCommand:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.encoding import (
+    DecodedProbe,
     EncodingError,
+    ProbeMarking,
     TIMESTAMP_WRAP_MS,
     decode_response,
     destination_intact,
@@ -54,6 +56,35 @@ class TestEncode:
         for ttl in (1, 16, 32):
             marking = encode_probe(1, ttl, 65.0, is_preprobe=True)
             assert 0 <= marking.ipid <= 0xFFFF
+
+
+class TestRecordTypes:
+    """``ProbeMarking`` and ``DecodedProbe`` are built once per probe and
+    per response, so they are tuples; callers still see named records."""
+
+    def test_construct_by_keyword_and_compare_field_wise(self):
+        marking = ProbeMarking(ipid=0x7801, udp_length=12, src_port=40000)
+        assert marking == ProbeMarking(0x7801, 12, 40000)
+        assert marking != ProbeMarking(0x7801, 12, 40001)
+        assert (marking.ipid, marking.udp_length, marking.src_port) == \
+            (0x7801, 12, 40000)
+        decoded = DecodedProbe(initial_ttl=16, is_preprobe=False,
+                               timestamp_ms=1234, dst=0x14000001,
+                               src_port=40000)
+        assert decoded == DecodedProbe(16, False, 1234, 0x14000001, 40000)
+        assert decoded._replace(dst=0x14000002) != decoded
+        assert decoded.initial_ttl == 16 and decoded.dst == 0x14000001
+
+    def test_records_are_immutable(self):
+        with pytest.raises(AttributeError):
+            encode_probe(0x14000001, 5, 0.0).ipid = 0
+
+    def test_codec_returns_the_record_types(self):
+        marking = encode_probe(0x14000001, 5, 1.25)
+        assert type(marking) is ProbeMarking
+        decoded = decode_response(_response_for(marking, 0x14000001))
+        assert type(decoded) is DecodedProbe
+        assert type(decoded.is_preprobe) is bool
 
 
 class TestDecode:

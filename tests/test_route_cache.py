@@ -14,6 +14,7 @@ behavior-preserving; these tests are the proof obligations:
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -221,3 +222,30 @@ class TestScanEquivalence:
         assert network.probes_sent == 0
         # Warm across scans: reset clears dynamic state, not the cache.
         assert network.route_cache.stats()["udp_tables"] == tables
+
+
+class TestSlotsAreInvisibleToTheCollector:
+    """A scan leaves ~10 realized outcome slots per probed destination in
+    the cache.  Each is a tuple of atoms (ints, floats, a bool and the
+    response kind's *value*), which the cyclic collector untracks on its
+    first pass; one tracked object in a slot — a ``ResponseKind`` member,
+    say — keeps every slot in every later full collection."""
+
+    @pytest.mark.parametrize("proto", [PROTO_UDP, PROTO_TCP])
+    def test_no_realized_slot_stays_tracked(self, tiny_topology: Topology,
+                                            tiny_targets, proto):
+        network = SimulatedNetwork(tiny_topology)
+        if proto == PROTO_UDP:
+            FlashRoute(FlashRouteConfig()).scan(network, targets=tiny_targets)
+            tables = network.route_cache.udp_tables
+        else:
+            Yarrp(YarrpConfig.yarrp_32()).scan(network, targets=tiny_targets)
+            tables = network.route_cache.tcp_tables
+        gc.collect()
+        slots = [slot for table in tables.values() for slot in table
+                 if type(slot) is tuple]
+        # Built by outcome_table and memoized from LazyDest.realize alike.
+        assert len(slots) > 5 * len(tiny_targets)
+        assert {type(field) for slot in slots for field in slot} == \
+            {str, int, float, bool}
+        assert not any(gc.is_tracked(slot) for slot in slots)
