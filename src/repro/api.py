@@ -358,13 +358,14 @@ class Engine:
         """What the warm core is holding — the readiness picture the
         service ``health`` op reports (an engine only exists once the
         topology and network are built, so ``warm`` is definitionally
-        true; the route-cache occupancy shows how warm)."""
+        true; the outcome tables the route cache holds show how warm)."""
+        cache = self.network.route_cache.stats()
         return {
             "warm": True,
             "prefixes": self.topology.num_prefixes,
             "address_space": self.address_space(),
             "route_cache_entries":
-                self.network.stats()["route_cache"]["entries"],
+                cache["udp_tables"] + cache["tcp_tables"],
         }
 
     # -- sessions --------------------------------------------------------

@@ -10,13 +10,16 @@ probe log for the intrusiveness analysis.
 deliberately scalar-argument (no per-probe object is allocated unless a
 response exists) because full scans push through 10^5..10^7 probes.  By
 default it is served from a :class:`~repro.simnet.routecache.RouteCache`
-fast path: the route and every send-time-independent response decision are
-resolved once per ``(dst, flow-class, flap-shift)`` key, so a probe costs a
-table lookup plus (for responders only) rate limiting and response
-construction.  ``send_probes`` batches a burst of probes none of which
-depends on a response to another, amortizing the per-destination lookups
-and the per-call set-up; FlashRoute's ring walk and Yarrp's bulk phase
-arrive in bursts of up to 64.  Constructing with
+fast path.  A slot is read once per scan; the route is what repeats — so
+the cache holds the route only, one list of interface ids per ``(dst, flow,
+epoch parity)``, and a probe costs a table lookup plus, for responders
+only, what is derived here at lookup (responsiveness, the responder's
+address, the two delays with :class:`LatencyModel`'s exact expressions,
+hence bit-identical floats), rate limiting and response construction.
+Nothing is written back: tables are immutable.  ``send_probes`` batches a
+burst of probes none of which depends on a response to another, amortizing
+the per-destination lookups and the per-call set-up; FlashRoute's ring walk
+and Yarrp's bulk phase arrive in bursts of up to 64.  Constructing with
 ``use_route_cache=False`` runs the original resolution path instead — the
 reference the equivalence tests compare the fast path against,
 probe-for-probe; no scan entry point selects it.
@@ -40,14 +43,12 @@ from ..net.packets import PROTO_TCP, PROTO_UDP, ProbeHeader, UDP_HEADER_LEN
 from .engine import ProbeLog
 from .entities import HopKind
 from .faults import FaultInjector, FaultModel
-from .latency import LatencyModel
+from .latency import _HASH_MULT, _JITTER_INC, _JITTER_MULT, LatencyModel
 from .ratelimit import _GENERATION_SHIFT, IcmpRateLimiter
 from .routecache import ROUTE_CACHE_TTLS, RouteCache, host_answers_tcp
 from .topology import Topology
 
-#: Outcome-table slots hold the response kind as its value (atoms only,
-#: see ``routecache.Outcome``); responses carry the member.
-_KIND = {kind.value: kind for kind in ResponseKind}
+_TTL_EXCEEDED = ResponseKind.TTL_EXCEEDED
 
 #: One probe of a ``send_probes`` batch: (dst, ttl, send_time, src_port,
 #: ipid, udp_length).  Destination port, protocol and flow are per-batch.
@@ -195,9 +196,7 @@ class SimulatedNetwork:
         each other's bins.
 
         Sharing the cache is safe: outcome tables are deterministic pure
-        functions of the topology, and lazily realized slots are
-        idempotent, so concurrent sessions can only ever write the same
-        values.
+        functions of the topology and immutable once built.
         """
         cfg = self.topology.config
         session = SimulatedNetwork.__new__(SimulatedNetwork)
@@ -281,15 +280,32 @@ class SimulatedNetwork:
             else:
                 cache.hits += 1
             self._lk = (dst, flow_id, parity, proto, table)
-        outcome = table[ttl - 1]
-        if outcome is None:
+        slot = table[ttl - 1]
+        if slot is None:
             return None
-        if outcome.__class__ is not tuple:
-            # LazyDest placeholder: realize this slot once, memoize it.
-            outcome = outcome.realize(ttl)
-            table[ttl - 1] = outcome
-        kind, responder, iface, ow_delay, rt_delay, residual, quoted_dst, \
-            rewrite = outcome
+        if slot.__class__ is int:
+            # A router expiry: everything but the interface id is derived
+            # here, with LatencyModel.one_way/round_trip's expressions
+            # operation for operation (bit-identical floats).
+            iface = slot
+            topo = self.topology
+            if not (topo.tcp_resp if proto == PROTO_TCP
+                    else topo.udp_resp)[iface]:
+                return None
+            latency = self.latency
+            h = dst * _JITTER_MULT + _JITTER_INC + ttl * _HASH_MULT
+            ow_delay = latency._one_way_base[ttl] + latency._half_span \
+                * (((h >> 8) & 0xFFFF) / 65536.0)
+            rt_delay = latency._round_trip_base[ttl] + latency.jitter_span \
+                * ((((h + 1) >> 8) & 0xFFFF) / 65536.0)
+            kind = _TTL_EXCEEDED
+            responder = topo.iface_addrs[iface]
+            residual = 1
+            quoted_dst = dst
+            rewrite = False
+        else:
+            kind, responder, iface, ow_delay, rt_delay, residual, \
+                quoted_dst, rewrite = slot.outcome(dst, ttl)
         if iface >= 0:
             # Inlined IcmpRateLimiter.allow (array branch): on the hot path
             # the call overhead itself is measurable.  The dict fallback and
@@ -329,7 +345,7 @@ class SimulatedNetwork:
         quoted.tcp_seq = 0
         quoted.payload = b""
         response = IcmpResponse.__new__(IcmpResponse)
-        response.kind = _KIND[kind]
+        response.kind = kind
         response.responder = responder
         response.quoted = quoted
         response.arrival_time = send_time + rt_delay
@@ -365,7 +381,19 @@ class SimulatedNetwork:
         results: List[Optional[IcmpResponse]] = []
         append = results.append
         log = self.probe_log
-        tables = cache.tcp_tables if proto == PROTO_TCP else cache.udp_tables
+        topo = self.topology
+        if proto == PROTO_TCP:
+            tables = cache.tcp_tables
+            resp = topo.tcp_resp
+        else:
+            tables = cache.udp_tables
+            resp = topo.udp_resp
+        iface_addrs = topo.iface_addrs
+        latency = self.latency
+        ow_base = latency._one_way_base
+        rt_base = latency._round_trip_base
+        half_span = latency._half_span
+        span = latency.jitter_span
         get_table = tables.get
         build_table = cache.outcome_table
         limiter = self.rate_limiter
@@ -405,15 +433,29 @@ class SimulatedNetwork:
                 else:
                     cache.hits += 1
                 last_key = key
-            outcome = table[ttl - 1]
-            if outcome is None:
+            slot = table[ttl - 1]
+            if slot is None:
                 append(None)
                 continue
-            if outcome.__class__ is not tuple:
-                outcome = outcome.realize(ttl)
-                table[ttl - 1] = outcome
-            kind, responder, iface, ow_delay, rt_delay, residual, \
-                quoted_dst, rewrite = outcome
+            if slot.__class__ is int:
+                # A router expiry, derived as in send_probe.
+                iface = slot
+                if not resp[iface]:
+                    append(None)
+                    continue
+                h = dst * _JITTER_MULT + _JITTER_INC + ttl * _HASH_MULT
+                ow_delay = ow_base[ttl] + half_span \
+                    * (((h >> 8) & 0xFFFF) / 65536.0)
+                rt_delay = rt_base[ttl] + span \
+                    * ((((h + 1) >> 8) & 0xFFFF) / 65536.0)
+                kind = _TTL_EXCEEDED
+                responder = iface_addrs[iface]
+                residual = 1
+                quoted_dst = dst
+                rewrite = False
+            else:
+                kind, responder, iface, ow_delay, rt_delay, residual, \
+                    quoted_dst, rewrite = slot.outcome(dst, ttl)
             if iface >= 0:
                 # Inlined IcmpRateLimiter.allow (array branch), hoisted
                 # per-batch; dict fallback for unsized/oversize interfaces.
@@ -448,7 +490,7 @@ class SimulatedNetwork:
             quoted.tcp_seq = 0
             quoted.payload = b""
             response = IcmpResponse.__new__(IcmpResponse)
-            response.kind = _KIND[kind]
+            response.kind = kind
             response.responder = responder
             response.quoted = quoted
             response.arrival_time = send_time + rt_delay

@@ -1,76 +1,67 @@
-"""Flat route-resolution cache: the simulator's probe fast path.
+"""Flat route tables: the simulator's probe fast path.
 
-Every probing engine funnels through ``SimulatedNetwork.send_probe`` →
-``Topology.hop_at``, and a full scan probes each destination ~15–32 times
-with an identical ``(prefix, flow, epoch)`` key — so re-resolving the
-prefix record, stub, flap shift and load-balancer tokens per probe is
-almost entirely redundant work.  Yarrp (Beverly, IMC 2016) and Doubletree
-both hinge on keeping per-probe cost O(1) and tiny; this module gives the
-simulator the same discipline.
+**A slot is read once per scan; the route is what repeats.**  A scan
+probes each ``(destination, TTL)`` exactly once — a 16,384-prefix
+``flashroute-16`` scan sends 179,712 probes to 179,712 distinct slots —
+so anything computed per slot (responder address, delays, jitter) has
+zero reuse and is derived at lookup, never stored.  What *is* reused is
+the route: every probe of a destination walks the same hops, and routes
+from one vantage point form a tree (Donnet et al., "Efficient Route
+Tracing from a Single Source") whose interface ids the
+:class:`Topology` already owns.
 
-On first touch of a key the cache resolves the *full hop vector* once —
-one :class:`~repro.simnet.entities.HopResult` per TTL ``1..ROUTE_CACHE_TTLS``,
-built by the exact same code path :meth:`Topology.hop_at` uses
-(:meth:`Topology._resolved_hop`) so cached and uncached answers agree by
-construction — and stores it as a flat, index-addressed table.  ``hop_at``
-then serves every subsequent query for that key with a dict probe plus a
-list index, returning the *pre-built* ``HopResult`` objects (the silent
-outcome is the shared ``VOID_HOP`` singleton), i.e. zero allocations.
+An *outcome table* is therefore just the route: one 32-slot list per
+``(dst, flow, parity)``, built by concatenation, whose slots are
 
-For ``send_probe`` the cache goes further: per probe protocol it derives
-an *outcome table* that folds in every send-time-independent decision of
-the response path — interface responsiveness, the responder's and quoted
-addresses (middlebox rewrite applied), which interface is charged against
-the ICMP rate limiter, the one-way and round-trip delays (jitter is keyed
-on probe identity, so it is per-slot constant), and the quoted residual
-TTL.  A probe that will never be answered costs one dict probe plus a
-list index; a responding probe additionally pays only rate limiting and
-the construction of its response object.
+* an ``int`` — the interface id a probe of that TTL expires at, the very
+  object the topology holds (transit template, gateway, the prefix's
+  interior chain, loop routers), so a table costs its list and nothing
+  else;
+* ``None`` — nothing will ever answer (flap gap, void, silent host);
+* the table's single :class:`Tail` — shared by every at/past-destination
+  slot that is not a plain router expiry.
+
+``SimulatedNetwork`` turns a slot into a response at lookup: for an
+interface id it reads responsiveness and the responder address from the
+topology and computes the two delays with :class:`LatencyModel`'s
+expressions, operation for operation (the jitter hash is integer
+arithmetic, the float operations keep their order), so every float is
+bit-identical to the uncached path's; for the tail it calls
+:meth:`Tail.outcome`.  Tables are immutable once built and nothing is
+written back, so sessions share them freely.
 
 Cache keys and epoch-awareness
 ------------------------------
-Hop vectors are stored under the *normalized* key
-``(dst, flow-class, flap-shift)``:
+Outcome tables are keyed ``(dst, flow, epoch & 1)`` *without*
+normalization: deriving the flow-class or the flap flag would itself cost
+a prefix-record lookup per probe.  The parity bit is a conservative
+over-split — a stable prefix registers its one table under both parities,
+a flappy one owns two — so an epoch change *invalidates by key*, never by
+flushing.  UDP and TCP keep separate dicts: destination behaviour (and
+so the tail) differs by protocol; interface responsiveness is read per
+protocol at lookup.
 
-* ``flow`` only influences routing through per-flow load-balancer
-  diamonds, so stubs whose transit contains no diamond collapse every flow
-  to class 0 (one shared vector per destination);
-* route-flap epochs are folded to their observable effect — the 0/1 silent
-  hop shift — so a flappy prefix owns exactly two vectors and an epoch
-  change *invalidates by key*, never by flushing.
+:meth:`RouteCache.hop_at` is the test-side view: ground-truth
+:class:`HopResult` vectors under the *normalized* key
+``(dst, flow-class, flap-shift)``, built by :meth:`Topology._resolved_hop`
+itself.
 
-The per-protocol outcome tables (the ``send_probe`` hot path) are keyed
-``(dst, flow, epoch & 1)`` *without* normalization: deriving the
-flow-class or the flap flag would itself cost a prefix-record lookup per
-probe.  The parity bit is a conservative over-split — a non-flappy
-destination probed in both parities builds the same table twice — but a
-real scan touches each destination with one flow and (at 100 Kpps) one or
-two epochs, so the working set stays ~one table per destination while the
-lookup is a single dict probe.
-
-The cache is a pure function of the immutable :class:`Topology`; it is
-safe to share across scans and never needs invalidation beyond the epoch
-key.  ``SimulatedNetwork(use_route_cache=False)`` bypasses it entirely;
-the equivalence tests and ``tools/bench_report.py`` are its callers.
-
-Fault injection (:mod:`repro.simnet.faults`) never touches the cache:
-outcome tables stay fault-free, and ``SimulatedNetwork`` applies the
-fault filter *after* the lookup, to the response the table produced.
-Fault decisions are stateless hashes of probe identity, so cached and
-uncached serving modes see identical fault sequences for a given seed
-and the tables remain shareable across fault models.
+The cache is a pure function of the immutable :class:`Topology`.
+``SimulatedNetwork(use_route_cache=False)`` bypasses it entirely; the
+equivalence tests and ``tools/bench_report.py`` are its callers.  Fault
+injection (:mod:`repro.simnet.faults`) never touches it: the network
+applies the stateless fault filter *after* the lookup, so tables stay
+shareable across fault models.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..net.icmp import ResponseKind
 from ..net.packets import PROTO_TCP
 from .entities import VOID_HOP, HopResult
-from .latency import LatencyModel
-from .latency import _HASH_MULT as _JITTER_TTL_MULT
-from .latency import _JITTER_INC, _JITTER_MULT
+from .latency import _HASH_MULT, _JITTER_INC, _JITTER_MULT, LatencyModel
 from .topology import Topology
 
 #: TTLs materialized per cache entry: the 5-bit probe encoding bounds
@@ -94,24 +85,6 @@ def rewritten_dst(dst: int) -> int:
     return (dst & 0xFFFFFF00) | ((dst + 97) & 0xFF)
 
 
-#: One slot of a per-protocol outcome table, or ``None`` for silence:
-#: (response kind *value*, responder address, rate-limited interface id
-#:  or -1, one-way delay, round-trip delay, quoted residual TTL, quoted
-#:  destination address, middlebox-rewrite flag).  Atoms only (the kind as
-#: its string, which ``SimulatedNetwork`` maps back), so the collector
-#: untracks a slot on first sight instead of traversing ~10 of them per
-#: probed destination in every later pass.
-#: Slots in the at/past-destination region hold a shared
-#: :class:`LazyDest` placeholder until their first probe realizes (and
-#: memoizes) the concrete tuple.
-Outcome = Optional[Tuple[str, int, int, float, float, int, int, bool]]
-
-#: Shared all-silent table served for destinations outside the scanned
-#: space (the uncached path returns ``None`` for them too).  A tuple, so
-#: sharing one instance across keys is mutation-safe.
-SILENT_TABLE: Sequence[Outcome] = (None,) * ROUTE_CACHE_TTLS
-
-
 class _RouteEntry:
     """The materialized hop vector for one ``(dst, flow-class, shift)``."""
 
@@ -123,46 +96,77 @@ class _RouteEntry:
         self.hops = hops
 
 
-class LazyDest:
-    """Placeholder for the at/past-destination region of an outcome table.
+class Tail:
+    """The at/past-destination region of one outcome table.
 
-    Once a probe's TTL reaches the destination, every higher TTL yields the
-    same response except for the residual TTL and the per-TTL jitter — yet
-    the region spans up to half the table while a scan typically probes
-    only a few of its slots (the preprobe TTL and the first hits past the
-    destination).  So the builder drops one shared ``LazyDest`` into all of
-    the region's slots, and the network realizes the concrete outcome tuple
-    per slot on first probe, memoizing it back into the (mutable) table.
+    Three regions are not a plain router expiry, and within each only the
+    residual TTL and the per-TTL jitter vary, so one object serves all of
+    a table's slots there and computes the outcome per call:
+
+    ===================  ==========  =========  =========  ==============
+    region               responder   ``gate``   ``floor``  ``inner``
+    ===================  ==========  =========  =========  ==============
+    destination reached  ``dst``     gateway    ``None``   interior hops
+    TTL-reset middlebox  ``dst``     gateway    reset TTL  interior hops
+    host unreachable     last hop    gateway    ``None``   ``≥ 32``
+    ===================  ==========  =========  =========  ==============
+
+    The quoted residual TTL is ``max(crossed - inner, 1)`` with ``crossed =
+    ttl - gate`` hops spent past the gateway: the TTL the probe carried on
+    arrival at the destination, or 1 for an expiry report.  A TTL-reset
+    middlebox raises ``crossed`` to at least ``floor`` and its deliveries
+    charge no interface; the gateway-is-destination slot (``crossed == 0``)
+    never crosses it and charges ``iface`` like any router probed directly.
     """
 
-    __slots__ = ("kind", "dst", "iface", "ow_base", "rt_base", "dest_depth",
-                 "quoted_dst", "rewrite", "jit", "half_span", "span")
+    __slots__ = ("kind", "responder", "iface", "ow_base", "rt_base", "gate",
+                 "floor", "inner", "quoted_dst", "rewrite", "half_span",
+                 "span")
 
-    def __init__(self, kind: str, dst: int, iface: int,
-                 ow_base: float, rt_base: float, dest_depth: int,
-                 quoted_dst: int, rewrite: bool, jit: int,
-                 half_span: float, span: float) -> None:
+    def __init__(self, kind: ResponseKind, responder: int, iface: int,
+                 ow_base: float, rt_base: float, gate: int,
+                 floor: Optional[int], inner: int, quoted_dst: int,
+                 rewrite: bool, half_span: float, span: float) -> None:
         self.kind = kind
-        self.dst = dst
+        self.responder = responder
         self.iface = iface
         self.ow_base = ow_base
         self.rt_base = rt_base
-        self.dest_depth = dest_depth
+        self.gate = gate
+        self.floor = floor
+        self.inner = inner
         self.quoted_dst = quoted_dst
         self.rewrite = rewrite
-        self.jit = jit
         self.half_span = half_span
         self.span = span
 
-    def realize(self, ttl: int) -> Tuple:
-        """The concrete outcome tuple for one TTL of the region."""
-        h = self.jit + ttl * _JITTER_TTL_MULT
-        return (self.kind, self.dst, self.iface,
+    def outcome(self, dst: int, ttl: int) -> Tuple[
+            ResponseKind, int, int, float, float, int, int, bool]:
+        """(kind, responder address, rate-limited interface id or -1,
+        one-way delay, round-trip delay, quoted residual TTL, quoted
+        destination, middlebox-rewrite flag) for the probe ``(dst, ttl)``.
+        The delays are :class:`LatencyModel`'s expressions verbatim."""
+        iface = self.iface
+        crossed = ttl - self.gate
+        if crossed > 0 and self.floor is not None:
+            crossed = max(crossed, self.floor)
+            iface = -1
+        h = dst * _JITTER_MULT + _JITTER_INC + ttl * _HASH_MULT
+        return (self.kind, self.responder, iface,
                 self.ow_base + self.half_span
                 * (((h >> 8) & 0xFFFF) / 65536.0),
                 self.rt_base + self.span
                 * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                ttl - self.dest_depth + 1, self.quoted_dst, self.rewrite)
+                max(crossed - self.inner, 1), self.quoted_dst, self.rewrite)
+
+
+#: One slot of an outcome table: the interface id a probe of that TTL
+#: expires at, the table's :class:`Tail`, or ``None`` for silence.
+Slot = Union[int, Tail, None]
+
+#: Shared all-silent table served for destinations outside the scanned
+#: space (the uncached path returns ``None`` for them too).
+SILENT_TABLE: Sequence[Slot] = (None,) * ROUTE_CACHE_TTLS
 
 
 class RouteCache:
@@ -173,9 +177,9 @@ class RouteCache:
     calling back into :meth:`outcome_table` only on a miss.
     """
 
-    __slots__ = ("_topology", "_latency", "_entries", "_stub_has_lb",
-                 "_host_tcp_rst", "_transit_templates", "udp_tables",
-                 "tcp_tables", "hits", "misses")
+    __slots__ = ("_topology", "_latency", "_entries", "_stub_lb_slots",
+                 "_host_tcp_rst", "udp_tables", "tcp_tables", "hits",
+                 "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
@@ -183,21 +187,17 @@ class RouteCache:
         #: Same parameters as the network's model -> identical floats.
         self._latency = LatencyModel(cfg.hop_latency, cfg.latency_jitter)
         self._entries: Dict[Tuple[int, int, int], _RouteEntry] = {}
-        #: Flow only matters when the stub's transit contains a diamond.
-        self._stub_has_lb = tuple(
-            any(token < 0 for token in stub.transit)
+        #: Per stub, the transit indices holding load-balancer tokens.
+        #: Only those depend on the flow: the rest of ``stub.transit`` is
+        #: interface ids already, so a stub's transit is its own template
+        #: and a diamond-free stub collapses every flow to one class.
+        self._stub_lb_slots = tuple(
+            tuple(i for i, token in enumerate(stub.transit) if token < 0)
             for stub in topology.stubs)
         self._host_tcp_rst = cfg.host_tcp_rst
-        #: stub_id -> (transit ifaces with LB slots as -1, LB slot
-        #: indices).  Only load-balancer tokens depend on the flow, so the
-        #: rest of a stub's transit resolves once, not once per destination.
-        self._transit_templates: Dict[
-            int, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
         #: (dst, flow, epoch & 1) -> outcome table, per probe protocol.
-        self.udp_tables: Dict[Tuple[int, int, int],
-                              Sequence[Outcome]] = {}
-        self.tcp_tables: Dict[Tuple[int, int, int],
-                              Sequence[Outcome]] = {}
+        self.udp_tables: Dict[Tuple[int, int, int], Sequence[Slot]] = {}
+        self.tcp_tables: Dict[Tuple[int, int, int], Sequence[Slot]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -226,7 +226,6 @@ class RouteCache:
         """Drop all entries (memory pressure valve; never required for
         correctness — epochs invalidate via the key)."""
         self._entries.clear()
-        self._transit_templates.clear()
         self.udp_tables.clear()
         self.tcp_tables.clear()
 
@@ -243,7 +242,7 @@ class RouteCache:
             return None
         record = topo.prefixes[offset]
         shift = 1 if (record.flap and (epoch & 1)) else 0
-        flow_class = flow if self._stub_has_lb[record.stub_id] else 0
+        flow_class = flow if self._stub_lb_slots[record.stub_id] else 0
         key = (dst, flow_class, shift)
         entry = self._entries.get(key)
         if entry is not None:
@@ -280,25 +279,22 @@ class RouteCache:
     # ------------------------------------------------------------------ #
 
     def outcome_table(self, dst: int, flow: int, parity: int,
-                      proto: int) -> Sequence[Outcome]:
+                      proto: int) -> Sequence[Slot]:
         """Build, store and return the outcome table for one hot-path key
         ``(dst, flow, parity)``.  Called by the network on a table miss.
 
-        This is a *fused* single pass over the route structure: it walks
-        transit → gateway → interior → destination directly (the same
-        branch order as :meth:`Topology._resolved_hop`) and folds in
-        responsiveness, addresses, rate-limiter charging, latency and
-        middlebox rewriting slot by slot, without materializing
-        intermediate :class:`HopResult` objects.  Delays are per-slot
-        constants because the jitter is keyed on probe identity
-        ``(dst, ttl)``, which the slot fixes; the inlined arithmetic below
-        reproduces :class:`LatencyModel`'s expressions operation-for-
-        operation, so the floats are bit-identical to the uncached path's.
-        The equivalence tests compare both paths probe-for-probe and
-        scan-for-scan.
+        The TTL axis partitions into contiguous segments — transit → flap
+        gap → gateway → interior → at/past destination — so the table is
+        the concatenation of the route's pieces, each a run of interface
+        ids the topology already holds.  The segment boundaries reproduce
+        :meth:`Topology._resolved_hop`'s branch priority: transit wins
+        below ``len(transit)``, the gateway slot only exists above it,
+        everything beyond starts after both.  The equivalence tests compare
+        the result against the uncached path probe-for-probe.
         """
         self.misses += 1
-        tables = self.tcp_tables if proto == PROTO_TCP else self.udp_tables
+        tcp = proto == PROTO_TCP
+        tables = self.tcp_tables if tcp else self.udp_tables
         topo = self._topology
         offset = (dst >> 8) - topo.base_prefix
         if offset < 0 or offset >= topo.num_prefixes:
@@ -307,216 +303,103 @@ class RouteCache:
             tables[(dst, flow, 1)] = SILENT_TABLE
             return SILENT_TABLE
         record = topo.prefixes[offset]
-        stub = topo.stubs[record.stub_id]
+        stub_id = record.stub_id
+        stub = topo.stubs[stub_id]
         shift = 1 if (record.flap and parity) else 0
         octet = dst & 0xFF
         dest_depth, assigned = topo._destination_depth(record, stub, octet,
                                                        shift)
-        tcp = proto == PROTO_TCP
-        resp = topo.tcp_resp if tcp else topo.udp_resp
-        iface_addrs = topo.iface_addrs
-        rewrite = stub.rewrite
-        quoted_dst = rewritten_dst(dst) if rewrite else dst
-        stub_id = record.stub_id
-        template = self._transit_templates.get(stub_id)
-        if template is None:
-            tokens = stub.transit
-            lb_slots = tuple(i for i, token in enumerate(tokens)
-                             if token < 0)
-            template = (tuple(token if token >= 0 else -1
-                              for token in tokens), lb_slots)
-            self._transit_templates[stub_id] = template
-        transit, lb_slots = template
-        if lb_slots:
-            # Per-flow fix-up of just the load-balancer slots.
-            resolve = topo.resolve_token
-            tokens = stub.transit
-            patched = list(transit)
-            for i in lb_slots:
-                patched[i] = resolve(tokens[i], flow)
-            transit = patched
-        transit_len = len(transit)
         gateway_depth = stub.gateway_depth + shift
         gateway_iface = stub.gateway_iface
         internals = record.internal_ifaces
-        num_internals = len(internals)
-        special_hosts = record.special_hosts
-        if tcp:
-            dest_silent = not host_answers_tcp(dst, self._host_tcp_rst)
-            dest_kind = ResponseKind.TCP_RST.value
-        else:
-            dest_silent = False
-            dest_kind = ResponseKind.PORT_UNREACHABLE.value
-        ttl_exceeded = ResponseKind.TTL_EXCEEDED.value
+        #: Interior hops in front of the destination (-1: the gateway is it).
+        inner = dest_depth - gateway_depth - 1
 
-        # Inlined LatencyModel.one_way/round_trip: base tables indexed by
-        # depth plus the jitter hash with the dst term folded into `jit`
-        # (integer addition is exact, so the floats are unchanged).
-        latency = self._latency
-        ow_base = latency._one_way_base
-        rt_base = latency._round_trip_base
-        half_span = latency._half_span
-        span = latency.jitter_span
-        jit = dst * _JITTER_MULT + _JITTER_INC
-        # Destination delays vary only through the per-TTL jitter; the
-        # depth-indexed bases are loop constants.
-        dest_ow_base = (ow_base[dest_depth] if dest_depth < len(ow_base)
-                        else latency.hop_latency * dest_depth)
-        dest_rt_base = (rt_base[dest_depth] if dest_depth < len(rt_base)
-                        else (2.0 * latency.hop_latency) * dest_depth)
+        table = list(stub.transit)
+        for i in self._stub_lb_slots[stub_id]:
+            # Per-flow fix-up of just the load-balancer slots.
+            table[i] = topo.resolve_token(table[i], flow)
 
-        # The TTL axis partitions into contiguous segments (transit →
-        # silent gap → gateway → interior → at/past destination), so
-        # instead of a per-slot branch cascade the table starts all-silent
-        # and each segment's loop fills only its responsive slots.  The
-        # segment boundaries reproduce :meth:`Topology._resolved_hop`'s
-        # branch priority: transit wins below ``transit_len``, the gateway
-        # slot only exists above it, everything beyond starts after both.
-        table: List[Outcome] = [None] * ROUTE_CACHE_TTLS
-
-        # Transit routers: depth == ttl.
-        for ttl in range(1, min(transit_len, ROUTE_CACHE_TTLS) + 1):
-            iface = transit[ttl - 1]
-            if resp[iface]:
-                h = jit + ttl * _JITTER_TTL_MULT
-                table[ttl - 1] = (
-                    ttl_exceeded, iface_addrs[iface], iface,
-                    ow_base[ttl] + half_span
-                    * (((h >> 8) & 0xFFFF) / 65536.0),
-                    rt_base[ttl] + span
-                    * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                    1, dst, False)
-
-        # The gateway slot (the flap-inserted gap below it stays silent).
-        if transit_len < gateway_depth <= ROUTE_CACHE_TTLS:
-            ttl = gateway_depth
-            h = jit + ttl * _JITTER_TTL_MULT
-            if dest_depth == gateway_depth:
-                # The gateway itself is the destination: delivered, not
-                # expired.
-                if assigned and not dest_silent:
-                    table[ttl - 1] = (
-                        dest_kind, dst, gateway_iface,
-                        dest_ow_base + half_span
-                        * (((h >> 8) & 0xFFFF) / 65536.0),
-                        dest_rt_base + span
-                        * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                        1, quoted_dst, rewrite)
-            elif resp[gateway_iface]:
-                table[ttl - 1] = (
-                    ttl_exceeded, iface_addrs[gateway_iface], gateway_iface,
-                    ow_base[ttl] + half_span
-                    * (((h >> 8) & 0xFFFF) / 65536.0),
-                    rt_base[ttl] + span
-                    * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                    1, dst, False)
-
-        beyond = max(transit_len, gateway_depth) + 1
-
-        if stub.ttl_reset:
-            # TTL-normalizing middlebox: everything that crosses the
-            # gateway is delivered; no limiter (no router expiry).
-            if assigned and not dest_silent:
-                reset_value = topo.config.ttl_reset_value
-                interior_len = dest_depth - gateway_depth - 1
-                for ttl in range(beyond, ROUTE_CACHE_TTLS + 1):
-                    residual = max(ttl - gateway_depth, reset_value) \
-                        - interior_len
-                    h = jit + ttl * _JITTER_TTL_MULT
-                    table[ttl - 1] = (
-                        dest_kind, dst, -1,
-                        dest_ow_base + half_span
-                        * (((h >> 8) & 0xFFFF) / 65536.0),
-                        dest_rt_base + span
-                        * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                        max(residual, 1), quoted_dst, rewrite)
-            result: Sequence[Outcome] = table
-            tables[(dst, flow, parity)] = result
-            if not record.flap:
-                # Parity only matters through the flap shift: a stable
-                # prefix shares one table across epochs, so a scan whose
-                # virtual time crosses epoch boundaries never rebuilds.
-                tables[(dst, flow, 1 - parity)] = result
-            return result
-
-        # Interior chain: internals[ttl - gateway_depth - 1], with the
-        # VLAN-split alternate last hop for the upper host half.
-        alt = (record.alt_last_hop if record.alt_last_hop >= 0
-               and octet >= 128 and octet not in special_hosts else -1)
-        for ttl in range(max(beyond, gateway_depth + 1),
-                         min(dest_depth - 1, gateway_depth + num_internals,
-                             ROUTE_CACHE_TTLS) + 1):
-            index = ttl - gateway_depth - 1
-            iface = internals[index]
-            if index == num_internals - 1 and alt >= 0:
-                iface = alt
-            if resp[iface]:
-                h = jit + ttl * _JITTER_TTL_MULT
-                table[ttl - 1] = (
-                    ttl_exceeded, iface_addrs[iface], iface,
-                    ow_base[ttl] + half_span
-                    * (((h >> 8) & 0xFFFF) / 65536.0),
-                    rt_base[ttl] + span
-                    * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                    1, dst, False)
-
-        at_dest = max(beyond, dest_depth)
+        # What answers at and past the destination: one Tail, a two-router
+        # loop, or nothing.
+        tail = None
+        loop = ()
         if assigned:
-            if not dest_silent and at_dest <= ROUTE_CACHE_TTLS:
-                # The longest segment of the table, yet a scan probes only
-                # a few of its slots (preprobe + first hits past the
-                # destination): fill it with one shared placeholder that
-                # the network realizes per slot on first probe.
-                lazy = LazyDest(dest_kind, dst,
-                                special_hosts.get(octet, -1),
-                                dest_ow_base, dest_rt_base, dest_depth,
-                                quoted_dst, rewrite, jit, half_span, span)
-                table[at_dest - 1:] = \
-                    [lazy] * (ROUTE_CACHE_TTLS - at_dest + 1)
-        elif stub.loop_unassigned and transit_len:
+            if not tcp or host_answers_tcp(dst, self._host_tcp_rst):
+                tail = self._tail(
+                    ResponseKind.TCP_RST if tcp
+                    else ResponseKind.PORT_UNREACHABLE,
+                    dst, dst, record.special_hosts.get(octet, -1),
+                    dest_depth, gateway_depth,
+                    topo.config.ttl_reset_value if stub.ttl_reset else None,
+                    inner, stub.rewrite)
+        elif stub.ttl_reset:
+            pass  # the middlebox swallows probes to unassigned addresses
+        elif stub.loop_unassigned and table:
             # Default-route loop: probes keep expiring between the last-hop
-            # router and its upstream, alternating by hop parity.
+            # router and its upstream (the *flow-resolved* last transit hop
+            # when the gateway is the last hop), alternating by hop parity.
             if internals:
-                last_hop = internals[-1]
-                upstream = (internals[-2] if num_internals > 1
-                            else gateway_iface)
+                loop = (internals[-1], internals[-2]
+                        if len(internals) > 1 else gateway_iface)
             else:
-                last_hop = gateway_iface
-                upstream = transit[-1]
-            for ttl in range(at_dest, ROUTE_CACHE_TTLS + 1):
-                iface = (last_hop if (ttl - dest_depth) % 2 == 0
-                         else upstream)
-                if resp[iface]:
-                    h = jit + ttl * _JITTER_TTL_MULT
-                    table[ttl - 1] = (
-                        ttl_exceeded, iface_addrs[iface], iface,
-                        ow_base[ttl] + half_span
-                        * (((h >> 8) & 0xFFFF) / 65536.0),
-                        rt_base[ttl] + span
-                        * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                        1, dst, False)
+                loop = (gateway_iface, table[-1])
         elif stub.host_unreachable:
             last_hop = internals[-1] if internals else gateway_iface
-            if resp[last_hop]:
-                # The uncached path charges the *unshifted* gateway depth
-                # for latency here; the responder address and the delay
-                # bases are per-slot constants, only the jitter varies.
-                depth = stub.gateway_depth
-                unreachable = ResponseKind.HOST_UNREACHABLE.value
-                last_addr = iface_addrs[last_hop]
-                gw_ow_base = ow_base[depth]
-                gw_rt_base = rt_base[depth]
-                for ttl in range(at_dest, ROUTE_CACHE_TTLS + 1):
-                    h = jit + ttl * _JITTER_TTL_MULT
-                    table[ttl - 1] = (
-                        unreachable, last_addr, last_hop,
-                        gw_ow_base + half_span
-                        * (((h >> 8) & 0xFFFF) / 65536.0),
-                        gw_rt_base + span
-                        * ((((h + 1) >> 8) & 0xFFFF) / 65536.0),
-                        1, quoted_dst, rewrite)
-        result = table
+            if (topo.tcp_resp if tcp else topo.udp_resp)[last_hop]:
+                # An expiry-style report (residual 1) from the last hop;
+                # the uncached path charges the *unshifted* gateway depth
+                # for its latency.
+                tail = self._tail(
+                    ResponseKind.HOST_UNREACHABLE, dst,
+                    topo.iface_addrs[last_hop], last_hop, stub.gateway_depth,
+                    gateway_depth, None, ROUTE_CACHE_TTLS, stub.rewrite)
+
+        if len(table) < gateway_depth:
+            # The flap-inserted gap stays silent; a gateway that is itself
+            # the destination delivers instead of expiring.
+            table += [None] * (gateway_depth - len(table) - 1)
+            if dest_depth != gateway_depth:
+                table.append(gateway_iface)
+            else:
+                table.append(tail if assigned else None)
+        if not stub.ttl_reset:
+            # Interior chain, with the VLAN-split alternate last hop for the
+            # upper host half.  (A TTL-reset middlebox delivers everything
+            # that crosses the gateway: no interior router sees an expiry.)
+            if inner > 0:
+                if (record.alt_last_hop >= 0 and octet >= 128
+                        and octet not in record.special_hosts):
+                    internals = internals[:-1] + (record.alt_last_hop,)
+                table += internals[len(table) - gateway_depth:inner]
+            table += [None] * (dest_depth - 1 - len(table))
+        if loop:
+            if (len(table) + 1 - dest_depth) % 2:
+                loop = loop[::-1]
+            table += loop * (ROUTE_CACHE_TTLS // 2)
+        else:
+            table += [tail] * (ROUTE_CACHE_TTLS - len(table))
+        # A copy, so the list is allocated at exactly its 32 slots.
+        result = table[:ROUTE_CACHE_TTLS]
         tables[(dst, flow, parity)] = result
         if not record.flap:
+            # Parity only matters through the flap shift: a stable prefix
+            # shares one table across epochs, so a scan whose virtual time
+            # crosses epoch boundaries never rebuilds.
             tables[(dst, flow, 1 - parity)] = result
         return result
+
+    def _tail(self, kind: ResponseKind, dst: int, responder: int, iface: int,
+              depth: int, gate: int, floor: Optional[int], inner: int,
+              rewrite: bool) -> Tail:
+        """A :class:`Tail` whose delays are charged for ``depth`` hops."""
+        latency = self._latency
+        ow_base = latency._one_way_base
+        return Tail(
+            kind, responder, iface,
+            (ow_base[depth] if depth < len(ow_base)
+             else latency.hop_latency * depth),
+            (latency._round_trip_base[depth] if depth < len(ow_base)
+             else (2.0 * latency.hop_latency) * depth),
+            gate, floor, inner, rewritten_dst(dst) if rewrite else dst,
+            rewrite, latency._half_span, latency.jitter_span)

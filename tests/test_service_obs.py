@@ -430,6 +430,27 @@ class TestControlOps:
         assert degraded["live"] is False
         assert degraded["status"] == "degraded"
 
+    def test_health_reports_the_tables_a_trace_built(self):
+        """``route_cache_entries`` counts the outcome tables the warm core
+        holds, so it moves when a fresh trace builds one (it read the
+        test-only hop-vector dict, i.e. 0 for life)."""
+        async def run():
+            handle = await start_service(_engine(), host="127.0.0.1",
+                                         port=0)
+            async with DaemonClient(host=handle.host,
+                                    port=handle.port) as client:
+                cold = await client.control("health")
+                await client.request({"destination":
+                                      _destination(handle.service.engine),
+                                      "flow": 0})
+                warm = await client.control("health")
+            await handle.drain()
+            return cold, warm
+
+        cold, warm = asyncio.run(run())
+        assert cold["engine"]["route_cache_entries"] == 0
+        assert warm["engine"]["route_cache_entries"] > 0
+
     def test_health_without_telemetry(self):
         health = TraceService(_engine()).health()
         assert health["ready"] is True
