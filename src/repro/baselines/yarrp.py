@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple
 from ..net.icmp import IcmpResponse, ResponseKind
 from ..net.packets import PROTO_TCP, PROTO_UDP, UDP_HEADER_LEN
 from ..simnet.network import SimulatedNetwork
-from ..core.encoding import DecodedProbe
 from ..core.permutation import MultiplicativeCycle
 from ..core.resilience import CheckpointError
 from ..core.results import ScanResult
@@ -221,19 +220,18 @@ class _YarrpRun:
             if drain_between:
                 self.rt.drain()
 
-    def _on_response(self, response: IcmpResponse, decoded: DecodedProbe,
-                     offset: int) -> None:
+    def _on_response(self, response: IcmpResponse, dst: int, ttl: int,
+                     is_preprobe: bool, offset: int) -> None:
         if self._answered is not None:
-            self._answered.add((decoded.dst, decoded.initial_ttl))
+            self._answered.add((dst, ttl))
         config = self.config
         result = self.rt.result
         prefix = self.base_prefix + offset
-        ttl = decoded.initial_ttl
 
         if response.kind is ResponseKind.TTL_EXCEEDED:
             known = result.routes.get(prefix)
             is_new_iface = response.responder not in self._seen_ifaces
-            result.add_hop(prefix, ttl, response.responder)
+            result.routes.setdefault(prefix, {})[ttl] = response.responder
             if is_new_iface:
                 self._seen_ifaces.add(response.responder)
                 if ttl in self.last_new_iface_at:
@@ -244,10 +242,10 @@ class _YarrpRun:
                     and (known is None or all(t <= ttl for t in known))):
                 # Fill mode: extend the route one hop past the farthest
                 # responding hop (inherent gap limit of 1).
-                self.fill_backlog.append((decoded.dst, ttl + 1))
+                self.fill_backlog.append((dst, ttl + 1))
             return
 
-        distance = destination_distance(response, decoded.dst, ttl)
+        distance = destination_distance(response, dst, ttl)
         if distance is not None:
             result.record_destination(prefix, distance)
 

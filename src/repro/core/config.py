@@ -94,8 +94,9 @@ class FlashRouteConfig:
         if self.probing_rate is not None \
                 and not 0 < self.probing_rate < math.inf:
             raise ValueError("probing_rate must be a positive finite number")
-        if self.round_seconds < 0:
-            raise ValueError("round_seconds must be non-negative")
+        if not 0 <= self.round_seconds < math.inf:
+            raise ValueError(
+                "round_seconds must be a non-negative finite number")
         if not 24 <= self.granularity <= 30:
             raise ValueError("granularity must be within [24, 30]")
         if isinstance(self.preprobe, str):

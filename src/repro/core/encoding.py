@@ -19,6 +19,10 @@ returned inside the ICMP quotation:
 Yarrp's TCP-ACK probes instead place the elapsed time into the TCP sequence
 number; both encodings are implemented here (the baselines reuse this
 module).
+
+This module is the marking's specification and public API.  A scan runs the
+same expressions inline in ``ScanRuntime.emit`` and ``ScanRuntime.drain``;
+``tests/test_probe_path.py`` holds those loops to these functions.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ time) before a scheduling decision only when that destination is owed a
 response (``ScanRuntime.owes``), and otherwise gathers its probes into
 bursts of at most ``BURST_PROBES``.  That is exact, not approximate; the
 argument is in DESIGN.md §6 and docs/probing-algorithms.md.
+
+The walk is the first of the probe path's three loops (gather, emit,
+deliver): a visit is a handful of reads and writes on the DCB columns,
+bound once per scan, plus the ``rt.owes(offset)`` call.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
 from ..obs.telemetry import record_scan_ring
 from ..simnet.network import SimulatedNetwork
 from .config import FlashRouteConfig, PreprobeMode
-from .dcb import DCBArray, initial_order
-from .encoding import DecodedProbe
+from .dcb import FLAG_DEST_REACHED, FLAG_REMOVED, DCBArray, initial_order
 from .preprobe import PreprobeOutcome, clamp_distance, predict_distances
 from .resilience import CheckpointError, RetryTracker
 from .results import ScanResult
@@ -218,11 +221,11 @@ class _ScanRun:
     # Response policy
     # ------------------------------------------------------------------ #
 
-    def _on_response(self, response: IcmpResponse, decoded: DecodedProbe,
-                     offset: int) -> None:
-        if decoded.is_preprobe:
+    def _on_response(self, response: IcmpResponse, dst: int, ttl: int,
+                     is_preprobe: bool, offset: int) -> None:
+        if is_preprobe:
             if response.kind is ResponseKind.PORT_UNREACHABLE \
-                    and response.responder == decoded.dst:
+                    and response.responder == dst:
                 distance = distance_from_unreachable(response, _PREPROBE_TTL)
                 clamped = (clamp_distance(distance, self.config.max_ttl)
                            if distance is not None else None)
@@ -233,19 +236,22 @@ class _ScanRun:
         elif self._retry is not None:
             # Any answer — original or retry, whatever its kind — settles
             # the outstanding (destination, ttl) probe.
-            self._retry.record_response(offset, decoded.initial_ttl)
+            self._retry.record_response(offset, ttl)
 
         dcb = self.dcb
         config = self.config
-        reg = self.rt.reg
-        events = self.rt.events
+        rt = self.rt
+        reg = rt.reg
+        events = rt.events
         prefix = self.base_prefix + offset
         kind = response.kind
 
         if kind is ResponseKind.TTL_EXCEEDED:
-            ttl = decoded.initial_ttl
-            self.rt.result.add_hop(prefix, ttl, response.responder)
-            horizon = min(ttl + config.gap_limit, 255)
+            responder = response.responder
+            rt.result.routes.setdefault(prefix, {})[ttl] = responder
+            horizon = ttl + config.gap_limit
+            if horizon > 255:
+                horizon = 255
             if horizon > dcb.forward_horizon[offset]:
                 dcb.forward_horizon[offset] = horizon
             if ttl <= dcb.split[offset] and dcb.next_backward[offset] > 0:
@@ -253,7 +259,7 @@ class _ScanRun:
                 if ttl == 1:
                     reason = "ttl1"
                 elif (config.redundancy_removal
-                      and response.responder in self.stop_set):
+                      and responder in self.stop_set):
                     reason = "stop_set"
                 if reason is not None:
                     dcb.next_backward[offset] = 0
@@ -262,7 +268,7 @@ class _ScanRun:
                     if events is not None:
                         events.stop_decision(response.arrival_time, prefix,
                                              reason, ttl)
-            self.stop_set.add(response.responder)
+            self.stop_set.add(responder)
             return
 
         if kind.is_unreachable:
@@ -272,12 +278,11 @@ class _ScanRun:
                     reg.inc("scan.forward_stops.dest_reached")
                 if events is not None:
                     events.stop_decision(response.arrival_time, prefix,
-                                         "dest_reached", decoded.initial_ttl)
+                                         "dest_reached", ttl)
             dcb.mark_dest_reached(offset)
-            distance = _measured_distance(response, decoded.dst,
-                                          decoded.initial_ttl)
+            distance = _measured_distance(response, dst, ttl)
             if distance is not None:
-                self.rt.result.record_destination(prefix, distance)
+                rt.result.record_destination(prefix, distance)
 
     # ------------------------------------------------------------------ #
     # Phases
@@ -405,6 +410,12 @@ class _ScanRun:
         # delivery the visited block is owed, when the next visit's
         # probes would not fit, and at round end.
         burst, attempts, offsets = self._burst, self._attempts, self._offsets
+        # The columns a visit reads and writes (already restored on resume).
+        destinations, dcb_flags = dcb.destination, dcb.flags
+        next_backward, next_forward = dcb.next_backward, dcb.next_forward
+        horizons = dcb.forward_horizon
+        owes = rt.owes
+        max_ttl = config.max_ttl
         rt.open_window()
         while len(dcb) > 0:
             if result.rounds >= config.max_rounds:
@@ -419,27 +430,27 @@ class _ScanRun:
                           occupancy=occupancy)
             probes_before = result.probes_sent
             for offset in dcb.iter_ring():
-                if rt.owes(offset):
+                if owes(offset):
                     self._send_burst()
-                if dcb.is_removed(offset):
+                flags = dcb_flags[offset]
+                if flags & FLAG_REMOVED:
                     continue
-                destination = dcb.destination[offset]
+                destination = destinations[offset]
                 pair: List[Tuple[int, int]] = []
                 if retry is not None:
                     # Re-armed probes lead, lowest TTL first, ahead of
                     # the round's regular pair.
                     due = retry.take_due(offset)
                     pair.extend((destination, ttl) for ttl, _ in due)
-                backward = dcb.next_backward[offset]
+                backward = next_backward[offset]
                 if backward >= 1:
                     pair.append((destination, backward))
-                    dcb.next_backward[offset] = backward - 1
-                if not dcb.dest_reached(offset):
-                    forward = dcb.next_forward[offset]
-                    limit = min(dcb.forward_horizon[offset], config.max_ttl)
-                    if forward <= limit:
+                    next_backward[offset] = backward - 1
+                if not flags & FLAG_DEST_REACHED:
+                    forward = next_forward[offset]
+                    if forward <= max_ttl and forward <= horizons[offset]:
                         pair.append((destination, forward))
-                        dcb.next_forward[offset] = forward + 1
+                        next_forward[offset] = forward + 1
                 if pair:
                     # A visit's probes share a burst (and with it one
                     # route-table lookup).

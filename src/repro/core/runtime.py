@@ -24,18 +24,23 @@ is the prober under all of them.  It owns
 
 An engine hands it a response handler and the policy half of its
 checkpoint state, and otherwise only calls into it.
+
+Every probe crosses :meth:`emit` and :meth:`drain`, so they call nothing per
+probe: the §3.1 marking and its decoding are written out in them, with
+:mod:`repro.core.encoding` as the specification they are tested against.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..net.checksum import flow_source_port
 from ..net.icmp import IcmpResponse, distance_from_unreachable
 from ..net.packets import PROTO_UDP
 from ..simnet.config import scaled_probing_rate
 from ..simnet.engine import ResponseQueue, VirtualClock
-from .encoding import (decode_response, destination_intact, encode_probe,
-                       rtt_ms)
+from .encoding import EncodingError
 from .output import result_from_dict, result_to_dict
 from .resilience import (AdaptiveRateController, CheckpointError,
                          ResilienceConfig, ScanInterrupted,
@@ -90,8 +95,8 @@ class ScanRuntime:
         retries: retry budget for engines configured without a
             ``ResilienceConfig`` (Scamper, classic traceroute).
         engine: name recorded in checkpoints.
-        on_response: called once per accounted response as
-            ``(response, decoded, offset)`` from :meth:`drain`.
+        on_response: :meth:`drain` calls it per accounted response as
+            ``(response, dst, ttl, is_preprobe, offset)``.
         policy_state: returns the engine's half of a checkpoint.
         event_distance: the destination distance the engine's policy
             reads off a response, reported in its ``response`` event.
@@ -147,13 +152,17 @@ class ScanRuntime:
         scale = 1 << (8 - block_shift)
         self.base_prefix = network.topology.base_prefix * scale
         self.num_prefixes = network.topology.num_prefixes * scale
-        #: Per-destination delivery (:meth:`owes`): block -> the latest
-        #: arrival among the responses to that block's probes, and the
-        #: time up to which :meth:`drain` has delivered everything.
-        self._owed: Dict[int, float] = {}
+        #: Per-destination delivery (:meth:`owes`): per ring offset, the
+        #: latest arrival among the responses to that block's probes, and
+        #: the time up to which :meth:`drain` has delivered everything.
+        self._owed = array("d", [0.0]) * self.num_prefixes
         self._delivered = start_time
         self.proto = proto
         self.scan_offset = scan_offset
+        #: Probed address -> source port, constant per destination (§3.1).
+        #: Only :meth:`emit` fills it, and not from unfolded preprobes (probed
+        #: once); :meth:`drain` computes a miss without storing it.
+        self._ports: Dict[int, int] = {}
         self.verify_quotes = verify_quotes
         self.rtt_ledger = rtt_ledger
         self.fold_preprobe = fold_preprobe
@@ -189,9 +198,10 @@ class ScanRuntime:
         ``attempts`` (parallel to ``items``) marks retransmissions;
         ``udp_length`` replaces the encoded UDP length (Yarrp's
         elapsed-time encoding); ``preprobe`` sets the preprobe bit (§3.3).
-        The ``finally`` sends the probes already built when ``udp_length``
-        raises mid-burst, so the partial burst reaches the network exactly
-        as per-probe sends would have.
+        The marking is ``encode_probe``'s, expression for expression.  The
+        ``finally`` sends the probes already built when a TTL does not
+        encode or ``udp_length`` raises mid-burst, so the partial burst
+        reaches the network exactly as per-probe sends would have.
         """
         clock = self.clock
         gap = self.send_gap
@@ -199,14 +209,25 @@ class ScanRuntime:
         histogram = self.result.ttl_probe_histogram
         events = self.events
         shift = self.block_shift
+        ports = self._ports
+        memoize = self.fold_preprobe or not preprobe
+        preprobe_bit = 0x400 if preprobe else 0
         probes: List[tuple] = []
         try:
             for dst, ttl in items:
+                if not 1 <= ttl <= 32:
+                    raise EncodingError(
+                        f"initial TTL {ttl} does not fit in 5 bits (1..32)")
                 now = clock.now
-                ipid, length, port = encode_probe(dst, ttl, now, preprobe,
-                                                  scan_offset)
-                probes.append((dst, ttl, now, port, ipid,
-                               length if udp_length is None
+                port = ports.get(dst)
+                if port is None:
+                    port = flow_source_port(dst, scan_offset)
+                    if memoize:
+                        ports[dst] = port
+                stamp = int(now * 1000.0) % 65536
+                probes.append((dst, ttl, now, port,
+                               ((ttl - 1) << 11) | preprobe_bit | (stamp >> 6),
+                               8 + (stamp & 63) if udp_length is None
                                else udp_length(now)))
                 if events is not None:
                     attempt = (attempts[len(probes) - 1]
@@ -241,9 +262,9 @@ class ScanRuntime:
                     arrival = response.arrival_time
                     if response.dup is not None:
                         arrival = max(arrival, response.dup.arrival_time)
-                    block = probe[0] >> shift
-                    if arrival > owed.get(block, 0.0):
-                        owed[block] = arrival
+                    offset = (probe[0] >> shift) - self.base_prefix
+                    if 0 <= offset < len(owed) and arrival > owed[offset]:
+                        owed[offset] = arrival
         return probes
 
     def probe_hop(self, dst: int, ttl: int, wait: bool = False,
@@ -300,27 +321,44 @@ class ScanRuntime:
         block that is owed nothing and decides exactly as if it had
         drained (DESIGN.md §6).  An attached event recorder pins the order
         of ``probe_sent`` and ``response`` lines: then every block is owed."""
-        return (self._owed.get(self.base_prefix + offset, 0.0)
-                > self._delivered or self.events is not None)
+        return (self._owed[offset] > self._delivered
+                or self.events is not None)
 
     def drain(self) -> None:
         """Deliver every response that has arrived by now: decode, drop
         what is mangled or out of range, account, then hand it to the
-        engine's ``on_response``."""
+        engine as ``on_response(response, dst, ttl, is_preprobe, offset)``:
+        ``decode_response``, ``destination_intact`` (§5.3) and ``rtt_ms``,
+        inline."""
         now = self._delivered = self.clock.now
+        verify = self.verify_quotes
+        ports = self._ports
+        shift = self.block_shift
+        base = self.base_prefix
+        num_prefixes = self.num_prefixes
+        account = self._account
+        on_response = self.on_response
         for response in self.queue.pop_until(now):
-            decoded = decode_response(response)
-            if self.verify_quotes \
-                    and not destination_intact(decoded, self.scan_offset):
-                self.result.mismatched_quotes += 1
+            quoted = response.quoted
+            dst = quoted.dst
+            if verify:
+                port = ports.get(dst)
+                if port is None:
+                    port = flow_source_port(dst, self.scan_offset)
+                if port != quoted.src_port:
+                    self.result.mismatched_quotes += 1
+                    continue
+            offset = (dst >> shift) - base
+            if not 0 <= offset < num_prefixes:
                 continue
-            offset = (decoded.dst >> self.block_shift) - self.base_prefix
-            if not 0 <= offset < self.num_prefixes:
-                continue
-            self._account(response, decoded.dst, decoded.initial_ttl,
-                          rtt_ms(decoded, response.arrival_time),
-                          decoded.is_preprobe)
-            self.on_response(response, decoded, offset)
+            ipid = quoted.ipid
+            ttl = (ipid >> 11) + 1
+            preprobe = bool(ipid & 0x400)
+            stamp = ((ipid & 0x3FF) << 6) | ((quoted.udp_length - 8) & 63)
+            account(response, dst, ttl,
+                    float((int(response.arrival_time * 1000.0) - stamp)
+                          % 65536), preprobe)
+            on_response(response, dst, ttl, preprobe, offset)
 
     def settle(self) -> None:
         """Wait out every response still in flight, then drain."""
@@ -333,9 +371,11 @@ class ScanRuntime:
         result.responses += 1
         if response.is_duplicate:
             result.duplicate_responses += 1
-        result.response_kinds[response.kind.value] += 1
+        kind = response.kind._value_
+        result.response_kinds[kind] += 1
         if self.rtt_ledger:
-            result.add_rtt(rtt)
+            result.rtt_sum_ms += rtt
+            result.rtt_count += 1
         if self.reg is not None:
             self.reg.observe("scan.rtt_ms", rtt)
         if self.events is not None:
@@ -344,7 +384,7 @@ class ScanRuntime:
             pre = preprobe and not self.fold_preprobe
             self.events.response(
                 response.arrival_time, dst >> self.block_shift, ttl,
-                response.responder, response.kind.value, rtt=rtt,
+                response.responder, kind, rtt=rtt,
                 dist=None if pre else self.event_distance(response, dst, ttl),
                 pre=pre, dup=response.is_duplicate)
 
@@ -423,10 +463,9 @@ class ScanRuntime:
                         for entry in state["queue"])
         # The snapshot does not say which block each queued response
         # answers, so every block is owed until the latest has arrived.
-        self._owed = dict.fromkeys(
-            range(self.base_prefix, self.base_prefix + self.num_prefixes),
-            max((entry["arrival_time"] for entry in state["queue"]),
-                default=0.0))
+        self._owed = array("d", [max(
+            (entry["arrival_time"] for entry in state["queue"]),
+            default=0.0)]) * self.num_prefixes
         self._delivered = self.clock.now
         if state.get("adaptive") is not None and self.controller is not None:
             self.controller.restore_state(state["adaptive"])

@@ -48,10 +48,13 @@ class ResponseKind(enum.Enum):
         The paper treats host/port/protocol unreachable (and a TCP RST for
         TCP-ACK probes) as the signal that forward probing hit the target.
         """
-        return self in (ResponseKind.PORT_UNREACHABLE,
-                        ResponseKind.HOST_UNREACHABLE,
-                        ResponseKind.TCP_RST)
+        return self is _PORT or self is _HOST or self is _RST
 
+
+# Bound once: ``is_unreachable`` runs per answer on the probe path.
+_PORT = ResponseKind.PORT_UNREACHABLE
+_HOST = ResponseKind.HOST_UNREACHABLE
+_RST = ResponseKind.TCP_RST
 
 _KIND_TO_TYPE_CODE = {
     ResponseKind.TTL_EXCEEDED: (ICMP_TIME_EXCEEDED, CODE_TTL_EXCEEDED),

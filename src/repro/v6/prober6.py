@@ -17,6 +17,7 @@ anticipates:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
@@ -60,6 +61,9 @@ class FlashRoute6Config:
             raise ValueError("max_ttl must fit the 6-bit v6 encoding")
         if self.probing_rate <= 0:
             raise ValueError("probing_rate must be positive")
+        if not 0 <= self.round_seconds < math.inf:
+            raise ValueError(
+                "round_seconds must be a non-negative finite number")
 
 
 class FlashRoute6:

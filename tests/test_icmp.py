@@ -28,6 +28,12 @@ class TestResponseKind:
         assert not ResponseKind.TTL_EXCEEDED.is_unreachable
         assert not ResponseKind.ECHO_REPLY.is_unreachable
 
+    def test_unreachable_truth_table_over_every_member(self):
+        assert len(ResponseKind) == 5
+        assert {kind for kind in ResponseKind if kind.is_unreachable} == {
+            ResponseKind.PORT_UNREACHABLE, ResponseKind.HOST_UNREACHABLE,
+            ResponseKind.TCP_RST}
+
 
 class TestPackUnpack:
     @pytest.mark.parametrize("kind", [ResponseKind.TTL_EXCEEDED,

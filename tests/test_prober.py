@@ -248,6 +248,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlashRouteConfig(**kwargs)
 
+    @pytest.mark.parametrize("seconds", [float("inf"), float("-inf"),
+                                         float("nan")])
+    def test_rejects_non_finite_round_seconds(self, seconds):
+        """``inf`` used to die mid-scan (``int(inf * 1000)`` in the next
+        marking) and ``nan`` ran rounds with no wait at all."""
+        with pytest.raises(ValueError, match="round_seconds must be a "
+                                             "non-negative finite number"):
+            FlashRouteConfig(round_seconds=seconds)
+
+    def test_zero_round_seconds_is_a_configuration(self):
+        assert FlashRouteConfig(round_seconds=0.0).round_seconds == 0.0
+
     def test_string_preprobe_coerced(self):
         assert FlashRouteConfig(preprobe="hitlist").preprobe is \
             PreprobeMode.HITLIST

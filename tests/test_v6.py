@@ -241,3 +241,9 @@ class TestFlashRoute6:
             FlashRoute6Config(split_ttl=0)
         with pytest.raises(ValueError):
             FlashRoute6Config(probing_rate=0)
+
+    @pytest.mark.parametrize("seconds", [float("inf"), float("-inf"),
+                                         float("nan"), -1.0])
+    def test_round_seconds_must_be_finite(self, seconds):
+        with pytest.raises(ValueError, match="round_seconds"):
+            FlashRoute6Config(round_seconds=seconds)
