@@ -17,10 +17,9 @@ Public entry point — the :mod:`repro.api` facade::
             {"destination": "20.0.0.7"})).stream():
         print(hop)
 
-Constructing the probing engines directly (``FlashRoute(config)`` …)
-still works but raises a :class:`DeprecationWarning`; go through
-``api.scan()``/``api.open_session()`` or the scanner registry
-(:func:`repro.core.scanner.create_scanner`) instead.
+The probing engines can also be constructed directly
+(``FlashRoute(config).scan(network)`` …) or through the scanner registry
+(:func:`repro.core.scanner.create_scanner`).
 """
 
 __version__ = "1.0.0"

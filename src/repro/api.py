@@ -231,8 +231,9 @@ TRACE_MAX_TTL = 32
 TRACE_GAP_LIMIT = 5
 #: Virtual seconds between a trace's probes (classic traceroute pacing).
 TRACE_PROBE_GAP = 0.02
-#: Source-port base of service traces; the flow id offsets it so
-#: per-flow load balancers see distinct 5-tuples per requested flow.
+#: Source-port base of service traces; the flow id offsets it, wrapping
+#: inside the 16-bit port space (the load-balancer class itself travels
+#: separately, as ``flow=``).
 _TRACE_PORT_BASE = 33434
 
 
@@ -483,7 +484,8 @@ class TraceSession:
         network = self.network
         clock = self.clock
         dst = request.destination
-        src_port = _TRACE_PORT_BASE + request.flow
+        src_port = _TRACE_PORT_BASE \
+            + request.flow % (0x10000 - _TRACE_PORT_BASE)
         silent = 0
         for ttl in range(1, request.max_ttl + 1):
             sent_at = clock.now

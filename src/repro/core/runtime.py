@@ -210,7 +210,8 @@ class ScanRuntime:
         events = self.events
         shift = self.block_shift
         ports = self._ports
-        memoize = self.fold_preprobe or not preprobe
+        # An unfolded preprobe: its address is probed this once.
+        single = preprobe and not self.fold_preprobe
         preprobe_bit = 0x400 if preprobe else 0
         probes: List[tuple] = []
         try:
@@ -222,7 +223,7 @@ class ScanRuntime:
                 port = ports.get(dst)
                 if port is None:
                     port = flow_source_port(dst, scan_offset)
-                    if memoize:
+                    if not single:
                         ports[dst] = port
                 stamp = int(now * 1000.0) % 65536
                 probes.append((dst, ttl, now, port,
@@ -240,18 +241,18 @@ class ScanRuntime:
                 clock.now = now + gap
         finally:
             self.result.probes_sent += len(probes)
-            if not preprobe:
-                responses = self.network.send_probes(probes, proto=self.proto)
-            else:
+            if preprobe:
                 self.result.preprobe_probes += len(probes)
-                # An unfolded preprobe hits its representative exactly once
-                # and the main phase targets a different address in the
-                # block, so a route-cache table for it would never pay
-                # off: the scalar entry point carries that hint.
+            if single:
+                # The main phase targets a different address in the block,
+                # so a route-cache table for this one would never pay off:
+                # the scalar entry point carries that hint.
                 responses = [self.network.send_probe(
                     dst, ttl, now, port, ipid=ipid, udp_length=length,
-                    single=not self.fold_preprobe)
+                    single=True)
                     for dst, ttl, now, port, ipid, length in probes]
+            else:
+                responses = self.network.send_probes(probes, proto=self.proto)
             self.queue.push_many(responses)
             # What each probed block is owed, keyed by the *probe's* block:
             # a rewriting middlebox moves the quoted address, and an
@@ -471,7 +472,11 @@ class ScanRuntime:
             self.controller.restore_state(state["adaptive"])
         restore = getattr(self.network, "restore_dynamic_state", None)
         if state.get("network") is not None and restore is not None:
-            restore(state["network"])
+            try:
+                restore(state["network"])
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"checkpoint network state: {exc}") from None
 
     def _write_checkpoint(self) -> str:
         resil = self.resilience

@@ -37,8 +37,8 @@ class CapturingNetwork:
     """A transparent proxy that captures a scan's traffic to pcap.
 
     Drop-in for :class:`SimulatedNetwork`: every engine in this library
-    only calls :meth:`send_probe` and reads attributes, both of which are
-    forwarded.
+    only calls :meth:`send_probes`/:meth:`send_probe` and reads attributes,
+    all of which are forwarded.
     """
 
     def __init__(self, network: SimulatedNetwork,
@@ -58,21 +58,16 @@ class CapturingNetwork:
                    udp_length: int = 8, proto: int = PROTO_UDP,
                    flow: Optional[int] = None,
                    single: bool = False) -> Optional[IcmpResponse]:
-        vantage = self._network.topology.vantage_addr
-        probe = ProbeHeader(src=vantage, dst=dst, ttl=ttl, ipid=ipid,
-                            proto=proto, src_port=src_port,
-                            dst_port=dst_port, udp_length=udp_length)
-        self._writer.write(send_time, probe.pack())
+        """A one-probe :meth:`send_probes`, except that the inner network
+        is entered by its scalar door, which is the one that takes the
+        ``single`` hint."""
+        self._write_probes(
+            ((dst, ttl, send_time, src_port, ipid, udp_length),),
+            dst_port, proto)
         response = self._network.send_probe(
-            dst, ttl, send_time, src_port, dst_port=dst_port, ipid=ipid,
-            udp_length=udp_length, proto=proto, flow=flow, single=single)
-        if response is not None:
-            self._writer.write(response.arrival_time,
-                               response_wire_bytes(response, vantage))
-            if response.dup is not None:
-                # Injected duplicate replies are real wire traffic too.
-                self._writer.write(response.dup.arrival_time,
-                                   response_wire_bytes(response.dup, vantage))
+            dst, ttl, send_time, src_port, dst_port, ipid, udp_length,
+            proto, flow, single)
+        self._write_responses((response,))
         return response
 
     def send_probes(self, probes, dst_port: int = 33434,
@@ -82,13 +77,20 @@ class CapturingNetwork:
 
         Explicit (not left to ``__getattr__``) so batched engines don't
         bypass the sniffer — but the probes are forwarded through the
-        inner network's *batch* path, not unrolled to scalar sends: the
-        batch path is what builds the route cache's memoized tables, so
+        inner network's *batch* path, not unrolled to scalar sends: a
+        burst looks its table up once per run of probes to one key, so
         unrolling would change ``simnet.cache.*`` accounting (and the
         fault/cache columns ``--loss`` runs attach to the result) the
         moment a pcap writer is plugged in.  Probe wire bytes are
         written at their send times, responses at their arrivals.
         """
+        self._write_probes(probes, dst_port, proto)
+        responses = self._network.send_probes(
+            probes, dst_port=dst_port, proto=proto, flow=flow)
+        self._write_responses(responses)
+        return responses
+
+    def _write_probes(self, probes, dst_port: int, proto: int) -> None:
         vantage = self._network.topology.vantage_addr
         writer = self._writer
         for dst, ttl, send_time, src_port, ipid, udp_length in probes:
@@ -96,8 +98,10 @@ class CapturingNetwork:
                                 proto=proto, src_port=src_port,
                                 dst_port=dst_port, udp_length=udp_length)
             writer.write(send_time, probe.pack())
-        responses = self._network.send_probes(
-            probes, dst_port=dst_port, proto=proto, flow=flow)
+
+    def _write_responses(self, responses) -> None:
+        vantage = self._network.topology.vantage_addr
+        writer = self._writer
         for response in responses:
             if response is not None:
                 writer.write(response.arrival_time,
@@ -106,4 +110,3 @@ class CapturingNetwork:
                     # Injected duplicate replies are real wire traffic too.
                     writer.write(response.dup.arrival_time,
                                  response_wire_bytes(response.dup, vantage))
-        return responses

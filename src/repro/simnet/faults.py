@@ -211,8 +211,8 @@ class FaultInjector:
                response: IcmpResponse) -> Optional[IcmpResponse]:
         """The (possibly faulted) observable outcome of one resolved probe.
 
-        Called by the network at every point a response object is about to
-        be returned — scalar, batched, cached and uncached paths alike.
+        Called by the network at both points a response object is about
+        to be returned — the cached burst loop and the uncached path.
         Mutating ``response`` is safe: the network constructs a fresh
         object per responding probe.
         """

@@ -7,9 +7,9 @@ per-hop latency both ways plus a deterministic pseudo-random jitter keyed on
 the probe identity, so repeated runs are identical without a shared RNG.
 
 The per-depth base delays are precomputed into flat tables at construction:
-``send_probe`` calls :meth:`LatencyModel.one_way`/``round_trip`` once or
-twice per responding probe, and the depth multiplications are the same for
-every probe at a given depth.  The tables store the *exact* floats the
+the uncached path calls :meth:`LatencyModel.one_way`/``round_trip`` once or
+twice per responding probe (``send_probes`` inlines their expressions), and
+the depth multiplications are the same for every probe at a given depth.  The tables store the *exact* floats the
 original expressions produce (same operations, same order), so cached and
 uncached scans remain bit-identical.
 """

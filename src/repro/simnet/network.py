@@ -6,32 +6,35 @@ responsiveness per probe protocol, per-interface ICMP rate limiting, latency,
 route-dynamics epochs, destination-rewriting middleboxes, and an optional
 probe log for the intrusiveness analysis.
 
-``send_probe`` is the single entry point every probing engine uses.  It is
-deliberately scalar-argument (no per-probe object is allocated unless a
-response exists) because full scans push through 10^5..10^7 probes.  By
-default it is served from a :class:`~repro.simnet.routecache.RouteCache`
-fast path.  A slot is read once per scan; the route is what repeats — so
-the cache holds the route only, one list of interface ids per ``(dst, flow,
-epoch parity)``, and a probe costs a table lookup plus, for responders
+``send_probes`` is the resolver every probing engine reaches: a burst of
+probes none of which depends on a response to another (FlashRoute's ring
+walk and Yarrp's bulk phase arrive in bursts of up to 64, Scamper and
+classic traceroute in bursts of one).  Probes are plain tuples — no
+per-probe object is allocated unless a response exists — because full scans
+push through 10^5..10^7 of them.  By default it is served from a
+:class:`~repro.simnet.routecache.RouteCache`.  A slot is read once per
+scan; the route is what repeats — so the cache holds the route only, one
+list of interface ids per ``(dst, flow, epoch parity)``, and a probe costs
+a table lookup (once per run of probes to one key) plus, for responders
 only, what is derived here at lookup (responsiveness, the responder's
 address, the two delays with :class:`LatencyModel`'s exact expressions,
 hence bit-identical floats), rate limiting and response construction.
-Nothing is written back: tables are immutable.  ``send_probes`` batches a
-burst of probes none of which depends on a response to another, amortizing
-the per-destination lookups and the per-call set-up; FlashRoute's ring walk
-and Yarrp's bulk phase arrive in bursts of up to 64.  Constructing with
-``use_route_cache=False`` runs the original resolution path instead — the
-reference the equivalence tests compare the fast path against,
-probe-for-probe; no scan entry point selects it.
+Nothing is written back: tables are immutable.  ``send_probe`` is the
+scalar door onto the same loop — a one-probe burst — for callers that
+decide each probe from the last answer, and the one that takes the
+``single`` hint.  Constructing with ``use_route_cache=False`` runs the
+original resolution path instead — the reference the equivalence tests
+compare the fast path against, probe-for-probe; no scan entry point
+selects it.
 
 Fault injection (:mod:`repro.simnet.faults`) composes with every serving
 mode: when a :class:`~repro.simnet.faults.FaultModel` is enabled, resolved
 responses pass through :meth:`FaultInjector.filter` at the exact point they
-would be returned, on the cached, batched and uncached paths alike.  Fault
+would be returned, on the cached and the uncached path alike.  Fault
 decisions are stateless per-probe hashes, so the same fault seed yields the
 same fault sequence in every mode and the cached-vs-uncached equivalence
 guarantee extends to faulted scans.  A disabled (default) model costs the
-hot path nothing beyond one attribute test.
+hot path nothing beyond one ``is not None`` test per response.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ from .entities import HopKind
 from .faults import FaultInjector, FaultModel
 from .latency import _HASH_MULT, _JITTER_INC, _JITTER_MULT, LatencyModel
 from .ratelimit import _GENERATION_SHIFT, IcmpRateLimiter
-from .routecache import ROUTE_CACHE_TTLS, RouteCache, host_answers_tcp
+from .routecache import (ROUTE_CACHE_TTLS, RouteCache, host_answers_tcp,
+                         rewritten_dst)
 from .topology import Topology
 
 _TTL_EXCEEDED = ResponseKind.TTL_EXCEEDED
@@ -64,13 +68,24 @@ class SimulatedNetwork:
 
     __slots__ = ("topology", "latency", "rate_limiter", "route_cache",
                  "probe_log", "probes_sent", "responses_generated",
-                 "rewritten_responses", "_flap_epoch_seconds", "_vantage",
-                 "_stamp_len", "_lk", "faults")
+                 "rewritten_responses", "_flap_epoch_seconds", "faults")
 
     def __init__(self, topology: Topology, log_probes: bool = False,
                  rate_limit: Optional[int] = None,
                  use_route_cache: bool = True,
                  faults: Optional[FaultModel] = None) -> None:
+        cfg = topology.config
+        self._open(topology,
+                   LatencyModel(cfg.hop_latency, cfg.latency_jitter),
+                   RouteCache(topology) if use_route_cache else None,
+                   faults, rate_limit, log_probes)
+
+    def _open(self, topology: Topology, latency: LatencyModel,
+              route_cache: Optional[RouteCache],
+              faults: Optional[FaultModel], rate_limit: Optional[int],
+              log_probes: bool) -> None:
+        """Bind the core a session shares (immutable topology, stateless
+        latency model, route cache) and start its own dynamic state."""
         self.topology = topology
         cfg = topology.config
         model = faults if faults is not None else cfg.faults
@@ -78,29 +93,16 @@ class SimulatedNetwork:
         #: so the default hot path pays only one attribute test.
         self.faults: Optional[FaultInjector] = (
             FaultInjector(model) if model.enabled else None)
-        self.latency = LatencyModel(cfg.hop_latency, cfg.latency_jitter)
+        self.latency = latency
         self.rate_limiter = IcmpRateLimiter(
             rate_limit if rate_limit is not None else cfg.icmp_rate_limit,
-            num_interfaces=len(topology.iface_addrs))
-        self.route_cache: Optional[RouteCache] = (
-            RouteCache(topology) if use_route_cache else None)
-        #: Size of the limiter's array backing (never changes after
-        #: construction; -1 for the dict fallback), hoisted for the inlined
-        #: rate-limit check on the probe fast path.
-        self._stamp_len = (len(self.rate_limiter._stamp)
-                           if self.rate_limiter._stamp is not None else -1)
+            len(topology.iface_addrs))
+        self.route_cache = route_cache
         self.probe_log: Optional[ProbeLog] = ProbeLog() if log_probes else None
         self.probes_sent = 0
         self.responses_generated = 0
         self.rewritten_responses = 0
         self._flap_epoch_seconds = cfg.flap_epoch_seconds
-        self._vantage = topology.vantage_addr
-        # Last-key memo for scalar send_probe: scans probe one destination
-        # ~15-30 times back to back, so remembering the last outcome table
-        # skips the key tuple + dict probe on the vast majority of calls.
-        # Packed as one (dst, flow, parity, proto, table) tuple so the hit
-        # path costs a single attribute load.
-        self._lk: Optional[Tuple] = None
 
     def reset(self) -> None:
         """Clear dynamic state between scans over the same topology.
@@ -183,8 +185,8 @@ class SimulatedNetwork:
         network's serving mode) — everything that is a pure function of
         the topology — while owning every piece of dynamic per-scan state
         privately: fresh rate-limiter bins, zeroed send/response/fault
-        counters, its own last-key memo and (when ``faults`` enables one)
-        its own :class:`FaultInjector`.
+        counters and (when ``faults`` enables one) its own
+        :class:`FaultInjector`.
 
         Sessions opened off one warm network are therefore **mutually
         invisible**: interleaving probes from two sessions — each on its
@@ -198,26 +200,9 @@ class SimulatedNetwork:
         Sharing the cache is safe: outcome tables are deterministic pure
         functions of the topology and immutable once built.
         """
-        cfg = self.topology.config
         session = SimulatedNetwork.__new__(SimulatedNetwork)
-        session.topology = self.topology
-        model = faults if faults is not None else cfg.faults
-        session.faults = FaultInjector(model) if model.enabled else None
-        session.latency = self.latency
-        session.rate_limiter = IcmpRateLimiter(
-            rate_limit if rate_limit is not None else cfg.icmp_rate_limit,
-            num_interfaces=len(self.topology.iface_addrs))
-        session.route_cache = self.route_cache
-        session._stamp_len = (len(session.rate_limiter._stamp)
-                              if session.rate_limiter._stamp is not None
-                              else -1)
-        session.probe_log = ProbeLog() if log_probes else None
-        session.probes_sent = 0
-        session.responses_generated = 0
-        session.rewritten_responses = 0
-        session._flap_epoch_seconds = cfg.flap_epoch_seconds
-        session._vantage = self.topology.vantage_addr
-        session._lk = None
+        session._open(self.topology, self.latency, self.route_cache, faults,
+                      rate_limit, log_probes)
         return session
 
     # ------------------------------------------------------------------ #
@@ -225,21 +210,13 @@ class SimulatedNetwork:
     def _epoch(self, send_time: float) -> int:
         return int(send_time / self._flap_epoch_seconds)
 
-    def _host_answers_tcp(self, dst: int) -> bool:
-        return host_answers_tcp(dst, self.topology.config.host_tcp_rst)
-
-    def _rewritten_dst(self, dst: int) -> int:
-        """Destination as rewritten by the stub's middlebox (same /24,
-        different host octet, so the checksum-derived source port no longer
-        matches, paper §5.3)."""
-        return (dst & 0xFFFFFF00) | ((dst + 97) & 0xFF)
-
     def send_probe(self, dst: int, ttl: int, send_time: float,
                    src_port: int, dst_port: int = 33434, ipid: int = 0,
                    udp_length: int = UDP_HEADER_LEN, proto: int = PROTO_UDP,
                    flow: Optional[int] = None,
                    single: bool = False) -> Optional[IcmpResponse]:
-        """Inject one probe; return its response, or ``None`` for silence.
+        """Inject one probe; return its response, or ``None`` for silence:
+        a one-element :meth:`send_probes` burst.
 
         ``flow`` is the load-balancer flow identifier and defaults to the
         source port (per-flow balancers hash the 5-tuple; within one scan
@@ -254,108 +231,18 @@ class SimulatedNetwork:
         performance hint — responses are identical either way.
         """
         cache = self.route_cache
-        if cache is None or not 1 <= ttl <= ROUTE_CACHE_TTLS:
-            return self._send_probe_uncached(dst, ttl, send_time, src_port,
-                                             dst_port, ipid, udp_length,
-                                             proto, flow)
-        self.probes_sent += 1
-        if self.probe_log is not None:
-            self.probe_log.append(send_time, dst, ttl)
-        flow_id = src_port if flow is None else flow
-        parity = int(send_time / self._flap_epoch_seconds) & 1
-        lk = self._lk
-        if (lk is not None and dst == lk[0] and flow_id == lk[1]
-                and parity == lk[2] and proto == lk[3]):
-            table = lk[4]
-        else:
+        if single and cache is not None:
             tables = (cache.tcp_tables if proto == PROTO_TCP
                       else cache.udp_tables)
-            table = tables.get((dst, flow_id, parity))
-            if table is None:
-                if single:
-                    return self._send_probe_uncached(
-                        dst, ttl, send_time, src_port, dst_port, ipid,
-                        udp_length, proto, flow, counted=True)
-                table = cache.outcome_table(dst, flow_id, parity, proto)
-            else:
-                cache.hits += 1
-            self._lk = (dst, flow_id, parity, proto, table)
-        slot = table[ttl - 1]
-        if slot is None:
-            return None
-        if slot.__class__ is int:
-            # A router expiry: everything but the interface id is derived
-            # here, with LatencyModel.one_way/round_trip's expressions
-            # operation for operation (bit-identical floats).
-            iface = slot
-            topo = self.topology
-            if not (topo.tcp_resp if proto == PROTO_TCP
-                    else topo.udp_resp)[iface]:
-                return None
-            latency = self.latency
-            h = dst * _JITTER_MULT + _JITTER_INC + ttl * _HASH_MULT
-            ow_delay = latency._one_way_base[ttl] + latency._half_span \
-                * (((h >> 8) & 0xFFFF) / 65536.0)
-            rt_delay = latency._round_trip_base[ttl] + latency.jitter_span \
-                * ((((h + 1) >> 8) & 0xFFFF) / 65536.0)
-            kind = _TTL_EXCEEDED
-            responder = topo.iface_addrs[iface]
-            residual = 1
-            quoted_dst = dst
-            rewrite = False
-        else:
-            kind, responder, iface, ow_delay, rt_delay, residual, \
-                quoted_dst, rewrite = slot.outcome(dst, ttl)
-        if iface >= 0:
-            # Inlined IcmpRateLimiter.allow (array branch): on the hot path
-            # the call overhead itself is measurable.  The dict fallback and
-            # the unit tests keep the method authoritative.
-            limiter = self.rate_limiter
-            if iface < self._stamp_len:
-                stamp = limiter._stamp
-                token = ((limiter._generation + 1) << _GENERATION_SHIFT) \
-                    + int(send_time + ow_delay)
-                if stamp[iface] != token:
-                    stamp[iface] = token
-                    limiter._count[iface] = 1
-                else:
-                    count = limiter._count[iface] + 1
-                    limiter._count[iface] = count
-                    if count > limiter.limit:
-                        limiter.dropped += 1
-                        limiter._overprobed.add(iface)
-                        return None
-            elif not limiter.allow(iface, send_time + ow_delay):
-                return None
-        if rewrite:
-            self.rewritten_responses += 1
-        self.responses_generated += 1
-        # Direct slot stores instead of the two constructors: the response
-        # objects are the last interpreter-frame calls left on the fast
-        # path, and a scan allocates one pair per responding probe.
-        quoted = ProbeHeader.__new__(ProbeHeader)
-        quoted.src = self._vantage
-        quoted.dst = quoted_dst
-        quoted.ttl = residual
-        quoted.ipid = ipid
-        quoted.proto = proto
-        quoted.src_port = src_port
-        quoted.dst_port = dst_port
-        quoted.udp_length = udp_length
-        quoted.tcp_seq = 0
-        quoted.payload = b""
-        response = IcmpResponse.__new__(IcmpResponse)
-        response.kind = kind
-        response.responder = responder
-        response.quoted = quoted
-        response.arrival_time = send_time + rt_delay
-        response.quoted_residual_ttl = residual
-        response.is_duplicate = False
-        response.dup = None
-        faults = self.faults
-        if faults is not None:
-            return faults.filter(dst, ttl, send_time, response)
-        return response
+            if (dst, src_port if flow is None else flow,
+                    int(send_time / self._flap_epoch_seconds) & 1
+                    ) not in tables:
+                return self._send_probe_uncached(
+                    dst, ttl, send_time, src_port, dst_port, ipid,
+                    udp_length, proto, flow)
+        return self.send_probes(
+            ((dst, ttl, send_time, src_port, ipid, udp_length),),
+            dst_port, proto, flow)[0]
 
     def send_probes(self, probes: Iterable[BatchProbe],
                     dst_port: int = 33434, proto: int = PROTO_UDP,
@@ -368,7 +255,7 @@ class SimulatedNetwork:
         probe of the burst may depend on a response to an earlier one —
         batching never reorders or delays responses, it only amortizes the
         per-destination route lookups and the per-call set-up.
-        Semantically equivalent to calling :meth:`send_probe` per tuple.
+        :meth:`send_probe` is this method on a burst of one.
         """
         cache = self.route_cache
         if cache is None:
@@ -397,14 +284,12 @@ class SimulatedNetwork:
         get_table = tables.get
         build_table = cache.outcome_table
         limiter = self.rate_limiter
-        allow = limiter.allow
         stamp = limiter._stamp
-        stamp_len = self._stamp_len
         count_arr = limiter._count
         limit = limiter.limit
         gen_base = (limiter._generation + 1) << _GENERATION_SHIFT
         epoch_seconds = self._flap_epoch_seconds
-        vantage = self._vantage
+        vantage = topo.vantage_addr
         faults = self.faults
         sent = 0
         rewritten = 0
@@ -438,7 +323,9 @@ class SimulatedNetwork:
                 append(None)
                 continue
             if slot.__class__ is int:
-                # A router expiry, derived as in send_probe.
+                # A router expiry: everything but the interface id is
+                # derived here, with LatencyModel.one_way/round_trip's
+                # expressions operation for operation (bit-identical floats).
                 iface = slot
                 if not resp[iface]:
                     append(None)
@@ -457,27 +344,28 @@ class SimulatedNetwork:
                 kind, responder, iface, ow_delay, rt_delay, residual, \
                     quoted_dst, rewrite = slot.outcome(dst, ttl)
             if iface >= 0:
-                # Inlined IcmpRateLimiter.allow (array branch), hoisted
-                # per-batch; dict fallback for unsized/oversize interfaces.
-                if iface < stamp_len:
-                    token = gen_base + int(send_time + ow_delay)
-                    if stamp[iface] != token:
-                        stamp[iface] = token
-                        count_arr[iface] = 1
-                    else:
-                        count = count_arr[iface] + 1
-                        count_arr[iface] = count
-                        if count > limit:
-                            limiter.dropped += 1
-                            limiter._overprobed.add(iface)
-                            append(None)
-                            continue
-                elif not allow(iface, send_time + ow_delay):
-                    append(None)
-                    continue
+                # Inlined IcmpRateLimiter.allow, hoisted per batch: on the
+                # hot path the call overhead itself is measurable.  The
+                # method stays authoritative (reference path, unit tests).
+                token = gen_base + int(send_time + ow_delay)
+                if stamp[iface] != token:
+                    stamp[iface] = token
+                    count_arr[iface] = 1
+                else:
+                    count = count_arr[iface] + 1
+                    count_arr[iface] = count
+                    if count > limit:
+                        limiter.dropped += 1
+                        limiter._overprobed.add(iface)
+                        append(None)
+                        continue
             if rewrite:
                 rewritten += 1
             generated += 1
+            # Direct slot stores instead of the two constructors: the
+            # response objects are the last interpreter-frame calls left on
+            # the fast path, and a scan allocates one pair per responding
+            # probe.
             quoted = ProbeHeader.__new__(ProbeHeader)
             quoted.src = vantage
             quoted.dst = quoted_dst
@@ -567,7 +455,7 @@ class SimulatedNetwork:
         # Destination reached.
         depth = hop.dest_depth
         if proto == PROTO_TCP:
-            if not self._host_answers_tcp(dst):
+            if not host_answers_tcp(dst, topo.config.host_tcp_rst):
                 return None
             response_kind = ResponseKind.TCP_RST
         else:
@@ -595,7 +483,7 @@ class SimulatedNetwork:
                  maybe_rewrite: bool = False) -> Optional[IcmpResponse]:
         quoted_dst = dst
         if maybe_rewrite:
-            quoted_dst = self._rewritten_dst(dst)
+            quoted_dst = rewritten_dst(dst)
             self.rewritten_responses += 1
         quoted = ProbeHeader(src=self.topology.vantage_addr, dst=quoted_dst,
                              ttl=residual, ipid=ipid, proto=proto,

@@ -7,19 +7,18 @@ asked for more responses than the limit) and exploits it as the motivation
 for spreading probes.  We implement the same one-second-bin semantics.
 
 ``allow`` is on the per-probe hot path (once per responding probe), so the
-bookkeeping is two flat ``array('q')`` lookups when the interface count is
-known up front: a *stamp* array holding a generation-tagged second and a
+bookkeeping is two flat ``array('q')`` lookups, one slot per interface of
+the topology: a *stamp* array holding a generation-tagged second and a
 *count* array.  The stamp token is ``((generation + 1) << 34) + second`` —
 ``reset()`` just bumps the generation, instantly invalidating every bin
 without touching the arrays (zeroed stamps can never match, since tokens
-start at generation 1).  Constructed without ``num_interfaces`` (ad-hoc
-uses, unit tests) it falls back to an equivalent dict.
+start at generation 1).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 #: Seconds fit in 34 bits for any plausible virtual clock; the generation
 #: lives above them so stamps from before a reset can never collide.
@@ -40,45 +39,27 @@ class IcmpRateLimiter:
     analysis, bins are aligned to whole virtual seconds.
     """
 
-    def __init__(self, limit: int,
-                 num_interfaces: Optional[int] = None) -> None:
+    def __init__(self, limit: int, num_interfaces: int) -> None:
         if limit <= 0:
             raise ValueError("rate limit must be positive")
         self.limit = limit
         self._generation = 0
-        if num_interfaces is not None:
-            self._stamp: Optional[array] = array("q", [0]) * num_interfaces
-            self._count: Optional[array] = array("q", [0]) * num_interfaces
-        else:
-            self._stamp = None
-            self._count = None
-        self._bins: Dict[int, Tuple[int, int]] = {}
+        self._stamp = array("q", [0]) * num_interfaces
+        self._count = array("q", [0]) * num_interfaces
         self.dropped = 0
         self._overprobed: set = set()
 
     def allow(self, iface: int, now: float) -> bool:
-        """Account one ICMP generation request at virtual time ``now``."""
+        """Account one ICMP generation request of interface ``iface`` (an
+        index below ``num_interfaces``) at virtual time ``now``."""
         token = ((self._generation + 1) << _GENERATION_SHIFT) + int(now)
         stamp = self._stamp
-        if stamp is not None and 0 <= iface < len(stamp):
-            if stamp[iface] != token:
-                stamp[iface] = token
-                self._count[iface] = 1
-                return True
-            count = self._count[iface] + 1
-            self._count[iface] = count
-            if count > self.limit:
-                self.dropped += 1
-                self._overprobed.add(iface)
-                return False
+        if stamp[iface] != token:
+            stamp[iface] = token
+            self._count[iface] = 1
             return True
-        # Dict fallback: unsized limiter, or interface beyond the hint.
-        current = self._bins.get(iface)
-        if current is None or current[0] != token:
-            self._bins[iface] = (token, 1)
-            return True
-        count = current[1] + 1
-        self._bins[iface] = (token, count)
+        count = self._count[iface] + 1
+        self._count[iface] = count
         if count > self.limit:
             self.dropped += 1
             self._overprobed.add(iface)
@@ -89,16 +70,6 @@ class IcmpRateLimiter:
     def overprobed_interfaces(self) -> frozenset:
         """Interfaces that exceeded the limit in at least one bin."""
         return frozenset(self._overprobed)
-
-    @property
-    def drop_count(self) -> int:
-        """Total requests dropped since construction/reset.
-
-        This is the drop signal the adaptive-rate controller
-        (:class:`repro.core.resilience.AdaptiveRateController`) samples
-        once per round; engines take per-round deltas of it.
-        """
-        return self.dropped
 
     def export_bins(self, now: float) -> Dict[str, object]:
         """Serialize the live bins for a checkpoint.
@@ -112,34 +83,29 @@ class IcmpRateLimiter:
         gen_base = (self._generation + 1) << _GENERATION_SHIFT
         horizon = int(now)
         live = []
-        stamp = self._stamp
-        if stamp is not None:
-            count = self._count
-            for iface in range(len(stamp)):
-                token = stamp[iface]
-                if token >= gen_base and token - gen_base >= horizon:
-                    live.append([iface, token - gen_base, count[iface]])
-        for iface, (token, bin_count) in self._bins.items():
+        count = self._count
+        for iface, token in enumerate(self._stamp):
             if token >= gen_base and token - gen_base >= horizon:
-                live.append([iface, token - gen_base, bin_count])
-        live.sort()
+                live.append([iface, token - gen_base, count[iface]])
         return {"limit": self.limit, "dropped": self.dropped,
                 "overprobed": sorted(self._overprobed), "bins": live}
 
     def restore_bins(self, state: Dict[str, object]) -> None:
-        """Restore counters and live bins from :meth:`export_bins`."""
+        """Restore counters and live bins from :meth:`export_bins`.
+
+        The state comes from a checkpoint file: a bin naming an interface
+        this topology does not have raises ``ValueError``."""
         self.dropped = state["dropped"]
         self._overprobed = set(state["overprobed"])
         gen_base = (self._generation + 1) << _GENERATION_SHIFT
         stamp = self._stamp
-        count = self._count
         for iface, second, bin_count in state["bins"]:
-            token = gen_base + second
-            if stamp is not None and 0 <= iface < len(stamp):
-                stamp[iface] = token
-                count[iface] = bin_count
-            else:
-                self._bins[iface] = (token, bin_count)
+            if not 0 <= iface < len(stamp):
+                raise ValueError(
+                    f"rate-limiter bin names interface {iface}; the "
+                    f"topology has {len(stamp)}")
+            stamp[iface] = gen_base + second
+            self._count[iface] = bin_count
 
     def stats(self) -> Dict[str, int]:
         """Observability counters (folded into ``simnet.ratelimit.*`` by
@@ -155,6 +121,5 @@ class IcmpRateLimiter:
         bin mid-second — can never be mistaken for the current one.
         """
         self._generation += 1
-        self._bins.clear()
         self.dropped = 0
         self._overprobed.clear()

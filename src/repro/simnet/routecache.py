@@ -41,11 +41,6 @@ flushing.  UDP and TCP keep separate dicts: destination behaviour (and
 so the tail) differs by protocol; interface responsiveness is read per
 protocol at lookup.
 
-:meth:`RouteCache.hop_at` is the test-side view: ground-truth
-:class:`HopResult` vectors under the *normalized* key
-``(dst, flow-class, flap-shift)``, built by :meth:`Topology._resolved_hop`
-itself.
-
 The cache is a pure function of the immutable :class:`Topology`.
 ``SimulatedNetwork(use_route_cache=False)`` bypasses it entirely; the
 equivalence tests and ``tools/bench_report.py`` are its callers.  Fault
@@ -60,7 +55,6 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..net.icmp import ResponseKind
 from ..net.packets import PROTO_TCP
-from .entities import VOID_HOP, HopResult
 from .latency import _HASH_MULT, _JITTER_INC, _JITTER_MULT, LatencyModel
 from .topology import Topology
 
@@ -83,17 +77,6 @@ def rewritten_dst(dst: int) -> int:
     host octet, so the checksum-derived source port no longer matches,
     paper §5.3).  Shared with the uncached path."""
     return (dst & 0xFFFFFF00) | ((dst + 97) & 0xFF)
-
-
-class _RouteEntry:
-    """The materialized hop vector for one ``(dst, flow-class, shift)``."""
-
-    __slots__ = ("hops",)
-
-    def __init__(self, hops: Tuple[HopResult, ...]) -> None:
-        #: Flat per-TTL table: ``hops[ttl - 1]`` is the ground-truth
-        #: :class:`HopResult` (``VOID_HOP`` singleton for silence).
-        self.hops = hops
 
 
 class Tail:
@@ -177,7 +160,7 @@ class RouteCache:
     calling back into :meth:`outcome_table` only on a miss.
     """
 
-    __slots__ = ("_topology", "_latency", "_entries", "_stub_lb_slots",
+    __slots__ = ("_topology", "_latency", "_stub_lb_slots",
                  "_host_tcp_rst", "udp_tables", "tcp_tables", "hits",
                  "misses")
 
@@ -186,7 +169,6 @@ class RouteCache:
         cfg = topology.config
         #: Same parameters as the network's model -> identical floats.
         self._latency = LatencyModel(cfg.hop_latency, cfg.latency_jitter)
-        self._entries: Dict[Tuple[int, int, int], _RouteEntry] = {}
         #: Per stub, the transit indices holding load-balancer tokens.
         #: Only those depend on the flow: the rest of ``stub.transit`` is
         #: interface ids already, so a stub's transit is its own template
@@ -201,78 +183,21 @@ class RouteCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def topology(self) -> Topology:
-        return self._topology
-
     def stats(self) -> Dict[str, int]:
         """Cache effectiveness counters (for benchmarks and reports).
 
-        ``hits``/``misses`` count at *table* granularity on the hot path:
-        a miss per outcome-table build, a hit per lookup served from an
-        already-built table.  The engines' last-key memo skips the lookup
-        entirely for back-to-back probes of one destination, so hits
-        undercount raw probes by design — the cheap path is not charged
-        for its own accounting."""
-        return {"entries": len(self._entries),
+        ``hits``/``misses`` count at *table* granularity: a miss per
+        outcome-table build, a hit per lookup served from an already-built
+        table.  A ``send_probes`` burst looks a table up once per run of
+        probes to one key, so a scan's hits undercount its probes by
+        design; a scalar caller is a one-probe burst, so every
+        table-served ``send_probe`` is a hit (a trace reads 1 miss + ~20
+        hits).  ``entries`` is always 0: the key stays because recorded
+        metrics digests include it."""
+        return {"entries": 0,
                 "udp_tables": len(self.udp_tables),
                 "tcp_tables": len(self.tcp_tables),
                 "hits": self.hits, "misses": self.misses}
-
-    def clear(self) -> None:
-        """Drop all entries (memory pressure valve; never required for
-        correctness — epochs invalidate via the key)."""
-        self._entries.clear()
-        self.udp_tables.clear()
-        self.tcp_tables.clear()
-
-    # ------------------------------------------------------------------ #
-    # Hop vectors
-    # ------------------------------------------------------------------ #
-
-    def _entry(self, dst: int, flow: int, epoch: int) -> Optional[_RouteEntry]:
-        """The hop-vector entry for a scanned destination, or ``None`` when
-        ``dst`` lies outside the scanned space."""
-        topo = self._topology
-        offset = (dst >> 8) - topo.base_prefix
-        if offset < 0 or offset >= topo.num_prefixes:
-            return None
-        record = topo.prefixes[offset]
-        shift = 1 if (record.flap and (epoch & 1)) else 0
-        flow_class = flow if self._stub_lb_slots[record.stub_id] else 0
-        key = (dst, flow_class, shift)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        stub = topo.stubs[record.stub_id]
-        octet = dst & 0xFF
-        dest_depth, assigned = topo._destination_depth(record, stub, octet,
-                                                       shift)
-        resolved = topo._resolved_hop
-        entry = _RouteEntry(tuple(
-            resolved(record, stub, octet, shift, dest_depth, assigned,
-                     ttl, flow)
-            for ttl in range(1, ROUTE_CACHE_TTLS + 1)))
-        self._entries[key] = entry
-        return entry
-
-    def hop_at(self, dst: int, ttl: int, flow: int = 0,
-               epoch: int = 0) -> HopResult:
-        """Drop-in for :meth:`Topology.hop_at`, served from the flat
-        tables (allocation-free after the first touch of a key)."""
-        if ttl < 1:
-            return VOID_HOP
-        if ttl > ROUTE_CACHE_TTLS:
-            return self._topology.hop_at(dst, ttl, flow=flow, epoch=epoch)
-        entry = self._entry(dst, flow, epoch)
-        if entry is None:
-            return VOID_HOP
-        return entry.hops[ttl - 1]
 
     # ------------------------------------------------------------------ #
     # Outcome tables (the send_probe fast path)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import typing
 
@@ -23,6 +24,9 @@ from repro.cli import main
 from repro.core.config import FlashRouteConfig
 from repro.core.scanner import create_scanner, ScannerOptions
 from repro.core.sharding import ShardPlan
+from repro.net.packets import IPv4Header, ProbeHeader
+from repro.net.pcap import read_pcap
+from repro.simnet.capture import CapturingNetwork
 
 # Captured from the pre-refactor CLI (direct Topology/SimulatedNetwork/
 # FlashRoute construction), not regenerated since.
@@ -366,6 +370,28 @@ class TestEngineSessions:
         assert result["hop_count"] == len(hops)
         assert result["hops"] == hops
         assert result["probes"] >= len(hops)
+
+    @pytest.mark.parametrize("flow", [0, 32101, 32102, 65535])
+    def test_every_probe_of_a_trace_packs(self, flow):
+        """``flow`` ranges over 16 bits and offsets the source port from
+        33434: past 32,101 the sum left the port space and the probe had
+        no wire form (``PacketError: UDP src_port out of range``)."""
+        engine = _engine()
+        request = api.TraceRequest(destination=(20 << 24) + 7, flow=flow)
+        session = engine.open_session(request)
+        capture = io.BytesIO()
+        session.network = CapturingNetwork(session.network, capture)
+        result = session.run()
+        assert result == engine.open_session(request).run()
+        capture.seek(0)
+        probes = [ProbeHeader.unpack(record.data)
+                  for record in read_pcap(capture)
+                  if IPv4Header.unpack(record.data).dst
+                  == request.destination]
+        assert len(probes) == result["probes"] > 0
+        # Below the wrap the port is what it always was.
+        expected = 33434 + flow if flow <= 32101 else probes[0].src_port
+        assert {probe.src_port for probe in probes} == {expected}
 
     def test_trace_is_deterministic_per_engine(self):
         request = api.TraceRequest.parse({"destination": "20.0.0.9"})

@@ -145,8 +145,10 @@ class TestEmitIsEncodeProbe:
             now = now + rt.send_gap
         assert rt.clock.now == now
         assert rt.result.probes_sent == len(items)
-        assert network.singles == ([not fold] * len(items) if preprobe
-                                   else [])
+        # Only unfolded preprobes (each address probed once) take the scalar
+        # entry point and its ``single`` hint; the rest go as the burst.
+        assert network.singles == ([True] * len(items)
+                                   if preprobe and not fold else [])
 
     @pytest.mark.parametrize("bad_ttl", [0, 33])
     @pytest.mark.parametrize("position", [0, 3])

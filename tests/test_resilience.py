@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+from repro.api import ScanRequest
 from repro.baselines.yarrp import Yarrp, YarrpConfig
 from repro.cli import main
 from repro.core.config import FlashRouteConfig
@@ -536,6 +537,30 @@ class TestCliInterruptResume:
         assert exc_info.value.code == 2
         err = capsys.readouterr().err
         assert "no usable invocation record" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("iface", ["one past the last", -1])
+    def test_resume_refuses_a_limiter_bin_outside_the_topology(
+            self, capsys, tmp_path, iface):
+        """The limiter's store is one slot per interface of the topology:
+        a checkpoint (checksum and all) naming any other interface is
+        refused, not filed somewhere the probe path never reads."""
+        ckpt = tmp_path / "scan.ckpt"
+        assert main(SCAN_ARGS + ["--checkpoint", str(ckpt),
+                                 "--interrupt-after-round", "1"]) == 130
+        capsys.readouterr()
+        document = load_checkpoint(str(ckpt))
+        if iface != -1:
+            request = ScanRequest.from_dict(document["invocation"],
+                                            complete=True)
+            iface = len(Topology(request.topology_config()).iface_addrs)
+        document["state"]["network"]["ratelimit"]["bins"].append(
+            [iface, 0, 1])
+        write_checkpoint(str(ckpt), document["engine"], document["state"],
+                         meta=document["invocation"])
+        assert main(["scan", "--resume", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resume:") and f"interface {iface}" in err
         assert "Traceback" not in err
 
     def test_resume_unsupported_tool_exits_2(self, capsys, tmp_path):

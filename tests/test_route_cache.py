@@ -3,9 +3,11 @@
 The cache is only allowed to exist because it is provably
 behavior-preserving; these tests are the proof obligations:
 
-* ``RouteCache.hop_at`` agrees with ``Topology.hop_at`` over randomized
-  ``(dst, ttl, flow, epoch)`` sweeps, including flap epochs, LB diamonds,
-  out-of-space destinations and out-of-range TTLs;
+* ``send_probe``, a one-element ``send_probes`` burst and the uncached
+  reference answer generated probe streams identically — responses,
+  counters, rate limiter and probe log — over flap epochs, LB diamonds,
+  out-of-space destinations, out-of-range TTLs, faults and the ``single``
+  hint;
 * cached and uncached networks answer identical probe streams with
   *identical* response objects (rate limiter included);
 * full FlashRoute and Yarrp scans produce identical :class:`ScanResult`
@@ -17,10 +19,11 @@ from __future__ import annotations
 import gc
 import random
 import tracemalloc
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import first_prefix_with
 from repro import api
 from repro.baselines.yarrp import Yarrp, YarrpConfig
 from repro.core.config import FlashRouteConfig, PreprobeMode
@@ -28,13 +31,10 @@ from repro.core.prober import FlashRoute
 from repro.net.packets import PROTO_TCP, PROTO_UDP
 from repro.simnet.config import TopologyConfig
 from repro.simnet.entities import HopKind
+from repro.simnet.faults import FaultModel
 from repro.simnet.network import SimulatedNetwork
-from repro.simnet.routecache import ROUTE_CACHE_TTLS, RouteCache, Tail
+from repro.simnet.routecache import ROUTE_CACHE_TTLS, Tail
 from repro.simnet.topology import Topology
-
-
-def _hop_key(hop):
-    return (hop.kind, hop.iface, hop.residual_ttl, hop.dest_depth)
 
 
 def _result_fields(result):
@@ -58,59 +58,6 @@ def _result_fields(result):
         "rtt_sum_ms": result.rtt_sum_ms,
         "rtt_count": result.rtt_count,
     }
-
-
-class TestHopAtEquivalence:
-    def test_randomized_sweep(self, small_topology: Topology):
-        cache = RouteCache(small_topology)
-        rng = random.Random(0xCAFE)
-        base = small_topology.base_prefix
-        for _ in range(4000):
-            dst = ((base + rng.randrange(small_topology.num_prefixes)) << 8
-                   ) | rng.randrange(256)
-            ttl = rng.randrange(0, 40)
-            flow = rng.randrange(0, 1 << 16)
-            epoch = rng.randrange(0, 4)
-            expected = small_topology.hop_at(dst, ttl, flow=flow, epoch=epoch)
-            got = cache.hop_at(dst, ttl, flow=flow, epoch=epoch)
-            assert _hop_key(got) == _hop_key(expected), \
-                f"dst={dst:#x} ttl={ttl} flow={flow} epoch={epoch}"
-        assert cache.hits > 0 and cache.misses > 0
-
-    def test_out_of_space_and_extreme_ttls(self, small_topology: Topology):
-        cache = RouteCache(small_topology)
-        outside = (small_topology.base_prefix - 10) << 8
-        inside = (small_topology.base_prefix << 8) | 5
-        for dst, ttl in [(outside, 5), (inside, 0), (inside, -3),
-                         (inside, ROUTE_CACHE_TTLS + 1),
-                         (inside, ROUTE_CACHE_TTLS + 20)]:
-            assert _hop_key(cache.hop_at(dst, ttl)) == \
-                _hop_key(small_topology.hop_at(dst, ttl))
-
-    def test_flap_epochs_invalidate_by_key(self, small_topology: Topology):
-        prefix = first_prefix_with(small_topology,
-                                   lambda record, stub: record.flap)
-        dst = (prefix << 8) | 9
-        cache = RouteCache(small_topology)
-        for epoch in (0, 1, 2, 3):
-            for ttl in range(1, 33):
-                assert _hop_key(cache.hop_at(dst, ttl, epoch=epoch)) == \
-                    _hop_key(small_topology.hop_at(dst, ttl, epoch=epoch))
-        # A flappy destination owns exactly two entries (even/odd shift);
-        # nothing was flushed to serve four epochs.
-        assert len(cache) == 2
-
-    def test_flow_classes_collapse_without_diamonds(
-            self, small_topology: Topology):
-        prefix = first_prefix_with(
-            small_topology,
-            lambda record, stub: not record.flap
-            and all(token >= 0 for token in stub.transit))
-        dst = (prefix << 8) | 17
-        cache = RouteCache(small_topology)
-        for flow in (0, 1, 7, 65535):
-            cache.hop_at(dst, 5, flow=flow)
-        assert len(cache) == 1  # one shared entry: flow can't matter
 
 
 class TestSendProbeEquivalence:
@@ -294,6 +241,7 @@ class TestTablesAreRoutes:
         assert held <= 1024 * distinct, (held, distinct)
 
 
+@lru_cache(maxsize=None)
 def _census_topology() -> Topology:
     """Every stub flavour's probability raised until each occurs, and a
     short flap epoch so a sweep crosses it."""
@@ -441,3 +389,151 @@ class TestCensusSweep:
             assert network.rewritten_responses == oracle.rewritten_responses
             assert network.rate_limiter.dropped == \
                 oracle.rate_limiter.dropped
+
+
+# --------------------------------------------------------------------- #
+# One resolver: the scalar entry point is a one-probe burst
+# --------------------------------------------------------------------- #
+
+_FAULTS = FaultModel(probe_loss=0.1, response_loss=0.1, reorder_window=0.05,
+                     duplicate_probability=0.3, blackout_fraction=0.2,
+                     blackout_period=1.0, blackout_duration=0.3, seed=9)
+
+
+def _probe_streams():
+    """A handful of destinations — inside the space and a prefix or two
+    outside it — and a stream of steps over them: which destination, TTL
+    0–40 (the tables hold 1–32), the gap to the next probe (same rate-limit
+    second, next second, next flap epoch) and the ``single`` hint."""
+    topo = _census_topology()
+    low = topo.base_prefix
+    dsts = st.builds(lambda prefix, octet: prefix << 8 | octet,
+                     st.integers(low - 2, low + topo.num_prefixes + 1),
+                     st.integers(0, 255))
+    step = st.tuples(st.integers(0, 5), st.integers(0, 40),
+                     st.sampled_from([2e-5, 0.4, 45.0]), st.booleans())
+    return st.tuples(st.lists(dsts, min_size=1, max_size=6),
+                     st.lists(step, min_size=1, max_size=48))
+
+
+def _delivered(response):
+    """Everything a receiver can see of a response, fault slots included
+    (``IcmpResponse.__eq__`` compares the five protocol fields only)."""
+    if response is None:
+        return None
+    return (response, response.is_duplicate, _delivered(response.dup))
+
+
+def _observable(network: SimulatedNetwork):
+    limiter = network.rate_limiter
+    return (network.probes_sent, network.responses_generated,
+            network.rewritten_responses, limiter.dropped,
+            limiter.overprobed_interfaces, list(network.probe_log),
+            network.faults.stats() if network.faults is not None else None)
+
+
+class TestOneResolver:
+    """``send_probe(p)``, ``send_probes([p])[0]`` and the uncached
+    reference agree on the response and on everything the network counts,
+    whatever mix of protocol, faults, ``single`` hints, TTLs and
+    destinations a caller sends."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=_probe_streams(),
+           proto=st.sampled_from([PROTO_UDP, PROTO_TCP]),
+           faulted=st.booleans(),
+           flow=st.sampled_from([None, 0, 7, 65535]))
+    def test_scalar_burst_and_reference_agree(self, stream, proto, faulted,
+                                              flow):
+        topo = _census_topology()
+
+        def network(**mode):
+            return SimulatedNetwork(topo, log_probes=True, rate_limit=1,
+                                    faults=_FAULTS if faulted else None,
+                                    **mode)
+
+        scalar, burst, reference = (network(), network(),
+                                    network(use_route_cache=False))
+        dsts, steps = stream
+        now = 0.0
+        for index, ttl, gap, single in steps:
+            dst = dsts[index % len(dsts)]
+            port = 1024 + dst * 7919 % 60000
+            ipid, length = ttl << 8 | index, 8 + index
+            expected = _delivered(reference.send_probe(
+                dst, ttl, now, port, 33434, ipid, length, proto, flow))
+            assert _delivered(scalar.send_probe(
+                dst, ttl, now, port, 33434, ipid, length, proto, flow,
+                single)) == expected
+            got, = burst.send_probes([(dst, ttl, now, port, ipid, length)],
+                                     33434, proto, flow)
+            assert _delivered(got) == expected
+            now += gap
+        assert _observable(scalar) == _observable(reference)
+        assert _observable(burst) == _observable(reference)
+        # A hinted probe never builds a table; an unhinted one within the
+        # tables' TTLs always finds or builds one, as a burst does.
+        built = len(scalar.route_cache.udp_tables) \
+            + len(scalar.route_cache.tcp_tables)
+        if all(single or not 1 <= ttl <= ROUTE_CACHE_TTLS
+               for _index, ttl, _gap, single in steps):
+            assert built == 0
+
+
+class _CallLog:
+    """Forwards to a network, keeping what reached it: each scalar call's
+    ``single`` hint, each burst's ``(probes, preprobes among them)``, and
+    the UDP tables built by the time of the first burst."""
+
+    def __init__(self, network: SimulatedNetwork) -> None:
+        self._network = network
+        self.singles = []
+        self.bursts = []
+        self.tables_at_first_burst = None
+
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+    def send_probe(self, *args, single=False, **kwargs):
+        self.singles.append(single)
+        return self._network.send_probe(*args, single=single, **kwargs)
+
+    def send_probes(self, probes, dst_port=33434, proto=PROTO_UDP,
+                    flow=None):
+        if self.tables_at_first_burst is None:
+            self.tables_at_first_burst = len(
+                self._network.route_cache.udp_tables)
+        self.bursts.append((len(probes), sum(
+            bool(ipid & 0x400) for _d, _t, _n, _p, ipid, _l in probes)))
+        return self._network.send_probes(probes, dst_port, proto, flow)
+
+
+class TestPreprobesOnTheWire:
+    def test_unfolded_preprobes_are_single_and_build_no_table(self):
+        """Hitlist preprobing: one scalar, hinted call per block, each a
+        table miss resolved on the reference path, so the preprobe phase
+        leaves the route cache empty."""
+        topo = _census_topology()
+        network = _CallLog(SimulatedNetwork(topo))
+        result = FlashRoute(FlashRouteConfig.flashroute_16()).scan(network)
+        assert result.preprobe_probes == topo.num_prefixes
+        assert network.singles == [True] * topo.num_prefixes
+        assert network.tables_at_first_burst == 0
+        assert all(preprobes == 0 for _probes, preprobes in network.bursts)
+
+    def test_folded_preprobes_travel_as_bursts(self):
+        """Random preprobing at split 32 is the first main round (§3.3.5):
+        its targets are probed again, so it goes out as the bursts the ring
+        walk built and never through the scalar entry point."""
+        topo = _census_topology()
+        network = _CallLog(SimulatedNetwork(topo))
+        config = FlashRouteConfig(split_ttl=32, preprobe=PreprobeMode.RANDOM)
+        result = FlashRoute(config).scan(network)
+        assert network.singles == []
+        assert result.preprobe_probes == topo.num_prefixes
+        carrying = [(probes, preprobes) for probes, preprobes
+                    in network.bursts if preprobes]
+        assert sum(preprobes for _probes, preprobes in carrying) \
+            == result.preprobe_probes
+        assert all(probes == preprobes for probes, preprobes in carrying)
+        assert max(probes for probes, _preprobes in carrying) > 1

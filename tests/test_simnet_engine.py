@@ -97,30 +97,30 @@ class TestProbeLog:
 
 class TestRateLimiter:
     def test_allows_up_to_limit(self):
-        limiter = IcmpRateLimiter(3)
+        limiter = IcmpRateLimiter(3, num_interfaces=8)
         assert [limiter.allow(1, 0.1) for _ in range(5)] == \
             [True, True, True, False, False]
 
     def test_bins_align_to_whole_seconds(self):
-        limiter = IcmpRateLimiter(1)
+        limiter = IcmpRateLimiter(1, num_interfaces=8)
         assert limiter.allow(1, 0.9)
         assert not limiter.allow(1, 0.99)
         assert limiter.allow(1, 1.01)
 
     def test_interfaces_independent(self):
-        limiter = IcmpRateLimiter(1)
+        limiter = IcmpRateLimiter(1, num_interfaces=8)
         assert limiter.allow(1, 0.0)
         assert limiter.allow(2, 0.0)
 
     def test_dropped_counter(self):
-        limiter = IcmpRateLimiter(2)
+        limiter = IcmpRateLimiter(2, num_interfaces=8)
         for _ in range(5):
             limiter.allow(7, 0.0)
         assert limiter.dropped == 3
         assert limiter.overprobed_interfaces == frozenset({7})
 
     def test_reset(self):
-        limiter = IcmpRateLimiter(1)
+        limiter = IcmpRateLimiter(1, num_interfaces=8)
         limiter.allow(1, 0.0)
         limiter.allow(1, 0.0)
         limiter.reset()
@@ -129,7 +129,7 @@ class TestRateLimiter:
 
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ValueError):
-            IcmpRateLimiter(0)
+            IcmpRateLimiter(0, num_interfaces=8)
 
 
 class TestLatencyModel:
