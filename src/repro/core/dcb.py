@@ -35,6 +35,9 @@ FLAG_PREPROBE_FOLDED = 0x10
 
 _NO_LINK = -1
 
+#: ``bytes.translate`` table setting FLAG_REMOVED on every flags byte.
+_MARK_REMOVED = bytes(flags | FLAG_REMOVED for flags in range(256))
+
 
 @dataclass
 class DCBView:
@@ -89,8 +92,7 @@ class DCBArray:
         sequence = list(order)
         if not sequence:
             raise ValueError("permutation order is empty")
-        for flag_index in range(self.size):
-            self.flags[flag_index] |= FLAG_REMOVED
+        self.flags[:] = self.flags.translate(_MARK_REMOVED)
         previous = sequence[-1]
         for index in sequence:
             if not 0 <= index < self.size:
@@ -252,13 +254,24 @@ def projected_scan_memory(prefix_length: int = 24,
     return (1 << prefix_length) * bytes_per_dcb
 
 
-def initial_order(size: int, seed: int,
-                  excluded: Optional[Iterable[int]] = None) -> List[int]:
-    """The shuffled DCB order: a Feistel permutation of the array indexes,
-    with excluded slots dropped (they stay in the array but outside the
-    ring, as in the paper's initialization §3.4)."""
+def ring_order(size: int, seed: int, members: Iterable[int]) -> List[int]:
+    """The shuffled DCB order of ``members`` (distinct array indexes): the
+    order in which a walk of the Feistel permutation of ``[0, size)``
+    meets them.  Each member is sorted on its position in that walk
+    (:meth:`FeistelPermutation.position_of`), so the cost is
+    O(members · log members) whatever ``size`` is — a shard slice orders
+    its own ~1/16 of the array, not all of it.  Slots left out stay in
+    the array but outside the ring, as in the paper's initialization
+    (§3.4)."""
     from .permutation import FeistelPermutation
 
+    return sorted(members, key=FeistelPermutation(size, seed).position_of)
+
+
+def initial_order(size: int, seed: int,
+                  excluded: Optional[Iterable[int]] = None) -> List[int]:
+    """:func:`ring_order` of every array index except ``excluded``."""
     banned = frozenset(excluded) if excluded is not None else frozenset()
-    permutation = FeistelPermutation(size, seed)
-    return [value for value in permutation if value not in banned]
+    return ring_order(size, seed,
+                      (index for index in range(size)
+                       if index not in banned))

@@ -6,8 +6,9 @@ with O(1) memory.  Two classic constructions are provided:
 
 * :class:`FeistelPermutation` — a format-preserving encryption over
   ``[0, n)`` built from a 4-round Feistel network with cycle-walking.  Any
-  index can be permuted independently (``perm[i]``), which FlashRoute uses
-  to link its DCB ring in shuffled order in one pass.
+  index can be permuted independently (``perm[i]``), and any value located
+  (``perm.position_of(v)``), which FlashRoute uses to order its DCB ring
+  at a cost proportional to the ring, not the domain.
 * :class:`MultiplicativeCycle` — ZMap's original trick: iterate
   ``x -> g*x mod p`` over the multiplicative group of a prime ``p >= n+1``,
   skipping values outside the domain.  Iteration-only but extremely cheap
@@ -62,6 +63,13 @@ class FeistelPermutation:
             left, right = right, left ^ (_mix(right, key) & self._half_mask)
         return (left << self._half_bits) | right
 
+    def _decrypt_once(self, value: int) -> int:
+        left = (value >> self._half_bits) & self._half_mask
+        right = value & self._half_mask
+        for key in reversed(self._keys):
+            left, right = right ^ (_mix(left, key) & self._half_mask), left
+        return (left << self._half_bits) | right
+
     def __len__(self) -> int:
         return self.n
 
@@ -73,6 +81,17 @@ class FeistelPermutation:
         while value >= self.n:
             value = self._encrypt_once(value)
         return value
+
+    def position_of(self, value: int) -> int:
+        """The index ``i`` with ``self[i] == value``: the inverse rounds,
+        cycle-walked back into the domain; O(1) expected, like
+        :meth:`__getitem__`."""
+        if not 0 <= value < self.n:
+            raise IndexError(value)
+        index = self._decrypt_once(value)
+        while index >= self.n:
+            index = self._decrypt_once(index)
+        return index
 
     def __iter__(self) -> Iterator[int]:
         for index in range(self.n):

@@ -48,17 +48,23 @@ def predict_distances(measured: Dict[int, int], num_prefixes: int,
                       proximity_span: int) -> Dict[int, int]:
     """Predict distances of unmeasured prefixes from measured neighbours.
 
-    For each unmeasured prefix the *nearest* measured prefix within
-    ``proximity_span`` blocks (ties broken toward the preceding block, which
-    shares the stub more often under left-to-right allocation) donates its
-    distance.  Runs in O(num_prefixes * span) worst case but short-circuits
-    on the nearest hit.
+    For each unmeasured prefix in ``[0, num_prefixes)`` the *nearest*
+    measured prefix within ``proximity_span`` blocks (ties broken toward the
+    preceding block, which shares the stub more often under left-to-right
+    allocation) donates its distance.  Only offsets within the span of a
+    measured one can receive a prediction, so only those are visited, in
+    ascending order (the order of the returned dict): O(measured · span²)
+    worst case, independent of ``num_prefixes``, which a shard slice of a
+    large topology depends on.
     """
     if proximity_span <= 0 or not measured:
         return {}
+    candidates = sorted({origin + delta for origin in measured
+                         for delta in range(-proximity_span,
+                                            proximity_span + 1)})
     predicted: Dict[int, int] = {}
-    for offset in range(num_prefixes):
-        if offset in measured:
+    for offset in candidates:
+        if not 0 <= offset < num_prefixes or offset in measured:
             continue
         for delta in range(1, proximity_span + 1):
             left = measured.get(offset - delta)

@@ -272,7 +272,8 @@ def _worker_init(plan: ShardPlan,
 def _execute_slice(plan: ShardPlan, topology: Topology,
                    targets: Dict[int, int], slice_index: int
                    ) -> Dict[str, object]:
-    """Run one slice's subscan; returns a picklable, JSON-able payload."""
+    """Run one slice's subscan; returns a picklable payload carrying the
+    :class:`ScanResult` itself (it becomes JSON only in a checkpoint)."""
     from ..obs.events import EventRecorder, strip_event_header
     from ..obs.metrics import MetricsRegistry
     from ..obs.shardobs import ShardHeartbeatReporter, slice_pcap_path
@@ -337,7 +338,7 @@ def _execute_slice(plan: ShardPlan, topology: Topology,
     wall_seconds = time.perf_counter() - wall_start
     payload: Dict[str, object] = {
         "slice": slice_index,
-        "result": result_to_dict(result),
+        "result": result,
         "stats": network.stats(),
         # Wall-side accounting for the scaling benchmark and the shard
         # wall report: which worker process ran the slice and how much
@@ -535,7 +536,8 @@ def _shard_metrics(plan: ShardPlan, snapshot: Optional[Dict[str, object]],
 # --------------------------------------------------------------------- #
 
 def _payload_to_state(payload: Dict[str, object]) -> Dict[str, object]:
-    state = {"result": payload["result"], "stats": payload["stats"]}
+    state = {"result": result_to_dict(payload["result"]),
+             "stats": payload["stats"]}
     if "metrics" in payload:
         state["metrics"] = payload["metrics"]
     if "trace" in payload:
@@ -552,7 +554,7 @@ def _payload_to_state(payload: Dict[str, object]) -> Dict[str, object]:
 def _payload_from_state(slice_index: int,
                         state: Dict[str, object]) -> Dict[str, object]:
     payload: Dict[str, object] = {"slice": slice_index,
-                                  "result": state["result"],
+                                  "result": result_from_dict(state["result"]),
                                   "stats": state["stats"]}
     if "metrics" in state:
         payload["metrics"] = state["metrics"]
@@ -742,8 +744,8 @@ def run_sharded_scan(plan: ShardPlan, *,
             flush_checkpoint()
         if progress is not None:
             progress.slice_done(payload["slice"],
-                                payload["result"]["probes_sent"],
-                                payload["result"]["duration"])
+                                payload["result"].probes_sent,
+                                payload["result"].duration)
         if slice_hook is not None:
             slice_hook(finished)
 
@@ -815,8 +817,7 @@ def run_sharded_scan(plan: ShardPlan, *,
     ordered = [completed[index] for index in sorted(completed)]
     if not ordered:
         raise ValueError("sharded scan completed no slices")
-    results = [result_from_dict(payload["result"])
-               for payload in ordered]
+    results = [payload["result"] for payload in ordered]
     result = merge_results(results)
     if progress is not None:
         progress.finish(result.probes_sent)
@@ -835,7 +836,7 @@ def run_sharded_scan(plan: ShardPlan, *,
                       "pid": payload.get("pid"),
                       "cpu_seconds": payload.get("cpu_seconds"),
                       "wall_seconds": payload.get("wall_seconds"),
-                      "probes": payload["result"]["probes_sent"]}
+                      "probes": payload["result"].probes_sent}
                      for payload in ordered],
         trace_payload=_merged_trace(plan, ordered),
         pcap_paths=[payload["pcap"] for payload in ordered

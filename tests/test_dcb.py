@@ -8,7 +8,9 @@ from repro.core.dcb import (
     FLAG_DEST_REACHED,
     FLAG_REMOVED,
     initial_order,
+    ring_order,
 )
+from repro.core.permutation import FeistelPermutation
 
 
 def make(size=10, split=16, gap=5):
@@ -103,6 +105,18 @@ class TestRing:
         assert visited == [0, 1, 2, 3, 4]
         assert len(dcb) == 0
 
+    def test_relink_readmits_members_and_keeps_other_flags(self):
+        dcb = make(size=4)
+        dcb.link_ring([0, 1, 2, 3])
+        dcb.mark_dest_reached(2)
+        for index in list(dcb.iter_ring()):
+            dcb.remove(index)
+        dcb.link_ring([2, 0])
+        assert list(dcb.iter_ring()) == [2, 0]
+        assert [dcb.is_removed(i) for i in range(4)] \
+            == [False, True, False, True]
+        assert dcb.dest_reached(2) and not dcb.dest_reached(0)
+
     def test_link_ring_rejects_empty_order(self):
         dcb = make()
         with pytest.raises(ValueError):
@@ -187,3 +201,25 @@ class TestInitialOrder:
 
     def test_deterministic(self):
         assert initial_order(64, seed=8) == initial_order(64, seed=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=3000),
+           st.integers(min_value=0, max_value=2**31))
+    def test_ring_order_is_the_filtered_forward_walk(self, data, size, seed):
+        """Sorting members on their permutation position orders them as
+        the forward walk of the whole domain meets them."""
+        members = data.draw(st.sets(
+            st.integers(min_value=0, max_value=size - 1), max_size=200))
+        walk = list(FeistelPermutation(size, seed))
+        assert ring_order(size, seed, members) \
+            == [value for value in walk if value in members]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=1500),
+           st.integers(min_value=0, max_value=2**31),
+           st.sets(st.integers(min_value=0, max_value=1499), max_size=50))
+    def test_initial_order_is_the_walk_minus_exclusions(self, size, seed,
+                                                        excluded):
+        assert initial_order(size, seed, excluded) \
+            == [value for value in FeistelPermutation(size, seed)
+                if value not in excluded]

@@ -61,6 +61,29 @@ class TestFeistel:
         perm = FeistelPermutation(n, seed=seed)
         assert sorted(perm[i] for i in range(n)) == list(range(n))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 1024, 4097, 5000])
+    def test_position_of_inverts_every_index(self, n):
+        # 1024 fills its 2k-bit square exactly; the others cycle-walk.
+        perm = FeistelPermutation(n, seed=7)
+        assert [perm.position_of(perm[i]) for i in range(n)] \
+            == list(range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(min_value=1, max_value=5000),
+           st.integers(min_value=0, max_value=2**31))
+    def test_position_of_is_the_inverse(self, data, n, seed):
+        perm = FeistelPermutation(n, seed=seed)
+        index = data.draw(st.integers(min_value=0, max_value=n - 1))
+        assert perm.position_of(perm[index]) == index
+        assert perm[perm.position_of(index)] == index
+
+    def test_position_of_out_of_range(self):
+        perm = FeistelPermutation(10, seed=0)
+        with pytest.raises(IndexError):
+            perm.position_of(10)
+        with pytest.raises(IndexError):
+            perm.position_of(-1)
+
 
 class TestMultiplicativeCycle:
     @pytest.mark.parametrize("n", [1, 2, 5, 31, 32, 100, 1024, 5000])

@@ -10,6 +10,28 @@ from repro.core.preprobe import (
 )
 
 
+def _full_loop_oracle(measured, num_prefixes, proximity_span):
+    """The prediction rule as it was first written: visit every offset of
+    the space, nearest measured neighbour first, the preceding one on a
+    tie.  O(num_prefixes); the reference the sparse walk must equal."""
+    if proximity_span <= 0 or not measured:
+        return {}
+    predicted = {}
+    for offset in range(num_prefixes):
+        if offset in measured:
+            continue
+        for delta in range(1, proximity_span + 1):
+            left = measured.get(offset - delta)
+            if left is not None:
+                predicted[offset] = left
+                break
+            right = measured.get(offset + delta)
+            if right is not None:
+                predicted[offset] = right
+                break
+    return predicted
+
+
 class TestPredictDistances:
     def test_spreads_both_directions(self):
         predicted = predict_distances({10: 15}, num_prefixes=21,
@@ -65,6 +87,19 @@ class TestPredictDistances:
                           if offset + delta in measured]
             assert value in neighbours
             assert offset not in measured
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=-12, max_value=311),
+                           st.integers(min_value=1, max_value=32),
+                           max_size=60),
+           st.integers(min_value=0, max_value=300),
+           st.integers(min_value=-1, max_value=12))
+    def test_equals_the_full_loop(self, measured, num_prefixes, span):
+        """The sparse walk returns what a visit of every offset did, key
+        order included (measured offsets may even lie off the space)."""
+        expected = _full_loop_oracle(measured, num_prefixes, span)
+        predicted = predict_distances(measured, num_prefixes, span)
+        assert list(predicted.items()) == list(expected.items())
 
     @settings(max_examples=50, deadline=None)
     @given(st.dictionaries(st.integers(min_value=0, max_value=99),

@@ -5,8 +5,10 @@ import pytest
 
 from repro.core.config import FlashRouteConfig, PreprobeMode
 from repro.core.prober import FlashRoute
-from repro.core.targets import random_targets
+from repro.core.targets import hitlist_targets, random_targets
+from repro.simnet.config import TopologyConfig
 from repro.simnet.network import SimulatedNetwork
+from repro.simnet.topology import Topology
 
 
 def scan(topology, targets, **config_kwargs):
@@ -263,3 +265,70 @@ class TestConfigValidation:
     def test_string_preprobe_coerced(self):
         assert FlashRouteConfig(preprobe="hitlist").preprobe is \
             PreprobeMode.HITLIST
+
+
+class TestSetUpScalesWithTargets:
+    """Scan set-up costs the scan's targets, not the topology it runs on
+    (what a shard slice of a large topology depends on)."""
+
+    def test_own_hitlist_is_the_hitlist_restricted(self, tiny_topology,
+                                                   tiny_targets):
+        from repro.core.prober import _own_hitlist
+
+        blocks = sorted(tiny_targets)[::3] + [0, 1 << 24]  # two off-space
+        for granularity in (24, 26):
+            full = hitlist_targets(tiny_topology, granularity=granularity)
+            shift = granularity - 24
+            fine = [(block << shift) | 1 for block in blocks]
+            assert _own_hitlist(tiny_topology, fine, granularity) \
+                == {block: full[block] for block in fine if block in full}
+
+    @staticmethod
+    def census(monkeypatch, prefixes: int):
+        """(Feistel rounds, prediction lookups) of a 16-target
+        ``flashroute-16`` scan on a ``prefixes``-prefix topology."""
+        from repro.core import permutation, prober
+
+        counts = {"rounds": 0, "lookups": 0}
+        real_mix, real_predict = permutation._mix, prober.predict_distances
+
+        def counted_mix(value, key):
+            counts["rounds"] += 1
+            return real_mix(value, key)
+
+        class CountingDict(dict):
+            def get(self, key, default=None):
+                counts["lookups"] += 1
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                counts["lookups"] += 1
+                return super().__contains__(key)
+
+        def counted_predict(measured, num_prefixes, span):
+            assert measured, "the census needs measured distances"
+            return real_predict(CountingDict(measured), num_prefixes, span)
+
+        topology = Topology(TopologyConfig(num_prefixes=prefixes, seed=3))
+        # Sixteen blocks, 32 apart, inside the stubs both sizes share (a
+        # topology is generated stub by stub from one seeded stream).
+        drawn = random_targets(topology, seed=1)
+        targets = {prefix: drawn[prefix] for prefix
+                   in range(topology.base_prefix + 16,
+                            topology.base_prefix + 512, 32)}
+        with monkeypatch.context() as patch:
+            patch.setattr(permutation, "_mix", counted_mix)
+            patch.setattr(prober, "predict_distances", counted_predict)
+            FlashRoute(FlashRouteConfig(probing_rate=1000.0)).scan(
+                SimulatedNetwork(topology), targets=targets)
+        return counts
+
+    def test_set_up_census_is_independent_of_topology_size(self,
+                                                          monkeypatch):
+        small = self.census(monkeypatch, 1024)
+        large = self.census(monkeypatch, 16384)
+        # Both sizes fill the Feistel square exactly: one 4-round
+        # inverse evaluation per ring member, no cycle-walking.
+        assert small["rounds"] == large["rounds"] == 16 * 4
+        assert small["lookups"] == large["lookups"]
+        assert 0 < large["lookups"] < 16 * 11 * 11
