@@ -172,6 +172,31 @@ class TestSliceIsAScanSession:
                 json.loads(json.dumps(direct)), f"{tool} slice {index}"
 
 
+class TestPreprobeLedger:
+    """``scan.preprobe.measured + predicted + unresolved`` accounts for
+    every target exactly once, whether the scan runs whole or as slices
+    (a slice once predicted distances for other slices' blocks)."""
+
+    @pytest.mark.parametrize("tool,preprobe", [
+        ("flashroute-16", None), ("flashroute-32", "random")],
+        ids=["hitlist", "folded"])
+    def test_ledger_sums_to_the_targets(self, tool, preprobe):
+        from repro.obs.telemetry import Telemetry
+
+        plan = _plan(tool=tool, preprobe=preprobe, prefixes=256, shards=1,
+                     events_format=None)
+        telemetry = Telemetry()
+        Engine.from_request(plan.request).open_session(
+            plan.request, telemetry=telemetry).run()
+        for snapshot in (telemetry.registry.snapshot(),
+                         run_sharded_scan(plan).metrics_snapshot):
+            counters = snapshot["counters"]
+            ledger = [counters[f"scan.preprobe.{entry}"] for entry
+                      in ("measured", "predicted", "unresolved")]
+            assert min(ledger) > 0
+            assert sum(ledger) == snapshot["gauges"]["scan.targets"] == 256
+
+
 class TestShardedCheckpoint:
     def _interrupt_after(self, count):
         def hook(finished):
