@@ -34,9 +34,6 @@ Convenience one-liners::
     for hop in engine.open_session(api.TraceRequest.parse(
             {"destination": "198.51.0.7", "flow": 3})).stream():
         print(hop)
-
-The per-engine constructors (:func:`flashroute` etc.) are for callers
-that need a hand-built per-engine config.
 """
 
 from __future__ import annotations
@@ -44,9 +41,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, fields
-from typing import (Dict, Iterator, List, Optional, get_args,
-                    get_type_hints)
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple, get_args, get_type_hints)
 
+from .core.config import PreprobeMode
 from .core.resilience import CheckpointError, ResilienceConfig
 from .core.results import ScanResult
 from .core.scanner import ScannerOptions, create_scanner, scanner_names
@@ -64,20 +62,164 @@ __all__ = [
     "ScanSession",
     "TraceRequest",
     "TraceSession",
-    "flashroute",
     "open_session",
-    "scamper",
     "scan",
-    "serve",
-    "traceroute_scanner",
-    "yarrp",
 ]
+
+
+# --------------------------------------------------------------------- #
+# Field domains
+# --------------------------------------------------------------------- #
+# A request field declares its domain once, as the ``check`` in its
+# metadata.  ``__post_init__`` runs every check for every caller; the
+# readers hold outside values (a checkpoint file, a wire line) to the
+# declared types first; the CLI builds each flag's ``type=`` or
+# ``choices=`` from the same check.  A check takes a value of the field's
+# type and raises ``ValueError`` saying what the value must be; the
+# caller names the field.
+
+def positive_int(value: int) -> None:
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+
+
+def non_negative_int(value: int) -> None:
+    if value < 0:
+        raise ValueError(f"must be a non-negative integer, got {value}")
+
+
+def probability(value: float) -> None:
+    if not 0.0 <= value < 1.0:  # NaN fails both comparisons
+        raise ValueError(f"must be a probability in [0, 1), got {value}")
+
+
+def positive_finite(value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"must be a positive finite number, got {value}")
+
+
+def int_range(low: int, high: int) -> Callable[[int], None]:
+    def check(value: int) -> None:
+        if not low <= value <= high:
+            raise ValueError(f"must be in [{low}, {high}], got {value}")
+    return check
+
+
+def one_of(choices: Callable[[], Sequence[str]]) -> Callable[[str], None]:
+    """A choice among ``choices()``, read when checked (the scanner
+    registry fills itself on first use); the CLI offers the same list as
+    the flag's ``choices``."""
+    def check(value: str) -> None:
+        if value not in choices():
+            raise ValueError(f"must be one of {', '.join(choices())}, "
+                             f"got {value!r}")
+    check.choices = choices
+    return check
+
+
+def _declare(default=dataclasses.MISSING, *, check=None, help=None,
+             metavar=None):
+    """A request field: its default, its domain check (``None``: any value
+    of the declared type) and its ``--help`` text."""
+    return dataclasses.field(default=default, metadata={
+        "check": check, "help": help, "metavar": metavar})
+
+
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", type(None): "null"}
+
+
+class FieldSchema(NamedTuple):
+    """A request class's declarations as its readers use them."""
+
+    #: Field name -> the value types it admits, exactly: a bool is not an
+    #: int, but JSON's one number type makes an int a valid float.
+    types: Dict[str, Tuple[type, ...]]
+    #: ``(name, check, default)`` for every checked field.  A field still
+    #: holding its default is not checked: a default is in its field's
+    #: domain, or is ``None`` for "the tool's own".
+    checks: Tuple[Tuple[str, Callable[[object], None], object], ...]
+    #: Field name -> default, in field order; ``MISSING`` where required.
+    defaults: Dict[str, object]
+    #: Fields without a default.
+    required: Tuple[str, ...]
+
+
+def _declared(cls):
+    """Class decorator: read ``cls``'s annotations and field metadata into
+    ``cls.schema``, a :class:`FieldSchema`, once, when the class is
+    defined (``TraceRequest.parse`` runs on every daemon request)."""
+    hints = get_type_hints(cls)
+    types, checks, defaults = {}, [], {}
+    for spec in fields(cls):
+        if spec.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{spec.name}: a request field takes a plain "
+                            f"default, not a default_factory")
+        kinds = get_args(hints[spec.name]) or (hints[spec.name],)
+        types[spec.name] = kinds + (int,) if float in kinds else kinds
+        if spec.metadata["check"] is not None:
+            checks.append((spec.name, spec.metadata["check"], spec.default))
+        defaults[spec.name] = spec.default
+    cls.schema = FieldSchema(
+        types, tuple(checks), defaults,
+        tuple(name for name, default in defaults.items()
+              if default is dataclasses.MISSING))
+    return cls
+
+
+def _check_fields(request) -> None:
+    """Run every field check of ``request`` (from its ``__post_init__``)."""
+    values = request.__dict__
+    for name, check, default in request.schema.checks:
+        value = values[name]
+        if value is not default:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+
+
+def _build(cls, payload, what: str):
+    """``cls(**payload)`` for a ``payload`` from outside — a file anyone
+    can edit, a wire line — held to ``cls``'s declaration first.
+
+    It must be a JSON object naming only ``cls``'s fields and every field
+    without a default, each value of exactly a declared type.  A wrong
+    one is named here, as a ``ValueError``, rather than dying of a
+    ``TypeError`` inside ``__post_init__``.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got "
+                         f"{type(payload).__name__}")
+    types, _, defaults, required = cls.schema
+    for name, value in payload.items():
+        kinds = types.get(name)
+        if kinds is None:
+            unknown = sorted(payload.keys() - types.keys())
+            raise ValueError(
+                f"unknown {what} field(s): {', '.join(unknown)}")
+        if type(value) not in kinds:
+            spelled = " or ".join(_KIND_NAMES[kind] for kind in kinds
+                                  if kind is not int or float not in kinds)
+            raise ValueError(f"{what} field {name!r} must be {spelled}, "
+                             f"got {value!r}")
+    for name in required:
+        if name not in payload:
+            raise ValueError(f"{what} needs a {name!r}")
+    # What the dataclass __init__ would do, minus its one frozen
+    # object.__setattr__ per field — most of a wire request's parse.
+    request = object.__new__(cls)
+    request.__dict__.update(defaults)
+    request.__dict__.update(payload)
+    request.__post_init__()
+    return request
 
 
 # --------------------------------------------------------------------- #
 # Requests
 # --------------------------------------------------------------------- #
 
+@_declared
 @dataclass(frozen=True)
 class ScanRequest:
     """One serializable description of a whole scan.
@@ -86,57 +228,81 @@ class ScanRequest:
     the shard workers' plans and the daemon's startup configuration all
     share: :meth:`to_dict`/:meth:`from_dict` round-trip losslessly
     (pinned by tests), so a request written into a checkpoint today is
-    the same object a resume or a shard worker rebuilds tomorrow.
+    the same object a resume or a shard worker rebuilds tomorrow.  Each
+    field's domain and ``--help`` text live in its declaration.
     """
 
-    tool: str = "flashroute-16"
-    prefixes: int = 1024
-    seed: int = 20201027
-    split_ttl: Optional[int] = None
-    gap_limit: Optional[int] = None
-    preprobe: Optional[str] = None
-    rate: Optional[float] = None
-    loss: float = 0.0
-    blackout: float = 0.0
-    fault_seed: int = 0
-    retries: int = 0
-    adaptive_rate: bool = False
-    shards: Optional[int] = None
-    shard_index: Optional[int] = None
-    shard_slices: int = 16
+    tool: str = _declare(
+        "flashroute-16", check=one_of(scanner_names),
+        help="probing engine (scanner registry name)")
+    prefixes: int = _declare(
+        1024, check=positive_int,
+        help="number of /24 prefixes in the simulated space")
+    seed: int = _declare(20201027, help="topology seed")
+    split_ttl: Optional[int] = _declare(
+        None, check=int_range(1, 32),
+        help="TTL probing starts from where no distance is known "
+             "(FlashRoute's split TTL, Scamper's first TTL; default: the "
+             "tool's own)")
+    gap_limit: Optional[int] = _declare(
+        None, check=positive_int,
+        help="consecutive silent hops that end forward probing (default: "
+             "the tool's own)")
+    preprobe: Optional[str] = _declare(
+        None, check=one_of(lambda: [mode.value for mode in PreprobeMode]),
+        help="where preprobe targets come from (default: hitlist)")
+    rate: Optional[float] = _declare(
+        None, check=positive_finite,
+        help="probes per second (default: scaled 100 Kpps)")
+    loss: float = _declare(
+        0.0, check=probability,
+        help="independent per-probe and per-response loss probability "
+             "(default 0: no injected faults)")
+    blackout: float = _declare(
+        0.0, check=probability,
+        help="fraction of responders suffering periodic transient "
+             "blackouts")
+    fault_seed: int = _declare(
+        0, help="seed of the injected fault sequence (same seed + same "
+                "scan = identical faults)")
+    retries: int = _declare(
+        0, check=int_range(0, 200), metavar="N",
+        help="re-probe each unanswered (prefix, ttl) up to N times, at "
+             "most 200 (default 0: byte-identical to the retry-free "
+             "engines; see docs/robustness.md)")
+    adaptive_rate: bool = _declare(
+        False,
+        help="back the probing rate off multiplicatively when a round's "
+             "loss or rate-limiter drops spike, recover additively when "
+             "it clears")
+    shards: Optional[int] = _declare(
+        None, check=positive_int, metavar="N",
+        help="run the scan sharded over N worker processes and merge to "
+             "an output byte-identical to --shards 1 for the same seed "
+             "(see docs/scaling.md)")
+    shard_index: Optional[int] = _declare(
+        None, check=non_negative_int, metavar="I",
+        help="run only worker I's residue class of slices (slice index "
+             "mod N == I) standalone; requires --shards N")
+    shard_slices: int = _declare(
+        16, check=positive_int, metavar="L",
+        help="logical slices the keyspace splits into (default 16); fixed "
+             "independently of --shards so the merged output never "
+             "depends on the worker count")
 
     def __post_init__(self) -> None:
-        if self.prefixes <= 0:
-            raise ValueError(f"prefixes must be positive, got "
-                             f"{self.prefixes}")
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError(f"loss must be in [0, 1), got {self.loss}")
-        if not 0.0 <= self.blackout < 1.0:
-            raise ValueError(f"blackout must be in [0, 1), got "
-                             f"{self.blackout}")
-        if self.rate is not None and not 0 < self.rate < math.inf:
-            raise ValueError(f"rate must be a positive finite number, got "
-                             f"{self.rate}")
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.tool not in scanner_names():
-            raise ValueError(
-                f"unknown tool {self.tool!r} (known: "
-                f"{', '.join(scanner_names())})")
-        if self.shard_slices < 1:
-            raise ValueError(f"shard_slices must be >= 1, got "
-                             f"{self.shard_slices}")
+        _check_fields(self)
         if self.shards is None:
             if self.shard_index is not None:
                 raise ValueError(
                     "shard_index needs shards (the worker count the "
                     "index selects from)")
-        elif not 1 <= self.shards <= self.shard_slices:
+        elif self.shards > self.shard_slices:
             raise ValueError(
                 f"shards must be in [1, shard_slices={self.shard_slices}]"
                 f", got {self.shards}")
         elif self.shard_index is not None \
-                and not 0 <= self.shard_index < self.shards:
+                and self.shard_index >= self.shards:
             raise ValueError(
                 f"shard_index must be in [0, {self.shards}), got "
                 f"{self.shard_index}")
@@ -150,41 +316,18 @@ class ScanRequest:
                   complete: bool = False) -> "ScanRequest":
         """Rebuild a request from :meth:`to_dict` output.
 
-        Unknown keys always raise (a request schema mismatch must never
-        pass silently); with ``complete=True`` missing keys raise too —
-        the checkpoint-resume path uses this to reject invocation
-        records written by an incompatible version.
+        Unknown keys and wrongly typed values always raise (a request
+        schema mismatch must never pass silently); with ``complete=True``
+        missing keys raise too — the checkpoint-resume path uses this to
+        reject invocation records written by an incompatible version.
         """
-        if not isinstance(payload, dict):
-            raise ValueError(f"scan request must be a JSON object, got "
-                             f"{type(payload).__name__}")
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown scan request field(s): {', '.join(unknown)}")
-        if complete:
-            missing = sorted(known - set(payload))
+        if complete and isinstance(payload, dict):
+            missing = sorted(cls.schema.types.keys() - payload.keys())
             if missing:
                 raise ValueError(
                     f"scan request record is missing field(s): "
                     f"{', '.join(missing)}")
-        # The record comes from a file anyone can edit: hold each value
-        # to its field's declared type — exactly, so a bool is not an
-        # int, except that JSON's one number type makes an int a valid
-        # float — and name a wrong one here, where it is a ValueError,
-        # rather than die of a TypeError inside __post_init__.
-        hints = get_type_hints(cls)
-        for spec in fields(cls):
-            kinds = get_args(hints[spec.name]) or (hints[spec.name],)
-            if float in kinds:
-                kinds += (int,)
-            if spec.name in payload \
-                    and type(payload[spec.name]) not in kinds:
-                raise ValueError(
-                    f"scan request field {spec.name!r} must be "
-                    f"{spec.type}, got {payload[spec.name]!r}")
-        return cls(**payload)
+        return _build(cls, payload, "scan request")
 
     @classmethod
     def from_args(cls, args) -> "ScanRequest":
@@ -237,31 +380,19 @@ TRACE_PROBE_GAP = 0.02
 _TRACE_PORT_BASE = 33434
 
 
+@_declared
 @dataclass(frozen=True)
 class TraceRequest:
-    """One per-destination trace request — the daemon's request unit."""
+    """One per-destination trace request — the daemon's request unit.
 
-    destination: int
-    flow: int = 0
-    max_ttl: int = TRACE_MAX_TTL
-    gap_limit: int = TRACE_GAP_LIMIT
-    probe_gap: float = TRACE_PROBE_GAP
+    Its fields are exactly the wire fields of a trace request."""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.destination <= 0xFFFFFFFF:
-            raise ValueError(f"destination {self.destination!r} is not an "
-                             f"IPv4 address")
-        if not 0 <= self.flow <= 0xFFFF:
-            raise ValueError(f"flow must be in [0, 65535], got "
-                             f"{self.flow}")
-        if not 1 <= self.max_ttl <= 255:
-            raise ValueError(f"max_ttl must be in [1, 255], got "
-                             f"{self.max_ttl}")
-        if self.gap_limit < 1:
-            raise ValueError(f"gap_limit must be >= 1, got "
-                             f"{self.gap_limit}")
-        if self.probe_gap <= 0:
-            raise ValueError("probe_gap must be positive")
+    destination: int = _declare(check=int_range(0, 0xFFFFFFFF))
+    flow: int = _declare(0, check=int_range(0, 0xFFFF))
+    max_ttl: int = _declare(TRACE_MAX_TTL, check=int_range(1, 255))
+    gap_limit: int = _declare(TRACE_GAP_LIMIT, check=positive_int)
+
+    __post_init__ = _check_fields
 
     @property
     def key(self) -> tuple:
@@ -276,35 +407,15 @@ class TraceRequest:
         malformed input; the daemon maps that to a structured error
         record instead of dropping the connection.
         """
-        if not isinstance(payload, dict):
-            raise ValueError("trace request must be a JSON object")
-        known = {"destination", "flow", "max_ttl", "gap_limit"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown trace request field(s): {', '.join(unknown)}")
-        if "destination" not in payload:
-            raise ValueError("trace request needs a 'destination'")
-        destination = payload["destination"]
+        destination = (payload.get("destination")
+                       if isinstance(payload, dict) else None)
         if isinstance(destination, str):
             try:
-                destination = ip_to_int(destination)
+                payload = {**payload, "destination": ip_to_int(destination)}
             except ValueError:
-                raise ValueError(
-                    f"destination {payload['destination']!r} is not an "
-                    f"IPv4 address")
-        elif not isinstance(destination, int) \
-                or isinstance(destination, bool):
-            raise ValueError("destination must be a dotted quad or an "
-                             "integer address")
-        extra = {}
-        for key in ("flow", "max_ttl", "gap_limit"):
-            if key in payload:
-                value = payload[key]
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ValueError(f"{key} must be an integer")
-                extra[key] = value
-        return cls(destination=destination, **extra)
+                raise ValueError(f"destination {destination!r} is not an "
+                                 f"IPv4 address") from None
+        return _build(cls, payload, "trace request")
 
 
 # --------------------------------------------------------------------- #
@@ -491,7 +602,7 @@ class TraceSession:
             sent_at = clock.now
             response = network.send_probe(dst, ttl, sent_at, src_port,
                                           flow=request.flow)
-            clock.advance(request.probe_gap)
+            clock.advance(TRACE_PROBE_GAP)
             if response is None:
                 silent += 1
                 if silent >= request.gap_limit:
@@ -583,49 +694,3 @@ def open_session(request, engine: Optional[Engine] = None,
                              "(the warm core the daemon holds)")
         engine = Engine.from_request(request)
     return engine.open_session(request, telemetry=telemetry)
-
-
-def serve(*args, **kwargs):
-    """Run the traceroute-as-a-service daemon (see :mod:`repro.service`).
-
-    Lazy wrapper so importing :mod:`repro.api` never pulls in asyncio
-    machinery; all arguments forward to
-    :func:`repro.service.daemon.serve`.
-    """
-    from .service.daemon import serve as _serve
-
-    return _serve(*args, **kwargs)
-
-
-# -- per-engine constructors ------------------------------------------- #
-# For callers that need a hand-built per-engine config (the experiment
-# drivers reproduce paper tables with knobs ScanRequest deliberately
-# does not carry).
-
-def flashroute(config=None, telemetry=None):
-    """A :class:`~repro.core.prober.FlashRoute` from an explicit config."""
-    from .core.prober import FlashRoute
-
-    return FlashRoute(config, telemetry=telemetry)
-
-
-def yarrp(config=None, telemetry=None):
-    """A :class:`~repro.baselines.yarrp.Yarrp` from an explicit config."""
-    from .baselines.yarrp import Yarrp
-
-    return Yarrp(config, telemetry=telemetry)
-
-
-def scamper(config=None, telemetry=None):
-    """A :class:`~repro.baselines.scamper.Scamper` from an explicit
-    config."""
-    from .baselines.scamper import Scamper
-
-    return Scamper(config, telemetry=telemetry)
-
-
-def traceroute_scanner(telemetry=None, **kwargs):
-    """A :class:`~repro.baselines.traceroute.TracerouteScanner`."""
-    from .baselines.traceroute import TracerouteScanner
-
-    return TracerouteScanner(telemetry=telemetry, **kwargs)

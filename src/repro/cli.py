@@ -4,6 +4,9 @@ Subcommands:
 
 * ``scan`` — run one tool over a freshly generated topology and print the
   scan summary (optionally JSON).
+* ``serve`` — run the traceroute-as-a-service daemon (docs/service.md).
+* ``top`` — live terminal dashboard over a running daemon.
+* ``serve-bench`` — burst-load an in-process daemon and report latency.
 * ``experiment`` — regenerate one of the paper's tables/figures.
 * ``list`` — list available experiments.
 * ``metrics-report`` — summarize or diff ``--metrics-out`` snapshots.
@@ -18,12 +21,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Callable, Dict, List, Optional
 
-from .api import Engine, ScanRequest
-from .core.config import PreprobeMode
+from .api import (Engine, ScanRequest, non_negative_int, positive_finite,
+                  positive_int)
 from .core.results import ScanResult
-from .core.scanner import scanner_names
 from .experiments import (
     ExperimentContext,
     run_discovery_experiment,
@@ -75,81 +78,38 @@ _EXPERIMENTS: Dict[str, Callable[[ExperimentContext], object]] = {
 # readable message, instead of crashing deep in topology generation.
 # --------------------------------------------------------------------- #
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+def _flag_type(convert: type, check: Optional[Callable]) -> Callable:
+    """An argparse ``type=``: ``convert`` the text, then ``check`` the
+    value (a :mod:`repro.api` domain check); either failure is a usage
+    error, exit 2."""
+    def parse(text: str):
+        value = convert(text)  # argparse: "invalid int value: 'x'"
+        if check is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0 < value < math.inf:  # NaN fails both comparisons
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+def _non_negative_finite(value: float) -> None:
     if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative finite number, got {value}")
-    return value
+        raise ValueError(f"must be a non-negative finite number, got "
+                         f"{value}")
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _gap_limit(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"gap limit must be at least 1, got {value}")
-    return value
-
-
-def _probability(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a probability in [0, 1), got {value}")
-    return value
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+def _unit_interval(value: float) -> None:
     if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a fraction in [0, 1], got {value}")
-    return value
+        raise ValueError(f"must be a fraction in [0, 1], got {value}")
+
+
+_positive_int = _flag_type(int, positive_int)
+_nonneg_int = _flag_type(int, non_negative_int)
+_positive_float = _flag_type(float, positive_finite)
+_nonneg_float = _flag_type(float, _non_negative_finite)
+_fraction = _flag_type(float, _unit_interval)
 
 
 def _output_file(text: str) -> str:
@@ -157,6 +117,28 @@ def _output_file(text: str) -> str:
         raise argparse.ArgumentTypeError(
             f"must end in .json or .csv, got {text!r}")
     return text
+
+
+def _request_flags(parser, *names: str) -> None:
+    """Add one flag per named :class:`ScanRequest` field (every field when
+    none is named): ``--`` plus the name with ``_`` → ``-``, the field as
+    its dest, and the field's default, help and check."""
+    types = ScanRequest.schema.types
+    for spec in fields(ScanRequest):
+        if names and spec.name not in names:
+            continue
+        check = spec.metadata["check"]
+        kind = types[spec.name][0]
+        if kind is bool:
+            how = {"action": argparse.BooleanOptionalAction}
+        elif hasattr(check, "choices"):
+            how = {"choices": check.choices()}
+        else:
+            how = {"type": _flag_type(kind, check)}
+        parser.add_argument("--" + spec.name.replace("_", "-"),
+                            dest=spec.name, default=spec.default,
+                            help=spec.metadata["help"],
+                            metavar=spec.metadata["metavar"], **how)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,28 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="run one scan")
-    scan.add_argument("--tool", choices=scanner_names(),
-                      default="flashroute-16")
-    scan.add_argument("--prefixes", type=_positive_int, default=1024,
-                      help="number of /24 prefixes in the simulated space")
-    scan.add_argument("--seed", type=int, default=20201027,
-                      help="topology seed")
-    scan.add_argument("--split-ttl", type=int, default=None)
-    scan.add_argument("--gap-limit", type=_gap_limit, default=None)
-    scan.add_argument("--preprobe",
-                      choices=[mode.value for mode in PreprobeMode],
-                      default=None)
-    scan.add_argument("--rate", type=_positive_float, default=None,
-                      help="probes per second (default: scaled 100 Kpps)")
-    scan.add_argument("--loss", type=_probability, default=0.0,
-                      help="independent per-probe and per-response loss "
-                           "probability (default 0: no injected faults)")
-    scan.add_argument("--blackout", type=_probability, default=0.0,
-                      help="fraction of responders suffering periodic "
-                           "transient blackouts")
-    scan.add_argument("--fault-seed", type=int, default=0,
-                      help="seed of the injected fault sequence (same seed "
-                           "+ same scan = identical faults)")
+    _request_flags(scan)
     scan.add_argument("--json", action="store_true",
                       help="print the result as JSON")
     scan.add_argument("--output", metavar="FILE", type=_output_file,
@@ -226,16 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "with --shards, a live aggregated view of the "
                            "worker heartbeats (per-worker rates, "
                            "aggregate pps, ETA, straggler flags)")
-    scan.add_argument("--retries", type=_nonneg_int, default=0,
-                      metavar="N",
-                      help="re-probe each unanswered (prefix, ttl) up to N "
-                           "times (default 0: byte-identical to the "
-                           "retry-free engines; see docs/robustness.md)")
-    scan.add_argument("--adaptive-rate",
-                      action=argparse.BooleanOptionalAction, default=False,
-                      help="back the probing rate off multiplicatively "
-                           "when a round's loss or rate-limiter drops "
-                           "spike, recover additively when it clears")
     scan.add_argument("--checkpoint", metavar="FILE", default=None,
                       help="write a versioned scan checkpoint at round "
                            "boundaries and on interrupt; resume with "
@@ -256,23 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "boundary K, as if ^C were pressed (testing "
                            "checkpoint/resume); with --shards, K counts "
                            "completed slices instead of rounds")
-    scan.add_argument("--shards", type=_positive_int, default=None,
-                      metavar="N",
-                      help="run the scan sharded over N worker processes "
-                           "and merge to an output byte-identical to "
-                           "--shards 1 for the same seed (see "
-                           "docs/scaling.md)")
-    scan.add_argument("--shard-index", type=_nonneg_int, default=None,
-                      metavar="I",
-                      help="run only worker I's residue class of slices "
-                           "(slice %% N == I) standalone; requires "
-                           "--shards N")
-    scan.add_argument("--shard-slices", type=_positive_int, default=16,
-                      metavar="L",
-                      help="logical slices the keyspace splits into "
-                           "(default 16); fixed independently of --shards "
-                           "so the merged output never depends on the "
-                           "worker count")
     scan.add_argument("--slice-retries", type=_nonneg_int, default=0,
                       metavar="K",
                       help="respawn a crashed slice's work up to K times "
@@ -291,10 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="run the traceroute-as-a-service daemon (docs/service.md)")
-    serve.add_argument("--prefixes", type=_positive_int, default=1024,
-                       help="number of /24 prefixes in the warm topology")
-    serve.add_argument("--seed", type=int, default=20201027,
-                       help="topology seed")
+    _request_flags(serve, "prefixes", "seed")
     serve.add_argument("--host", default="127.0.0.1",
                        help="TCP bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=4792,
@@ -369,8 +300,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve-bench",
         help="burst-load an in-process daemon and report latency "
              "percentiles + cache/coalesce rates")
-    bench.add_argument("--prefixes", type=_positive_int, default=256)
-    bench.add_argument("--seed", type=int, default=20201027)
+    _request_flags(bench, "prefixes", "seed")
+    bench.set_defaults(prefixes=256)
     bench.add_argument("--clients", type=_positive_int, default=1000,
                        help="concurrent client connections in the burst")
     bench.add_argument("--keys", type=_positive_int, default=64,
@@ -445,14 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
     diff.add_argument("b", metavar="B",
                       help="second input (the faulted run, when diffing "
                            "clean vs faulted)")
-    diff.add_argument("--loss", type=_probability, default=0.0,
-                      help="fault model of run B: per-probe/per-response "
-                           "loss probability (as passed to scan --loss)")
-    diff.add_argument("--blackout", type=_probability, default=0.0,
-                      help="fault model of run B: blackout fraction")
-    diff.add_argument("--fault-seed", type=int, default=0,
-                      help="fault seed of run B (must match scan "
-                           "--fault-seed to attribute fault draws)")
+    _request_flags(diff.add_argument_group(
+        "fault model of run B",
+        "as passed to scan; must match it to attribute fault draws"),
+        "loss", "blackout", "fault_seed")
     diff.add_argument("--json", action="store_true",
                       help="print divergences as JSON")
     return parser
@@ -544,10 +471,10 @@ def _load_resume(path: str):
     try:
         request = ScanRequest.from_dict(document.get("invocation"),
                                         complete=True)
-    except ValueError:
+    except ValueError as exc:
         print(f"resume: {path}: checkpoint carries no usable "
-              f"invocation record (written by an API caller? rebuild the "
-              f"scan in code and call the engine's resume())",
+              f"invocation record: {exc} (written by an API caller? "
+              f"rebuild the scan in code and call the engine's resume())",
               file=sys.stderr)
         raise SystemExit(2)
     return request, document["state"]

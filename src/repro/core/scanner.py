@@ -51,8 +51,9 @@ class ScannerOptions:
     #: Consecutive silent hops tolerated during forward probing.
     gap_limit: Optional[int] = None
 
-    #: Preprobe mode name for tools that preprobe ("hitlist", "random",
-    #: "fixed", "none").
+    #: Preprobe mode name for tools that preprobe: a
+    #: :class:`~repro.core.config.PreprobeMode` value ("hitlist",
+    #: "random", "none").
     preprobe: Optional[str] = None
 
     #: Per-scan randomization seed (probing order, port draws).

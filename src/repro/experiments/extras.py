@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
-from .. import api
 from ..analysis.report import render_table
-from ..baselines.yarrp import YarrpConfig
+from ..baselines.yarrp import Yarrp, YarrpConfig
 from ..core.config import FlashRouteConfig
 from ..core.discovery import DiscoveryOptimizedResult, run_discovery_optimized
+from ..core.prober import FlashRoute
 from ..core.results import ScanResult, format_scan_time
 from ..obs.timing import Stopwatch
 from .common import ExperimentContext
@@ -72,16 +72,16 @@ def run_table5(context: ExperimentContext) -> ThroughputResult:
                                          wall_seconds=watch.elapsed))
 
     measure("FlashRoute-32",
-            lambda: api.flashroute(FlashRouteConfig.flashroute_32()).scan(
+            lambda: FlashRoute(FlashRouteConfig.flashroute_32()).scan(
                 context.network(), targets=context.random_targets))
     measure("FlashRoute-16",
-            lambda: api.flashroute(FlashRouteConfig.flashroute_16()).scan(
+            lambda: FlashRoute(FlashRouteConfig.flashroute_16()).scan(
                 context.network(), targets=context.random_targets))
     measure("Yarrp-32",
-            lambda: api.yarrp(YarrpConfig.yarrp_32()).scan(
+            lambda: Yarrp(YarrpConfig.yarrp_32()).scan(
                 context.network(), targets=context.random_targets))
     measure("Yarrp-16",
-            lambda: api.yarrp(YarrpConfig.yarrp_16()).scan(
+            lambda: Yarrp(YarrpConfig.yarrp_16()).scan(
                 context.network(), targets=context.random_targets))
     return result
 
@@ -125,7 +125,7 @@ def run_discovery_experiment(context: ExperimentContext,
     discovery = run_discovery_optimized(
         context.network(), extra_scans=extra_scans,
         targets=context.random_targets, length_guided=length_guided)
-    yarrp_sim = api.flashroute(FlashRouteConfig.yarrp32_udp_simulation()).scan(
+    yarrp_sim = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation()).scan(
         context.network(), targets=context.random_targets,
         tool_name="Yarrp-32-UDP (Simulation)")
     return DiscoveryExperimentResult(discovery=discovery,
@@ -160,7 +160,7 @@ def run_rewrite_detection(context: ExperimentContext,
     result = RewriteDetectionResult()
     for seed in seeds:
         targets = random_targets(context.topology, seed)
-        scan = api.flashroute(FlashRouteConfig.flashroute_16(seed=seed)).scan(
+        scan = FlashRoute(FlashRouteConfig.flashroute_16(seed=seed)).scan(
             context.network(), targets=targets,
             tool_name=f"FlashRoute-16 (seed {seed})")
         total = scan.responses + scan.mismatched_quotes
@@ -209,9 +209,9 @@ def run_route_holes(context: ExperimentContext,
             ("FlashRoute-32",
              FlashRouteConfig.flashroute_32(probing_rate=probing_rate))):
         network = context.network(log_probes=True)
-        scan = api.flashroute(config).scan(network,
-                                       targets=context.random_targets,
-                                       tool_name=label)
+        scan = FlashRoute(config).scan(network,
+                                   targets=context.random_targets,
+                                   tool_name=label)
         holes = count_route_holes(scan, network.probe_log)
         result.rows.append((label, holes, scan.interface_count(),
                             scan.probes_sent))
@@ -253,7 +253,7 @@ def run_proximity_span_ablation(context: ExperimentContext,
         predicted = predict_distances(measured, num_prefixes, span)
         coverage = (len(measured) + len(predicted)) / num_prefixes
         accuracy = prediction_accuracy(measured, span, num_prefixes)
-        scan = api.flashroute(FlashRouteConfig.flashroute_16(
+        scan = FlashRoute(FlashRouteConfig.flashroute_16(
             proximity_span=span)).scan(
             context.network(), targets=context.random_targets,
             tool_name=f"span-{span}")
@@ -275,9 +275,9 @@ def run_round_pacing_ablation(context: ExperimentContext,
         headers=["Round seconds", "Probes", "Interfaces", "Scan time"])
     for seconds in round_seconds:
         config = FlashRouteConfig.flashroute_16(round_seconds=seconds)
-        scan = api.flashroute(config).scan(context.network(),
-                                       targets=context.random_targets,
-                                       tool_name=f"pacing-{seconds}")
+        scan = FlashRoute(config).scan(context.network(),
+                                   targets=context.random_targets,
+                                   tool_name=f"pacing-{seconds}")
         result.rows.append([seconds, scan.probes_sent,
                             scan.interface_count(),
                             format_scan_time(scan.duration)])
@@ -311,13 +311,13 @@ def run_granularity_future_work(context: ExperimentContext,
             round(interfaces / max(probes / 1000.0, 0.001), 1),
             f"{memory / 2**30:.1f} GiB"])
 
-    baseline = api.flashroute(FlashRouteConfig.flashroute_32()).scan(
+    baseline = FlashRoute(FlashRouteConfig.flashroute_32()).scan(
         context.network(), targets=context.random_targets,
         tool_name="baseline /24")
     add("baseline one-per-/24", baseline.interface_count(),
         baseline.probes_sent, 24)
 
-    fine = api.flashroute(FlashRouteConfig.flashroute_32(
+    fine = FlashRoute(FlashRouteConfig.flashroute_32(
         granularity=fine_granularity)).scan(
         context.network(), tool_name=f"fine /{fine_granularity}")
     add(f"one-per-/{fine_granularity}", fine.interface_count(),

@@ -19,11 +19,11 @@ from ..analysis.hitlist_bias import HitlistBiasReport, analyze_hitlist_bias
 from ..analysis.jaccard import jaccard_by_hops_from_destination
 from ..analysis.metrics import targets_probed_per_ttl
 from ..analysis.report import render_distribution, render_pdf_cdf, render_table
-from .. import api
-from ..baselines.scamper import ScamperConfig
+from ..baselines.scamper import Scamper, ScamperConfig
 from ..baselines.traceroute import ClassicTraceroute
 from ..core.config import FlashRouteConfig, PreprobeMode
 from ..core.encoding import decode_response, encode_probe
+from ..core.prober import FlashRoute
 from ..core.results import ScanResult, format_scan_time
 from ..net.icmp import ResponseKind, distance_from_unreachable
 from ..simnet.network import SimulatedNetwork
@@ -173,9 +173,9 @@ def run_fig6(context: ExperimentContext,
     for gap in gap_limits:
         config = FlashRouteConfig(split_ttl=16, gap_limit=gap,
                                   preprobe=PreprobeMode.RANDOM)
-        scan = api.flashroute(config).scan(context.network(),
-                                       targets=context.random_targets,
-                                       tool_name=f"FlashRoute-16/gap{gap}")
+        scan = FlashRoute(config).scan(context.network(),
+                                   targets=context.random_targets,
+                                   tool_name=f"FlashRoute-16/gap{gap}")
         result.rows.append((gap, scan.interface_count(), scan.duration))
     return result
 
@@ -201,10 +201,10 @@ class ProbedTtlResult:
 
 
 def run_fig7(context: ExperimentContext) -> ProbedTtlResult:
-    flashroute = api.flashroute(FlashRouteConfig.flashroute_16()).scan(
+    flashroute = FlashRoute(FlashRouteConfig.flashroute_16()).scan(
         context.network(), targets=context.random_targets,
         tool_name="FlashRoute-16")
-    scamper = api.scamper(ScamperConfig.scamper_16()).scan(
+    scamper = Scamper(ScamperConfig.scamper_16()).scan(
         context.network(), targets=context.random_targets)
     return ProbedTtlResult(
         flashroute=targets_probed_per_ttl(flashroute),
@@ -254,10 +254,10 @@ class HitlistBiasResult:
 def run_fig8(context: ExperimentContext) -> HitlistBiasResult:
     """Exhaustive (TTL 1..32) scans of hitlist vs random representatives."""
     exhaustive = FlashRouteConfig.yarrp32_udp_simulation()
-    hitlist_scan = api.flashroute(exhaustive).scan(
+    hitlist_scan = FlashRoute(exhaustive).scan(
         context.network(), targets=context.hitlist,
         tool_name="exhaustive-hitlist")
-    random_scan = api.flashroute(exhaustive).scan(
+    random_scan = FlashRoute(exhaustive).scan(
         context.network(), targets=context.random_targets,
         tool_name="exhaustive-random")
     return HitlistBiasResult(

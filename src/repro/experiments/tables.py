@@ -9,11 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from .. import api
 from ..analysis.intrusiveness import TopologyMap, analyze_overprobing
 from ..analysis.report import render_table
-from ..baselines.yarrp import YarrpConfig
+from ..baselines.yarrp import Yarrp, YarrpConfig
 from ..core.config import FlashRouteConfig, PreprobeMode
+from ..core.prober import FlashRoute
 from ..core.results import ScanResult, format_scan_time
 from .common import PAPER_RATE_LIMIT, ExperimentContext
 
@@ -48,7 +48,7 @@ def run_table1(context: ExperimentContext) -> TableResult:
                                       preprobe=PreprobeMode.RANDOM,
                                       redundancy_removal=removal)
             label = f"{split}/{'On' if removal else 'Off'}"
-            scan = api.flashroute(config).scan(
+            scan = FlashRoute(config).scan(
                 context.network(), targets=context.random_targets,
                 tool_name=label)
             result.scans[label] = scan
@@ -74,7 +74,7 @@ def run_table2(context: ExperimentContext) -> TableResult:
         for mode, mode_label in modes:
             label = f"{split}/{mode_label}"
             config = FlashRouteConfig(split_ttl=split, preprobe=mode)
-            scan = api.flashroute(config).scan(
+            scan = FlashRoute(config).scan(
                 context.network(), targets=context.random_targets,
                 tool_name=label)
             result.scans[label] = scan
@@ -128,7 +128,7 @@ def run_neighborhood_protection(context: ExperimentContext) -> TableResult:
     for radius in (0, 3, 6):
         config = YarrpConfig.yarrp_32(neighborhood_radius=radius)
         label = config.label
-        scanner = api.yarrp(config)
+        scanner = Yarrp(config)
         scan = scanner.scan(context.network(), targets=context.random_targets,
                             tool_name=label)
         result.scans[label] = scan
@@ -162,7 +162,7 @@ def run_table4(context: ExperimentContext,
     # ground-truth routes, and the slow reference scan's own ICMP throttling
     # (an artifact of its synchronized per-TTL rounds) must not blind the
     # replay to exactly the shared interfaces being studied.
-    reference = api.flashroute(FlashRouteConfig.yarrp32_udp_simulation(
+    reference = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
         probing_rate=probing_rate / 10.0)).scan(
         context.network(rate_limit=2**31), targets=context.random_targets,
         tool_name="reference (complete routes @10% rate)")
@@ -176,24 +176,24 @@ def run_table4(context: ExperimentContext,
 
     runs = [
         ("FlashRoute-16",
-         lambda net: api.flashroute(FlashRouteConfig.flashroute_16(
+         lambda net: FlashRoute(FlashRouteConfig.flashroute_16(
              probing_rate=probing_rate)).scan(
              net, targets=context.random_targets, tool_name="FlashRoute-16")),
         ("FlashRoute-32",
-         lambda net: api.flashroute(FlashRouteConfig.flashroute_32(
+         lambda net: FlashRoute(FlashRouteConfig.flashroute_32(
              probing_rate=probing_rate)).scan(
              net, targets=context.random_targets, tool_name="FlashRoute-32")),
         ("Yarrp-32",
-         lambda net: api.yarrp(YarrpConfig.yarrp_32(
+         lambda net: Yarrp(YarrpConfig.yarrp_32(
              probing_rate=probing_rate)).scan(
              net, targets=context.random_targets, tool_name="Yarrp-32")),
         ("Yarrp-32 3-hop protection",
-         lambda net: api.yarrp(YarrpConfig.yarrp_32(
+         lambda net: Yarrp(YarrpConfig.yarrp_32(
              probing_rate=probing_rate, neighborhood_radius=3)).scan(
              net, targets=context.random_targets,
              tool_name="Yarrp-32 3-hop protection")),
         ("Yarrp-32 6-hop protection",
-         lambda net: api.yarrp(YarrpConfig.yarrp_32(
+         lambda net: Yarrp(YarrpConfig.yarrp_32(
              probing_rate=probing_rate, neighborhood_radius=6)).scan(
              net, targets=context.random_targets,
              tool_name="Yarrp-32 6-hop protection")),

@@ -10,22 +10,25 @@ and compare.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import json
 import typing
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro import api
-from repro.cli import main
-from repro.core.config import FlashRouteConfig
-from repro.core.scanner import create_scanner, ScannerOptions
+from repro.cli import _build_parser, main
+from repro.core.config import FlashRouteConfig, PreprobeMode
+from repro.core.scanner import create_scanner, ScannerOptions, scanner_names
 from repro.core.sharding import ShardPlan
 from repro.net.packets import IPv4Header, ProbeHeader
 from repro.net.pcap import read_pcap
+from repro.simnet import Topology, TopologyConfig
 from repro.simnet.capture import CapturingNetwork
 
 # Captured from the pre-refactor CLI (direct Topology/SimulatedNetwork/
@@ -331,6 +334,85 @@ class TestScanRequest:
         assert plan.request is request
 
 
+#: Above every drawn int: no drawn shard count or index trips a
+#: cross-field rule.
+_ROOMY = 2 ** 42
+
+
+@st.composite
+def _field_values(draw):
+    """One ``ScanRequest`` field and a value of its type, in or out of
+    the field's domain."""
+    name = draw(st.sampled_from(
+        [spec.name for spec in dataclasses.fields(api.ScanRequest)]))
+    hint = typing.get_type_hints(api.ScanRequest)[name]
+    kind = (typing.get_args(hint) or (hint,))[0]
+    if kind is bool:
+        return name, draw(st.booleans())
+    if kind is int:
+        return name, draw(st.integers(-3, 40) | st.integers(-2**41, 2**41))
+    if kind is float:
+        return name, draw(st.floats(-0.5, 1.5) | st.floats())
+    return name, draw(st.sampled_from(
+        sorted(set(scanner_names()) | {mode.value for mode in PreprobeMode}
+               | {"bogus", ""})))
+
+
+@functools.cache
+def _small_engine():
+    return api.Engine(topology=Topology(TopologyConfig(num_prefixes=16)))
+
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except (ValueError, SystemExit):
+        return False
+    return True
+
+
+class TestOneDeclarationPerField:
+    """The ``scan`` flags, the checkpoint reader and the API constructor
+    are three front doors to one declaration: none admits a value
+    another refuses, and whatever they admit every tool can run."""
+
+    @given(pair=_field_values())
+    @example(pair=("gap_limit", 0))
+    @example(pair=("preprobe", "bogus"))
+    @example(pair=("split_ttl", 0))
+    def test_front_doors_agree_and_every_tool_opens(self, pair):
+        name, value = pair
+        flag = "--" + name.replace("_", "-")
+        if isinstance(value, bool):
+            argv = [flag if value else f"--no-{flag[2:]}"]
+        else:
+            argv = [f"{flag}={value}"]
+        context = {"shard_index": {"shards": _ROOMY, "shard_slices": _ROOMY},
+                   "shards": {"shard_slices": _ROOMY}}.get(name, {})
+        fields = dict(context, **{name: value})
+
+        parsed = _accepts(lambda: _build_parser().parse_args(["scan"] + argv))
+        built = _accepts(lambda: api.ScanRequest(**fields))
+        read = _accepts(lambda: api.ScanRequest.from_dict(fields))
+        assert parsed == built == read, (name, value, parsed, built, read)
+        if built:
+            request = api.ScanRequest(**fields)
+            assert api.ScanRequest.from_dict(fields) == request
+            for tool in scanner_names():
+                _small_engine().open_session(
+                    dataclasses.replace(request, tool=tool))
+
+    def test_every_field_has_exactly_one_scan_flag(self):
+        subparsers = next(action for action in _build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        actions = subparsers.choices["scan"]._actions
+        for spec in dataclasses.fields(api.ScanRequest):
+            flags = [action for action in actions if action.dest == spec.name]
+            assert len(flags) == 1, spec.name
+            assert "--" + spec.name.replace("_", "-") \
+                in flags[0].option_strings
+
+
 class TestTraceRequest:
     def test_parse_dotted_and_int(self):
         a = api.TraceRequest.parse({"destination": "20.0.0.7", "flow": 3})
@@ -338,6 +420,8 @@ class TestTraceRequest:
                                     "flow": 3})
         assert a == b
         assert a.key == ((20 << 24) + 7, 3)
+        built = api.TraceRequest((20 << 24) + 7, flow=3)
+        assert (a, hash(a)) == (built, hash(built))
 
     def test_parse_rejects_malformed(self):
         with pytest.raises(ValueError, match="needs a 'destination'"):
@@ -478,9 +562,7 @@ class TestDeprecation:
         from repro.baselines.yarrp import Yarrp
         from repro.core.prober import FlashRoute
 
-        for build in (FlashRoute, Yarrp, Scamper, TracerouteScanner,
-                      api.flashroute, api.yarrp, api.scamper,
-                      api.traceroute_scanner):
+        for build in (FlashRoute, Yarrp, Scamper, TracerouteScanner):
             build()
         create_scanner("flashroute-16", ScannerOptions())
         api.scan(tool="traceroute", prefixes=4)

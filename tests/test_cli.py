@@ -76,6 +76,20 @@ class TestScanValidation:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--split-ttl", "0"],
+        ["--split-ttl", "40"],
+        ["--tool", "scamper-16", "--split-ttl", "40"],
+    ])
+    def test_rejects_a_split_ttl_outside_1_to_32(self, capsys, argv):
+        """Refused by the parser, naming the flag: it used to pass the
+        parser and die in the engine config with a traceback, exit 1."""
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--prefixes", "64"] + argv)
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--split-ttl" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_scan_rejects_a_non_finite_rate(self, capsys, value):
         """``--rate nan`` used to die inside ``encode_probe`` and

@@ -539,6 +539,29 @@ class TestCliInterruptResume:
         assert "no usable invocation record" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("preprobe", "bogus"), ("split_ttl", 0), ("gap_limit", -3)])
+    def test_resume_out_of_domain_invocation_exits_2(self, capsys,
+                                                     tmp_path, field,
+                                                     value):
+        """A well-typed value outside its field's domain, in a file whose
+        checksum holds, is an unusable record naming the field — it used
+        to pass the type check and die in the engine config."""
+        ckpt = tmp_path / "scan.ckpt"
+        assert main(SCAN_ARGS + ["--checkpoint", str(ckpt),
+                                 "--interrupt-after-round", "1"]) == 130
+        capsys.readouterr()
+        document = load_checkpoint(str(ckpt))
+        document["invocation"][field] = value
+        write_checkpoint(str(ckpt), document["engine"], document["state"],
+                         meta=document["invocation"])
+        with pytest.raises(SystemExit) as exc_info:
+            main(["scan", "--resume", str(ckpt)])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "no usable invocation record" in err and field in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("iface", ["one past the last", -1])
     def test_resume_refuses_a_limiter_bin_outside_the_topology(
             self, capsys, tmp_path, iface):

@@ -12,9 +12,8 @@ if __package__ in (None, ""):  # allow "python tools/calibrate.py"
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro import api  # noqa: E402
-from repro.baselines import ScamperConfig, YarrpConfig  # noqa: E402
-from repro.core import FlashRouteConfig, random_targets  # noqa: E402
+from repro.baselines import Scamper, ScamperConfig, Yarrp, YarrpConfig  # noqa: E402
+from repro.core import FlashRoute, FlashRouteConfig, random_targets  # noqa: E402
 from repro.obs.telemetry import Telemetry  # noqa: E402
 from repro.simnet import SimulatedNetwork, Topology, TopologyConfig  # noqa: E402
 
@@ -36,17 +35,17 @@ def main(argv=None) -> None:
               f'wall={time.time()-t0:5.1f}s')
         return res
 
-    run('FR-16', lambda: api.flashroute(FlashRouteConfig.flashroute_16()).scan(
+    run('FR-16', lambda: FlashRoute(FlashRouteConfig.flashroute_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('FR-32', lambda: api.flashroute(FlashRouteConfig.flashroute_32()).scan(
+    run('FR-32', lambda: FlashRoute(FlashRouteConfig.flashroute_32()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Yarrp-16', lambda: api.yarrp(YarrpConfig.yarrp_16()).scan(
+    run('Yarrp-16', lambda: Yarrp(YarrpConfig.yarrp_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Yarrp-32', lambda: api.yarrp(YarrpConfig.yarrp_32()).scan(
+    run('Yarrp-32', lambda: Yarrp(YarrpConfig.yarrp_32()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('Scamper-16', lambda: api.scamper(ScamperConfig.scamper_16()).scan(
+    run('Scamper-16', lambda: Scamper(ScamperConfig.scamper_16()).scan(
         SimulatedNetwork(topo), targets=targets))
-    run('sim', lambda: api.flashroute(
+    run('sim', lambda: FlashRoute(
         FlashRouteConfig.yarrp32_udp_simulation()).scan(
         SimulatedNetwork(topo), targets=targets, tool_name='sim'))
 
@@ -71,9 +70,9 @@ def main(argv=None) -> None:
     for mode, want_m, want_p in (('hitlist', 0.100, 0.282),
                                  ('random', 0.040, 0.190)):
         telemetry = Telemetry()
-        api.flashroute(FlashRouteConfig(split_ttl=16, preprobe=mode),
-                       telemetry=telemetry).scan(SimulatedNetwork(topo),
-                                                 targets=targets)
+        FlashRoute(FlashRouteConfig(split_ttl=16, preprobe=mode),
+                   telemetry=telemetry).scan(SimulatedNetwork(topo),
+                                             targets=targets)
         counter = telemetry.registry.counter
         measured = counter('scan.preprobe.measured') / num_prefixes
         predicted = counter('scan.preprobe.predicted') / num_prefixes

@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Diff two scans and attribute every divergence to a cause.
 
-Thin script wrapper over :mod:`repro.obs.scandiff`, for use without
+Thin script wrapper over ``flashroute-sim scan-diff``, for use without
 installing the package (CI artifacts, clean-vs-faulted comparisons).
 Inputs are ``scan --events`` logs (JSONL or binary) or ``scan --output``
 result JSON files; pass the second run's fault parameters to attribute
-fault-induced holes to their exact hash draws.
+fault-induced holes to their exact hash draws.  The flags are the CLI's,
+so they take the values ``scan`` takes.
 
 Usage: python tools/scan_diff.py A B [--loss P] [--blackout P]
                                      [--fault-seed N] [--json]
@@ -13,8 +14,6 @@ Usage: python tools/scan_diff.py A B [--loss P] [--blackout P]
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 
@@ -22,50 +21,11 @@ if __package__ in (None, ""):  # allow "python tools/scan_diff.py"
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.scandiff import (  # noqa: E402
-    diff_views,
-    divergences_to_json,
-    load_view,
-    render_scan_diff,
-)
-from repro.simnet.faults import FaultModel  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Join two scans per prefix and classify divergences")
-    parser.add_argument("a", metavar="A",
-                        help="first input (event log or result JSON)")
-    parser.add_argument("b", metavar="B",
-                        help="second input (the faulted run, if any)")
-    parser.add_argument("--loss", type=float, default=0.0,
-                        help="run B's --loss probability")
-    parser.add_argument("--blackout", type=float, default=0.0,
-                        help="run B's --blackout fraction")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="run B's --fault-seed")
-    parser.add_argument("--json", action="store_true",
-                        help="print divergences as JSON")
-    args = parser.parse_args(argv)
-    fault_model = None
-    if args.loss or args.blackout:
-        fault_model = FaultModel(probe_loss=args.loss,
-                                 response_loss=args.loss,
-                                 blackout_fraction=args.blackout,
-                                 seed=args.fault_seed)
-    try:
-        view_a = load_view(args.a)
-        view_b = load_view(args.b)
-        divergences = diff_views(view_a, view_b, fault_model)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"scan-diff: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(divergences_to_json(divergences), indent=2,
-                         sort_keys=True))
-    else:
-        print(render_scan_diff(view_a, view_b, divergences))
-    return 0
+    return cli_main(["scan-diff", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":
