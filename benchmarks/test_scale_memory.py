@@ -2,11 +2,12 @@
 
 One 65,536-prefix scan in a fresh interpreter (so ``ru_maxrss`` is the
 scan's own high-water mark, not pytest's), failing when the process peaks
-above 330 MiB or above 5.2 KiB of RSS per /24.  With outcome tables that
-hold interface ids the scan peaks at ~236 MiB (3.7 KiB per /24); with a
-response tuple per ``(destination, TTL)`` slot it peaked at 414 MiB, which
-is what this catches coming back.  ~15 s; run by CI's ``bench-smoke`` job,
-outside tier-1.
+above 153 MiB or above 2.4 KiB of RSS per /24: the measured 133.2 MiB
+(2.08 KiB per /24) plus 15 %.  With the topology as columns the scan peaks
+there; with one object graph per /24 it peaked at ~234 MiB (3.65 KiB per
+/24), and with a response tuple per ``(destination, TTL)`` slot in the
+route cache at 414 MiB — either coming back fails this.  ~15 s; run by
+CI's ``bench-smoke`` job, outside tier-1.
 
 This is the scale row ROADMAP item 1's "scale pair" takes over inside
 ``bench/`` (``ns_per_probe`` and KiB of RSS per /24 at 4,096 and 65,536
@@ -24,8 +25,8 @@ import sys
 import repro
 
 PREFIXES = 65_536
-MAX_RSS_MIB = 330.0
-MAX_KIB_PER_PREFIX = 5.2
+MAX_RSS_MIB = 153.0
+MAX_KIB_PER_PREFIX = 2.4
 
 _SCAN = """
 import json, resource, sys, time

@@ -56,13 +56,13 @@ def _own_hitlist(topology: Topology, blocks: Iterable[int],
     ``blocks`` (the scan's own), built in O(blocks): every sub-block
     inherits its /24's hitlist address."""
     shift = granularity - 24
-    records = topology.prefixes
+    hosts = topology.hitlist_host
     hitlist: Dict[int, int] = {}
     for block in blocks:
         prefix = block >> shift
         offset = prefix - topology.base_prefix
-        if 0 <= offset < len(records):
-            hitlist[block] = (prefix << 8) | records[offset].hitlist_host
+        if 0 <= offset < len(hosts):
+            hitlist[block] = (prefix << 8) | hosts[offset]
     return hitlist
 
 

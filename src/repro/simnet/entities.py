@@ -1,9 +1,13 @@
 """Static entities of the simulated topology.
 
-The topology is stored in flat, index-addressed structures (parallel lists
-keyed by interface id, stub id and scanned-prefix offset) rather than object
-graphs: a scan resolves one hop per probe on its hot path, and the paper's
-experiments issue hundreds of thousands of probes per run.
+The topology is stored in flat, index-addressed columns (``array`` and
+``bytearray`` keyed by interface id and scanned-prefix offset) rather than
+object graphs: a scan resolves one hop per probe on its hot path, and a
+/24 must cost bytes, not objects, for one host to hold a large scan.  The
+objects here are the ones that grow with stubs rather than with /24s
+(:class:`Stub`, and the diamonds' branch tuples), the per-probe
+:class:`HopResult`, and :class:`PrefixInfo`, a view built on demand from a
+/24's columns.
 
 Hop tokens
 ----------
@@ -76,6 +80,11 @@ class Stub:
 class PrefixInfo:
     """Per-/24 state: which stub it belongs to, its interior, its hosts.
 
+    A snapshot view: ``Topology.prefixes[i]`` builds one from the /24's
+    columns on every access, and writing to it changes nothing in the
+    topology.  Analysis and tests read it; the probe and set-up paths read
+    the columns instead.
+
     Attributes:
         stub_id: owning stub.
         internal_ifaces: interface ids of intra-stub routers at depths
@@ -87,7 +96,8 @@ class PrefixInfo:
             candidates that look dead to FlashRoute's preprobing).
         special_hosts: host octet -> interface id for router interfaces
             whose address lives inside this prefix (the stub gateway and
-            this prefix's internal routers).
+            this prefix's internal routers, the alternate last hop at
+            octet 240 taking that octet over from a 15-hop chain).
         flap: whether routes to this prefix gain a silent hop in odd
             route-dynamics epochs.
         hitlist_host: host octet the synthesized ISI-style hitlist lists for

@@ -18,48 +18,45 @@ interfaces.  We synthesize a hitlist with exactly that selection behaviour:
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .topology import Topology
 
 
 def synthesize_hitlist(topology: "Topology", rng: random.Random) -> None:
-    """Fill ``hitlist_host`` on every prefix record of ``topology``."""
-    cfg = topology.config
-    for record in topology.prefixes:
-        stub = topology.stubs[record.stub_id]
+    """Fill ``topology.hitlist_host`` for every scanned /24."""
+    prefers_udp = topology.config.hitlist_prefers_udp_responder
+    stubs = topology.stubs
+    udp_resp = topology.udp_resp
+    active_start, active_octets = topology.active_start, topology.active_octets
+    ping_start, ping_octets = topology.ping_start, topology.ping_octets
+    picks = topology.hitlist_host
+    for offset in range(topology.num_prefixes):
+        stub = stubs[topology.prefix_stub[offset]]
         pick = None
-
-        gateway_octet = None
-        appliance_octets: List[int] = []
-        for octet, iface in record.special_hosts.items():
-            if iface == stub.gateway_iface:
-                gateway_octet = octet
-            else:
-                appliance_octets.append(octet)
-
-        if gateway_octet is not None and topology.udp_resp[stub.gateway_iface]:
-            pick = gateway_octet
-        elif appliance_octets and rng.random() < 0.45:
-            responsive = [octet for octet in sorted(appliance_octets)
-                          if topology.udp_resp[record.special_hosts[octet]]]
-            if responsive:
-                pick = responsive[0]
-        if pick is None and record.active_hosts:
-            if rng.random() < cfg.hitlist_prefers_udp_responder:
-                pick = min(record.active_hosts)
-        if pick is None and record.ping_hosts:
-            pick = min(record.ping_hosts)
+        if stub.first_offset == offset and udp_resp[stub.gateway_iface]:
+            pick = 1  # the gateway's octet
+        elif topology.chain_len[offset] and rng.random() < 0.45:
+            # In-prefix appliances: the interior chain and alternate last
+            # hop, lowest responsive octet first.
+            for octet in topology.special_octets(offset):
+                if octet != 1 and udp_resp[topology.special_iface(offset,
+                                                                  octet)]:
+                    pick = octet
+                    break
+        if pick is None and active_start[offset] < active_start[offset + 1]:
+            if rng.random() < prefers_udp:
+                pick = active_octets[active_start[offset]]
+        if pick is None and ping_start[offset] < ping_start[offset + 1]:
+            pick = ping_octets[ping_start[offset]]
         if pick is None:
             pick = rng.randrange(2, 250)
-        record.hitlist_host = pick
+        picks[offset] = pick
 
 
 def hitlist_addresses(topology: "Topology") -> Dict[int, int]:
     """Map of /24 prefix index -> the synthesized hitlist address."""
-    result: Dict[int, int] = {}
-    for offset, record in enumerate(topology.prefixes):
-        prefix_index = topology.base_prefix + offset
-        result[prefix_index] = (prefix_index << 8) | record.hitlist_host
-    return result
+    base = topology.base_prefix
+    return {base + offset: (base + offset) << 8 | host
+            for offset, host in enumerate(topology.hitlist_host)}

@@ -11,12 +11,37 @@ identifier hits.
 
 All randomness is drawn from a single seeded ``random.Random``; two
 topologies built from equal configs are identical.
+
+Layout
+------
+Per-interface and per-/24 facts live in flat columns (``array``/
+``bytearray``), the way :mod:`repro.core.dcb` keeps the scanner's state, so
+the simulated Internet costs bytes per /24 rather than objects.  What the
+layout already determines is derived, not stored:
+
+* infrastructure (transit and diamond) addresses are consecutive from
+  ``infrastructure_base_addr`` in allocation order;
+* a /24's interior chain and its alternate last hop are allocated
+  consecutively, so ``chain_start`` plus ``chain_len`` names all of them;
+* in-prefix router addresses are ``prefix_base | octet``: octet 1 is the
+  stub gateway on a stub's first /24, octet ``254 - j`` the chain's j-th
+  hop, octet 240 the alternate last hop — which takes the octet over when
+  a chain of 15 or more hops reaches it.
+
+Only stubs and load-balancer diamonds are objects; they grow with stubs,
+not with /24s.  ``prefixes[i]`` builds a :class:`PrefixInfo` view from the
+columns for analysis and tests; nothing on the probe or set-up path reads
+through it.  ``tests/oracle/topology.py`` keeps the object form this
+replaced, and ``tests/test_topology_oracle.py`` holds the two equal.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
+from typing import Iterable, List, Optional, Set, Tuple
 
 from ..net.addr import prefix24_base
 from .config import TopologyConfig, weighted_choice
@@ -34,6 +59,23 @@ from .entities import (
 _FLOW_HASH_MULT = 2654435761  # Knuth multiplicative hash constant
 _GROUP_HASH_MULT = 40503
 
+#: ``prefix_flags`` bits.
+ALT_LAST_HOP = 0x01
+FLAP = 0x02
+
+#: Octets a /24's ordinary hosts are drawn from, in draw order.
+_HOST_OCTETS = bytes(range(2, 250))
+#: The in-prefix router octets of the layout (see the module docstring).
+_GATEWAY_OCTET = 0x01
+_ALT_OCTET = 240
+_CHAIN_TOP = 254
+
+
+def _host_pool(taken: Set[int]) -> bytes:
+    """:data:`_HOST_OCTETS` without ``taken``, order kept (a sample draws
+    by position, so any sequence of the same octets draws the same)."""
+    return _HOST_OCTETS.translate(None, bytes(taken))
+
 
 class _TreeNode:
     """A node of the transit tree used only during generation."""
@@ -46,6 +88,26 @@ class _TreeNode:
         self.children: List["_TreeNode"] = []
 
 
+class PrefixRecords(Sequence):
+    """``Topology.prefixes``: a read-only sequence that builds one
+    :class:`PrefixInfo` view per item access."""
+
+    __slots__ = ("_topology",)
+
+    def __init__(self, topology: "Topology") -> None:
+        self._topology = topology
+
+    def __len__(self) -> int:
+        return self._topology.num_prefixes
+
+    def __getitem__(self, index: int) -> PrefixInfo:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("prefix offset out of range")
+        return self._topology.prefix_info(index)
+
+
 class Topology:
     """Immutable simulated topology plus ground-truth query methods."""
 
@@ -55,25 +117,49 @@ class Topology:
         self.num_prefixes = config.num_prefixes
         self.vantage_addr = config.infrastructure_base_addr - 1
 
-        # Flat interface tables, indexed by interface id.
-        self.iface_addrs: List[int] = []
-        self.iface_depth: List[int] = []
+        # Per-interface columns, indexed by interface id.
+        self.iface_addrs = array("I")
+        self.iface_depth = array("B")
         self.udp_resp = bytearray()
         self.tcp_resp = bytearray()
         #: Whether the interface, probed *as a destination*, answers UDP
         #: high ports with port-unreachable (appliances often do not even
         #: when they generate TTL-exceeded).
         self.dest_resp = bytearray()
+        #: Infrastructure interface ids in address order: the k-th holds
+        #: ``infrastructure_base_addr + k``.
+        self.infra_ifaces = array("I")
 
         #: Diamond id -> branches; each branch is a tuple of interface ids,
         #: one per hop level of the diamond.
         self.lb_groups: List[Tuple[Tuple[int, ...], ...]] = []
         self.stubs: List[Stub] = []
-        self.prefixes: List[PrefixInfo] = []
-        self.addr_to_iface: Dict[int, int] = {}
 
-        self._next_infra_addr = config.infrastructure_base_addr
+        # Per-/24 columns, indexed by scanned-prefix offset.
+        self.prefix_stub = array("I")
+        #: Interface id of the first interior hop (the chain runs
+        #: ``chain_start .. chain_start + chain_len - 1``; the alternate
+        #: last hop, when ``ALT_LAST_HOP`` is set, is the id after it).
+        self.chain_start = array("I")
+        self.chain_len = bytearray()
+        self.prefix_flags = bytearray()
+        #: Host octet the synthesized ISI-style hitlist lists (hitlist.py).
+        self.hitlist_host = bytearray(config.num_prefixes)
+        #: Sorted host octets answering UDP (``active``) or only pings
+        #: (``ping``), all /24s concatenated: offset p's run is
+        #: ``active_octets[active_start[p]:active_start[p + 1]]``.
+        self.active_start = array("I", (0,))
+        self.active_octets = bytearray()
+        self.ping_start = array("I", (0,))
+        self.ping_octets = bytearray()
+
         self._generate(random.Random(config.seed))
+
+    @property
+    def prefixes(self) -> PrefixRecords:
+        """Per-/24 :class:`PrefixInfo` views, built on access (analysis and
+        tests; the probe and set-up paths read the columns)."""
+        return PrefixRecords(self)
 
     # ------------------------------------------------------------------ #
     # Generation
@@ -87,12 +173,15 @@ class Topology:
         self.udp_resp.append(1 if udp else 0)
         self.tcp_resp.append(1 if tcp else 0)
         self.dest_resp.append(1 if (udp if dest is None else dest) else 0)
-        self.addr_to_iface[addr] = iface
         return iface
 
     def _new_infra_iface(self, depth: int, udp: bool, tcp: bool) -> int:
-        addr = self._next_infra_addr
-        self._next_infra_addr += 1
+        cfg = self.config
+        addr = cfg.infrastructure_base_addr + len(self.infra_ifaces)
+        if (cfg.base_prefix_addr <= addr
+                < cfg.base_prefix_addr + self.num_prefixes * 256):
+            raise ValueError("infrastructure space overlaps the scanned space")
+        self.infra_ifaces.append(len(self.iface_addrs))
         return self._new_iface(addr, depth, udp, tcp)
 
     def _draw_responsiveness(self, rng: random.Random, silent: bool,
@@ -190,15 +279,15 @@ class Topology:
         return tuple(tokens)
 
     def _sample_active_hosts(self, rng: random.Random,
-                             forbidden: Set[int]) -> FrozenSet[int]:
+                             forbidden: Set[int]) -> List[int]:
         cfg = self.config
         usable = 254
         mean = usable * cfg.host_density
         sigma = max(1.0, mean ** 0.5)
         count = int(rng.gauss(mean, sigma) + 0.5)
         count = max(1, min(count, usable - len(forbidden) - 4))
-        pool = [octet for octet in range(2, 250) if octet not in forbidden]
-        return frozenset(rng.sample(pool, min(count, len(pool))))
+        pool = _host_pool(forbidden)
+        return rng.sample(pool, min(count, len(pool)))
 
     def _generate(self, rng: random.Random) -> None:
         cfg = self.config
@@ -214,7 +303,7 @@ class Topology:
             transit = self._walk_transit(root, gateway_depth, rng)
 
             first_prefix = self.base_prefix + offset
-            gateway_addr = prefix24_base(first_prefix) | 0x01
+            gateway_addr = prefix24_base(first_prefix) | _GATEWAY_OCTET
             gw_udp = rng.random() < cfg.core_udp_responsiveness
             gw_tcp = gw_udp and rng.random() >= cfg.tcp_silent_extra
             gw_dest = gw_udp and rng.random() < cfg.appliance_udp_unreachable
@@ -243,11 +332,9 @@ class Topology:
             stub_hops = weighted_choice(rng, cfg.internal_hops)
 
             for local in range(block):
-                prefix_index = first_prefix + local
-                prefix_base = prefix24_base(prefix_index)
-                special: Dict[int, int] = {}
-                if local == 0:
-                    special[0x01] = gateway_iface
+                prefix_base = prefix24_base(first_prefix + local)
+                # Octets holding a router interface: no host is drawn there.
+                forbidden = {_GATEWAY_OCTET} if local == 0 else set()
 
                 hop_count = stub_hops
                 jitter = rng.random()
@@ -255,58 +342,114 @@ class Topology:
                     hop_count = max(0, hop_count - 1)
                 elif jitter < cfg.internal_hop_jitter:
                     hop_count += 1
-                internals: List[int] = []
+                chain_start = len(self.iface_addrs)
                 for j in range(hop_count):
-                    octet = 254 - j
+                    octet = _CHAIN_TOP - j
                     udp = (not stub.dark_interior
                            and rng.random() < cfg.internal_responsiveness)
                     tcp = udp and rng.random() >= cfg.tcp_silent_extra
                     dest = udp and rng.random() < cfg.appliance_udp_unreachable
-                    iface = self._new_iface(prefix_base | octet,
-                                            gateway_depth + 1 + j, udp, tcp,
-                                            dest=dest)
-                    internals.append(iface)
-                    special[octet] = iface
+                    self._new_iface(prefix_base | octet,
+                                    gateway_depth + 1 + j, udp, tcp, dest=dest)
+                    forbidden.add(octet)
 
-                alt_last_hop = -1
-                if internals and rng.random() < cfg.alt_last_hop_probability:
-                    octet = 240
+                flags = 0
+                if hop_count and rng.random() < cfg.alt_last_hop_probability:
                     udp = (not stub.dark_interior
                            and rng.random() < cfg.internal_responsiveness)
                     tcp = udp and rng.random() >= cfg.tcp_silent_extra
                     dest = udp and rng.random() < cfg.appliance_udp_unreachable
-                    alt_last_hop = self._new_iface(
-                        prefix_base | octet,
-                        self.iface_depth[internals[-1]], udp, tcp, dest=dest)
-                    special[octet] = alt_last_hop
+                    self._new_iface(prefix_base | _ALT_OCTET,
+                                    gateway_depth + hop_count, udp, tcp,
+                                    dest=dest)
+                    forbidden.add(_ALT_OCTET)
+                    flags = ALT_LAST_HOP
 
-                forbidden = set(special)
+                active: List[int] = []
                 if stub_active and rng.random() < cfg.prefix_active_within_active_stub:
                     active = self._sample_active_hosts(rng, forbidden)
-                else:
-                    active = frozenset()
+                    self.active_octets.extend(sorted(active))
                 if rng.random() < cfg.ping_only_prefix_probability:
-                    pool = [octet for octet in range(2, 250)
-                            if octet not in forbidden and octet not in active]
-                    ping = frozenset(rng.sample(pool, min(3, len(pool))))
-                else:
-                    ping = frozenset()
+                    pool = _host_pool(forbidden.union(active))
+                    self.ping_octets.extend(
+                        sorted(rng.sample(pool, min(3, len(pool)))))
+                if rng.random() < cfg.route_flap_probability:
+                    flags |= FLAP
 
-                self.prefixes.append(PrefixInfo(
-                    stub_id=stub.stub_id,
-                    internal_ifaces=tuple(internals),
-                    active_hosts=active,
-                    ping_hosts=ping,
-                    special_hosts=special,
-                    flap=rng.random() < cfg.route_flap_probability,
-                    alt_last_hop=alt_last_hop,
-                ))
+                self.prefix_stub.append(stub.stub_id)
+                self.chain_start.append(chain_start)
+                self.chain_len.append(hop_count)
+                self.prefix_flags.append(flags)
+                self.active_start.append(len(self.active_octets))
+                self.ping_start.append(len(self.ping_octets))
             offset += block
 
         # Fill hitlist picks (synthesized ISI hitlist; see hitlist.py for
         # the preference rule and the bias discussion).
         from .hitlist import synthesize_hitlist  # local import: avoids cycle
         synthesize_hitlist(self, random.Random(cfg.seed ^ 0x48495453))
+
+    # ------------------------------------------------------------------ #
+    # Column reads
+    # ------------------------------------------------------------------ #
+
+    def special_iface(self, offset: int, octet: int) -> int:
+        """Interface id of the router whose address is ``octet`` in the
+        /24 at ``offset`` (gateway, interior hop, alternate last hop), or
+        -1 for a host octet."""
+        if octet == _GATEWAY_OCTET:
+            stub = self.stubs[self.prefix_stub[offset]]
+            return stub.gateway_iface if stub.first_offset == offset else -1
+        count = self.chain_len[offset]
+        if octet == _ALT_OCTET and self.prefix_flags[offset] & ALT_LAST_HOP:
+            return self.chain_start[offset] + count
+        j = _CHAIN_TOP - octet
+        if 0 <= j < count:
+            return self.chain_start[offset] + j
+        return -1
+
+    def special_octets(self, offset: int) -> List[int]:
+        """The octets :meth:`special_iface` names a router for, ascending."""
+        count = self.chain_len[offset]
+        octets = list(range(_CHAIN_TOP + 1 - count, _CHAIN_TOP + 1))
+        if (self.prefix_flags[offset] & ALT_LAST_HOP
+                and _ALT_OCTET < _CHAIN_TOP + 1 - count):
+            octets.insert(0, _ALT_OCTET)
+        if self.stubs[self.prefix_stub[offset]].first_offset == offset:
+            octets.insert(0, _GATEWAY_OCTET)
+        return octets
+
+    def iface_of(self, addr: int) -> Optional[int]:
+        """The interface holding ``addr``, or ``None``: derived from the
+        layout (infrastructure addresses are consecutive, in-prefix ones
+        are ``prefix_base | octet``)."""
+        infra = addr - self.config.infrastructure_base_addr
+        if 0 <= infra < len(self.infra_ifaces):
+            return self.infra_ifaces[infra]
+        offset = self.prefix_offset(addr)
+        if offset >= 0:
+            iface = self.special_iface(offset, addr & 0xFF)
+            if iface >= 0:
+                return iface
+        return None
+
+    def prefix_info(self, offset: int) -> PrefixInfo:
+        """A :class:`PrefixInfo` view of the /24 at ``offset``."""
+        first = self.chain_start[offset]
+        count = self.chain_len[offset]
+        flags = self.prefix_flags[offset]
+        return PrefixInfo(
+            stub_id=self.prefix_stub[offset],
+            internal_ifaces=tuple(range(first, first + count)),
+            active_hosts=frozenset(self.active_octets[
+                self.active_start[offset]:self.active_start[offset + 1]]),
+            ping_hosts=frozenset(self.ping_octets[
+                self.ping_start[offset]:self.ping_start[offset + 1]]),
+            special_hosts={octet: self.special_iface(offset, octet)
+                           for octet in self.special_octets(offset)},
+            flap=bool(flags & FLAP),
+            hitlist_host=self.hitlist_host[offset],
+            alt_last_hop=first + count if flags & ALT_LAST_HOP else -1)
 
     # ------------------------------------------------------------------ #
     # Ground-truth queries
@@ -329,14 +472,21 @@ class Topology:
             return offset
         return -1
 
-    def _destination_depth(self, record: PrefixInfo, stub: Stub,
-                           octet: int, shift: int) -> Tuple[int, bool]:
-        """(depth, is_assigned) of the address ``octet`` in ``record``."""
-        iface = record.special_hosts.get(octet)
-        if iface is not None:
-            return self.iface_depth[iface] + shift, bool(self.dest_resp[iface])
-        depth = (stub.gateway_depth + shift + len(record.internal_ifaces) + 1)
-        return depth, octet in record.active_hosts
+    def _destination(self, offset: int, stub: Stub, octet: int,
+                     shift: int) -> Tuple[int, int, bool]:
+        """(router interface at ``octet`` or -1, depth, is_assigned) of the
+        address ``octet`` in the /24 at ``offset`` under a flap ``shift``.
+        A host is assigned when a binary search finds it in the /24's
+        sorted run of active octets."""
+        iface = self.special_iface(offset, octet)
+        if iface >= 0:
+            return (iface, self.iface_depth[iface] + shift,
+                    bool(self.dest_resp[iface]))
+        depth = stub.gateway_depth + shift + self.chain_len[offset] + 1
+        octets = self.active_octets
+        end = self.active_start[offset + 1]
+        index = bisect_left(octets, octet, self.active_start[offset], end)
+        return -1, depth, index < end and octets[index] == octet
 
     def hop_at(self, dst: int, ttl: int, flow: int = 0,
                epoch: int = 0) -> HopResult:
@@ -352,24 +502,12 @@ class Topology:
         offset = self.prefix_offset(dst)
         if offset < 0:
             return VOID_HOP
-        record = self.prefixes[offset]
-        stub = self.stubs[record.stub_id]
-        shift = 1 if (record.flap and (epoch & 1)) else 0
+        stub = self.stubs[self.prefix_stub[offset]]
+        flags = self.prefix_flags[offset]
+        shift = 1 if (flags & FLAP and (epoch & 1)) else 0
         octet = dst & 0xFF
-        dest_depth, assigned = self._destination_depth(record, stub, octet, shift)
-        return self._resolved_hop(record, stub, octet, shift, dest_depth,
-                                  assigned, ttl, flow)
-
-    def _resolved_hop(self, record: PrefixInfo, stub: Stub, octet: int,
-                      shift: int, dest_depth: int, assigned: bool,
-                      ttl: int, flow: int) -> HopResult:
-        """The per-TTL tail of :meth:`hop_at`, after the per-destination
-        state (record, stub, flap shift, destination depth) is resolved.
-
-        :class:`~repro.simnet.routecache.RouteCache` calls this once per TTL
-        when materializing a flat route entry, so the cached and uncached
-        paths share a single implementation by construction.
-        """
+        special, dest_depth, assigned = self._destination(offset, stub, octet,
+                                                         shift)
         transit_len = len(stub.transit)
         gateway_depth = stub.gateway_depth + shift
 
@@ -409,52 +547,46 @@ class Topology:
             return HopResult(HopKind.DESTINATION, -1,
                              residual_ttl=max(residual, 1),
                              dest_depth=dest_depth)
+        count = self.chain_len[offset]
         if ttl < dest_depth:
             index = ttl - gateway_depth - 1
-            internals = record.internal_ifaces
-            if 0 <= index < len(internals):
-                iface = internals[index]
-                if (index == len(internals) - 1
-                        and record.alt_last_hop >= 0
-                        and octet >= 128
-                        and octet not in record.special_hosts):
+            if index < count:
+                if (index == count - 1 and flags & ALT_LAST_HOP
+                        and octet >= 128 and special < 0):
                     # The upper host half sits behind the other last-hop
                     # router (VLAN split; see PrefixInfo.alt_last_hop).
-                    iface = record.alt_last_hop
-                return HopResult(HopKind.ROUTER, iface,
+                    index = count
+                return HopResult(HopKind.ROUTER,
+                                 self.chain_start[offset] + index,
                                  dest_depth=dest_depth)
             return VOID_HOP
         if not assigned:
-            return self._unassigned_at_last_hop(record, stub, ttl,
-                                                gateway_depth, dest_depth,
-                                                flow)
-        iface = record.special_hosts.get(octet, -1)
-        return HopResult(HopKind.DESTINATION, iface,
+            return self._unassigned_at_last_hop(offset, stub, ttl,
+                                                dest_depth, flow)
+        return HopResult(HopKind.DESTINATION, special,
                          residual_ttl=ttl - dest_depth + 1,
                          dest_depth=dest_depth)
 
-    def _unassigned_at_last_hop(self, record: PrefixInfo, stub: Stub,
-                                ttl: int, gateway_depth: int,
+    def _unassigned_at_last_hop(self, offset: int, stub: Stub, ttl: int,
                                 dest_depth: int, flow: int) -> HopResult:
         """Behaviour at/past the would-be host position of an unassigned
         address: the last-hop router gives up on it."""
+        count = self.chain_len[offset]
+        last_hop = (self.chain_start[offset] + count - 1 if count
+                    else stub.gateway_iface)
         if stub.loop_unassigned and stub.transit:
             # Default route bounces packets between the last-hop router and
             # its upstream; probes keep expiring inside the loop.
-            if record.internal_ifaces:
-                last_hop = record.internal_ifaces[-1]
-                upstream = (record.internal_ifaces[-2]
-                            if len(record.internal_ifaces) > 1
-                            else stub.gateway_iface)
+            if count > 1:
+                upstream = last_hop - 1
+            elif count:
+                upstream = stub.gateway_iface
             else:
-                last_hop = stub.gateway_iface
                 upstream = self.resolve_token(stub.transit[-1], flow)
             hops_in = ttl - dest_depth
             iface = last_hop if hops_in % 2 == 0 else upstream
             return HopResult(HopKind.LOOP_ROUTER, iface)
         if stub.host_unreachable:
-            last_hop = (record.internal_ifaces[-1]
-                        if record.internal_ifaces else stub.gateway_iface)
             return HopResult(HopKind.GATEWAY_UNREACHABLE, last_hop)
         return VOID_HOP
 
@@ -485,11 +617,10 @@ class Topology:
         offset = self.prefix_offset(dst)
         if offset < 0:
             return None
-        record = self.prefixes[offset]
-        stub = self.stubs[record.stub_id]
-        shift = 1 if (record.flap and (epoch & 1)) else 0
-        depth, assigned = self._destination_depth(record, stub, dst & 0xFF,
-                                                  shift)
+        stub = self.stubs[self.prefix_stub[offset]]
+        shift = 1 if (self.prefix_flags[offset] & FLAP and (epoch & 1)) else 0
+        _iface, depth, assigned = self._destination(offset, stub, dst & 0xFF,
+                                                   shift)
         return depth if assigned else None
 
     def reachable_interfaces(self, max_ttl: int = 32,
@@ -518,16 +649,20 @@ class Topology:
                 else:
                     _add(self.lb_groups[lb_group_id(token)][0][lb_offset(token)])
             _add(stub.gateway_iface)
-        for record in self.prefixes:
-            stub = self.stubs[record.stub_id]
             if stub.ttl_reset:
                 continue  # interiors hidden behind the middlebox
-            for iface in record.internal_ifaces:
-                _add(iface)
-            if record.alt_last_hop >= 0:
-                _add(record.alt_last_hop)
+            for offset in range(stub.first_offset,
+                                stub.first_offset + stub.block_size):
+                # The chain and, right after it, the alternate last hop.
+                first = self.chain_start[offset]
+                end = first + self.chain_len[offset]
+                if self.prefix_flags[offset] & ALT_LAST_HOP:
+                    end += 1
+                for iface in range(first, end):
+                    _add(iface)
         return found
 
     def scanned_prefixes(self) -> Iterable[int]:
         """The /24 prefix indexes of the scanned space, in address order."""
         return range(self.base_prefix, self.base_prefix + self.num_prefixes)
+

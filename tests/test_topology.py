@@ -1,9 +1,14 @@
 """Topology generator invariants and the hop_at ground-truth oracle."""
 
+import gc
+import tracemalloc
+
 import pytest
 
+from repro import api
+from repro.net.addr import ip_to_int
 from repro.simnet.config import TopologyConfig
-from repro.simnet.entities import HopKind
+from repro.simnet.entities import HopKind, PrefixInfo
 from repro.simnet.topology import Topology
 
 from conftest import first_prefix_with
@@ -100,6 +105,16 @@ class TestConfigValidation:
     def test_rejects_overflowing_space(self):
         with pytest.raises(ValueError):
             TopologyConfig(base_prefix_addr=(2**24 - 1) << 8, num_prefixes=2)
+
+    def test_infrastructure_may_not_grow_into_the_scanned_space(self):
+        """The config can check only where the infrastructure range starts
+        (here one /24 below the scanned space); the range grows as the walk
+        allocates, so each allocation checks its own address."""
+        config = TopologyConfig(num_prefixes=4096, seed=11,
+                                base_prefix_addr=ip_to_int("60.0.1.0"))
+        with pytest.raises(ValueError, match="infrastructure space overlaps "
+                                             "the scanned space"):
+            Topology(config)
 
 
 class TestHopAt:
@@ -280,8 +295,8 @@ class TestTrueRoute:
             route_b = topo.true_route(dst, flow=2000)
             for hop_a, hop_b in zip(route_a, route_b):
                 if hop_a != hop_b:
-                    iface_a = topo.addr_to_iface.get(hop_a)
-                    iface_b = topo.addr_to_iface.get(hop_b)
+                    iface_a = None if hop_a is None else topo.iface_of(hop_a)
+                    iface_b = None if hop_b is None else topo.iface_of(hop_b)
                     members = {m for group in topo.lb_groups
                                for branch in group for m in branch}
                     assert iface_a is None or iface_a in members
@@ -308,3 +323,56 @@ class TestReachableInterfaces:
         tcp = small_topology.reachable_interfaces(udp=False)
         udp = small_topology.reachable_interfaces(udp=True)
         assert tcp <= udp
+
+
+def _objects_beyond_stubs(num_prefixes: int) -> int:
+    """GC-tracked objects one ``Topology`` adds, less what its stubs and
+    diamonds may hold (a ``Stub`` and its transit tuple each; a diamond's
+    tuple and one per branch), which grow with stubs, not with /24s."""
+    gc.collect()
+    before = len(gc.get_objects())
+    topo = Topology(TopologyConfig(num_prefixes=num_prefixes))
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    return added - 2 * len(topo.stubs) - sum(
+        1 + len(branches) for branches in topo.lb_groups)
+
+
+class TestMemoryCensus:
+    """The topology costs bytes per /24, not objects (paper §3.4's point:
+    a flat per-/24 array is what lets one host hold a full scan)."""
+
+    def test_heap_per_prefix(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            topo = Topology(TopologyConfig(num_prefixes=4096))
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / topo.num_prefixes <= 400
+
+    def test_tracked_objects_do_not_grow_with_prefixes(self):
+        assert _objects_beyond_stubs(4096) <= _objects_beyond_stubs(1024)
+
+    def test_scan_and_trace_build_no_prefix_views(self, monkeypatch):
+        """``prefixes[i]`` views are for analysis: the probe and set-up
+        paths of a scan and of a trace read the columns."""
+        built = []
+        view_init = PrefixInfo.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args or kwargs)
+            view_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrefixInfo, "__init__", counted)
+        request = api.ScanRequest(tool="flashroute-16", prefixes=256, seed=3)
+        engine = api.Engine.from_request(request)
+        result = engine.open_session(request).run()
+        hops = engine.open_session(api.TraceRequest(
+            destination=(engine.topology.base_prefix + 5) << 8 | 77,
+            flow=9)).run()
+        assert result.probes_sent > 256 and hops
+        assert built == []
+        engine.topology.prefixes[5]  # the count does see a view
+        assert len(built) == 1
