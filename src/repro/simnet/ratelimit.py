@@ -18,7 +18,7 @@ start at generation 1).
 from __future__ import annotations
 
 from array import array
-from typing import Dict
+from typing import Dict, Optional
 
 #: Seconds fit in 34 bits for any plausible virtual clock; the generation
 #: lives above them so stamps from before a reset can never collide.
@@ -29,6 +29,9 @@ _GENERATION_SHIFT = 34
 #: ``advance`` op) checks against it: a second that does not fit a
 #: stamp fails every probe sent after it.
 MAX_VIRTUAL_SECONDS = 1 << _GENERATION_SHIFT
+
+#: Generations whose tokens still fit a signed 64-bit stamp.
+_MAX_GENERATION = 1 << (63 - _GENERATION_SHIFT)
 
 
 class IcmpRateLimiter:
@@ -113,13 +116,23 @@ class IcmpRateLimiter:
         return {"limit": self.limit, "dropped": self.dropped,
                 "overprobed_interfaces": len(self._overprobed)}
 
-    def reset(self) -> None:
-        """Clear all dynamic state (between scans).
+    def reset(self, limit: Optional[int] = None) -> None:
+        """Clear all dynamic state (between scans), optionally taking a
+        new ``limit`` (a network session reusing a dead one's limiter).
 
         O(1) for the array bins: bumping the generation changes every
         future stamp token, so stale bins — including a partially filled
-        bin mid-second — can never be mistaken for the current one.
+        bin mid-second — can never be mistaken for the current one.  Only
+        when the generation would no longer fit a stamp are the stamps
+        zeroed and the generation restarted.
         """
+        if limit is not None:
+            if limit <= 0:
+                raise ValueError("rate limit must be positive")
+            self.limit = limit
         self._generation += 1
+        if self._generation + 1 >= _MAX_GENERATION:
+            self._stamp = array("q", [0]) * len(self._stamp)
+            self._generation = 0
         self.dropped = 0
         self._overprobed.clear()

@@ -169,6 +169,31 @@ class TestSessionIsolation:
         assert replies_b == alone
         assert warm.probes_sent == 0
 
+    def test_dead_session_limiter_is_reused_empty(self):
+        """A session's limiter bins span the whole topology; the next
+        session takes a dead one's instead of allocating its own, and it
+        answers exactly as a fresh network does."""
+        topology = _topology()
+        warm = SimulatedNetwork(topology)
+        probes = _probe_script(topology, salt=0)
+        dying = warm.open_session(rate_limit=1)
+        _run_script(dying, probes)
+        limiter = dying.rate_limiter
+        assert limiter.dropped > 0
+        del dying
+        reused = warm.open_session(rate_limit=1)
+        assert reused.rate_limiter is limiter
+        assert reused.stats()["ratelimit"]["dropped"] == 0
+        # Same probes, same virtual seconds: no bin of the dead session
+        # may count against the new one.
+        assert _run_script(reused, probes) == _run_script(
+            SimulatedNetwork(topology, rate_limit=1), probes)
+        # A live session's limiter is never handed out.
+        assert warm.open_session().rate_limiter is not limiter
+        del reused
+        assert warm.open_session().rate_limiter.limit == \
+            topology.config.icmp_rate_limit
+
 
 if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(pytest.main([__file__, "-q"]))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simnet.ratelimit import IcmpRateLimiter
+from repro.simnet.ratelimit import _MAX_GENERATION, IcmpRateLimiter
 
 
 def _limiter(limit):
@@ -100,3 +100,25 @@ class TestReset:
             assert limiter.allow(2, 9.5)
             assert not limiter.allow(2, 9.6)
             limiter.reset()
+
+    def test_reset_takes_a_new_limit(self):
+        limiter = _limiter(1)
+        limiter.reset(3)
+        assert [limiter.allow(2, 9.5) for _ in range(4)] == \
+            [True, True, True, False]
+        with pytest.raises(ValueError):
+            limiter.reset(0)
+
+    def test_generation_restarts_before_stamps_overflow(self):
+        """A limiter reused by session after session resets without
+        bound; once a generation's tokens would no longer fit a stamp, the
+        stamps are zeroed and the generation starts over."""
+        limiter = _limiter(1)
+        limiter._generation = _MAX_GENERATION - 3
+        limiter.reset()
+        assert limiter.allow(4, 7.5)  # the largest token still fits
+        assert not limiter.allow(4, 7.6)
+        limiter.reset()
+        assert limiter._generation == 0
+        assert limiter.allow(4, 7.7)
+        assert not limiter.allow(4, 7.8)
