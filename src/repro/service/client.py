@@ -18,7 +18,7 @@ import asyncio
 import json
 from typing import List, Optional, Tuple
 
-from .daemon import MAX_LINE, ServiceError
+from .daemon import MAX_LINE, ServiceError, bound_reads
 
 #: Generous default: a simulated trace answers in milliseconds, so a
 #: connect or read that takes this long means the daemon is wedged,
@@ -44,12 +44,15 @@ async def open_connection(host: Optional[str] = None,
                           socket_path: Optional[str] = None,
                           timeout: Optional[float] = DEFAULT_TIMEOUT):
     if socket_path is not None:
-        return await _bounded(
+        reader, writer = await _bounded(
             asyncio.open_unix_connection(socket_path, limit=MAX_LINE),
             timeout, f"connect to {socket_path}")
-    return await _bounded(
-        asyncio.open_connection(host, port, limit=MAX_LINE),
-        timeout, f"connect to {host}:{port}")
+    else:
+        reader, writer = await _bounded(
+            asyncio.open_connection(host, port, limit=MAX_LINE),
+            timeout, f"connect to {host}:{port}")
+    bound_reads(writer)
+    return reader, writer
 
 
 async def send_request(reader: asyncio.StreamReader,

@@ -660,6 +660,21 @@ class TraceService:
 #: beyond this is a confused or hostile client.
 MAX_LINE = 64 * 1024
 
+#: Bytes a connection asks of ``recv`` per read.  asyncio asks for
+#: 256 KiB, a buffer above glibc's default mmap threshold (128 KiB): each
+#: read of a short NDJSON line would map, fault in and unmap fresh pages
+#: (~8 µs a read) unless something earlier in the process happened to
+#: free a block big enough to raise the threshold.
+READ_SIZE = 64 * 1024
+
+
+def bound_reads(writer: asyncio.StreamWriter) -> None:
+    """Cap the per-read ``recv`` size of ``writer``'s connection at
+    :data:`READ_SIZE` (both ends of the protocol call this)."""
+    transport = writer.transport
+    if hasattr(transport, "max_size"):  # asyncio's selector transports
+        transport.max_size = READ_SIZE
+
 
 async def _write_record(writer: asyncio.StreamWriter, record: dict) -> None:
     writer.write(json.dumps(record, sort_keys=True,
@@ -677,6 +692,7 @@ async def _handle_connection(service: TraceService,
     # an idle client would otherwise hold the drain open forever).
     task = asyncio.current_task()
     connections.add(task)
+    bound_reads(writer)
     try:
         while True:
             try:

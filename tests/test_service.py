@@ -15,7 +15,8 @@ import pytest
 from repro import api
 from repro.service.client import (open_connection, send_request,
                                   trace_stream)
-from repro.service.daemon import TraceService, start_service
+from repro.service import daemon
+from repro.service.daemon import TraceService, bound_reads, start_service
 from repro.service.loadtest import build_payloads, percentile, run_loadtest
 
 
@@ -297,6 +298,34 @@ class TestProtocol:
         writer.close()
         await writer.wait_closed()
         return response
+
+    def test_both_ends_bound_their_reads(self, monkeypatch):
+        """asyncio asks ``recv`` for 256 KiB per read, above glibc's
+        default mmap threshold; the daemon's and the client's connections
+        ask for :data:`READ_SIZE`."""
+        served = []
+
+        def spy(writer):
+            bound_reads(writer)
+            served.append(writer.transport.max_size)
+
+        monkeypatch.setattr(daemon, "bound_reads", spy)
+
+        async def run():
+            handle = await start_service(_engine(prefixes=8), port=0)
+            reader, writer = await open_connection(handle.host,
+                                                   handle.port)
+            _, stats = await send_request(reader, writer,
+                                          {"control": "stats"})
+            client = writer.transport.max_size
+            writer.close()
+            await writer.wait_closed()
+            await handle.drain()
+            return client, stats
+
+        client, stats = asyncio.run(run())
+        assert stats["type"] == "stats"
+        assert client == served[0] == daemon.READ_SIZE < 128 * 1024
 
     def test_shutdown_control_op_stops_server(self):
         async def run():
