@@ -6,7 +6,6 @@ Subcommands:
   scan summary (optionally JSON).
 * ``serve`` — run the traceroute-as-a-service daemon (docs/service.md).
 * ``top`` — live terminal dashboard over a running daemon.
-* ``serve-bench`` — burst-load an in-process daemon and report latency.
 * ``experiment`` — regenerate one of the paper's tables/figures.
 * ``list`` — list available experiments.
 * ``metrics-report`` — summarize or diff ``--metrics-out`` snapshots.
@@ -295,53 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--no-clear", action="store_true",
                      help="never redraw in place; print sequential "
                           "frames (the non-TTY default)")
-
-    bench = sub.add_parser(
-        "serve-bench",
-        help="burst-load an in-process daemon and report latency "
-             "percentiles + cache/coalesce rates")
-    _request_flags(bench, "prefixes", "seed")
-    bench.set_defaults(prefixes=256)
-    bench.add_argument("--clients", type=_positive_int, default=1000,
-                       help="concurrent client connections in the burst")
-    bench.add_argument("--keys", type=_positive_int, default=64,
-                       help="distinct (destination, flow) identities the "
-                            "burst cycles over")
-    bench.add_argument("--flows", type=_positive_int, default=4)
-    bench.add_argument("--concurrency", type=_positive_int, default=None,
-                       help="cap concurrently open connections (default: "
-                            "the full burst at once)")
-    bench.add_argument("--output", metavar="FILE", default=None,
-                       help="write the full report JSON (the "
-                            "BENCH_service_latency.json artifact)")
-    bench.add_argument("--telemetry", action="store_true",
-                       help="run the daemon with the full observability "
-                            "bundle enabled (the overhead-measurement "
-                            "mode)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the full report as JSON")
-    bench.add_argument("--max-inflight", type=_positive_int, default=None,
-                       metavar="N",
-                       help="run the daemon with admission control: at "
-                            "most N concurrent trace streams")
-    bench.add_argument("--max-queued", type=_nonneg_int, default=0,
-                       metavar="N",
-                       help="admission queue depth before shedding "
-                            "(with --max-inflight)")
-    bench.add_argument("--default-deadline-ms", type=_positive_float,
-                       default=None, metavar="MS",
-                       help="run the daemon with a default per-request "
-                            "deadline")
-    bench.add_argument("--deadline-ms", type=_positive_float,
-                       default=None, metavar="MS",
-                       help="stamp every burst request with this "
-                            "client-side deadline_ms")
-    bench.add_argument("--chaos", action="store_true",
-                       help="run hostile clients (slow-loris, mid-stream "
-                            "disconnects, resets, malformed floods) "
-                            "alongside the measured burst")
-    bench.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed for the chaos injector (default 0)")
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate a paper table/figure")
@@ -778,64 +730,6 @@ def _run_top(args: argparse.Namespace) -> int:
                    clear=False if args.no_clear else None)
 
 
-def _run_serve_bench(args: argparse.Namespace) -> int:
-    from .service.loadtest import run_loadtest
-
-    chaos = None
-    if args.chaos:
-        from .testing.chaos import ChaosSpec
-
-        chaos = ChaosSpec(seed=args.chaos_seed, slow_loris=4,
-                          disconnects=4, resets=4, malformed=4)
-    report = run_loadtest(prefixes=args.prefixes, seed=args.seed,
-                          clients=args.clients, keys=args.keys,
-                          flows=args.flows, concurrency=args.concurrency,
-                          telemetry=args.telemetry,
-                          max_inflight=args.max_inflight,
-                          max_queued=args.max_queued,
-                          default_deadline_ms=args.default_deadline_ms,
-                          deadline_ms=args.deadline_ms,
-                          chaos=chaos)
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            json.dump(report, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        latency = report["latency_ms"]
-        print(f"serve-bench: {report['clients']} clients over "
-              f"{report['distinct_keys']} keys in "
-              f"{report['wall_seconds']}s "
-              f"({report['requests_per_second']} req/s)")
-        print(f"  latency: p50={latency['p50']}ms p90={latency['p90']}ms "
-              f"p99={latency['p99']}ms max={latency['max']}ms")
-        for outcome, row in sorted(
-                report["latency_ms_by_outcome"].items()):
-            print(f"    {outcome}: n={row['count']} p50={row['p50']}ms "
-                  f"p99={row['p99']}ms max={row['max']}ms")
-        print(f"  outcomes: {report['outcomes']} "
-              f"hit_rate={report['cache_hit_rate']} "
-              f"coalesce_rate={report['coalesce_rate']}")
-        if "latency_ms_admitted" in report:
-            admitted = report["latency_ms_admitted"]
-            print(f"  admitted: n={report['admitted']} "
-                  f"p50={admitted.get('p50')}ms "
-                  f"p99={admitted.get('p99')}ms "
-                  f"client_exceptions={report['client_exceptions']} "
-                  f"daemon_survived={report['daemon_survived']}")
-        if "chaos" in report and report["chaos"].get("daemon"):
-            hostile = report["chaos"]["daemon"]
-            print(f"  chaos: {hostile['clients']} hostile clients "
-                  f"(slow_loris={hostile['slow_loris']} "
-                  f"disconnects={hostile['disconnects']} "
-                  f"resets={hostile['resets']} "
-                  f"malformed={hostile['malformed']})")
-        if args.output is not None:
-            print(f"  saved: {args.output}")
-    return 0
-
-
 def _run_metrics_report(args: argparse.Namespace) -> int:
     from .obs.report import metrics_report
 
@@ -889,8 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _run_serve(args)
     if args.command == "top":
         return _run_top(args)
-    if args.command == "serve-bench":
-        return _run_serve_bench(args)
     if args.command == "experiment":
         return _run_experiment(args)
     if args.command == "metrics-report":

@@ -163,8 +163,8 @@ class ShardedOutcome:
     #: (0 on a clean run; never affects the merged byte-stable outputs).
     slices_retried: int = 0
     #: Per-slice wall-side accounting (slice, worker pid, CPU seconds,
-    #: wall seconds, probes) in slice order; the scaling benchmark sums
-    #: per-worker throughput from it.  Slices restored from a checkpoint
+    #: wall seconds, probes) in slice order; the shard wall report and
+    #: ``bench/`` sum per-worker CPU and probes from it.  Slices restored from a checkpoint
     #: carry no pid/cpu (they were not run this time).
     slice_stats: List[Dict[str, object]] = field(default_factory=list)
     #: Merged multi-root span forest (JSONL text) when the plan collects
@@ -306,8 +306,7 @@ def _execute_slice(plan: ShardPlan, topology: Topology,
                                               heartbeat_emit, slice_index)
         # Registry only when the merged snapshot needs it: a heartbeat-
         # or trace-only slice keeps the engine's per-probe counters off
-        # (the metrics hot path costs real throughput — see the
-        # heartbeat_overhead benchmark).
+        # (the metrics hot path costs real throughput).
         telemetry = Telemetry(
             registry=MetricsRegistry() if plan.collect_metrics else None,
             metrics=plan.collect_metrics,
@@ -340,8 +339,8 @@ def _execute_slice(plan: ShardPlan, topology: Topology,
         "slice": slice_index,
         "result": result,
         "stats": network.stats(),
-        # Wall-side accounting for the scaling benchmark and the shard
-        # wall report: which worker process ran the slice and how much
+        # Wall-side accounting for bench/ and the shard wall report:
+        # which worker process ran the slice and how much
         # CPU/wall time the scan took.  Never part of the merged
         # (byte-stable) outputs.
         "pid": os.getpid(),

@@ -1,6 +1,6 @@
 """Metrics-file summaries and diffs (``flashroute-sim metrics-report``).
 
-Feeds the BENCH_* trajectory analysis: run two scans with ``--metrics-out``
+Run two scans with ``--metrics-out``
 (different configs, seeds, or code revisions) and diff the snapshots to see
 exactly which phase saved or spent the probes.  Wall-clock fields are
 segregated in the files and ignored here, so diffs only ever show real

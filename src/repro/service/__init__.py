@@ -3,9 +3,9 @@
 ``flashroute-sim serve`` holds one warm :class:`repro.api.Engine`
 (topology + simulated network, the expensive part) and answers JSON
 trace requests over a local TCP or Unix socket, streaming per-hop
-records in the Manifold hop schema.  Request coalescing, an LRU result
-cache with epoch-based invalidation, and the load-test harness live
-here; see docs/service.md for the wire protocol and operations guide.
+records in the Manifold hop schema.  Request coalescing and an LRU
+result cache with epoch-based invalidation live here; see
+docs/service.md for the wire protocol and operations guide.
 """
 
 from .daemon import (Flight, ServiceError, TraceService, serve,

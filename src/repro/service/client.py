@@ -1,7 +1,7 @@
 """Minimal clients for the scan daemon's NDJSON protocol.
 
-:func:`trace_stream` is the asyncio building block (the load-test
-harness runs hundreds of these concurrently); :func:`request_trace` is
+:func:`trace_stream` is the asyncio building block (the daemon's
+overload tests run ~100 of these concurrently); :func:`request_trace` is
 the one-call synchronous convenience for scripts and tests.
 
 Every client operation is bounded by a timeout

@@ -79,7 +79,7 @@ def percentile(sorted_values: List[float], fraction: float) -> float:
 
 def latency_summary(values_ms: List[float]) -> Dict[str, float]:
     """The ``count``/``p50``/``p90``/``p99``/``max`` summary of a latency
-    sample (used by the wall report and the load-test breakdown)."""
+    sample (used by the wall report)."""
     ordered = sorted(values_ms)
     return {
         "count": len(ordered),

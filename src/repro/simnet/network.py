@@ -22,19 +22,19 @@ hence bit-identical floats), rate limiting and response construction.
 Nothing is written back: tables are immutable.  ``send_probe`` is the
 scalar door onto the same loop — a one-probe burst — for callers that
 decide each probe from the last answer, and the one that takes the
-``single`` hint.  Constructing with ``use_route_cache=False`` runs the
-original resolution path instead — the reference the equivalence tests
-compare the fast path against, probe-for-probe; no scan entry point
-selects it.
+``single`` hint.  ``_send_probe_uncached`` resolves one probe straight from
+the topology: it answers a ``single`` miss and a TTL beyond the tables, and
+the tests' reference network (``tests/oracle/network.py``) answers every
+probe through it to check the tables against, probe-for-probe.
 
-Fault injection (:mod:`repro.simnet.faults`) composes with every serving
-mode: when a :class:`~repro.simnet.faults.FaultModel` is enabled, resolved
-responses pass through :meth:`FaultInjector.filter` at the exact point they
-would be returned, on the cached and the uncached path alike.  Fault
-decisions are stateless per-probe hashes, so the same fault seed yields the
-same fault sequence in every mode and the cached-vs-uncached equivalence
-guarantee extends to faulted scans.  A disabled (default) model costs the
-hot path nothing beyond one ``is not None`` test per response.
+Fault injection (:mod:`repro.simnet.faults`) composes with both paths: when
+a :class:`~repro.simnet.faults.FaultModel` is enabled, resolved responses
+pass through :meth:`FaultInjector.filter` at the exact point they would be
+returned, on the cached and the uncached path alike.  Fault decisions are
+stateless per-probe hashes, so the same fault seed yields the same fault
+sequence on either path and the cached-vs-uncached equivalence guarantee
+extends to faulted scans.  A disabled (default) model costs the hot path
+nothing beyond one ``is not None`` test per response.
 """
 
 from __future__ import annotations
@@ -74,16 +74,14 @@ class SimulatedNetwork:
 
     def __init__(self, topology: Topology, log_probes: bool = False,
                  rate_limit: Optional[int] = None,
-                 use_route_cache: bool = True,
                  faults: Optional[FaultModel] = None) -> None:
         cfg = topology.config
         self._open(topology,
                    LatencyModel(cfg.hop_latency, cfg.latency_jitter),
-                   RouteCache(topology) if use_route_cache else None,
-                   faults, rate_limit, log_probes, [])
+                   RouteCache(topology), faults, rate_limit, log_probes, [])
 
     def _open(self, topology: Topology, latency: LatencyModel,
-              route_cache: Optional[RouteCache],
+              route_cache: RouteCache,
               faults: Optional[FaultModel], rate_limit: Optional[int],
               log_probes: bool, spare_limiters: list) -> None:
         """Bind the core a session shares (immutable topology, stateless
@@ -142,8 +140,7 @@ class SimulatedNetwork:
             "responses_generated": self.responses_generated,
             "rewritten_responses": self.rewritten_responses,
             "ratelimit": self.rate_limiter.stats(),
-            "route_cache": (self.route_cache.stats()
-                            if self.route_cache is not None else None),
+            "route_cache": self.route_cache.stats(),
             "faults": (self.faults.stats()
                        if self.faults is not None else None),
         }
@@ -246,8 +243,8 @@ class SimulatedNetwork:
         building a 32-slot table that nothing would amortize.  Purely a
         performance hint — responses are identical either way.
         """
-        cache = self.route_cache
-        if single and cache is not None:
+        if single:
+            cache = self.route_cache
             tables = (cache.tcp_tables if proto == PROTO_TCP
                       else cache.udp_tables)
             if (dst, src_port if flow is None else flow,
@@ -274,13 +271,6 @@ class SimulatedNetwork:
         :meth:`send_probe` is this method on a burst of one.
         """
         cache = self.route_cache
-        if cache is None:
-            send_one = self._send_probe_uncached
-            return [send_one(dst, ttl, send_time, src_port, dst_port, ipid,
-                             udp_length, proto, flow)
-                    for dst, ttl, send_time, src_port, ipid, udp_length
-                    in probes]
-
         results: List[Optional[IcmpResponse]] = []
         append = results.append
         log = self.probe_log
@@ -417,9 +407,9 @@ class SimulatedNetwork:
                              flow: Optional[int] = None,
                              counted: bool = False
                              ) -> Optional[IcmpResponse]:
-        """The original (cache-free) resolution path, kept verbatim both as
-        the ``use_route_cache=False`` escape hatch and as the ground truth
-        the equivalence tests compare the fast path against."""
+        """Resolve one probe from the topology, with no outcome table: the
+        path for a ``single`` miss and a TTL beyond the tables, and the
+        ground truth the equivalence tests compare the tables against."""
         if not counted:
             self.probes_sent += 1
             if self.probe_log is not None:

@@ -42,10 +42,9 @@ flushing.  UDP and TCP keep separate dicts: destination behaviour (and
 so the tail) differs by protocol; interface responsiveness is read per
 protocol at lookup.
 
-The cache is a pure function of the immutable :class:`Topology`.
-``SimulatedNetwork(use_route_cache=False)`` bypasses it entirely; the
-equivalence tests and ``tools/bench_report.py`` are its callers.  Fault
-injection (:mod:`repro.simnet.faults`) never touches it: the network
+The cache is a pure function of the immutable :class:`Topology`.  The
+tests' reference network (``tests/oracle/network.py``) bypasses it
+entirely, to check it against.  Fault injection (:mod:`repro.simnet.faults`) never touches it: the network
 applies the stateless fault filter *after* the lookup, so tables stay
 shareable across fault models.
 """

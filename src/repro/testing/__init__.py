@@ -2,9 +2,10 @@
 
 ``repro.testing.chaos`` is the seeded chaos injector: it kills shard
 workers at chosen slice boundaries (``scan --chaos-spec``) and floods
-the daemon with hostile clients (``serve-bench --chaos``).  Everything
-here is opt-in and deterministic — the production paths never import
-this package unless a chaos knob is set.
+the daemon with hostile clients (``run_daemon_chaos``, driven by the
+daemon-hardening tests).  Everything here is opt-in and deterministic —
+the production paths never import this package unless a chaos knob is
+set.
 """
 
 from .chaos import (

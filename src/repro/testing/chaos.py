@@ -15,14 +15,14 @@ Two fault families, one spec:
 
 * **Hostile daemon clients.**  :func:`run_daemon_chaos` fans out the
   spec's ``slow_loris`` / ``disconnects`` / ``resets`` / ``malformed``
-  counts as concurrent misbehaving clients against a live daemon.
-  Wall-clock scheduling of sockets is inherently racy, so determinism
-  here means the *set* of injected behaviours (and every request
-  payload) derives from the spec alone.
+  counts as concurrent misbehaving clients against a live daemon; the
+  overload drill in ``tests/test_service_hardening.py`` runs them beside
+  a client burst.  Wall-clock scheduling of sockets is inherently racy,
+  so determinism here means the *set* of injected behaviours (and every
+  request payload) derives from the spec alone.
 
 A spec travels as JSON — a file path or an inline object — via
-``scan --chaos-spec`` / ``serve-bench --chaos``; see docs/robustness.md
-for the format.
+``scan --chaos-spec``; see docs/robustness.md for the format.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class ChaosKilled(RuntimeError):
     worker crash would."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """One seeded chaos scenario (immutable, JSON round-trippable).
@@ -83,25 +87,29 @@ class ChaosSpec:
     malformed: int = 0
 
     def __post_init__(self) -> None:
+        # A spec arrives as JSON, where "1", 1.5 and true are all values:
+        # each field is held to its type here, because should_kill would
+        # otherwise die on it inside every worker, as a kill.
         object.__setattr__(self, "kill_slices",
                            tuple(self.kill_slices))
+        if not _is_int(self.seed):
+            raise ChaosError(f"seed must be an integer, got {self.seed!r}")
         for index in self.kill_slices:
-            if not isinstance(index, int) or isinstance(index, bool) \
-                    or index < 0:
+            if not _is_int(index) or index < 0:
                 raise ChaosError(
                     f"kill_slices must hold non-negative slice indexes, "
                     f"got {index!r}")
-        if not 0.0 <= self.kill_rate <= 1.0:
+        rate = self.kill_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
+                or not 0.0 <= rate <= 1.0:
             raise ChaosError(
-                f"kill_rate must be in [0, 1], got {self.kill_rate}")
-        if self.kills_per_slice < 0:
-            raise ChaosError(
-                f"kills_per_slice must be >= 0, got "
-                f"{self.kills_per_slice}")
-        for name in ("slow_loris", "disconnects", "resets", "malformed"):
-            if getattr(self, name) < 0:
+                f"kill_rate must be a number in [0, 1], got {rate!r}")
+        for name in ("kills_per_slice", "slow_loris", "disconnects",
+                     "resets", "malformed"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
                 raise ChaosError(
-                    f"{name} must be >= 0, got {getattr(self, name)}")
+                    f"{name} must be a non-negative integer, got {value!r}")
 
     @property
     def kills_workers(self) -> bool:

@@ -573,17 +573,3 @@ class TestDeprecation:
 
         network = SimulatedNetwork(Topology(TopologyConfig(num_prefixes=8)))
         run_discovery_optimized(network, extra_scans=1)
-
-
-class TestCliServeBench:
-    def test_serve_bench_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["serve-bench", "--prefixes", "32", "--clients", "20",
-                     "--keys", "4", "--output", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["clients"] == 20
-        assert report["latency_ms"]["p99"] >= report["latency_ms"]["p50"]
-        total = sum(report["outcomes"].values())
-        assert total == 20
-        stdout = capsys.readouterr().out
-        assert "serve-bench: 20 clients" in stdout

@@ -55,6 +55,19 @@ class TestChaosSpec:
         with pytest.raises(ChaosError):
             ChaosSpec(slow_loris=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", "x"), ("seed", 1.5), ("seed", True),
+        ("kill_rate", True), ("kill_rate", "0.5"),
+        ("kills_per_slice", 1.5), ("kills_per_slice", False),
+        ("slow_loris", 2.5), ("disconnects", "2"), ("resets", True),
+        ("malformed", None),
+    ])
+    def test_each_field_is_held_to_its_type(self, field, value):
+        # Each was accepted, or failed without naming its field; a string
+        # or float seed then killed every slice attempt in should_kill.
+        with pytest.raises(ChaosError, match=field):
+            ChaosSpec.from_dict({field: value})
+
     def test_zero_kills_per_slice_disarms_the_injector(self):
         spec = ChaosSpec(seed=1, kill_slices=(3,), kills_per_slice=0)
         assert not spec.kills_workers
@@ -227,6 +240,15 @@ class TestChaosCliFlags:
                        '{"seed": 1, "bogus": 2}')
         assert exc_info.value.code == 2
         assert "--chaos-spec" in capsys.readouterr().err
+
+    def test_mistyped_spec_field_exits_two(self, capsys):
+        # Used to exit 0: every first attempt died of OverflowError in
+        # should_kill, so the spec acted as kill_rate 1.0.
+        with pytest.raises(SystemExit) as exc_info:
+            self._scan("--shards", "2", "--slice-retries", "1",
+                       "--chaos-spec", '{"seed": "x", "kill_rate": 0.5}')
+        assert exc_info.value.code == 2
+        assert "seed must be an integer" in capsys.readouterr().err
 
     def test_cli_kill_and_recover_matches_clean(self, tmp_path, capsys):
         from repro.cli import main

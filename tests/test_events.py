@@ -28,6 +28,8 @@ from repro.simnet import (
     TopologyConfig,
 )
 
+from oracle.network import OracleNetwork
+
 CFG = TopologyConfig(num_prefixes=96, seed=13)
 
 
@@ -36,10 +38,9 @@ def topology():
     return Topology(CFG)
 
 
-def run_scan(topology, telemetry=None, faults=None, use_route_cache=True,
-             seed=1):
-    network = SimulatedNetwork(topology, faults=faults,
-                               use_route_cache=use_route_cache)
+def run_scan(topology, telemetry=None, faults=None,
+             network_class=SimulatedNetwork, seed=1):
+    network = network_class(topology, faults=faults)
     config = FlashRouteConfig(split_ttl=16, gap_limit=5, seed=seed)
     result = FlashRoute(config, telemetry=telemetry).scan(network)
     if telemetry is not None:
@@ -47,10 +48,11 @@ def run_scan(topology, telemetry=None, faults=None, use_route_cache=True,
     return result
 
 
-def record_scan(topology, path, faults=None, use_route_cache=True, **kw):
+def record_scan(topology, path, faults=None,
+                network_class=SimulatedNetwork, **kw):
     telemetry = Telemetry(events=EventRecorder(path=str(path), **kw))
     result = run_scan(topology, telemetry, faults=faults,
-                      use_route_cache=use_route_cache)
+                      network_class=network_class)
     telemetry.close()
     return result
 
@@ -211,8 +213,8 @@ class TestEngineWiring:
     def test_cached_vs_uncached_identical_streams(self, topology, tmp_path):
         cached = tmp_path / "cached.jsonl"
         uncached = tmp_path / "uncached.jsonl"
-        record_scan(topology, cached, use_route_cache=True)
-        record_scan(topology, uncached, use_route_cache=False)
+        record_scan(topology, cached)
+        record_scan(topology, uncached, network_class=OracleNetwork)
         assert cached.read_bytes() == uncached.read_bytes()
 
     def test_faulted_run_events_match_scan_result(self, topology, tmp_path):

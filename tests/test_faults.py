@@ -13,6 +13,8 @@ from repro.simnet import (
     TopologyConfig,
 )
 
+from oracle.network import OracleNetwork
+
 CFG = TopologyConfig(num_prefixes=96, seed=13)
 
 
@@ -21,10 +23,9 @@ def topology():
     return Topology(CFG)
 
 
-def scan_dict(topology, faults=None, use_route_cache=True, gap_limit=5,
-              seed=1):
-    network = SimulatedNetwork(topology, faults=faults,
-                               use_route_cache=use_route_cache)
+def scan_dict(topology, faults=None, network_class=SimulatedNetwork,
+              gap_limit=5, seed=1):
+    network = network_class(topology, faults=faults)
     config = FlashRouteConfig(split_ttl=16, gap_limit=gap_limit, seed=seed)
     result = FlashRoute(config).scan(network)
     return result_to_dict(result)
@@ -99,8 +100,9 @@ class TestDeterminism:
         hashes, so serving mode cannot change the fault sequence."""
         model = FaultModel(probe_loss=0.04, response_loss=0.04,
                            duplicate_probability=0.03, seed=5)
-        cached = scan_dict(topology, faults=model, use_route_cache=True)
-        uncached = scan_dict(topology, faults=model, use_route_cache=False)
+        cached = scan_dict(topology, faults=model)
+        uncached = scan_dict(topology, faults=model,
+                             network_class=OracleNetwork)
         assert cached == uncached
 
     def test_different_seeds_differ(self, topology):

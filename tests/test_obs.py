@@ -30,6 +30,8 @@ from repro.simnet import (
     TopologyConfig,
 )
 
+from oracle.network import OracleNetwork
+
 CFG = TopologyConfig(num_prefixes=96, seed=13)
 
 
@@ -38,10 +40,9 @@ def topology():
     return Topology(CFG)
 
 
-def run_scan(topology, telemetry=None, faults=None, use_route_cache=True,
-             seed=1):
-    network = SimulatedNetwork(topology, faults=faults,
-                               use_route_cache=use_route_cache)
+def run_scan(topology, telemetry=None, faults=None,
+             network_class=SimulatedNetwork, seed=1):
+    network = network_class(topology, faults=faults)
     config = FlashRouteConfig(split_ttl=16, gap_limit=5, seed=seed)
     result = FlashRoute(config, telemetry=telemetry).scan(network)
     if telemetry is not None:
@@ -258,8 +259,8 @@ class TestScanTelemetry:
     def test_cached_vs_uncached_identical_modulo_cache(self, topology):
         cached = Telemetry()
         uncached = Telemetry()
-        run_scan(topology, telemetry=cached, use_route_cache=True)
-        run_scan(topology, telemetry=uncached, use_route_cache=False)
+        run_scan(topology, telemetry=cached)
+        run_scan(topology, telemetry=uncached, network_class=OracleNetwork)
         exclude = ("simnet.cache.",)
         assert (deterministic_snapshot(cached.registry.snapshot(), exclude)
                 == deterministic_snapshot(uncached.registry.snapshot(),

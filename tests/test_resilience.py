@@ -38,6 +38,8 @@ from repro.simnet import (
     TopologyConfig,
 )
 
+from oracle.network import OracleNetwork
+
 CFG = TopologyConfig(num_prefixes=96, seed=13)
 FAULT_SEED = 0x10552020
 
@@ -59,15 +61,14 @@ def targets(topology):
 
 
 def run_tool(topology, tool, resilience=None, events_path=None,
-             faults=None, use_route_cache=True, rate=None):
+             faults=None, network_class=SimulatedNetwork, rate=None):
     telemetry = None
     if events_path is not None:
         telemetry = Telemetry(events=EventRecorder(path=str(events_path)))
     scanner = create_scanner(tool, ScannerOptions(
         seed=1, probing_rate=rate, telemetry=telemetry,
         resilience=resilience))
-    network = SimulatedNetwork(topology, faults=faults,
-                               use_route_cache=use_route_cache)
+    network = network_class(topology, faults=faults)
     result = scanner.scan(network, targets=random_targets(topology, seed=1))
     if telemetry is not None:
         telemetry.close()
@@ -98,10 +99,10 @@ class TestInertEquivalence:
     def test_uncached_network_equivalence(self, topology):
         """The property holds on the simulator's uncached path too."""
         for tool in ("flashroute-16", "yarrp-16"):
-            baseline = run_tool(topology, tool, use_route_cache=False)
+            baseline = run_tool(topology, tool, network_class=OracleNetwork)
             inert = run_tool(topology, tool,
                              resilience=ResilienceConfig(**INERT),
-                             use_route_cache=False)
+                             network_class=OracleNetwork)
             assert inert.fingerprint() == baseline.fingerprint()
             # And the uncached result equals the cached one.
             assert inert.fingerprint() == \

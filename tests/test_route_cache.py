@@ -36,6 +36,8 @@ from repro.simnet.network import SimulatedNetwork
 from repro.simnet.routecache import ROUTE_CACHE_TTLS, Tail
 from repro.simnet.topology import Topology
 
+from oracle.network import OracleNetwork
+
 
 def _result_fields(result):
     """Every observable field of a ScanResult, for exact comparison."""
@@ -64,9 +66,9 @@ class TestSendProbeEquivalence:
     @pytest.mark.parametrize("proto", [PROTO_UDP, PROTO_TCP])
     def test_identical_probe_streams(self, small_topology: Topology, proto):
         cached = SimulatedNetwork(small_topology)
-        uncached = SimulatedNetwork(small_topology, use_route_cache=False)
-        assert cached.route_cache is not None
-        assert uncached.route_cache is None
+        uncached = OracleNetwork(small_topology)
+        assert cached.stats()["route_cache"] is not None
+        assert uncached.stats()["route_cache"] is None
 
         rng = random.Random(0xBEEF)
         base = small_topology.base_prefix
@@ -134,31 +136,30 @@ class TestScanEquivalence:
     def test_flashroute_scan_identical(self, tiny_topology: Topology,
                                        tiny_targets):
         results = []
-        for use_cache in (True, False):
-            network = SimulatedNetwork(tiny_topology,
-                                       use_route_cache=use_cache)
+        for network_class in (SimulatedNetwork, OracleNetwork):
             results.append(FlashRoute(FlashRouteConfig()).scan(
-                network, targets=tiny_targets))
+                network_class(tiny_topology), targets=tiny_targets))
         assert _result_fields(results[0]) == _result_fields(results[1])
 
     def test_scan_leaves_an_uncached_network_uncached(
             self, tiny_topology: Topology, tiny_targets):
-        network = SimulatedNetwork(tiny_topology, use_route_cache=False)
+        network = OracleNetwork(tiny_topology)
         result = FlashRoute(FlashRouteConfig()).scan(
             network, targets=tiny_targets)
         assert result.probes_sent > 0
-        # The network's serving mode is the switch; a scan leaves it alone.
-        assert network.route_cache is None
+        # Every probe of the scan took the uncached path: no table built.
+        assert not network.route_cache.udp_tables
+        assert not network.route_cache.tcp_tables
+        assert network.stats()["route_cache"] is None
 
     @pytest.mark.parametrize("config_name", ["yarrp_16", "yarrp_32"])
     def test_yarrp_scan_identical(self, tiny_topology: Topology,
                                   tiny_targets, config_name):
         results = []
-        for use_cache in (True, False):
-            network = SimulatedNetwork(tiny_topology,
-                                       use_route_cache=use_cache)
+        for network_class in (SimulatedNetwork, OracleNetwork):
             config = getattr(YarrpConfig, config_name)()
-            results.append(Yarrp(config).scan(network, targets=tiny_targets))
+            results.append(Yarrp(config).scan(network_class(tiny_topology),
+                                              targets=tiny_targets))
         assert _result_fields(results[0]) == _result_fields(results[1])
 
     def test_cache_survives_reset(self, small_topology: Topology):
@@ -365,14 +366,11 @@ class TestCensusSweep:
                              ids=["default-limiter", "unlimited"])
     def test_batched_and_scalar_equal_the_oracle(self, sweep, rate_limit):
         topo, streams, _census = sweep
-        oracle = SimulatedNetwork(topo, use_route_cache=False,
-                                  rate_limit=rate_limit)
+        oracle = OracleNetwork(topo, rate_limit=rate_limit)
         batched = SimulatedNetwork(topo, rate_limit=rate_limit)
         scalar = SimulatedNetwork(topo, rate_limit=rate_limit)
         for proto, probes in streams.items():
-            expected = [oracle._send_probe_uncached(
-                dst, ttl, now, port, 33434, ipid, length, proto)
-                for dst, ttl, now, port, ipid, length in probes]
+            expected = oracle.send_probes(probes, 33434, proto, None)
             got = []
             for start in range(0, len(probes), 64):
                 got.extend(batched.send_probes(probes[start:start + 64],
@@ -447,13 +445,12 @@ class TestOneResolver:
                                               flow):
         topo = _census_topology()
 
-        def network(**mode):
-            return SimulatedNetwork(topo, log_probes=True, rate_limit=1,
-                                    faults=_FAULTS if faulted else None,
-                                    **mode)
+        def network(network_class=SimulatedNetwork):
+            return network_class(topo, log_probes=True, rate_limit=1,
+                                 faults=_FAULTS if faulted else None)
 
         scalar, burst, reference = (network(), network(),
-                                    network(use_route_cache=False))
+                                    network(OracleNetwork))
         dsts, steps = stream
         now = 0.0
         for index, ttl, gap, single in steps:

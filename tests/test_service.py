@@ -17,7 +17,7 @@ from repro.service.client import (open_connection, send_request,
                                   trace_stream)
 from repro.service import daemon
 from repro.service.daemon import TraceService, bound_reads, start_service
-from repro.service.loadtest import build_payloads, percentile, run_loadtest
+from repro.service.obs import percentile
 
 
 def _engine(prefixes=64, seed=20201027):
@@ -367,24 +367,3 @@ class TestLoadtestHarness:
         assert percentile(values, 0.5) == 3.0  # round(0.5*3)=2
         with pytest.raises(ValueError):
             percentile([], 0.5)
-
-    def test_build_payloads_cycles_keys(self):
-        engine = _engine(prefixes=16)
-        payloads = build_payloads(engine, clients=10, keys=3, flows=2)
-        assert len(payloads) == 10
-        keys = {(payload["destination"], payload["flow"])
-                for payload in payloads}
-        assert len(keys) == 3
-        for payload in payloads:
-            assert engine.contains(
-                api.TraceRequest.parse(
-                    {k: payload[k]
-                     for k in ("destination", "flow")}).destination)
-
-    def test_small_burst_exercises_all_paths(self):
-        report = run_loadtest(prefixes=32, clients=30, keys=6, flows=2)
-        assert sum(report["outcomes"].values()) == 30
-        assert report["outcomes"]["error"] == 0
-        assert report["cache_hit_rate"] > 0
-        assert report["latency_ms"]["p99"] >= report["latency_ms"]["p50"]
-        assert report["service"]["probes_sent"] > 0

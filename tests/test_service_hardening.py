@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import Counter
 
 import pytest
 
 from repro import api
+from repro.net.addr import int_to_ip
 from repro.service.client import (DaemonClient, open_connection,
                                   send_request, trace_stream)
 from repro.service.daemon import (
@@ -73,6 +75,52 @@ def _wedge_task(flight):
 
     flight.task = asyncio.ensure_future(wedge())
     return flight.task
+
+
+_CLIENTS, _KEYS = 96, 32
+
+
+def _burst(chaos=None, **limits):
+    """Open ``_CLIENTS`` connections at once against a loopback daemon
+    started with ``limits``, one trace request each, cycling over
+    ``_KEYS`` (destination, flow) keys of which half were traced first;
+    ``chaos``'s hostile clients run alongside.  Returns the count of each
+    terminal (``cache`` of a done record, else the error ``code``) and of
+    client ``exception``s, the chaos summary, the daemon's stats and the
+    answer to a ping sent after the burst."""
+    async def run():
+        engine = _engine(prefixes=256)
+        handle = await start_service(engine, port=0, **limits)
+        address = {"host": handle.host, "port": handle.port}
+        base = engine.topology.base_prefix
+        size = engine.topology.num_prefixes
+        payloads = [{"destination": int_to_ip(
+                        (base + key * 7919 % size) << 8 | 1 + key),
+                     "flow": key % 4}
+                    for key in (index % _KEYS for index in range(_CLIENTS))]
+        for payload in payloads[:_KEYS // 2]:
+            await trace_stream(payload, **address)
+        burst = asyncio.gather(*(trace_stream(payload, **address)
+                                 for payload in payloads),
+                               return_exceptions=True)
+        hostile = None
+        if chaos is None:
+            answers = await burst
+        else:
+            answers, hostile = await asyncio.gather(
+                burst, run_daemon_chaos(chaos, payloads, **address))
+        _, pong = await trace_stream({"control": "ping"}, timeout=5.0,
+                                     **address)
+        stats = handle.service.stats()
+        await handle.drain()
+        return answers, hostile, stats, pong
+
+    answers, hostile, stats, pong = asyncio.run(run())
+    outcomes = Counter(
+        "exception" if isinstance(answer, Exception)
+        else answer[1].get("cache") or answer[1].get("code", "error")
+        for answer in answers)
+    return outcomes, hostile, stats, pong
 
 
 class TestDeadlines:
@@ -469,6 +517,33 @@ class TestHostileClients:
         assert summary["clients"] == 8
         assert summary["client_failures"] == 0
         assert pong["type"] == "pong"
+
+
+class TestBurst:
+    def test_overload_with_chaos_sheds_structurally(self):
+        """Twice the admission capacity (8 slots + 40 queued) plus hostile
+        clients: the overflow comes back as ``overloaded`` records, no
+        connection fails and the daemon still answers afterwards."""
+        chaos = ChaosSpec(seed=20201027, slow_loris=4, disconnects=4,
+                          resets=4, malformed=4)
+        outcomes, hostile, stats, pong = _burst(chaos, max_inflight=8,
+                                                max_queued=40)
+        admitted = outcomes["hit"] + outcomes["miss"] + outcomes["coalesced"]
+        shed = outcomes["overloaded"]
+        assert admitted + shed == _CLIENTS and shed > 0, outcomes
+        assert stats["shed"] == shed, (stats, outcomes)
+        assert outcomes["error"] == outcomes["exception"] == 0, outcomes
+        assert hostile["client_failures"] == 0, hostile
+        assert pong["type"] == "pong"
+
+    def test_unthrottled_burst_takes_every_serving_path(self):
+        outcomes, _, stats, _ = _burst()
+        assert outcomes["hit"] + outcomes["miss"] + outcomes["coalesced"] \
+            == _CLIENTS, outcomes
+        assert min(outcomes["hit"], outcomes["miss"],
+                   outcomes["coalesced"]) > 0, outcomes
+        # Each key is traced at most once, however many clients ask.
+        assert stats["traces_started"] <= _KEYS, stats
 
 
 class TestClientTimeout:

@@ -24,7 +24,6 @@ from repro.obs.trace import ScanTracer, read_trace, validate_trace
 from repro.service.client import DaemonClient, trace_stream
 from repro.service.daemon import (LIVENESS_LAG_MS, ServiceError,
                                   TraceService, start_service)
-from repro.service.loadtest import run_loadtest
 from repro.service.obs import (OUTCOMES, RateRing, RequestContext,
                                ServiceTelemetry, classify_slow_cause,
                                latency_summary)
@@ -593,23 +592,6 @@ class TestTopDashboard:
         assert run_top(socket_path="/nonexistent/daemon.sock",
                        iterations=1, stream=io.StringIO()) == 1
         assert "cannot reach daemon" in capsys.readouterr().err
-
-
-# --------------------------------------------------------------------- #
-# Satellite 2: per-outcome latency breakdown in the load test
-# --------------------------------------------------------------------- #
-
-class TestLoadtestBreakdown:
-    def test_report_splits_latency_by_outcome(self):
-        report = run_loadtest(prefixes=64, clients=40, keys=6, flows=2,
-                              telemetry=True)
-        breakdown = report["latency_ms_by_outcome"]
-        assert set(breakdown) <= {"fresh", "hit", "coalesced"}
-        assert sum(row["count"] for row in breakdown.values()) \
-            == report["clients"]
-        for row in breakdown.values():
-            assert row["p50"] <= row["p90"] <= row["p99"] <= row["max"]
-        assert report["telemetry"] is True
 
 
 # --------------------------------------------------------------------- #
