@@ -1,33 +1,30 @@
-"""§5.4's IPv6 extension, prototyped and measured.
+"""§5.4's IPv6 extension, measured.
 
 The paper defers IPv6 to future work, noting that the control state must
-be redesigned for sparse allocation.  This benchmark runs the prototype —
-a hash-based DCB store over a seed-list-driven sparse topology — against a
-Yarrp6-style exhaustive baseline and checks that FlashRoute's headline
-carries over: a small fraction of the probes for (nearly) the same
-interface discovery.
+be redesigned for sparse allocation.  This benchmark runs FlashRoute's one
+engine over a seed-list-driven sparse topology — the DCB array indexed
+through a dict of the scan's own /64s — against Yarrp's stateless sweep of
+one probe per (target, hop), and checks that FlashRoute's headline carries
+over: a small fraction of the probes for (nearly) the same interface
+discovery.
 """
 
 from conftest import run_once
 from repro.analysis.report import render_table
+from repro.core import FlashRoute, FlashRouteConfig
 from repro.core.results import format_scan_time
-from repro.v6 import (
-    FlashRoute6,
-    FlashRoute6Config,
-    SimulatedNetwork6,
-    Topology6,
-    TopologyConfig6,
-    exhaustive_scan6,
-)
+from repro.v6 import SimulatedNetwork6, Topology6, TopologyConfig6
 
 
 def _run_v6_comparison():
     topology = Topology6(TopologyConfig6(num_sites=256))
     targets = topology.seed_targets()
-    flashroute = FlashRoute6(FlashRoute6Config()).scan(
+    flashroute = FlashRoute(FlashRouteConfig.flashroute_16_v6()).scan(
         SimulatedNetwork6(topology), targets=targets)
-    exhaustive = exhaustive_scan6(SimulatedNetwork6(topology),
-                                  targets=targets)
+    exhaustive = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
+        granularity=64, probing_rate=1000.0)).scan(
+        SimulatedNetwork6(topology), targets=targets,
+        tool_name="Yarrp-32-UDP sim")
     return topology, flashroute, exhaustive
 
 
@@ -41,7 +38,7 @@ def test_ipv6_extension(benchmark, save_result):
           format_scan_time(scan.duration)]
          for scan in (flashroute, exhaustive)],
         title=f"[§5.4] IPv6 extension "
-              f"({len(topology.subnets)} announced /64s, sparse store)")
+              f"({len(topology.subnets)} announced /64s, indexed DCB array)")
     save_result("ipv6_extension", table)
 
     # The redesigned control state scans a target list the flat array

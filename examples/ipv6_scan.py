@@ -1,30 +1,25 @@
 #!/usr/bin/env python
-"""FlashRoute6: the paper's §5.4 IPv6 extension in action.
+"""The paper's §5.4 IPv6 extension in action.
 
 IPv6 cannot be scanned by enumerating prefixes — allocation is sparse, so
-both the target list (seed addresses from hitlists/traces) and the control
-state (a hash-based DCB store instead of the 2^24-slot array) must change.
-This example builds a sparse simulated v6 Internet, scans its seed list
-with FlashRoute6, compares against a Yarrp6-style exhaustive baseline, and
-shows why the array design had to go.
+the target list comes from seed addresses (hitlists/traces) and the
+control state cannot be an array over the prefix space.  FlashRoute's one
+engine handles both: over a v6 topology it keys blocks by /64 and indexes
+the DCB array through a dict of the scan's own targets.  This example
+builds a sparse simulated v6 Internet, scans its seed list, compares
+against Yarrp's sweep of one probe per (target, hop), and shows why the
+array over the prefix space had to go.
 
 Run:  python examples/ipv6_scan.py [num_sites]
 """
 
 import sys
 
-from repro.core import projected_scan_memory
+from repro.core import (DCBArray, FlashRoute, FlashRouteConfig,
+                        projected_scan_memory)
 from repro.core.results import format_scan_time
 from repro.net.addr6 import int_to_ip6
-from repro.v6 import (
-    FlashRoute6,
-    FlashRoute6Config,
-    SimulatedNetwork6,
-    SparseDCBStore,
-    Topology6,
-    TopologyConfig6,
-    exhaustive_scan6,
-)
+from repro.v6 import SimulatedNetwork6, Topology6, TopologyConfig6
 
 
 def main() -> None:
@@ -38,24 +33,29 @@ def main() -> None:
               f"{int_to_ip6(target)}")
     print("  ...")
 
-    # Why the array had to go: control-state memory.
-    store = SparseDCBStore(targets.values(), split_ttl=16, gap_limit=5)
-    print(f"\nControl state: sparse store holds {len(store)} blocks in "
-          f"{store.memory_footprint() / 1024:.0f} KiB; an array indexed "
+    # Why the array over the prefix space had to go: control-state memory.
+    # The scan's array has one slot per seed target, as this one does.
+    config = FlashRouteConfig.flashroute_16_v6()
+    dcb = DCBArray(list(targets.values()), config.split_ttl,
+                   config.gap_limit)
+    print(f"\nControl state: the DCB array holds {dcb.size} blocks in "
+          f"{dcb.memory_footprint() / 1024:.0f} KiB; an array indexed "
           f"by /64 prefix would need 2^64 slots (the /32 IPv4 array alone "
           f"is already {projected_scan_memory(32) / 2**30:.0f} GiB, §5.4).")
 
-    result = FlashRoute6(FlashRoute6Config()).scan(
+    result = FlashRoute(config).scan(SimulatedNetwork6(topology),
+                                     targets=targets)
+    baseline = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
+        granularity=64, probing_rate=1000.0)).scan(
         SimulatedNetwork6(topology), targets=targets)
-    baseline = exhaustive_scan6(SimulatedNetwork6(topology), targets=targets)
 
-    print(f"\nFlashRoute6:  interfaces={result.interface_count():,} "
+    print(f"\nFlashRoute-16: interfaces={result.interface_count():,} "
           f"probes={result.probes_sent:,} "
           f"time={format_scan_time(result.duration)}")
-    print(f"Yarrp6-style: interfaces={baseline.interface_count():,} "
+    print(f"Yarrp sweep:   interfaces={baseline.interface_count():,} "
           f"probes={baseline.probes_sent:,} "
           f"time={format_scan_time(baseline.duration)}")
-    print(f"\nFlashRoute6 used "
+    print(f"\nFlashRoute used "
           f"{result.probes_sent / baseline.probes_sent * 100:.0f}% of the "
           f"probes for "
           f"{result.interface_count() / baseline.interface_count() * 100:.0f}% "

@@ -69,7 +69,8 @@ class FlashRouteConfig:
     #: Scanning granularity in prefix bits: 24 traces one address per /24
     #: (the paper's default); up to 30 traces one per /30, the paper's
     #: §5.4 proposal for discovering distinct internal paths inside a /24
-    #: at the cost of an exponentially larger control-state array.
+    #: at the cost of an exponentially larger control-state array.  64: one
+    #: per IPv6 /64, over an IPv6 topology.
     granularity: int = 24
 
     #: Safety valve: abort scans that somehow exceed this many rounds.
@@ -97,8 +98,8 @@ class FlashRouteConfig:
         if not 0 <= self.round_seconds < math.inf:
             raise ValueError(
                 "round_seconds must be a non-negative finite number")
-        if not 24 <= self.granularity <= 30:
-            raise ValueError("granularity must be within [24, 30]")
+        if not (24 <= self.granularity <= 30 or self.granularity == 64):
+            raise ValueError("granularity must be within [24, 30], or 64")
         if isinstance(self.preprobe, str):
             self.preprobe = PreprobeMode(self.preprobe)
 
@@ -117,6 +118,14 @@ class FlashRouteConfig:
         """FlashRoute-32 (Table 3): split 32, otherwise as FlashRoute-16."""
         return replace(cls(split_ttl=32, preprobe=PreprobeMode.HITLIST),
                        **overrides)
+
+    @classmethod
+    def flashroute_16_v6(cls, **overrides) -> "FlashRouteConfig":
+        """FlashRoute-16 over IPv6 /64s with §5.4's differences: no proximity
+        span, the seed list preprobed as it is traced, 1,000 pps."""
+        return replace(cls(split_ttl=16, preprobe=PreprobeMode.RANDOM,
+                           proximity_span=0, probing_rate=1000.0,
+                           granularity=64), **overrides)
 
     @classmethod
     def yarrp32_udp_simulation(cls, **overrides) -> "FlashRouteConfig":

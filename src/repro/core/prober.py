@@ -33,6 +33,8 @@ bound once per scan, plus the ``rt.owes(offset)`` call.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import add
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.icmp import IcmpResponse, ResponseKind, distance_from_unreachable
@@ -64,6 +66,22 @@ def _own_hitlist(topology: Topology, blocks: Iterable[int],
         if 0 <= offset < len(hosts):
             hitlist[block] = (prefix << 8) | hosts[offset]
     return hitlist
+
+
+def _check_family(config: FlashRouteConfig, topology) -> None:
+    """Refuse, before any probe, a config that does not fit the address
+    family of ``topology``."""
+    v6 = topology.address_bits == 128
+    where = f"an IPv{6 if v6 else 4} topology ({type(topology).__name__})"
+    if (config.granularity == 64) != v6:
+        raise ValueError(f"granularity /{config.granularity} does not fit "
+                         f"{where}")
+    if v6 and config.preprobe is PreprobeMode.HITLIST:
+        raise ValueError(f"preprobe mode 'hitlist' does not fit {where}, "
+                         f"which has no hitlist")
+    if v6 and config.probing_rate is None:
+        raise ValueError(f"probing_rate None does not fit {where}, which "
+                         f"has no prefix count to scale it to")
 
 
 def _measured_distance(response: IcmpResponse, dst: int,
@@ -100,7 +118,8 @@ class FlashRoute:
         Args:
             network: the (simulated) network to probe.
             targets: /24 prefix -> representative address for the main
-                phase; defaults to a seeded random draw per prefix.
+                phase; defaults to a seeded random draw per prefix (over
+                an IPv6 topology: /64 -> its seed list).
             preprobe_targets: representatives for the preprobing phase;
                 defaults to ``targets`` (the hitlist mode supplies the
                 synthesized hitlist here automatically).
@@ -151,9 +170,12 @@ class _ScanRun:
                  telemetry=None) -> None:
         self.config = config
         topology = network.topology
+        _check_family(config, topology)
         if targets is None:
-            targets = random_targets(topology, config.seed,
-                                     granularity=config.granularity)
+            targets = (random_targets(topology, config.seed,
+                                      granularity=config.granularity)
+                       if topology.address_bits == 32
+                       else topology.seed_targets())
         self.targets = targets
         if preprobe_targets is None:
             if config.preprobe is PreprobeMode.HITLIST:
@@ -180,10 +202,9 @@ class _ScanRun:
             resilience=config.resilience, engine="flashroute",
             on_response=self._on_response, policy_state=self._policy_state,
             event_distance=_measured_distance,
-            block_shift=32 - config.granularity,
+            block_shift=topology.address_bits - config.granularity,
             scan_offset=config.scan_offset, verify_quotes=True,
             rtt_ledger=True, fold_preprobe=self.fold_preprobe)
-        self.base_prefix = rt.base_prefix
         self.num_prefixes = rt.num_prefixes
         self.stop_set: Set[int] = stop_set if stop_set is not None else set()
         self.dcb = self._build_dcbs(excluded or (), start_ttls or {})
@@ -209,16 +230,21 @@ class _ScanRun:
         """The DCB array over the whole block space, ringed through the
         scan's own targets: apart from C-level fills of the columns, the
         work is O(targets), so a shard slice pays for its slice."""
-        base, size = self.base_prefix, self.num_prefixes
+        base, size = self.rt.base_prefix, self.num_prefixes
         block_shift = self.rt.block_shift
+        index = self.rt.block_index
+        # Block -> ring offset: arithmetic in the dense IPv4 space, through
+        # the target index in the sparse IPv6 one (-1: no slot).
+        offset_of = (partial(add, -base) if index is None
+                     else lambda prefix: index.get(prefix, -1))
         # A block without a target keeps its base address (never probed).
         destinations = list(range(base << block_shift,
                                   (base + size) << block_shift,
                                   1 << block_shift))
-        banned = {prefix - base for prefix in excluded}
+        banned = {offset_of(prefix) for prefix in excluded}
         members = []
         for prefix, addr in self.targets.items():
-            offset = prefix - base
+            offset = offset_of(prefix)
             if 0 <= offset < size:
                 destinations[offset] = addr
                 if offset not in banned:
@@ -230,8 +256,8 @@ class _ScanRun:
         dcb.link_ring(ring_order(size, self.config.seed ^ 0x0D0B0D0B,
                                  members))
         for prefix, ttl in start_ttls.items():
-            offset = prefix - self.base_prefix
-            if 0 <= offset < self.num_prefixes:
+            offset = offset_of(prefix)
+            if 0 <= offset < size:
                 dcb.set_distance(offset, ttl, predicted=False)
                 horizon = min(ttl + self.config.gap_limit, 255)
                 dcb.forward_horizon[offset] = horizon
@@ -263,7 +289,7 @@ class _ScanRun:
         rt = self.rt
         reg = rt.reg
         events = rt.events
-        prefix = self.base_prefix + offset
+        prefix = rt.block_keys[offset]
         kind = response.kind
 
         if kind is ResponseKind.TTL_EXCEEDED:
@@ -313,8 +339,9 @@ class _ScanRun:
         started = rt.clock.now
         rt.span_begin("phase", "preprobe", folded=self.fold_preprobe)
         burst = self._burst
+        keys = rt.block_keys
         for offset in self.dcb.iter_ring():
-            target = self.preprobe_targets.get(self.base_prefix + offset)
+            target = self.preprobe_targets.get(keys[offset])
             if target is None:
                 continue
             if rt.owes(offset) or len(burst) == BURST_PROBES:
@@ -361,7 +388,7 @@ class _ScanRun:
                 self.dcb.forward_horizon[offset] = min(distance + gap_limit,
                                                        255)
                 if events is not None:
-                    events.preprobe_predict(now, self.base_prefix + offset,
+                    events.preprobe_predict(now, self.rt.block_keys[offset],
                                             distance, source)
         if self.fold_preprobe:
             # Preprobing was the first main round: destinations without a
@@ -402,11 +429,11 @@ class _ScanRun:
             if reg is not None:
                 reg.inc(f"scan.forward_stops.{reason}")
             if events is not None:
-                events.stop_decision(now, self.base_prefix + offset, reason,
+                events.stop_decision(now, self.rt.block_keys[offset], reason,
                                      limit)
         dcb.remove(offset)
         if events is not None:
-            events.dcb_release(now, self.base_prefix + offset)
+            events.dcb_release(now, self.rt.block_keys[offset])
 
     def _send_burst(self, preprobe: bool = False) -> None:
         """Emit the probes gathered since the last burst, then deliver

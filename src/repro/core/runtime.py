@@ -100,7 +100,8 @@ class ScanRuntime:
         policy_state: returns the engine's half of a checkpoint.
         event_distance: the destination distance the engine's policy
             reads off a response, reported in its ``response`` event.
-        block_shift: address bits below one destination block (8 = /24).
+        block_shift: address bits below one destination block (8 = /24,
+            64 = an IPv6 /64).
         verify_quotes: drop (and count) responses whose quoted
             destination no longer matches its checksum port (§5.3).
         rtt_ledger: fold RTTs into ``result`` (the ``scan.rtt_ms``
@@ -122,8 +123,10 @@ class ScanRuntime:
                  rtt_ledger: bool = False, fold_preprobe: bool = False,
                  start_time: float = 0.0) -> None:
         self.network = network
-        self.result = ScanResult(tool=tool, num_targets=len(targets),
-                                 granularity=32 - block_shift)
+        topology = network.topology
+        self.result = ScanResult(
+            tool=tool, num_targets=len(targets),
+            granularity=topology.address_bits - block_shift)
         self.result.targets = dict(targets)
         self.rate = rate if rate is not None else scaled_probing_rate(
             network.topology.num_prefixes)
@@ -149,9 +152,21 @@ class ScanRuntime:
         self.policy_state = policy_state
         self.event_distance = event_distance
         self.block_shift = block_shift
-        scale = 1 << (8 - block_shift)
-        self.base_prefix = network.topology.base_prefix * scale
-        self.num_prefixes = network.topology.num_prefixes * scale
+        #: Ring offset -> block key, and back: arithmetic over the dense
+        #: IPv4 space; over the sparse IPv6 one (§5.4) the array holds the
+        #: scan's own blocks, found through a dict (``None`` for IPv4).
+        if topology.address_bits == 32:
+            scale = 1 << (8 - block_shift)
+            self.base_prefix = topology.base_prefix * scale
+            self.num_prefixes = topology.num_prefixes * scale
+            self.block_keys: Sequence[int] = range(
+                self.base_prefix, self.base_prefix + self.num_prefixes)
+            self.block_index: Optional[Dict[int, int]] = None
+        else:
+            self.base_prefix, self.block_keys = 0, sorted(targets)
+            self.num_prefixes = len(self.block_keys)
+            self.block_index = {key: offset for offset, key
+                                in enumerate(self.block_keys)}
         #: Per-destination delivery (:meth:`owes`): per ring offset, the
         #: latest arrival among the responses to that block's probes, and
         #: the time up to which :meth:`drain` has delivered everything.
@@ -258,12 +273,15 @@ class ScanRuntime:
             # a rewriting middlebox moves the quoted address, and an
             # injected duplicate may arrive after its original.
             owed = self._owed
+            index = self.block_index
             for probe, response in zip(probes, responses):
                 if response is not None:
                     arrival = response.arrival_time
                     if response.dup is not None:
                         arrival = max(arrival, response.dup.arrival_time)
-                    offset = (probe[0] >> shift) - self.base_prefix
+                    key = probe[0] >> shift
+                    offset = (key - self.base_prefix if index is None
+                              else index.get(key, -1))
                     if 0 <= offset < len(owed) and arrival > owed[offset]:
                         owed[offset] = arrival
         return probes
@@ -337,6 +355,7 @@ class ScanRuntime:
         shift = self.block_shift
         base = self.base_prefix
         num_prefixes = self.num_prefixes
+        index = self.block_index
         account = self._account
         on_response = self.on_response
         for response in self.queue.pop_until(now):
@@ -349,7 +368,8 @@ class ScanRuntime:
                 if port != quoted.src_port:
                     self.result.mismatched_quotes += 1
                     continue
-            offset = (dst >> shift) - base
+            offset = ((dst >> shift) - base if index is None
+                      else index.get(dst >> shift, -1))
             if not 0 <= offset < num_prefixes:
                 continue
             ipid = quoted.ipid

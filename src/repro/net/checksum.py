@@ -3,9 +3,9 @@
 FlashRoute uses the Internet checksum twice:
 
 * over every IPv4/UDP/ICMP header it emits or parses, and
-* over the 4 bytes of the destination address to derive the probe's UDP
-  source port (the "Paris" flow identifier), which doubles as an integrity
-  check against in-flight destination rewriting (paper §3.1, §5.3).
+* over the 4 (IPv6: 16) bytes of the destination address to derive the
+  probe's UDP source port (the "Paris" flow identifier), which doubles as
+  an integrity check against in-flight destination rewriting (§3.1, §5.3).
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def verify_checksum(data: bytes) -> bool:
 
 
 def addr_checksum(addr: int) -> int:
-    """Checksum of the 4 bytes of an IPv4 address (FlashRoute's source port).
+    """Checksum of the 4 bytes of an IPv4 address, or the 16 of an IPv6
+    one (FlashRoute's source port).
 
     This is the value FlashRoute writes into the UDP source port of every
     probe for a destination; a response whose quoted source port does not
@@ -53,10 +54,12 @@ def addr_checksum(addr: int) -> int:
     The result is folded into ``[1024, 65535]`` so probes never use a
     privileged source port.
     """
-    # internet_checksum(struct.pack("!I", addr)) without the bytes: two
-    # 16-bit words, so one add and one carry fold (0xFFFF + 0xFFFF folds
-    # to 0xFFFF; there is never a second carry).
-    addr &= 0xFFFFFFFF
+    # internet_checksum of the address's bytes without the bytes.  An IPv6
+    # address first folds to 32 bits (2**32 is 1 modulo 0xFFFF, so the
+    # one's-complement sum keeps); two 16-bit words then take one add and
+    # one carry fold (0xFFFF + 0xFFFF folds to 0xFFFF; never a second).
+    while addr > 0xFFFFFFFF:
+        addr = (addr & 0xFFFFFFFF) + (addr >> 32)
     total = (addr >> 16) + (addr & 0xFFFF)
     checksum = ~((total & 0xFFFF) + (total >> 16)) & 0xFFFF
     if checksum < 1024:

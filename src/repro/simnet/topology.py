@@ -111,6 +111,9 @@ class PrefixRecords(Sequence):
 class Topology:
     """Immutable simulated topology plus ground-truth query methods."""
 
+    #: The address family a scan over this topology probes (IPv4).
+    address_bits = 32
+
     def __init__(self, config: TopologyConfig) -> None:
         self.config = config
         self.base_prefix = config.base_prefix_addr >> 8

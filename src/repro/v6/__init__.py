@@ -1,25 +1,14 @@
-"""The IPv6 extension (paper §5.4, prototyped).
+"""The IPv6 extension (paper §5.4): a simulated sparse v6 Internet.
 
-Sparse hash-based control state, target-list-driven scanning, payload-based
-probe encoding — the redesign the paper says IPv6 requires, running over a
-simulated sparse v6 Internet.
+IPv6 scans run on the one FlashRoute engine (``FlashRoute.scan`` with
+``FlashRouteConfig.flashroute_16_v6()``); the topology decides the
+address family.  Over a :class:`Topology6` the engine keys blocks by
+/64, indexes the DCB array through a dict built from the scan's own
+target list (the hash-indexed store §5.4 asks for) and computes source
+ports over all 128 address bits.
 """
 
-from .dcb_store import Dcb6, SparseDCBStore
-from .encoding6 import (
-    DecodedProbe6,
-    Encoding6Error,
-    ProbeMarking6,
-    addr6_checksum,
-    decode_payload6,
-    destination_intact6,
-    encode_probe6,
-    flow_source_port6,
-    rtt_ms6,
-)
-from .prober6 import FlashRoute6, FlashRoute6Config, exhaustive_scan6
 from .topology6 import (
-    Response6,
     SimulatedNetwork6,
     Site6,
     Subnet6,
@@ -28,21 +17,6 @@ from .topology6 import (
 )
 
 __all__ = [
-    "Dcb6",
-    "SparseDCBStore",
-    "DecodedProbe6",
-    "Encoding6Error",
-    "ProbeMarking6",
-    "addr6_checksum",
-    "decode_payload6",
-    "destination_intact6",
-    "encode_probe6",
-    "flow_source_port6",
-    "rtt_ms6",
-    "FlashRoute6",
-    "FlashRoute6Config",
-    "exhaustive_scan6",
-    "Response6",
     "SimulatedNetwork6",
     "Site6",
     "Subnet6",

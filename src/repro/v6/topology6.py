@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..net.addr6 import addr_in_subnet64, ip6_to_int
-from ..net.icmp import ResponseKind
+from ..net.icmp import IcmpResponse, ResponseKind
+from ..net.packets import PROTO_UDP, UDP_HEADER_LEN, ProbeHeader
 from ..simnet.latency import LatencyModel
 from ..simnet.ratelimit import IcmpRateLimiter
 
@@ -106,6 +107,9 @@ class Site6:
 
 class Topology6:
     """The generated IPv6 ground truth."""
+
+    #: The address family a scan over this topology probes (IPv6).
+    address_bits = 128
 
     def __init__(self, config: TopologyConfig6) -> None:
         self.config = config
@@ -238,24 +242,15 @@ class Topology6:
         return found
 
 
-@dataclass
-class Response6:
-    """One response to an IPv6 probe."""
-
-    __slots__ = ("kind", "responder", "quoted_dst", "quoted_payload",
-                 "quoted_src_port", "quoted_residual_ttl", "arrival_time")
-
-    kind: ResponseKind
-    responder: int
-    quoted_dst: int
-    quoted_payload: bytes
-    quoted_src_port: int
-    quoted_residual_ttl: int
-    arrival_time: float
-
-
 class SimulatedNetwork6:
-    """Probe oracle over a :class:`Topology6` (mirrors the IPv4 network)."""
+    """Probe oracle over a :class:`Topology6`, with the IPv4 network's
+    probe and response types.
+
+    IPv6 has no identification field, so the §3.1 marking word rides the
+    first two bytes of the UDP payload, which an ICMPv6 error quotes back
+    whole.  The quotation returns it in the ``ipid`` slot of the quoted
+    :class:`~repro.net.packets.ProbeHeader`, so the receive path reads one
+    marking for both families."""
 
     def __init__(self, topology: Topology6,
                  rate_limit: Optional[int] = None) -> None:
@@ -268,21 +263,22 @@ class SimulatedNetwork6:
         self.probes_sent = 0
         self.responses_generated = 0
 
-    def send_probes(self, probes: List[Tuple[int, int, float, int, bytes]],
-                    flow: Optional[int] = None) -> List[Optional["Response6"]]:
-        """Batched counterpart of :meth:`send_probe`: one response slot per
-        ``(dst, hop_limit, send_time, src_port, payload)`` tuple.  The v6
-        oracle resolves routes from a flat per-site structure already, so
-        batching here amortizes only the call overhead — semantics are
-        identical to scalar sends."""
+    def send_probes(self, probes: Iterable[tuple], dst_port: int = 33434,
+                    proto: int = PROTO_UDP, flow: Optional[int] = None
+                    ) -> List[Optional[IcmpResponse]]:
+        """One response slot per ``(dst, hop_limit, send_time, src_port,
+        ipid, udp_length)`` probe: the IPv4 network's batch contract.
+        Routes come from a flat per-site structure, so a burst only
+        amortizes the call."""
         send_one = self.send_probe
-        return [send_one(dst, hop_limit, send_time, src_port,
-                         payload=payload, flow=flow)
-                for dst, hop_limit, send_time, src_port, payload in probes]
+        return [send_one(*probe) for probe in probes]
 
     def send_probe(self, dst: int, hop_limit: int, send_time: float,
-                   src_port: int, payload: bytes = b"",
-                   flow: Optional[int] = None) -> Optional[Response6]:
+                   src_port: int, ipid: int = 0,
+                   udp_length: int = UDP_HEADER_LEN,
+                   single: bool = False) -> Optional[IcmpResponse]:
+        """One probe (``single``, the IPv4 route cache's hint, has no
+        cache to spare here)."""
         self.probes_sent += 1
         topo = self.topology
         record = topo.subnets.get(dst >> 64)
@@ -300,22 +296,20 @@ class SimulatedNetwork6:
                                                        hop_limit)
             if not self.rate_limiter.allow(iface, arrival):
                 return None
-            self.responses_generated += 1
-            return Response6(
-                kind=ResponseKind.TTL_EXCEEDED,
-                responder=topo.iface_addrs[iface],
-                quoted_dst=dst, quoted_payload=payload,
-                quoted_src_port=src_port, quoted_residual_ttl=1,
-                arrival_time=send_time + self.latency.round_trip(
-                    hop_limit, jitter_key, hop_limit))
-
-        if dst == record.target and record.target_responds:
-            self.responses_generated += 1
-            residual = hop_limit - dest_depth + 1
-            return Response6(
-                kind=ResponseKind.PORT_UNREACHABLE,
-                responder=dst, quoted_dst=dst, quoted_payload=payload,
-                quoted_src_port=src_port, quoted_residual_ttl=residual,
-                arrival_time=send_time + self.latency.round_trip(
-                    dest_depth, jitter_key, hop_limit))
-        return None
+            responder, residual, depth = topo.iface_addrs[iface], 1, hop_limit
+            kind = ResponseKind.TTL_EXCEEDED
+        elif dst == record.target and record.target_responds:
+            responder, residual = dst, hop_limit - dest_depth + 1
+            depth = dest_depth
+            kind = ResponseKind.PORT_UNREACHABLE
+        else:
+            return None
+        self.responses_generated += 1
+        quoted = ProbeHeader(src=topo.vantage_addr, dst=dst, ttl=residual,
+                             ipid=ipid, src_port=src_port,
+                             udp_length=udp_length)
+        return IcmpResponse(
+            kind=kind, responder=responder, quoted=quoted,
+            arrival_time=send_time + self.latency.round_trip(
+                depth, jitter_key, hop_limit),
+            quoted_residual_ttl=residual)

@@ -3,7 +3,7 @@
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.net.checksum import (
     addr_checksum,
@@ -11,6 +11,7 @@ from repro.net.checksum import (
     internet_checksum,
     verify_checksum,
 )
+from repro.net.addr6 import ip6_to_int
 
 
 class TestInternetChecksum:
@@ -65,9 +66,21 @@ class TestAddrChecksum:
         checksum = internet_checksum(struct.pack("!I", addr))
         return checksum + 1024 if checksum < 1024 else checksum
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @given(st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                     st.integers(min_value=0, max_value=2**128 - 1)))
+    @example(0)
+    @example(1)
+    @example(2**127)
+    @example(2**128 - 1)
+    @example(ip6_to_int("2001:db8:85a3::8a2e:370:7334"))
     def test_arithmetic_equals_the_checksum_of_the_bytes(self, addr):
-        assert addr_checksum(addr) == self.reference(addr)
+        """Any address width: an IPv4 address's four bytes, an IPv6
+        address's sixteen (leading zero words add nothing, so both
+        readings agree below 2**32)."""
+        wide = internet_checksum(addr.to_bytes(16, "big"))
+        assert addr_checksum(addr) == (wide + 1024 if wide < 1024 else wide)
+        if addr < 2**32:
+            assert addr_checksum(addr) == self.reference(addr)
 
     @pytest.mark.parametrize("addr", [
         0, 0xFFFF, 0x0001FFFF, 0xFFFFFFFF,  # no carry, all-ones, one carry
