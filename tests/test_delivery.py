@@ -6,6 +6,9 @@ meant to be *exact*: the same probes, responses and decisions as a walk
 that drains before and sends after every visit.  An attached event
 recorder pins that per-visit schedule, so a recorder that samples nothing
 (``sample=0.0``) is the in-tree oracle the burst walk is compared with.
+
+Yarrp's bulk loop makes the same bargain: its oracle is the per-step loop
+in ``oracle.yarrp``, which delivers before every (destination, TTL) step.
 """
 
 import io
@@ -14,6 +17,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle.yarrp import OracleYarrp
 from repro.api import Engine, ScanRequest
 from repro.baselines.yarrp import Yarrp, YarrpConfig, YarrpUdpEncodingError
 from repro.core.config import FlashRouteConfig
@@ -142,6 +146,107 @@ class TestBurstWalkEqualsPerVisitWalk:
         assert burst.probes_sent == 134
         monkeypatch.setattr(ScanRuntime, "owes", lambda self, offset: False)
         assert self.pinned(0.03, 0.03, 500.0).probes_sent == 138
+
+
+YARRP = {
+    "yarrp-16": YarrpConfig.yarrp_16,
+    "yarrp-32": YarrpConfig.yarrp_32,
+}
+
+
+def yarrp_scan(scanner, topo, config, faults=None, telemetry=None):
+    """A Yarrp scan's result and its per-probe ``(send_time, dst, ttl)``
+    log."""
+    network = SimulatedNetwork(topo, faults=faults, log_probes=True)
+    result = scanner(config, telemetry=telemetry).scan(network)
+    return result_to_dict(result), list(network.probe_log)
+
+
+def yarrp_recorded(scanner, topo, config, faults=None, sample=0.0):
+    """:func:`yarrp_scan` with an event recorder attached, plus what it
+    wrote."""
+    stream = io.StringIO()
+    recorder = EventRecorder(stream=stream, sample=sample)
+    outcome = yarrp_scan(scanner, topo, config, faults,
+                         Telemetry(metrics=False, events=recorder))
+    return outcome, stream.getvalue(), recorder.events_sampled_out
+
+
+class TestYarrpBurstsEqualPerStepLoop:
+    """Yarrp's bulk loop sends in bursts and delivers only when an
+    answer it is owed could change the next send; the per-step loop in
+    ``oracle.yarrp`` delivers before every step.  Same probes at the same
+    times, same result.  An attached recorder makes every TTL steer once
+    fill mode or protection is on, so then the two write the same event
+    stream line for line; Yarrp-32 alone keeps its 64-probe bursts, and
+    a recorder that samples nothing compares what is left."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(prefixes=st.integers(2, 300),
+           rate=st.floats(1.0, 100_000.0),
+           tool=st.sampled_from(sorted(YARRP)),
+           radius=st.integers(0, 6),
+           timeout=st.floats(0.2, 30.0),
+           adversity=st.sampled_from(sorted(ADVERSITY)),
+           seed=st.integers(0, 50))
+    def test_generated(self, prefixes, rate, tool, radius, timeout,
+                       adversity, seed):
+        faults, knobs = ADVERSITY[adversity]
+        config = YARRP[tool](
+            probing_rate=rate, neighborhood_radius=radius,
+            neighborhood_timeout=timeout, seed=seed,
+            resilience=ResilienceConfig(**knobs) if knobs else None)
+        topo = topology(prefixes)
+        assert yarrp_scan(Yarrp, topo, config, faults) \
+            == yarrp_scan(OracleYarrp, topo, config, faults)
+        sample = 1.0 if tool == "yarrp-16" or radius else 0.0
+        assert yarrp_recorded(Yarrp, topo, config, faults, sample) \
+            == yarrp_recorded(OracleYarrp, topo, config, faults, sample)
+
+
+class TestYarrpCrossResume:
+    """With fill mode or protection on, both loops deliver the chunk's last
+    step before its boundary, so they write the same checkpoint there;
+    each resumes from the other's and sends what the uninterrupted scan
+    sent after that boundary, at the same times, to the same result."""
+
+    @pytest.mark.parametrize("stop_after", [1, 2, 5, 9])
+    @pytest.mark.parametrize("latency, rate", [(0.01, 20.0), (0.002, 50.0)],
+                             ids=["in-flight", "arrived"])
+    @pytest.mark.parametrize("variant", [
+        YarrpConfig.yarrp_16,
+        lambda **knobs: YarrpConfig.yarrp_32(neighborhood_radius=3,
+                                             neighborhood_timeout=2.0,
+                                             **knobs)],
+        ids=["yarrp-16", "yarrp-32-protected"])
+    def test_resume(self, tmp_path, variant, latency, rate, stop_after):
+        topo = topology(48, latency, latency, 3)
+
+        def network():
+            return SimulatedNetwork(topo, log_probes=True,
+                                    faults=FaultModel(probe_loss=0.1, seed=3))
+
+        def config(resilience):
+            return variant(probing_rate=rate, seed=5, resilience=resilience)
+
+        plain = config(ResilienceConfig(retries=1))
+        reference = network()
+        expected = result_to_dict(Yarrp(plain).scan(reference))
+        states = {}
+        for writer in (OracleYarrp, Yarrp):
+            path = tmp_path / f"{writer.__name__}.ckpt"
+            with pytest.raises(ScanInterrupted):
+                writer(config(interrupting(stop_after, path,
+                                           retries=1))).scan(network())
+            states[writer] = load_checkpoint(str(path))["state"]
+        assert states[OracleYarrp] == states[Yarrp]
+        sent_before = states[Yarrp]["result"]["probes_sent"]
+        for writer, reader in ((OracleYarrp, Yarrp), (Yarrp, OracleYarrp)):
+            resumed = network()
+            result = reader(plain).resume(resumed, states[writer])
+            assert result_to_dict(result) == expected
+            assert list(resumed.probe_log) \
+                == list(reference.probe_log)[sent_before:]
 
 
 class TestInterruptResume:
