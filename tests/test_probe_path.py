@@ -327,7 +327,9 @@ class ObservedNetwork:
 @pytest.mark.parametrize("scanner, bar", [
     (FlashRoute(FlashRouteConfig.flashroute_16()), 7.0),
     (Yarrp(YarrpConfig.yarrp_32()), 4.0),
-], ids=["flashroute-16", "yarrp-32"])
+    (Yarrp(YarrpConfig.yarrp_16()), 6.0),
+    (Yarrp(YarrpConfig.yarrp_32(neighborhood_radius=3)), 4.0),
+], ids=["flashroute-16", "yarrp-32", "yarrp-16", "yarrp-32-protected"])
 def test_call_census(scanner, bar):
     """A 1,024-prefix scan under ``sys.setprofile``: every Python-level
     ``call`` event (function entries and generator resumptions) outside
