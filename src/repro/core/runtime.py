@@ -334,12 +334,14 @@ class ScanRuntime:
     def owes(self, offset: int) -> bool:
         """True when a :meth:`drain` could hand block ``offset`` something:
         one of its probes has an answer arriving after the last delivery
-        (conservative: it may still lie ahead).  An engine whose response
-        handler touches only the response's own block, and state only
-        other responses read, may skip the drain before deciding for a
-        block that is owed nothing and decides exactly as if it had
-        drained (DESIGN.md §6).  An attached event recorder pins the order
-        of ``probe_sent`` and ``response`` lines: then every block is owed."""
+        (conservative: it may still lie ahead).  An engine may skip the
+        drain before a send that no answer owed to such a block could
+        change, and decides exactly as if it had drained (DESIGN.md §6).
+        FlashRoute's ring walk asks for the visited block, whose own
+        answers alone steer the visit; Yarrp's bulk loop for the blocks of
+        its fill and protected-TTL probes, whose answers alone steer a
+        send.  An attached event recorder pins the order of ``probe_sent``
+        and ``response`` lines: then every block is owed."""
         return (self._owed[offset] > self._delivered
                 or self.events is not None)
 
