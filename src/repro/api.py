@@ -480,6 +480,12 @@ class Engine:
                 cache["udp_tables"] + cache["tcp_tables"],
         }
 
+    def drop_route(self, destination: int, flow: int) -> None:
+        """Drop the outcome tables a trace of ``(destination, flow)``
+        built in the warm core; the route cache grows with every distinct
+        key otherwise.  A later trace rebuilds them bit-identically."""
+        self.network.route_cache.drop(destination, flow)
+
     # -- sessions --------------------------------------------------------
 
     def open_session(self, request, telemetry=None,

@@ -199,6 +199,14 @@ class RouteCache:
                 "tcp_tables": len(self.tcp_tables),
                 "hits": self.hits, "misses": self.misses}
 
+    def drop(self, dst: int, flow: int) -> None:
+        """Forget the tables of one route, both parities and protocols
+        (a later lookup rebuilds them; they are pure functions of the
+        topology)."""
+        for tables in (self.udp_tables, self.tcp_tables):
+            tables.pop((dst, flow, 0), None)
+            tables.pop((dst, flow, 1), None)
+
     # ------------------------------------------------------------------ #
     # Outcome tables (the send_probe fast path)
     # ------------------------------------------------------------------ #
