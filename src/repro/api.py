@@ -575,6 +575,9 @@ class TraceSession:
         self.dest_reached = False
         self.dest_distance: Optional[int] = None
         self.done = False
+        # Formatted once: every hop record shares these two strings.
+        self._source = int_to_ip(engine.topology.vantage_addr)
+        self._destination = int_to_ip(request.destination)
 
     def _hop_record(self, ttl: int, responder: int,
                     rtt_ms: float) -> Dict[str, object]:
@@ -585,8 +588,8 @@ class TraceSession:
             "ttl": ttl,
             "hop_probecount": 0,
             "path": self.request.flow,
-            "source": int_to_ip(self.engine.topology.vantage_addr),
-            "destination": int_to_ip(self.request.destination),
+            "source": self._source,
+            "destination": self._destination,
             "rtt_ms": round(rtt_ms, 3),
         }
 
@@ -641,8 +644,8 @@ class TraceSession:
     def result(self) -> Dict[str, object]:
         """The Manifold-schema traceroute record for the finished walk."""
         return {
-            "source": int_to_ip(self.engine.topology.vantage_addr),
-            "destination": int_to_ip(self.request.destination),
+            "source": self._source,
+            "destination": self._destination,
             "flow": self.request.flow,
             "hops": list(self.hops),
             "hop_count": len(self.hops),

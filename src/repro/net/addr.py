@@ -19,7 +19,12 @@ MAX_IPV4 = 2**32 - 1
 #: per /24 block).
 SLASH24_HOST_BITS = 8
 
-_DOTTED_QUAD_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+#: Four decimal octets as ``ipaddress.IPv4Address`` accepts them: ASCII
+#: digits only (``\d`` would admit any Unicode digit) and no leading zero,
+#: which ``inet_aton`` would read as octal (CVE-2021-29921).  Matched with
+#: ``fullmatch``: ``$`` would also match before a trailing newline.
+_OCTET = r"(0|[1-9][0-9]{0,2})"
+_DOTTED_QUAD_RE = re.compile(r"\.".join([_OCTET] * 4))
 
 
 class AddressError(ValueError):
@@ -32,7 +37,7 @@ def ip_to_int(dotted: str) -> int:
     >>> ip_to_int("10.0.0.1")
     167772161
     """
-    match = _DOTTED_QUAD_RE.match(dotted)
+    match = _DOTTED_QUAD_RE.fullmatch(dotted)
     if match is None:
         raise AddressError(f"not a dotted quad: {dotted!r}")
     octets = [int(part) for part in match.groups()]

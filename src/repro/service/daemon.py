@@ -117,8 +117,8 @@ class Flight:
     without error is the cache entry the next request is served from.
     """
 
-    __slots__ = ("key", "epoch", "hops", "result", "error", "done",
-                 "task", "_queues")
+    __slots__ = ("key", "epoch", "hops", "lines", "result", "error",
+                 "done", "task", "_queues")
 
     _DONE = object()  # queue sentinel
 
@@ -126,6 +126,9 @@ class Flight:
         self.key = key
         self.epoch = epoch
         self.hops: List[dict] = []
+        #: Wire lines of the leading :attr:`hops`, each encoded by the
+        #: first response that carries it (see :func:`_hop_lines`).
+        self.lines: List[bytes] = []
         self.result: Optional[dict] = None
         self.error: Optional[str] = None
         self.done = False
@@ -136,19 +139,19 @@ class Flight:
     def subscriber_count(self) -> int:
         return len(self._queues)
 
-    def subscribe(self) -> Tuple[List[dict], Optional[asyncio.Queue]]:
-        """Snapshot the replay prefix and register a live queue.
+    def subscribe(self) -> Tuple[int, Optional[asyncio.Queue]]:
+        """Count the replay prefix and register a live queue.
 
-        Synchronous on purpose: the snapshot and the registration happen
-        in one event-loop step, so no hop can fall between them.  A
-        finished flight returns no queue — its hop list is complete
-        (and final, so it is handed out as it is).
+        Synchronous on purpose: the count and the registration happen in
+        one event-loop step, so no hop can fall between them, and the
+        hop list only grows, so the prefix stays as counted.  A finished
+        flight returns no queue — its hop list is complete.
         """
         if self.done:
-            return self.hops, None
+            return len(self.hops), None
         queue: asyncio.Queue = asyncio.Queue()
         self._queues.append(queue)
-        return list(self.hops), queue
+        return len(self.hops), queue
 
     def unsubscribe(self, queue: asyncio.Queue) -> None:
         try:
@@ -170,6 +173,15 @@ class Flight:
         queues, self._queues = self._queues, []
         for queue in queues:
             queue.put_nowait(self._DONE)
+
+
+def _hop_records(flight: Flight, start: int, stop: int) -> List[dict]:
+    return [{"type": "hop", **record} for record in flight.hops[start:stop]]
+
+
+def _done_record(flight: Flight, mode: str) -> dict:
+    return {"type": "done", "cache": mode, "epoch": flight.epoch,
+            "trace": flight.result}
 
 
 class TraceService:
@@ -456,11 +468,17 @@ class TraceService:
             return 0.0
         return max(0.0, (result["last"] - result["first"]) * 1000.0)
 
-    async def handle_trace(self, payload: dict) -> AsyncIterator[dict]:
+    async def handle_trace(self, payload: dict, hops=_hop_records,
+                           done=_done_record) -> AsyncIterator:
         """Serve one trace request as a stream of protocol records.
 
         Yields ``hop`` records followed by exactly one terminal record
-        (``done`` or ``error``).  Raises nothing: malformed requests,
+        (``done`` or ``error``).  ``hops(flight, start, stop)`` (the
+        records of ``flight.hops[start:stop]``) and ``done(flight,
+        mode)`` build the served records; the defaults build protocol
+        dicts, the transport passes builders of wire lines
+        (:func:`_hop_lines`, :func:`_done_line`).  Every ``error``
+        record is a dict.  Raises nothing: malformed requests,
         expired deadlines, admission refusals and even engine/session
         bugs all become structured ``error`` records — one failing
         request never kills the daemon.
@@ -499,11 +517,11 @@ class TraceService:
                 outcome, phase = _MODES[mode]
                 if ctx is not None:
                     ctx.phase(phase, self.now)
-                replay, queue = flight.subscribe()
+                count, queue = flight.subscribe()
                 timer = None
                 try:
-                    for record in replay:
-                        yield {"type": "hop", **record}
+                    for record in hops(flight, 0, count):
+                        yield record
                     if queue is not None:
                         if deadline_at is not None:
                             # One timer per request: at the deadline it
@@ -517,7 +535,9 @@ class TraceService:
                                 break
                             if item is _EXPIRED:
                                 raise self._deadline_exceeded(deadline_ms)
-                            yield {"type": "hop", **item}
+                            for record in hops(flight, count, count + 1):
+                                yield record
+                            count += 1
                 finally:
                     if timer is not None:
                         timer.cancel()
@@ -530,8 +550,7 @@ class TraceService:
                     raise _Terminal("error", flight.error, {
                         "type": "error", "error": flight.error})
                 error = None
-                record = {"type": "done", "cache": mode,
-                          "epoch": flight.epoch, "trace": flight.result}
+                record = done(flight, mode)
             except _Terminal as end:
                 outcome, error, record = end.args
             except (ServiceError, ValueError) as exc:
@@ -703,9 +722,42 @@ def bound_reads(writer: asyncio.StreamWriter) -> None:
         transport.max_size = READ_SIZE
 
 
+#: The daemon's one JSON encoder: compact, keys sorted, so a record's
+#: line is a function of its content.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+#: The end of every hop line: ``"type"`` sorts after every key of the
+#: hop schema, so the line without it is the hop's body, open at the end.
+_HOP_TAIL = b',"type":"hop"}\n'
+
+
 def _line(record: dict) -> bytes:
-    return json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode() + b"\n"
+    return _encode(record).encode() + b"\n"
+
+
+def _hop_lines(flight: Flight, start: int, stop: int) -> List[bytes]:
+    """The wire lines of ``flight.hops[start:stop]``: each is encoded by
+    the first response that carries it and kept on the flight for every
+    later one."""
+    lines = flight.lines
+    for record in flight.hops[len(lines):stop]:
+        lines.append(_line({"type": "hop", **record}))
+    return lines[start:stop]
+
+
+def _done_line(flight: Flight, mode: str) -> bytes:
+    """The ``done`` line, its hops spliced in from their kept lines.
+
+    The record is encoded with an empty hop list, then split at its one
+    ``"hops":[]`` (a key: in a string value the quotes would be
+    escaped).  The response has already walked every hop, so every hop
+    of the trace has its line."""
+    head, _, tail = _encode({
+        "type": "done", "cache": mode, "epoch": flight.epoch,
+        "trace": {**flight.result, "hops": []}}).partition('"hops":[]')
+    hops = b"},".join([line[:-len(_HOP_TAIL)] for line in flight.lines])
+    return b"".join((head.encode(), b'"hops":[', hops,
+                     b"}]" if hops else b"]", tail.encode(), b"\n"))
 
 
 class _Outbox:
@@ -727,9 +779,9 @@ class _Outbox:
         self.lines: List[bytes] = []
         self.handle: Optional[asyncio.Handle] = None
 
-    def add(self, record: dict) -> bool:
-        """Buffer ``record``; True when it is the first of its turn."""
-        self.lines.append(_line(record))
+    def add(self, line: bytes) -> bool:
+        """Buffer ``line``; True when it is the first of its turn."""
+        self.lines.append(line)
         if self.handle is not None:
             return False
         self.handle = self.loop.call_soon(self.flush)
@@ -818,9 +870,14 @@ async def _handle_connection(service: TraceService,
                     response = _internal_error(exc)
                 await outbox.end(stamped(response))
                 continue
+            # Without an id, hop and done records leave as the lines kept
+            # on their flight; with one, every record is encoded here.
+            builders = (_hop_lines, _done_line) if request_id is None else ()
             try:
-                async for record in service.handle_trace(payload):
-                    if outbox.add(stamped(record)):
+                async for record in service.handle_trace(payload, *builders):
+                    if type(record) is not bytes:
+                        record = _line(stamped(record))
+                    if outbox.add(record):
                         # The first record of a loop turn: the last
                         # turn's write has gone out, so a client that
                         # vanished surfaces here and ends the stream.

@@ -1,5 +1,7 @@
 """Unit tests for IPv4 address and prefix arithmetic."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,31 @@ class TestIpToInt:
     def test_rejects_malformed(self, bad):
         with pytest.raises(AddressError):
             ip_to_int(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "20.0.0.7\n",  # `$` matches before a trailing newline
+        "\u0662\u0660.0.0.7",  # Arabic-Indic digits: `\d` is Unicode
+        "020.0.0.7",  # inet_aton reads 020 as 16 (CVE-2021-29921)
+        "20.0.0.07",
+        "20.00.0.7",
+    ])
+    def test_rejects_what_ipaddress_rejects(self, bad):
+        with pytest.raises(ipaddress.AddressValueError):
+            ipaddress.IPv4Address(bad)
+        with pytest.raises(AddressError):
+            ip_to_int(bad)
+
+    @given(st.text(alphabet="0123456789.\n \u0662", max_size=16)
+           | st.lists(st.integers(0, 300).map(str), min_size=4,
+                      max_size=4).map(".".join))
+    def test_as_strict_as_ipaddress(self, text):
+        try:
+            expected = int(ipaddress.IPv4Address(text))
+        except ipaddress.AddressValueError:
+            with pytest.raises(AddressError):
+                ip_to_int(text)
+        else:
+            assert ip_to_int(text) == expected
 
 
 class TestIntToIp:

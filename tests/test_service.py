@@ -167,9 +167,9 @@ class TestQuantum:
         real_subscribe = Flight.subscribe
 
         def subscribe(flight):
-            replay, queue = real_subscribe(flight)
-            replays.append((len(replay), queue is not None))
-            return replay, queue
+            count, queue = real_subscribe(flight)
+            replays.append((count, queue is not None))
+            return count, queue
 
         monkeypatch.setattr(Flight, "subscribe", subscribe)
         payload = {"destination": "20.0.0.7", "flow": 1}
@@ -367,6 +367,11 @@ class TestRequestValidation:
         ({"destination": "20.0.0.1", "bogus": 1}, "unknown"),
         ({"destination": "20.0.0.1", "flow": "x"}, "integer"),
         ({"destination": "99.99.0.1"}, "outside"),
+        # Dotted quads ipaddress rejects, each of which used to parse,
+        # as 20.0.0.7 (the leading zero is octal 16.0.0.7 to inet_aton).
+        ({"destination": "20.0.0.7\n"}, "IPv4"),
+        ({"destination": "\u0662\u0660.0.0.7"}, "IPv4"),
+        ({"destination": "020.0.0.7"}, "IPv4"),
     ])
     def test_malformed_requests_become_error_records(self, payload,
                                                      fragment):

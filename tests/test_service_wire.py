@@ -11,11 +11,16 @@ schema) may re-pin them, and then all at once.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 from typing import Optional
 
+from hypothesis import example, given, settings, strategies as st
+
 from repro import api
+from repro.net.addr import MAX_IPV4, int_to_ip
+from repro.service import daemon
 from repro.service.client import DaemonClient
 from repro.service.daemon import Flight, start_service
 from repro.service.obs import OUTCOMES, ServiceTelemetry
@@ -145,6 +150,115 @@ class TestWireBytes:
         assert digests == WIRE_SHA256, changed
 
 
+#: Stands for a request without an ``id`` field (``None`` is ``"id": null``).
+_NO_ID = object()
+
+_IPS = st.integers(0, MAX_IPV4).map(int_to_ip)
+_FLOATS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+
+#: The hop schema's fields other than ``ttl``.
+_HOP_FIELDS = {"ip": _IPS, "rtt_ms": _FLOATS, "hop_probecount": st.just(0),
+               "path": st.integers(0, 0xFFFF), "source": _IPS,
+               "destination": _IPS}
+
+#: Hop records of the Manifold schema; ``ttl`` always, every other field
+#: maybe, so partial records like the deadline case's are drawn too.
+_HOPS = st.lists(st.fixed_dictionaries({"ttl": st.integers(1, 255)},
+                                       optional=_HOP_FIELDS), max_size=20)
+
+_IDS = st.one_of(
+    st.just(_NO_ID), st.none(), st.text(), st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.one_of(st.integers(), st.text()), max_size=3))
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny_engine():
+    return _engine(prefixes=8)
+
+
+def _expected(records: list, request_id) -> bytes:
+    """Each record encoded on its own, with the request's id added."""
+    if request_id is not _NO_ID and request_id is not None:
+        records = [{"id": request_id, **record} for record in records]
+    return b"".join(json.dumps(record, sort_keys=True,
+                               separators=(",", ":")).encode() + b"\n"
+                    for record in records)
+
+
+async def _served_twice(hops, result, mode, request_id, split) -> tuple:
+    """What the daemon writes for one request while a flight publishes
+    ``hops`` (``split`` of them before the request subscribes, the rest
+    live), then for the same request once the flight is finished: the
+    first response encodes the records, the second replays them."""
+    handle = await start_service(_tiny_engine(), port=0)
+    flight = Flight((0x14000003, 0), handle.service.epoch)
+    handle.service._lookup = lambda request: (flight, mode)
+    for hop in hops[:split]:
+        flight.publish(hop)
+    payload = {"destination": "20.0.0.3"}
+    if request_id is not _NO_ID:
+        payload["id"] = request_id
+    reader, writer = await _connect(handle)
+    responses = []
+    try:
+        _send(writer, payload)
+        for _ in range(1000):
+            if flight.subscriber_count:
+                break
+            await asyncio.sleep(0)
+        for hop in hops[split:]:
+            flight.publish(hop)
+        flight.finish(result)
+        responses.append(await _response(reader))
+        _send(writer, payload)
+        responses.append(await _response(reader))
+    finally:
+        await _close(writer)
+        await handle.drain()
+    return responses, flight.epoch
+
+
+class TestEncodeOnce:
+    """A record encoded once per flight and replayed is, byte for byte,
+    the record encoded afresh for each response."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(hops=_HOPS, mode=st.sampled_from(["miss", "hit", "coalesced"]),
+           request_id=_IDS, split=st.integers(0, 20))
+    @example(hops=[{"ttl": 1, "ip": "60.0.0.1", "rtt_ms": 0.5}], mode="hit",
+             request_id='say "h\u00e9" \u2603', split=0)
+    def test_stored_lines_equal_per_response_encoding(
+            self, hops, mode, request_id, split):
+        split = min(split, len(hops))
+        result = {"source": "10.0.0.1", "destination": "20.0.0.3",
+                  "flow": 0, "hops": list(hops), "hop_count": len(hops),
+                  "dest_reached": bool(hops),
+                  "dest_distance": hops[-1]["ttl"] if hops else None,
+                  "probes": 2 * len(hops) + 1, "first": 12.0,
+                  "last": 12.0 + 0.001 * len(hops), "ts": 12.5}
+        if request_id is not _NO_ID:
+            # The id as the daemon reads it back off the request line.
+            request_id = json.loads(json.dumps(request_id))
+        responses, epoch = asyncio.run(_served_twice(
+            hops, result, mode, request_id, split))
+        records = [{"type": "hop", **hop} for hop in hops] + [
+            {"type": "done", "cache": mode, "epoch": epoch,
+             "trace": result}]
+        expected = _expected(records, request_id)
+        assert responses == [expected, expected]
+
+    def test_drawn_fields_are_the_hop_schema(self):
+        """The records above are the ones a trace publishes, and every
+        field sorts before ``"type"``, which the done line's splice of
+        stored hop lines relies on."""
+        engine = _tiny_engine()
+        request = api.TraceRequest(destination=0x14000003)
+        hop = engine.open_session(request).run()["hops"][0]
+        assert set(hop) == {"ttl", *_HOP_FIELDS}
+        assert max(hop) < "type"
+
+
 async def _settle(handle) -> None:
     """Wait for every connection handler to exit; an abandoned stream is
     finalised on a later loop turn."""
@@ -261,16 +375,24 @@ class TestInternalError:
         assert service.internal_errors == 1
 
 
+def _hops_in(record: dict) -> int:
+    """Hop records inside one encoded record: itself, or a trace's."""
+    if record["type"] == "hop":
+        return 1
+    return len((record.get("trace") or {}).get("hops", ()))
+
+
 async def _census(monkeypatch, requests: int = 8,
                   deadline_ms: Optional[float] = None) -> list:
-    """Per request of a persistent client: Tasks created on the loop and
-    daemon-side ``write`` calls, for one fresh trace and then cached
-    hits (20.0.7.1 flow 0 is 16 hops and a ``done`` record on
-    ``serve --prefixes 256``'s topology), each carrying ``deadline_ms``
-    when it is given."""
+    """Per request of a persistent client: Tasks created on the loop,
+    daemon-side ``write`` calls, the daemon's JSON encodes and the hop
+    records those encodes held, for one fresh trace and then cached hits
+    (20.0.7.1 flow 0 is 16 hops and a ``done`` record on ``serve
+    --prefixes 256``'s topology), each carrying ``deadline_ms`` when it
+    is given."""
     loop = asyncio.get_running_loop()
     handle = await start_service(_engine(prefixes=256), port=0)
-    tasks, writes = [], []
+    tasks, writes, encoded = [], [], []
 
     def factory(loop, coro, **kwargs):
         tasks.append(coro)
@@ -283,7 +405,14 @@ async def _census(monkeypatch, requests: int = 8,
             writes.append(data)
         return real_write(writer, data)
 
+    real_encode = daemon._encode
+
+    def counting_encode(record):
+        encoded.append(record)
+        return real_encode(record)
+
     monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+    monkeypatch.setattr(daemon, "_encode", counting_encode)
     rows = []
     try:
         async with DaemonClient(host=handle.host, port=handle.port) as client:
@@ -292,10 +421,11 @@ async def _census(monkeypatch, requests: int = 8,
             if deadline_ms is not None:
                 payload["deadline_ms"] = deadline_ms
             for _ in range(1 + requests):
-                del tasks[:], writes[:]
+                del tasks[:], writes[:], encoded[:]
                 hops, done = await client.request(dict(payload))
                 rows.append((done["cache"], len(hops) + 1, len(tasks),
-                             len(writes)))
+                             len(writes), len(encoded),
+                             sum(map(_hops_in, encoded))))
     finally:
         loop.set_task_factory(None)
         await handle.drain()
@@ -303,9 +433,11 @@ async def _census(monkeypatch, requests: int = 8,
 
 
 def _print_census(title: str, rows: list) -> None:
-    print(f"\n{title}\ncache  records  loop Tasks  daemon writes")
-    for cache, records, tasks, writes in rows:
-        print(f"{cache:<6} {records:>7} {tasks:>11} {writes:>14}")
+    print(f"\n{title}\ncache  records  loop Tasks  daemon writes"
+          "  JSON encodes  hops encoded")
+    for cache, records, tasks, writes, encodes, hops in rows:
+        print(f"{cache:<6} {records:>7} {tasks:>11} {writes:>14}"
+              f" {encodes:>13} {hops:>13}")
 
 
 class TestTransportCensus:
@@ -321,7 +453,12 @@ class TestTransportCensus:
         # flight yielded after every hop).
         assert miss[2] == 1, miss
         assert miss[3] <= 3, miss
-        assert set(hits) == {("hit", 17, 0, 1)}, hits
+        # Each record is encoded once and each hop once: the done record
+        # splices in the hop lines (17 encodes holding 32 hops while the
+        # done record encoded the hops again).  A hit encodes only its
+        # done record, without hops (17 and 32 while it encoded all).
+        assert miss[4:] == (17, 16), miss
+        assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
 
     def test_census_deadlined_miss_is_one_task(self, monkeypatch):
         """A deadline is one timer per request, not one ``wait_for``
@@ -333,4 +470,5 @@ class TestTransportCensus:
         assert miss[0] == "miss" and miss[1] == 17, miss
         assert miss[2] == 1, miss
         assert miss[3] <= 3, miss
-        assert set(hits) == {("hit", 17, 0, 1)}, hits
+        assert miss[4:] == (17, 16), miss
+        assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
