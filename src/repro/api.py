@@ -396,7 +396,7 @@ class TraceRequest:
 
     @property
     def key(self) -> tuple:
-        """The coalescing/cache identity: one probe stream per key."""
+        """The cache identity: one probe stream per key."""
         return (self.destination, self.flow)
 
     @classmethod
@@ -596,9 +596,9 @@ class TraceSession:
     def stream(self) -> Iterator[Dict[str, object]]:
         """Walk the path, yielding one hop record per responding TTL.
 
-        The generator is resumable mid-flight (the daemon interleaves
-        many of them); records accumulate on :attr:`hops` so late
-        subscribers can replay the prefix already streamed.
+        Records also accumulate on :attr:`hops`, which :meth:`result`
+        returns; the daemon drains the walk in one go and serves the
+        finished trace.
         """
         request = self.request
         network = self.network

@@ -268,12 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="requests allowed to wait for an admission "
                             "slot before shedding starts (default 0; "
                             "only meaningful with --max-inflight)")
-    serve.add_argument("--drain-seconds", type=_nonneg_float, default=5.0,
-                       metavar="S",
-                       help="graceful-shutdown window: in-flight traces "
-                            "get S seconds to finish after SIGTERM or "
-                            "the shutdown op before being cancelled "
-                            "(default 5)")
 
     top = sub.add_parser(
         "top",
@@ -705,15 +699,14 @@ def _run_serve(args: argparse.Namespace) -> int:
                                metrics_out=args.metrics_out,
                                default_deadline_ms=args.default_deadline_ms,
                                max_inflight=args.max_inflight,
-                               max_queued=args.max_queued,
-                               drain_seconds=args.drain_seconds)
+                               max_queued=args.max_queued)
     except KeyboardInterrupt:
         print("serve: interrupted", file=sys.stderr)
         return 130
     stats = service.stats()
     print(f"serve: shut down after {stats['requests']} requests "
           f"({stats['traces_started']} traces, {stats['cache_hits']} "
-          f"cache hits, {stats['coalesced']} coalesced)")
+          f"cache hits)")
     if args.metrics_out is not None and telemetry is not None:
         print(f"  metrics: {args.metrics_out}")
     if args.trace is not None:

@@ -3,8 +3,8 @@
 ``flashroute-sim serve`` holds one warm :class:`repro.api.Engine`
 (topology + simulated network, the expensive part) and answers JSON
 trace requests over a local TCP or Unix socket, streaming per-hop
-records in the Manifold hop schema.  Request coalescing and an LRU
-result cache with epoch-based invalidation live here; see
+records in the Manifold hop schema.  An LRU result cache with
+epoch-based invalidation (one probe stream per key) lives here; see
 docs/service.md for the wire protocol and operations guide.
 """
 

@@ -3,9 +3,9 @@
 Layering:
 
 * :class:`TraceService` — the transport-free core.  Owns the warm
-  :class:`repro.api.Engine`, the in-flight registry (request
-  coalescing), the LRU result cache with epoch-based invalidation and
-  the service counters.  Tests drive it directly, without sockets.
+  :class:`repro.api.Engine`, the LRU result cache with epoch-based
+  invalidation, admission control and the service counters.  Tests
+  drive it directly, without sockets.
 * :func:`serve` / the connection handler — NDJSON over an asyncio TCP
   or Unix-domain socket.  One JSON object per line in, one per line
   out; each connection handles its requests sequentially, concurrency
@@ -20,15 +20,16 @@ Wire protocol (see docs/service.md for the full reference)::
     → {"control": "stats"}
     ← {"type": "stats", "requests": 12, "cache_hits": 7, ...}
 
-Coalescing: requests for the same ``(destination, flow)`` while a trace
-is in flight share its probe stream — a late subscriber first replays
-the hops already streamed, then rides along live.  Caching: a finished
-flight *is* the cache entry, kept under its key with the **route
-epoch** it ran in; a lookup in a later epoch discards it (the simulated
-network's routes flap every ``flap_epoch_seconds``, so the cached path
-may no longer exist).  A cache hit subscribes to the finished flight
-like a late joiner whose replay is the whole trace — nothing touches
-the network and the engine's probe counters stay flat.
+A trace is pure CPU on the virtual network, so a miss runs it to the
+end in the call that looked it up: no request ever sees a trace half
+done, and one ``(destination, flow)`` gets one probe stream because a
+same-key request that arrives later finds the finished entry.  The
+finished :class:`Flight` *is* the cache entry, kept under its key with
+the **route epoch** it ran in; a lookup in a later epoch discards it
+(the simulated network's routes flap every ``flap_epoch_seconds``, so
+the cached path may no longer exist).  Hit and miss are then served
+alike — the entry's hops, then its ``done`` record — and a hit touches
+neither the network nor the engine's probe counters.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import signal
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import AsyncIterator, Deque, Dict, List, Optional, Set, Tuple
+from typing import AsyncIterator, Deque, List, Optional, Set, Tuple
 
 from ..api import Engine, ScanRequest, TraceRequest
 from ..simnet.ratelimit import MAX_VIRTUAL_SECONDS
@@ -56,22 +57,9 @@ TRACE_TICK = 1.0
 #: Default LRU capacity of the result cache (entries, not bytes).
 DEFAULT_CACHE_SIZE = 4096
 
-#: Hops a flight publishes per event-loop turn before it yields.  A
-#: trace on a 4,096-prefix topology has ~14 hop records, so a flight
-#: takes about two turns, and its subscribers send each turn's hops in
-#: one write: a joiner that arrives while it runs still coalesces,
-#: concurrent flights still take turns (a quantum at a time), and one
-#: quantum holds the loop for ~8 hops of session work.
-HOPS_PER_TURN = 8
-
 #: Event-loop lag (ms) beyond which the ``health`` op reports the
 #: daemon as not live — the loop is too far behind to serve promptly.
 LIVENESS_LAG_MS = 1000.0
-
-#: Default graceful-drain window (wall seconds): in-flight streams get
-#: this long to finish after SIGTERM / ``shutdown`` before they are
-#: cancelled and their subscribers receive an error record.
-DEFAULT_DRAIN_SECONDS = 5.0
 
 #: Unit of the ``retry_after_ms`` hint attached to ``overloaded`` sheds:
 #: the hint scales linearly with the work already admitted + queued, so
@@ -81,7 +69,6 @@ RETRY_AFTER_UNIT_MS = 100.0
 #: How a served request is reported, by the wire's ``cache`` mode:
 #: ``(telemetry outcome, span phase that follows the lookup)``.
 _MODES = {"hit": ("hit", "cache-replay"),
-          "coalesced": ("coalesced", "coalesce-join"),
           "miss": ("fresh", "probe-stream")}
 
 
@@ -96,10 +83,6 @@ class _Terminal(Exception):
     :meth:`TraceService.handle_trace`'s single exit counts and sends."""
 
 
-#: Queue sentinel a request's deadline timer puts on its live queue.
-_EXPIRED = object()
-
-
 def _internal_error(exc: Exception) -> dict:
     """The terminal record of a server-side bug (``code: internal``)."""
     return {"type": "error", "code": "internal",
@@ -107,76 +90,30 @@ def _internal_error(exc: Exception) -> dict:
 
 
 class Flight:
-    """One trace and its subscribers: the only per-key record.
+    """One finished trace: the daemon's only per-key record.
 
-    The probe stream runs in a detached task; every subscriber —
-    the originating client plus any coalesced late joiners — gets the
-    already-streamed prefix on subscribe, then live records via its own
-    queue.  A subscriber that disconnects unsubscribes its queue; the
-    flight itself always runs to completion, and a flight that finished
-    without error is the cache entry the next request is served from.
+    A walk that completed carries its ``result`` (whose ``hops`` are
+    :attr:`hops`) and is the cache entry the next request for its key is
+    served from; one that failed carries only its ``error``.
     """
 
-    __slots__ = ("key", "epoch", "hops", "lines", "result", "error",
-                 "done", "task", "_queues")
+    __slots__ = ("key", "epoch", "hops", "lines", "result", "error")
 
-    _DONE = object()  # queue sentinel
-
-    def __init__(self, key: Tuple[int, int], epoch: int) -> None:
+    def __init__(self, key: Tuple[int, int], epoch: int,
+                 result: Optional[dict] = None,
+                 error: Optional[str] = None) -> None:
         self.key = key
         self.epoch = epoch
-        self.hops: List[dict] = []
-        #: Wire lines of the leading :attr:`hops`, each encoded by the
-        #: first response that carries it (see :func:`_hop_lines`).
-        self.lines: List[bytes] = []
-        self.result: Optional[dict] = None
-        self.error: Optional[str] = None
-        self.done = False
-        self.task: Optional[asyncio.Task] = None
-        self._queues: List[asyncio.Queue] = []
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._queues)
-
-    def subscribe(self) -> Tuple[int, Optional[asyncio.Queue]]:
-        """Count the replay prefix and register a live queue.
-
-        Synchronous on purpose: the count and the registration happen in
-        one event-loop step, so no hop can fall between them, and the
-        hop list only grows, so the prefix stays as counted.  A finished
-        flight returns no queue — its hop list is complete.
-        """
-        if self.done:
-            return len(self.hops), None
-        queue: asyncio.Queue = asyncio.Queue()
-        self._queues.append(queue)
-        return len(self.hops), queue
-
-    def unsubscribe(self, queue: asyncio.Queue) -> None:
-        try:
-            self._queues.remove(queue)
-        except ValueError:
-            pass  # already dropped by finish()
-
-    def publish(self, record: dict) -> None:
-        self.hops.append(record)
-        for queue in self._queues:
-            queue.put_nowait(record)
-
-    def finish(self, result: Optional[dict], error: Optional[str] = None
-               ) -> None:
         self.result = result
         self.error = error
-        self.done = True
-        self.task = None  # a cached flight must not pin its dead task
-        queues, self._queues = self._queues, []
-        for queue in queues:
-            queue.put_nowait(self._DONE)
+        self.hops: List[dict] = result["hops"] if result else []
+        #: Wire lines of :attr:`hops`, encoded by the first response
+        #: that carries them (see :func:`_hop_lines`).
+        self.lines: List[bytes] = []
 
 
-def _hop_records(flight: Flight, start: int, stop: int) -> List[dict]:
-    return [{"type": "hop", **record} for record in flight.hops[start:stop]]
+def _hop_records(flight: Flight) -> List[dict]:
+    return [{"type": "hop", **record} for record in flight.hops]
 
 
 def _done_record(flight: Flight, mode: str) -> dict:
@@ -185,7 +122,7 @@ def _done_record(flight: Flight, mode: str) -> dict:
 
 
 class TraceService:
-    """The daemon's transport-free core: warm engine, coalescing, cache."""
+    """The daemon's transport-free core: warm engine, cache, admission."""
 
     def __init__(self, engine: Engine,
                  cache_size: int = DEFAULT_CACHE_SIZE,
@@ -231,12 +168,8 @@ class TraceService:
         #: The service's virtual clock — trace start times are drawn from
         #: it, which is what ties results to route epochs.
         self.now = 0.0
-        # One record type, two tables: the running flights (coalescing)
-        # and the LRU of finished ones (the cache) — apart, so capacity
-        # counts finished entries only and eviction never has to scan
-        # past a running flight.
+        #: The LRU of finished traces, the only per-key table.
         self._cache: "OrderedDict[Tuple[int, int], Flight]" = OrderedDict()
-        self._flights: Dict[Tuple[int, int], Flight] = {}
         # Admission bookkeeping: an explicit counter plus a FIFO of
         # waiter futures (not an asyncio.Semaphore — the explicit deque
         # keeps cancelled/timed-out waiters from swallowing released
@@ -247,7 +180,6 @@ class TraceService:
         self.requests = 0
         self.traces_started = 0
         self.cache_hits = 0
-        self.coalesced = 0
         self.errors = 0
         self.evicted_epoch = 0
         self.evicted_lru = 0
@@ -289,24 +221,12 @@ class TraceService:
         self._cache[flight.key] = flight
         self._cache.move_to_end(flight.key)
         while len(self._cache) > self.cache_size:
-            self._uncache(next(iter(self._cache)))
+            self._cache.popitem(last=False)
             self.evicted_lru += 1
-
-    def _uncache(self, key: Tuple[int, int]) -> None:
-        """Evict a cached flight.  A flight's route tables live as long
-        as the flight stays in the daemon, running or cached: they go
-        here, or in :meth:`_run_flight` when it finishes uncached, so
-        the engine does not hold the tables of every key ever served."""
-        del self._cache[key]
-        self.engine.drop_route(*key)
 
     @property
     def cache_len(self) -> int:
         return len(self._cache)
-
-    @property
-    def inflight(self) -> int:
-        return len(self._flights)
 
     # -- deadlines and admission control ---------------------------------
 
@@ -326,15 +246,7 @@ class TraceService:
                 "milliseconds")
         return float(value)
 
-    @staticmethod
-    def _deadline_exceeded(deadline_ms: float) -> _Terminal:
-        return _Terminal("deadline", "deadline_exceeded", {
-            "type": "error", "code": "deadline_exceeded",
-            "error": f"deadline of {deadline_ms:g} ms exceeded",
-            "deadline_ms": deadline_ms})
-
-    async def _acquire_slot(self, loop, deadline_at: Optional[float],
-                            deadline_ms: Optional[float]) -> None:
+    async def _acquire_slot(self, deadline_ms: Optional[float]) -> None:
         """Admission gate (only called when ``max_inflight`` is set).
 
         Returns once a slot is held; raises the ``overloaded`` shed when
@@ -355,16 +267,13 @@ class TraceService:
                          f"{len(self._admit_queue)} queued)",
                 "retry_after_ms": round(
                     RETRY_AFTER_UNIT_MS * max(1, backlog), 1)})
-        future: asyncio.Future = loop.create_future()
+        future = asyncio.get_running_loop().create_future()
         self._admit_queue.append(future)
         try:
-            if deadline_at is None:
+            if deadline_ms is None:
                 await future
             else:
-                remaining = deadline_at - loop.time()
-                if remaining <= 0:
-                    raise asyncio.TimeoutError
-                await asyncio.wait_for(future, remaining)
+                await asyncio.wait_for(future, deadline_ms / 1000.0)
             # Granted: _release_slot already moved the slot count to us
             # and popped the future from the queue.
         except BaseException as exc:
@@ -377,7 +286,10 @@ class TraceService:
                 with contextlib.suppress(ValueError):
                     self._admit_queue.remove(future)
             if isinstance(exc, asyncio.TimeoutError):
-                raise self._deadline_exceeded(deadline_ms) from None
+                raise _Terminal("deadline", "deadline_exceeded", {
+                    "type": "error", "code": "deadline_exceeded",
+                    "error": f"deadline of {deadline_ms:g} ms exceeded",
+                    "deadline_ms": deadline_ms}) from None
             raise
 
     def _release_slot(self) -> None:
@@ -391,12 +303,12 @@ class TraceService:
                 future.set_result(None)
                 return
 
-    # -- flights ---------------------------------------------------------
+    # -- traces ----------------------------------------------------------
 
     def _lookup(self, request: TraceRequest) -> Tuple[Flight, str]:
-        """The one per-request lookup: the flight that answers this key
-        and how — ``"hit"`` (finished, current epoch), ``"coalesced"``
-        (running) or ``"miss"`` (started here)."""
+        """The one per-request lookup: the finished trace that answers
+        this key and how — ``"hit"`` (cached, current epoch) or
+        ``"miss"`` (traced here)."""
         key = request.key
         flight = self._cache.get(key)
         if flight is not None:
@@ -406,57 +318,35 @@ class TraceService:
                 return flight, "hit"
             # The routes this trace saw have flapped since; the entry is
             # stale for good, not just for this request.
-            self._uncache(key)
+            del self._cache[key]
             self.evicted_epoch += 1
-        flight = self._flights.get(key)
-        if flight is not None:
-            self.coalesced += 1
-            return flight, "coalesced"
         # TraceSession construction validates the destination against
         # the engine's address space (ValueError).
         return self._start_flight(request), "miss"
 
     def _start_flight(self, request: TraceRequest) -> Flight:
+        """Trace ``request`` to the end in this call and cache the
+        result.  The walk's route tables are dropped as it ends, so the
+        warm core holds none at rest and does not grow with every key
+        ever served; a later trace of the key rebuilds them."""
         epoch = self.epoch
         session = self.engine.open_session(request, start_time=self.now)
         self.now += self.trace_tick
         self.traces_started += 1
-        flight = Flight(request.key, epoch)
-        self._flights[request.key] = flight
-        flight.task = asyncio.ensure_future(self._run_flight(flight,
-                                                             session))
-        return flight
-
-    async def _run_flight(self, flight: Flight, session) -> None:
         try:
-            for count, record in enumerate(session.stream()):
-                if count and count % HOPS_PER_TURN == 0:
-                    # A quantum of hops per event-loop turn: concurrent
-                    # flights interleave their probes on the shared warm
-                    # network (safe — each runs in its own network
-                    # session view).  Yielding before the next hop, not
-                    # after the last, lets the final quantum and the
-                    # flight's end reach subscribers in one turn.
-                    await asyncio.sleep(0)
-                flight.publish(record)
-            result = session.result()
-            self.probes_sent += session.network.probes_sent
-            if self.telemetry is not None:
-                self.telemetry.record_flight_probes(
-                    session.network.probes_sent)
-            flight.finish(result)
-            self.cache_store(flight)
-        except asyncio.CancelledError:
-            flight.finish(None, error="trace cancelled (shutdown)")
-            raise
-        except Exception as exc:  # surface, never kill the daemon
-            flight.finish(None, error=f"trace failed: {exc}")
+            for _ in session.stream():
+                pass
+            flight = Flight(request.key, epoch, session.result())
+        except Exception as exc:  # answer this request, never kill the daemon
+            return Flight(request.key, epoch, error=f"trace failed: {exc}")
         finally:
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-            if self._cache.get(flight.key) is not flight:
-                # Finished uncached: cache size 0, failed or cancelled.
-                self.engine.drop_route(*flight.key)
+            self.engine.drop_route(*request.key)
+        probes = session.network.probes_sent
+        self.probes_sent += probes
+        if self.telemetry is not None:
+            self.telemetry.record_flight_probes(probes)
+        self.cache_store(flight)
+        return flight
 
     # -- request handling ------------------------------------------------
 
@@ -473,22 +363,22 @@ class TraceService:
         """Serve one trace request as a stream of protocol records.
 
         Yields ``hop`` records followed by exactly one terminal record
-        (``done`` or ``error``).  ``hops(flight, start, stop)`` (the
-        records of ``flight.hops[start:stop]``) and ``done(flight,
-        mode)`` build the served records; the defaults build protocol
-        dicts, the transport passes builders of wire lines
-        (:func:`_hop_lines`, :func:`_done_line`).  Every ``error``
-        record is a dict.  Raises nothing: malformed requests,
-        expired deadlines, admission refusals and even engine/session
-        bugs all become structured ``error`` records — one failing
-        request never kills the daemon.
+        (``done`` or ``error``).  ``hops(flight)`` (the records of
+        ``flight.hops``) and ``done(flight, mode)`` build the served
+        records; the defaults build protocol dicts, the transport passes
+        builders of wire lines (:func:`_hop_lines`, :func:`_done_line`).
+        Every ``error`` record is a dict.  Raises nothing: malformed
+        requests, expired deadlines, admission refusals and even
+        engine/session bugs all become structured ``error`` records —
+        one failing request never kills the daemon.
 
         Gate order: deadline extraction → drain latch → admission →
         parse/serve.  A shed request is refused before any parsing or
-        engine work is spent on it.  Hit, coalesced join and fresh trace
-        then share one stream — subscribe, replay, ride the live queue —
-        and every ending, served or refused, leaves through the one exit
-        below the ``except`` clauses.
+        engine work is spent on it.  A deadline bounds only the wait for
+        admission: an admitted request is answered in full.  Hit and
+        miss are then served alike — the finished trace's hops, then its
+        ``done`` record — and every ending, served or refused, leaves
+        through the one exit below the ``except`` clauses.
         """
         obs = self.telemetry
         ctx = obs.begin_request(self.now) if obs is not None else None
@@ -498,17 +388,19 @@ class TraceService:
         try:
             try:
                 deadline_ms = self._take_deadline(payload)
-                loop = asyncio.get_running_loop()
-                deadline_at = (loop.time() + deadline_ms / 1000.0
-                               if deadline_ms is not None else None)
                 if self.draining:
                     raise _Terminal("shed", "draining", {
                         "type": "error", "code": "draining",
                         "error": "daemon is draining (shutting down); "
                                  "no new traces are accepted"})
                 if self.max_inflight is not None:
-                    await self._acquire_slot(loop, deadline_at, deadline_ms)
+                    await self._acquire_slot(deadline_ms)
                     admitted = True
+                    # Served from the next loop turn: the requests that
+                    # arrive together all meet the gate before any is
+                    # served (a trace then runs in one step), so a burst
+                    # past the slots and the queue is shed.
+                    await asyncio.sleep(0)
                 request = TraceRequest.parse(payload)
                 if ctx is not None:
                     ctx.describe(request)
@@ -517,38 +409,11 @@ class TraceService:
                 outcome, phase = _MODES[mode]
                 if ctx is not None:
                     ctx.phase(phase, self.now)
-                count, queue = flight.subscribe()
-                timer = None
-                try:
-                    for record in hops(flight, 0, count):
-                        yield record
-                    if queue is not None:
-                        if deadline_at is not None:
-                            # One timer per request: at the deadline it
-                            # queues an expiry behind the hops already
-                            # published, which are served first.
-                            timer = loop.call_at(deadline_at,
-                                                 queue.put_nowait, _EXPIRED)
-                        while True:
-                            item = await queue.get()
-                            if item is Flight._DONE:
-                                break
-                            if item is _EXPIRED:
-                                raise self._deadline_exceeded(deadline_ms)
-                            for record in hops(flight, count, count + 1):
-                                yield record
-                            count += 1
-                finally:
-                    if timer is not None:
-                        timer.cancel()
-                    # A disconnected (or deadlined) client must not
-                    # leave its queue behind on a still-running flight;
-                    # the flight itself runs on so the result is cached.
-                    if queue is not None:
-                        flight.unsubscribe(queue)
                 if flight.error is not None:
                     raise _Terminal("error", flight.error, {
                         "type": "error", "error": flight.error})
+                for record in hops(flight):
+                    yield record
                 error = None
                 record = done(flight, mode)
             except _Terminal as end:
@@ -633,7 +498,7 @@ class TraceService:
     def health(self) -> dict:
         """The ``health`` control op: readiness (engine warm), liveness
         (event-loop lag bounded), and the load picture an operator pages
-        on (inflight flights, slow-request count)."""
+        on (draining, request and slow-request counts)."""
         obs = self.telemetry
         lag = obs.loop_lag_ms if obs is not None else None
         live = lag is None or lag <= LIVENESS_LAG_MS
@@ -642,7 +507,6 @@ class TraceService:
             "live": live,
             "status": "ok" if (self.ready and live) else "degraded",
             "draining": self.draining,
-            "inflight": self.inflight,
             "requests": self.requests,
             "errors": self.errors,
             "slow_requests": obs.slow_total if obs is not None else 0,
@@ -659,7 +523,6 @@ class TraceService:
             "requests": self.requests,
             "traces_started": self.traces_started,
             "cache_hits": self.cache_hits,
-            "coalesced": self.coalesced,
             "errors": self.errors,
             "deadline_exceeded": self.deadlined,
             "shed": self.shed,
@@ -670,32 +533,10 @@ class TraceService:
             "cache_entries": self.cache_len,
             "cache_evicted_epoch": self.evicted_epoch,
             "cache_evicted_lru": self.evicted_lru,
-            "inflight": self.inflight,
             "now": self.now,
             "epoch": self.epoch,
             "address_space": self.engine.address_space(),
         }
-
-    async def drain(self) -> None:
-        """Wait for every in-flight trace to finish (tests, shutdown)."""
-        tasks = [flight.task for flight in self._flights.values()
-                 if flight.task is not None]
-        await asyncio.gather(*tasks, return_exceptions=True)
-
-    def cancel_flights(self) -> int:
-        """Cancel every in-flight trace task (drain-timeout teardown).
-
-        Each cancelled flight finishes with a ``trace cancelled
-        (shutdown)`` error, which wakes all its subscribers; the
-        streams close with a structured error record rather than a
-        hang.  Returns the number of flights cancelled.
-        """
-        cancelled = 0
-        for flight in list(self._flights.values()):
-            if flight.task is not None and not flight.task.done():
-                flight.task.cancel()
-                cancelled += 1
-        return cancelled
 
 
 # --------------------------------------------------------------------- #
@@ -735,14 +576,13 @@ def _line(record: dict) -> bytes:
     return _encode(record).encode() + b"\n"
 
 
-def _hop_lines(flight: Flight, start: int, stop: int) -> List[bytes]:
-    """The wire lines of ``flight.hops[start:stop]``: each is encoded by
-    the first response that carries it and kept on the flight for every
-    later one."""
-    lines = flight.lines
-    for record in flight.hops[len(lines):stop]:
-        lines.append(_line({"type": "hop", **record}))
-    return lines[start:stop]
+def _hop_lines(flight: Flight) -> List[bytes]:
+    """The wire lines of ``flight.hops``: encoded by the first response
+    that carries them and kept on the flight for every later one."""
+    if not flight.lines:
+        flight.lines = [_line({"type": "hop", **record})
+                        for record in flight.hops]
+    return flight.lines
 
 
 def _done_line(flight: Flight, mode: str) -> bytes:
@@ -750,7 +590,7 @@ def _done_line(flight: Flight, mode: str) -> bytes:
 
     The record is encoded with an empty hop list, then split at its one
     ``"hops":[]`` (a key: in a string value the quotes would be
-    escaped).  The response has already walked every hop, so every hop
+    escaped).  The response has already sent every hop, so every hop
     of the trace has its line."""
     head, _, tail = _encode({
         "type": "done", "cache": mode, "epoch": flight.epoch,
@@ -760,46 +600,10 @@ def _done_line(flight: Flight, mode: str) -> bytes:
                      b"}]" if hops else b"]", tail.encode(), b"\n"))
 
 
-class _Outbox:
-    """One connection's outgoing records: what is ready in one event-loop
-    turn leaves in one ``write``.
-
-    :meth:`add` buffers a record and, for the first of a turn, schedules
-    a flush for the next turn, so a live flight's hops still leave as
-    they are published while a cached replay goes out whole.
-    :meth:`end` closes a response: everything buffered, then its
-    terminal record, in one write followed by a drain.
-    """
-
-    __slots__ = ("writer", "loop", "lines", "handle")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.loop = asyncio.get_running_loop()
-        self.lines: List[bytes] = []
-        self.handle: Optional[asyncio.Handle] = None
-
-    def add(self, line: bytes) -> bool:
-        """Buffer ``line``; True when it is the first of its turn."""
-        self.lines.append(line)
-        if self.handle is not None:
-            return False
-        self.handle = self.loop.call_soon(self.flush)
-        return True
-
-    def flush(self) -> None:
-        if self.handle is not None:
-            self.handle.cancel()
-            self.handle = None
-        if self.lines:
-            self.writer.write(b"".join(self.lines))
-            self.lines.clear()
-
-    async def end(self, record: Optional[dict] = None) -> None:
-        if record is not None:
-            self.lines.append(_line(record))
-        self.flush()
-        await self.writer.drain()
+async def _send(writer: asyncio.StreamWriter, lines: List[bytes]) -> None:
+    """One response: its lines in one ``write``, then a drain."""
+    writer.write(b"".join(lines))
+    await writer.drain()
 
 
 async def _handle_connection(service: TraceService,
@@ -813,14 +617,13 @@ async def _handle_connection(service: TraceService,
     task = asyncio.current_task()
     connections.add(task)
     bound_reads(writer)
-    outbox = _Outbox(writer)
     try:
         while True:
             try:
                 line = await reader.readline()
             except (asyncio.LimitOverrunError, ValueError):
-                await outbox.end({"type": "error",
-                                  "error": "request line too long"})
+                await _send(writer, [_line({
+                    "type": "error", "error": "request line too long"})])
                 break
             if not line:
                 break
@@ -839,7 +642,8 @@ async def _handle_connection(service: TraceService,
                 problem = f"invalid JSON: {exc}"
             if problem is not None:
                 service.errors += 1
-                await outbox.end({"type": "error", "error": problem})
+                await _send(writer, [_line({"type": "error",
+                                            "error": problem})])
                 continue
             #: Clients may tag a request with an ``id``; it is echoed on
             #: every record of the response, so one connection's
@@ -853,8 +657,8 @@ async def _handle_connection(service: TraceService,
 
             if "control" in payload:
                 if payload.get("control") == "shutdown":
-                    await outbox.end(stamped({"type": "ok",
-                                              "shutdown": True}))
+                    await _send(writer, [_line(stamped(
+                        {"type": "ok", "shutdown": True}))])
                     shutdown.set()
                     break
                 try:
@@ -868,24 +672,16 @@ async def _handle_connection(service: TraceService,
                     service.errors += 1
                     service.internal_errors += 1
                     response = _internal_error(exc)
-                await outbox.end(stamped(response))
+                await _send(writer, [_line(stamped(response))])
                 continue
             # Without an id, hop and done records leave as the lines kept
             # on their flight; with one, every record is encoded here.
             builders = (_hop_lines, _done_line) if request_id is None else ()
+            lines = []
             try:
                 async for record in service.handle_trace(payload, *builders):
-                    if type(record) is not bytes:
-                        record = _line(stamped(record))
-                    if outbox.add(record):
-                        # The first record of a loop turn: the last
-                        # turn's write has gone out, so a client that
-                        # vanished surfaces here and ends the stream.
-                        await writer.drain()
-                await outbox.end()
-            except (ConnectionResetError, BrokenPipeError,
-                    asyncio.CancelledError):
-                raise
+                    lines.append(record if type(record) is bytes
+                                 else _line(stamped(record)))
             except Exception as exc:
                 # Belt and braces: handle_trace already converts
                 # session exceptions to error records, but a failure in
@@ -893,11 +689,11 @@ async def _handle_connection(service: TraceService,
                 # connection without a terminal record.
                 service.errors += 1
                 service.internal_errors += 1
-                await outbox.end(stamped(_internal_error(exc)))
+                lines.append(_line(stamped(_internal_error(exc))))
+            await _send(writer, lines)
     except (ConnectionResetError, BrokenPipeError):
-        pass  # client went away mid-stream; flights keep running
+        pass  # client went away; its trace, if any, is cached
     finally:
-        outbox.flush()  # what was buffered goes before the close
         connections.discard(task)
         writer.close()
         # CancelledError included: the loop may tear this handler down
@@ -936,26 +732,19 @@ class ServerHandle:
     port: Optional[int] = None
     socket_path: Optional[str] = None
 
-    async def drain(self, drain_seconds: float = DEFAULT_DRAIN_SECONDS
-                    ) -> None:
-        """Graceful shutdown: stop accepting, finish what's in flight.
+    async def drain(self) -> None:
+        """Graceful shutdown: stop accepting, then close the connections.
 
         The only shutdown sequence — the ``shutdown`` op, SIGTERM and
         every test that stops a daemon end here.  New traces are refused
-        with a structured ``draining`` error the moment this starts;
-        already-admitted streams get ``drain_seconds`` to run to
-        completion, after which any stragglers are cancelled (their
-        subscribers receive a ``trace cancelled (shutdown)`` error
-        record rather than a hang).  Idle connections are then torn
-        down and the telemetry monitor stopped.
+        with a structured ``draining`` error the moment this starts.  A
+        trace runs to its end in the step that looked it up, so no trace
+        is left running: handlers get a moment to send what they hold,
+        then those still parked (in ``readline()`` or in the admission
+        queue) are cancelled and the telemetry monitor stopped.
         """
         self.service.draining = True
         self.server.close()
-        try:
-            await asyncio.wait_for(self.service.drain(), drain_seconds)
-        except asyncio.TimeoutError:
-            self.service.cancel_flights()
-            await self.service.drain()
         if self.connections:
             # Give handlers a moment to flush their terminal records,
             # then cancel whatever is still parked in readline().
@@ -1012,7 +801,6 @@ def serve(request: Optional[ScanRequest] = None, *,
           socket_path: Optional[str] = None,
           metrics_out: Optional[str] = None,
           announce=print,
-          drain_seconds: float = DEFAULT_DRAIN_SECONDS,
           **service_knobs) -> TraceService:
     """Run the daemon until a ``shutdown`` control op, SIGTERM, or ^C.
 
@@ -1028,8 +816,6 @@ def serve(request: Optional[ScanRequest] = None, *,
     ``max_queued`` admit that many concurrent trace streams and shed
     the rest with structured ``overloaded`` errors; ``cache_size`` and
     ``trace_tick`` size the result cache and the virtual-clock step.
-    ``drain_seconds`` bounds the graceful-shutdown window before
-    in-flight traces are cancelled.
     """
     engine = Engine.from_request(request if request is not None
                                  else ScanRequest())
@@ -1057,7 +843,7 @@ def serve(request: Optional[ScanRequest] = None, *,
             # is a no-op (or the same platform refusal, suppressed).
             with contextlib.suppress(Exception):
                 loop.remove_signal_handler(signal.SIGTERM)
-            await handle.drain(drain_seconds)
+            await handle.drain()
             telemetry = handle.service.telemetry
             if telemetry is not None:
                 if metrics_out is not None:

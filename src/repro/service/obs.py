@@ -9,13 +9,13 @@ enabled it provides:
 * **Request ids + span trees.**  Every request gets a monotonically
   assigned id and a ``service.request`` span with sequential
   ``service.phase`` children (``receive`` → ``cache-lookup`` →
-  ``cache-replay`` / ``coalesce-join`` / ``probe-stream`` → ``respond``).
+  ``cache-replay`` / ``probe-stream`` → ``respond``).
   Concurrent requests interleave on the event loop, so each request's
   spans are buffered in its :class:`RequestContext` and flushed to the
   shared :class:`~repro.obs.trace.ScanTracer` atomically at request end —
   the JSONL stays a valid LIFO span tree (``validate_trace`` passes).
 * **Per-outcome latency histograms** (``fresh`` / ``hit`` /
-  ``coalesced`` / ``error`` / ``cancelled``) recorded in **virtual
+  ``error`` / ``cancelled``) recorded in **virtual
   time** into the :class:`~repro.obs.metrics.MetricsRegistry`, so
   same-virtual-clock runs snapshot byte-identically.  Wall-clock twins
   (exact recent-window percentiles, the slow-request log, rolling rates)
@@ -39,12 +39,11 @@ from ..obs.trace import ScanTracer
 #: ``deadline`` requests ran out of their ``deadline_ms`` budget;
 #: ``shed`` requests were refused by admission control (overload or
 #: drain) without being served.  The coherence identity stays exact:
-#: ``requests == fresh + hit + coalesced + error + cancelled +
-#: deadline + shed``.  Histogram counters are created lazily, so a
+#: ``requests == fresh + hit + error + cancelled + deadline +
+#: shed``.  Histogram counters are created lazily, so a
 #: daemon that never sheds or deadlines snapshots byte-identically to
 #: one built before these outcomes existed.
-OUTCOMES = ("fresh", "hit", "coalesced", "error", "cancelled",
-            "deadline", "shed")
+OUTCOMES = ("fresh", "hit", "error", "cancelled", "deadline", "shed")
 
 #: Default wall-latency threshold beyond which a request enters the
 #: slow-request log.
@@ -93,13 +92,10 @@ def latency_summary(values_ms: List[float]) -> Dict[str, float]:
 def classify_slow_cause(outcome: str, probes: int) -> str:
     """Attribute a slow request to its dominant cause.
 
-    Coalesced requests waited on someone else's flight; errors are their
-    own class; cache hits only replay; a fresh trace is slow because it
-    missed the cache — unless it sent an outsized probe train, in which
-    case the walk itself (probe count) is the cause.
+    Errors are their own class; cache hits only replay; a fresh trace is
+    slow because it missed the cache — unless it sent an outsized probe
+    train, in which case the walk itself (probe count) is the cause.
     """
-    if outcome == "coalesced":
-        return "coalesce_wait"
     if outcome == "error":
         return "error"
     if outcome == "hit":
@@ -318,8 +314,8 @@ class ServiceTelemetry:
             ctx.flush(self.tracer, vt, **fields)
 
     def record_flight_probes(self, probes: int) -> None:
-        """Fold a completed flight's probe train into the registry (the
-        flight, not its subscribers, owns the probes)."""
+        """Fold a completed trace's probe train into the registry (the
+        trace, not the requests it answers, owns the probes)."""
         self.registry.inc("service.probes.sent", probes)
 
     def record_shed(self, reason: str) -> None:
@@ -359,7 +355,6 @@ class ServiceTelemetry:
                            service.evicted_epoch)
         registry.set_gauge("service.cache.evicted_lru",
                            service.evicted_lru)
-        registry.set_gauge("service.inflight", service.inflight)
         registry.set_gauge("service.now_virtual", service.now)
         registry.set_gauge("service.epoch", service.epoch)
         return registry.snapshot()

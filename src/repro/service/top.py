@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, TextIO, Tuple
 from .client import DaemonClient
 
 #: Outcome rows the latency panel shows, in display order.
-_PANEL_OUTCOMES = ("fresh", "hit", "coalesced", "error", "cancelled",
-                   "deadline", "shed")
+_PANEL_OUTCOMES = ("fresh", "hit", "error", "cancelled", "deadline",
+                   "shed")
 
 #: ANSI: cursor home + clear screen (the in-place redraw).
 _CLEAR = "\x1b[H\x1b[2J"
@@ -78,7 +78,6 @@ def render_frame(target: str, frame: int, stats: dict, health: dict,
         f"  ready={'yes' if health.get('ready') else 'NO'}"
         f"  live={'yes' if health.get('live') else 'NO'}"
         f"  loop-lag={_num(lag)}ms"
-        f"  inflight={stats.get('inflight', 0)}"
         f"  telemetry={'on' if health.get('telemetry') else 'off'}")
     lines.append(
         f"clock   vt={_num(float(stats.get('now', 0.0)))}"
@@ -95,7 +94,6 @@ def render_frame(target: str, frame: int, stats: dict, health: dict,
         f"totals  requests={_num(stats.get('requests', 0))}"
         f"  hit={_num(stats.get('cache_hits', 0))}"
         f"  fresh={_num(fresh)}"
-        f"  coalesced={_num(stats.get('coalesced', 0))}"
         f"  error={_num(stats.get('errors', 0))}")
     lines.append(
         f"cache   entries={_num(stats.get('cache_entries', 0))}"

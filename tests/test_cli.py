@@ -103,8 +103,7 @@ class TestScanValidation:
 
     @pytest.mark.parametrize("command, flag", [
         ("scan", "--progress"), ("serve", "--slow-ms"),
-        ("serve", "--default-deadline-ms"), ("serve", "--drain-seconds"),
-        ("top", "--interval"),
+        ("serve", "--default-deadline-ms"), ("top", "--interval"),
     ])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_every_float_flag_rejects_non_finite_values(self, capsys,

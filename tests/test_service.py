@@ -1,4 +1,4 @@
-"""The scan daemon: coalescing, epoch cache, cancellation, protocol.
+"""The scan daemon: one probe stream per key, epoch cache, protocol.
 
 All asyncio tests run through ``asyncio.run`` (no plugin dependency).
 The daemon's core (:class:`TraceService`) is exercised directly where
@@ -8,17 +8,20 @@ possible; the NDJSON transport tests boot a real loopback server.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import functools
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import api
 from repro.service.client import (open_connection, send_request,
                                   trace_stream)
 from repro.service import daemon
-from repro.service.daemon import (HOPS_PER_TURN, Flight, TraceService,
-                                  bound_reads, start_service)
-from repro.service.obs import percentile
+from repro.service.daemon import TraceService, bound_reads, start_service
+from repro.service.obs import OUTCOMES, ServiceTelemetry, percentile
 
 
 def _engine(prefixes=64, seed=20201027):
@@ -37,59 +40,74 @@ async def _collect(service, payload):
     return hops, terminal
 
 
-class TestCoalescing:
-    def test_concurrent_same_key_shares_one_probe_stream(self):
+@functools.lru_cache(maxsize=None)
+def _shared_engine():
+    return _engine()
+
+
+#: Keys a drawn client asks for: few enough that sequences repeat them.
+_KEYS = [{"destination": f"20.0.{index}.{index + 1}", "flow": index % 2}
+         for index in range(5)]
+
+
+async def _client(service, keys):
+    """Serve ``keys`` in order as wire lines, yielding to the loop after
+    every record (as a transport writing each record would), so the
+    drawn clients' responses interleave; returns ``(key, hop lines,
+    cache mode)`` per response."""
+    responses = []
+    for index in keys:
+        lines = []
+        async for line in service.handle_trace(dict(_KEYS[index]),
+                                               daemon._hop_lines,
+                                               daemon._done_line):
+            lines.append(line)
+            await asyncio.sleep(0)
+        responses.append((index, lines[:-1],
+                          json.loads(lines[-1]).get("cache")))
+    return responses
+
+
+class TestConcurrency:
+    @settings(max_examples=25, deadline=None)
+    @given(clients=st.lists(st.lists(st.integers(0, len(_KEYS) - 1),
+                                     min_size=1, max_size=6),
+                            min_size=1, max_size=4),
+           max_inflight=st.sampled_from([None, 1, 2]))
+    def test_concurrent_same_key_shares_one_probe_stream(
+            self, clients, max_inflight):
+        """Concurrent clients asking for repeated keys inside one epoch:
+        each key is traced once, and every response for it carries the
+        same hop lines, whichever client asked first."""
+        telemetry = ServiceTelemetry()
+
         async def run():
-            service = TraceService(_engine())
-            payload = {"destination": "20.0.0.7", "flow": 1}
-            results = await asyncio.gather(
-                _collect(service, payload),
-                _collect(service, payload),
-                _collect(service, payload))
-            return service, results
+            service = TraceService(_shared_engine(), telemetry=telemetry,
+                                   max_inflight=max_inflight,
+                                   max_queued=len(clients))
+            served = await asyncio.gather(*(_client(service, keys)
+                                            for keys in clients))
+            return service, served
 
-        service, results = asyncio.run(run())
-        assert service.traces_started == 1
-        assert service.coalesced == 2
-        modes = sorted(terminal["cache"] for _, terminal in results)
-        assert modes == ["coalesced", "coalesced", "miss"]
-        baseline_hops = results[0][0]
-        for hops, terminal in results[1:]:
-            assert hops == baseline_hops
-            assert terminal["trace"] == results[0][1]["trace"]
-
-    def test_mid_stream_join_replays_prefix_then_rides_live(self):
-        async def run():
-            service = TraceService(_engine())
-            payload = {"destination": "20.0.0.7", "flow": 1}
-            first_hops = []
-            joined = None
-
-            async def early_client():
-                nonlocal joined
-                async for record in service.handle_trace(payload):
-                    if record["type"] != "hop":
-                        continue
-                    first_hops.append(record)
-                    if len(first_hops) == 3 and joined is None:
-                        # The flight is mid-stream: join now.
-                        joined = asyncio.ensure_future(
-                            _collect(service, payload))
-
-            await early_client()
-            late_hops, late_terminal = await joined
-            return service, first_hops, late_hops, late_terminal
-
-        service, first_hops, late_hops, late_terminal = asyncio.run(run())
-        assert service.traces_started == 1, "late joiner must not re-probe"
-        assert late_terminal["cache"] == "coalesced"
-        # The late joiner saw the identical full hop sequence: the
-        # already-streamed prefix replayed, the rest live.
-        assert late_hops == first_hops
-        assert len(late_hops) > 3
+        service, served = asyncio.run(run())
+        distinct = {index for keys in clients for index in keys}
+        assert service.traces_started == len(distinct)
+        assert service.epoch == 0
+        by_key = {}
+        for index, lines, mode in (response for responses in served
+                                   for response in responses):
+            assert mode in ("hit", "miss")
+            assert lines
+            assert by_key.setdefault(index, lines) == lines
+        counters = telemetry.registry.snapshot()["counters"]
+        assert service.requests == counters["service.requests.total"] \
+            == sum(counters.get(f"service.requests.{outcome}", 0)
+                   for outcome in OUTCOMES)
+        assert counters["service.requests.fresh"] == len(distinct)
+        assert service.engine.warmth()["route_cache_entries"] == 0
 
     def test_interleaved_flights_match_solo_results(self):
-        # Two different keys in flight at once on the shared warm engine
+        # Two different keys served together on the shared warm engine
         # must each produce exactly what they produce when run alone —
         # the session-isolation bugfix surfaced at the service layer.
         payload_a = {"destination": "20.0.0.7", "flow": 1}
@@ -110,7 +128,7 @@ class TestCoalescing:
         assert hops_b == solo_b[0]
 
         def relative(trace):
-            # The interleaved flight starts later on the service clock;
+            # The second trace starts later on the service clock;
             # everything but the absolute timestamps must match (the
             # elapsed virtual time only to float precision — the start
             # offset shifts the addition order).
@@ -122,83 +140,6 @@ class TestCoalescing:
 
         assert relative(solo_a[1]["trace"]) == relative(term_a["trace"])
         assert relative(solo_b[1]["trace"]) == relative(term_b["trace"])
-
-
-class TestQuantum:
-    """A flight publishes :data:`HOPS_PER_TURN` hops per event-loop turn:
-    flights take turns and joiners ride live, a quantum at a time."""
-
-    def test_concurrent_flights_alternate_in_quanta(self, monkeypatch):
-        published = []
-        real_publish = Flight.publish
-
-        def publish(flight, record):
-            published.append(flight.key)
-            real_publish(flight, record)
-
-        monkeypatch.setattr(Flight, "publish", publish)
-        payload_a = {"destination": "20.0.0.7", "flow": 1}
-        payload_b = {"destination": "20.0.9.9", "flow": 5}
-
-        async def run():
-            service = TraceService(_engine())
-            return await asyncio.gather(_collect(service, payload_a),
-                                        _collect(service, payload_b))
-
-        (hops_a, _), (hops_b, _) = asyncio.run(run())
-        runs = []  # [key, length] per run of one flight's publishes
-        for key in published:
-            if runs and runs[-1][0] == key:
-                runs[-1][1] += 1
-            else:
-                runs.append([key, 1])
-        lengths = [length for _, length in runs]
-        # Both traces outlast two quanta, so each takes at least three
-        # turns, and the two flights alternate turn by turn.
-        assert len(hops_a) > 2 * HOPS_PER_TURN
-        assert len(hops_b) > 2 * HOPS_PER_TURN
-        assert max(lengths) == HOPS_PER_TURN, lengths
-        assert lengths[:4] == [HOPS_PER_TURN] * 4, lengths
-        assert len(runs) >= 6, lengths
-        assert sum(lengths) == len(hops_a) + len(hops_b)
-
-    def test_joiner_after_first_quantum_replays_it(self, monkeypatch):
-        replays = []
-        real_subscribe = Flight.subscribe
-
-        def subscribe(flight):
-            count, queue = real_subscribe(flight)
-            replays.append((count, queue is not None))
-            return count, queue
-
-        monkeypatch.setattr(Flight, "subscribe", subscribe)
-        payload = {"destination": "20.0.0.7", "flow": 1}
-
-        async def run():
-            service = TraceService(_engine())
-            leader = service.handle_trace(dict(payload))
-            # The leader's first hop arrives once the flight has run its
-            # first turn; the joiner subscribes in the same turn.
-            lead = [await leader.__anext__()]
-            joiner = service.handle_trace(dict(payload))
-            join = [await joiner.__anext__()]
-
-            async def drain(stream, records):
-                async for record in stream:
-                    records.append(record)
-
-            await asyncio.gather(drain(leader, lead), drain(joiner, join))
-            return service, lead, join
-
-        service, lead, join = asyncio.run(run())
-        assert service.traces_started == 1
-        assert lead[-1]["cache"] == "miss"
-        assert join[-1]["cache"] == "coalesced"
-        # Leader: nothing to replay.  Joiner: exactly the first quantum,
-        # then a live queue for the rest.
-        assert replays == [(0, True), (HOPS_PER_TURN, True)], replays
-        assert join[:-1] == lead[:-1]
-        assert len(join) - 1 > HOPS_PER_TURN
 
 
 class TestCache:
@@ -264,9 +205,9 @@ class TestCache:
         assert service.engine.warmth()["route_cache_entries"] == 0
 
     def test_route_tables_bounded_by_the_flight_cache(self):
-        """A flight that leaves the daemon takes its key's route tables
-        with it, so the warm core holds at most two (one per route-epoch
-        parity) per cached or running flight."""
+        """A trace drops its key's route tables as its walk ends, so the
+        warm core holds none at rest, however many keys it served, and
+        a key traced again rebuilds them bit-identically."""
         capacity, traces = 4, 64
 
         payloads = [{"destination": f"20.0.{index}.{index % 7 + 1}"}
@@ -282,9 +223,7 @@ class TestCache:
 
         service, (_, again) = asyncio.run(run())
         assert service.traces_started == traces + 1
-        assert service.inflight == 0
-        assert service.engine.warmth()["route_cache_entries"] \
-            <= 2 * (capacity + service.inflight)
+        assert service.engine.warmth()["route_cache_entries"] == 0
         trace = again["trace"]
         assert again["cache"] == "miss"
         assert trace == _engine().open_session(
@@ -307,22 +246,35 @@ class TestCache:
 
         service, dropped = asyncio.run(run())
         assert service.evicted_epoch == 1
-        assert dropped == [api.TraceRequest.parse(payload).key]
+        # Each walk dropped its tables as it ended, the stale one's
+        # before the epoch flipped: nothing of it survives the eviction.
+        assert dropped == [api.TraceRequest.parse(payload).key] * 2
+        assert service.engine.warmth()["route_cache_entries"] == 0
 
-    def test_cancelled_flight_leaves_no_route_tables(self):
+    def test_failed_walk_leaves_no_route_tables(self):
         async def run():
             service = TraceService(_engine())
-            stream = service.handle_trace({"destination": "20.0.0.7",
-                                           "flow": 1})
-            first = await stream.__anext__()  # the flight's first quantum
-            building = service.engine.warmth()["route_cache_entries"]
-            service.cancel_flights()
-            records = [first] + [record async for record in stream]
-            return service, building, records[-1]
+            real_open = service.engine.open_session
 
-        service, building, terminal = asyncio.run(run())
-        assert building > 0
-        assert terminal["error"] == "trace cancelled (shutdown)"
+            def failing(request, start_time):
+                session = real_open(request, start_time=start_time)
+                walk = session.stream
+
+                def stream():
+                    yield from itertools.islice(walk(), 3)
+                    raise RuntimeError("walk broke")
+
+                session.stream = stream
+                return session
+
+            service.engine.open_session = failing
+            return service, await _collect(service, {
+                "destination": "20.0.0.7", "flow": 1})
+
+        service, (hops, terminal) = asyncio.run(run())
+        assert hops == []
+        assert terminal == {"type": "error",
+                            "error": "trace failed: walk broke"}
         assert service.cache_len == 0
         assert service.engine.warmth()["route_cache_entries"] == 0
 
@@ -330,34 +282,32 @@ class TestCache:
 class TestCancellation:
     def test_cancelled_client_leaves_no_leaks_and_flight_completes(self):
         async def run():
-            service = TraceService(_engine())
+            service = TraceService(_engine(), max_inflight=1)
             payload = {"destination": "20.0.0.7", "flow": 1}
             seen = asyncio.Event()
 
             async def doomed():
-                async for record in service.handle_trace(payload):
-                    seen.set()  # received at least one record, bail out
+                stream = service.handle_trace(dict(payload))
+                async with contextlib.aclosing(stream):
+                    async for record in stream:
+                        seen.set()  # got a record; now hang until cancelled
+                        await asyncio.sleep(3600)
 
             task = asyncio.ensure_future(doomed())
             await seen.wait()
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            flight = next(iter(service._flights.values()), None)
-            subscribers_after_cancel = (flight.subscriber_count
-                                        if flight is not None else 0)
-            await service.drain()
-            follow_up = await _collect(service, payload)
-            return service, subscribers_after_cancel, follow_up
+            follow_up = await _collect(service, dict(payload))
+            return service, follow_up
 
-        service, subscribers_after_cancel, follow_up = asyncio.run(run())
-        # The dead client's queue was unsubscribed...
-        assert subscribers_after_cancel == 0
-        # ...and the flight ran to completion anyway: its result is
-        # cached and no flight entry leaked.
+        service, follow_up = asyncio.run(run())
+        # The trace was whole before the client saw its first hop: the
+        # follow-up is served from the cache, and the vanished client's
+        # admission slot came back (or the follow-up would wait forever).
         assert follow_up[1]["cache"] == "hit"
-        assert service.inflight == 0
         assert service.traces_started == 1
+        assert service._admitted == 0
 
 
 class TestRequestValidation:
@@ -384,7 +334,7 @@ class TestRequestValidation:
         assert terminal["type"] == "error"
         assert fragment.lower() in terminal["error"].lower()
         assert service.errors == 1
-        assert service.inflight == 0
+        assert service.traces_started == 0
 
 
 class TestProtocol:

@@ -1,9 +1,8 @@
 """Every way a trace request can end, pinned in one table.
 
 One row per ending of :meth:`TraceService.handle_trace` — the four
-admission refusals, the three parse/serve errors, the three ways of
-being served, a failed flight, a deadline that expires mid-stream and a
-client that walks away.  Each row asserts the exact terminal record,
+admission refusals, the three parse/serve errors, the two ways of being
+served, a failed walk and a client that walks away.  Each row asserts the exact terminal record,
 which ``stats()`` counters moved, and — with telemetry on and an
 injected wall clock — the outcome, ``error`` field, slow-log cause,
 ordered phase names and ``hops``/``probes``/``virtual_ms`` of the
@@ -25,7 +24,7 @@ import pytest
 
 from repro import api
 from repro.obs.trace import ScanTracer, validate_trace
-from repro.service.daemon import Flight, TraceService
+from repro.service.daemon import TraceService
 from repro.service.obs import OUTCOMES, ServiceTelemetry
 
 _PAYLOAD = {"destination": "20.0.0.7", "flow": 1}
@@ -33,9 +32,9 @@ _KEY = (0x14000007, 1)
 _OTHER = {"destination": "20.0.9.9", "flow": 5}
 
 #: The monotonic ``stats()`` counters a request may move.
-_COUNTERS = ("requests", "traces_started", "cache_hits", "coalesced",
-             "errors", "deadline_exceeded", "shed", "internal_errors",
-             "probes_sent", "cache_evicted_epoch", "cache_evicted_lru")
+_COUNTERS = ("requests", "traces_started", "cache_hits", "errors",
+             "deadline_exceeded", "shed", "internal_errors", "probes_sent",
+             "cache_evicted_epoch", "cache_evicted_lru")
 
 _DEADLINE_MESSAGE = ("deadline_ms must be a positive finite number of "
                      "milliseconds")
@@ -44,7 +43,8 @@ _DRAINING_MESSAGE = ("daemon is draining (shutting down); no new traces "
 _OUTSIDE_MESSAGE = ("destination 99.99.0.1 is outside the simulated "
                     "space 20.0.0.0..20.0.63.255")
 
-#: Two hop records a hand-driven flight publishes (Manifold schema).
+#: Two hop records a broken walk yields before it fails (Manifold
+#: schema).
 _FAKE_HOPS = [
     {"ip": "60.0.0.0", "ttl": 1, "hop_probecount": 0, "path": 1,
      "source": "59.255.255.255", "destination": "20.0.0.7",
@@ -112,27 +112,12 @@ class _Run:
 
     # -- scenario building blocks ---------------------------------------
 
-    def stuck_flight(self, hops=()):
-        """A registered flight that never finishes (a wedged trace)."""
-        flight = Flight(_KEY, self.service.epoch)
-        self.service._flights[_KEY] = flight
-        for record in hops:
-            flight.publish(record)
-        return flight
-
     async def occupy_slot(self):
-        """Hold the only admission slot with a request on a wedged
-        flight; returns the pump task (cancel it to free the slot)."""
-        self.stuck_flight()
+        """Hold the only admission slot with a stream parked after its
+        first hop; returns the stream (close it to free the slot)."""
         stream = self.service.handle_trace(dict(_PAYLOAD))
-
-        async def pump():
-            async for _ in stream:
-                pass
-
-        task = asyncio.ensure_future(pump())
-        await asyncio.sleep(0)
-        return task
+        await stream.__anext__()
+        return stream
 
     # -- what telemetry saw ---------------------------------------------
 
@@ -166,10 +151,9 @@ class _Run:
 
 
 async def _free_slot(run, occupier):
-    """Cancel the occupier; its admission slot must come back (a leaked
+    """Close the occupier; its admission slot must come back (a leaked
     slot would shed the follow-up, since nothing may queue)."""
-    occupier.cancel()
-    await asyncio.gather(occupier, return_exceptions=True)
+    await occupier.aclose()
     run.service.max_queued = 0
     terminal = None
     async for terminal in run.service.handle_trace(dict(_OTHER)):
@@ -248,20 +232,6 @@ async def _hit():
     return run
 
 
-async def _coalesced():
-    run = _Run()
-
-    async def first():
-        async for _ in run.service.handle_trace(dict(_PAYLOAD)):
-            pass
-
-    starter = asyncio.ensure_future(first())
-    await asyncio.sleep(0)  # the flight is up, nothing streamed to us yet
-    await run.measure(_PAYLOAD)
-    await starter
-    return run
-
-
 async def _failed_flight():
     run = _Run()
 
@@ -277,33 +247,24 @@ async def _failed_flight():
     return run
 
 
-async def _deadline_mid_stream():
-    run = _Run()
-    flight = run.stuck_flight(hops=_FAKE_HOPS[:1])
-    await run.measure(dict(_PAYLOAD, deadline_ms=30.0))
-    assert flight.subscriber_count == 0, "deadlined client left a queue"
-    return run
-
-
 async def _client_gone():
     run = _Run()
     await run.measure(_PAYLOAD, walk_away_after=2)
-    flight = run.service._flights[_KEY]
-    assert flight.subscriber_count == 0, "vanished client left a queue"
+    flight = run.service._cache[_KEY]
+    assert [{"type": "hop", **hop} for hop in flight.hops] \
+        == _reference()[0], "the vanished client's trace is cached whole"
     return run
 
 
 _FRESH_PHASES = ["receive", "cache-lookup", "probe-stream", "respond"]
-_JOIN_PHASES = ["receive", "cache-lookup", "coalesce-join", "respond"]
 
 #: scenario → what must be observed.  ``terminal`` is the exact record
 #: ("done:<mode>" stands for the done record around the reference
 #: trace); ``moved`` the stats() counters that changed and by how much
 #: ("probes" stands for the reference trace's probe count; every
 #: counter not named must not move); ``hops`` the hop records the client
-#: received — ``"all"`` of the reference trace or the first N of it,
-#: ``("fake", N)`` for the first N a hand-driven flight published — and
-#: ``reported`` the hop count on the span where it differs.
+#: received — ``"all"`` of the reference trace or the first N of it —
+#: and ``reported`` the hop count on the span where it differs.
 _ENDINGS = {
     "bad-deadline": dict(
         scenario=_bad_deadline,
@@ -373,30 +334,19 @@ _ENDINGS = {
         outcome="hit", error=None, cause="cache_replay",
         phases=["receive", "cache-lookup", "cache-replay", "respond"],
         hops="all", virtual=True),
-    "coalesced": dict(
-        scenario=_coalesced, terminal="done:coalesced",
-        # probes_sent moves while the joiner is being served because
-        # the flight it rides finishes then — the probes are the
-        # flight's (the span reports probes=0), not the joiner's.
-        moved={"requests": 1, "coalesced": 1, "probes_sent": "probes"},
-        outcome="coalesced", error=None, cause="coalesce_wait",
-        phases=_JOIN_PHASES, hops="all", virtual=True),
     "failed-flight": dict(
+        # The walk fails after two hops; none of them is served.
         scenario=_failed_flight,
         terminal={"type": "error", "error": "trace failed: boom"},
         moved={"requests": 1, "traces_started": 1, "errors": 1},
         outcome="error", error="trace failed: boom", cause="error",
-        phases=_FRESH_PHASES, hops=("fake", 2)),
-    "deadline-mid-stream": dict(
-        scenario=_deadline_mid_stream,
-        terminal=_deadline_record(30.0),
-        moved={"requests": 1, "coalesced": 1, "deadline_exceeded": 1},
-        outcome="deadline", error="deadline_exceeded",
-        cause="deadline_exceeded", phases=_JOIN_PHASES,
-        hops=("fake", 1)),
+        phases=_FRESH_PHASES, hops=0),
     "client-gone": dict(
+        # The trace is whole before the first hop is served, so its
+        # probes are counted though the client left after two hops.
         scenario=_client_gone, terminal=None,
-        moved={"requests": 1, "traces_started": 1},
+        moved={"requests": 1, "traces_started": 1,
+               "probes_sent": "probes"},
         outcome="cancelled", error=None, cause="client_disconnect",
         phases=_FRESH_PHASES, hops=2, reported=0),
 }
@@ -407,15 +357,7 @@ def test_every_ending(name):
     want = _ENDINGS[name]
     reference_hops, reference_trace = _reference()
 
-    async def drive():
-        run = await want["scenario"]()
-        # Let detached flights finish so the final identity is checked
-        # on a quiescent service (wedged hand-built flights have no
-        # task and are skipped).
-        await run.service.drain()
-        return run
-
-    run = asyncio.run(drive())
+    run = asyncio.run(want["scenario"]())
     service = run.service
 
     # -- the terminal record, exactly -----------------------------------
@@ -427,11 +369,7 @@ def test_every_ending(name):
 
     # -- the hop records the client received ----------------------------
     hops = want["hops"]
-    if isinstance(hops, tuple):
-        received = [{"type": "hop", **record}
-                    for record in _FAKE_HOPS[:hops[1]]]
-    else:
-        received = reference_hops[:None if hops == "all" else hops]
+    received = reference_hops[:None if hops == "all" else hops]
     assert run.hops == received
     reported = want.get("reported", len(received))
 

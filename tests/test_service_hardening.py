@@ -2,10 +2,10 @@
 
 All asyncio tests run through ``asyncio.run`` (no plugin dependency),
 mirroring test_service.py.  Deterministic cases drive
-:class:`TraceService` directly — a hand-built never-finishing
-:class:`Flight` stands in for a slow trace so deadline and admission
-behaviour needs no wall-clock races; the hostile-client cases boot a
-real loopback server.
+:class:`TraceService` directly — a stream parked after its first hop
+holds an admission slot for as long as the test likes, so deadline and
+admission behaviour needs no wall-clock races; the hostile-client cases
+boot a real loopback server.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ from repro import api
 from repro.net.addr import int_to_ip
 from repro.service.client import (DaemonClient, open_connection,
                                   send_request, trace_stream)
-from repro.service.daemon import (
-    Flight,
-    ServiceError,
-    TraceService,
-    start_service,
-)
+from repro.service.daemon import ServiceError, TraceService, start_service
 from repro.service.obs import ServiceTelemetry
 from repro.testing.chaos import (
     MALFORMED_LINES,
@@ -56,26 +51,19 @@ async def _collect(service, payload):
     return hops, terminal
 
 
-def _stuck_flight(service, key=(0x14000007, 1)):
-    """Register a flight that never finishes (a wedged trace)."""
-    flight = Flight(key, service.epoch)
-    service._flights[key] = flight
-    return flight
+async def _park(service, payload=_PAYLOAD):
+    """A trace stream parked after its first hop (a slow reader): it
+    holds its admission slot until it is read to the end or closed.
+    Returns ``(stream, records read so far)``."""
+    stream = service.handle_trace(dict(payload))
+    return stream, [await stream.__anext__()]
 
 
-def _wedge_task(flight):
-    """A never-ending flight task honouring the Flight.task contract:
-    cancellation finishes the flight with the shutdown error (exactly
-    what ``_run_flight`` does)."""
-    async def wedge():
-        try:
-            await asyncio.Event().wait()
-        except asyncio.CancelledError:
-            flight.finish(None, error="trace cancelled (shutdown)")
-            raise
-
-    flight.task = asyncio.ensure_future(wedge())
-    return flight.task
+async def _finish(stream, records):
+    """Read a parked stream to its end; returns every record."""
+    async for record in stream:
+        records.append(record)
+    return records
 
 
 _CLIENTS, _KEYS = 96, 32
@@ -125,75 +113,33 @@ def _burst(chaos=None, **limits):
 
 
 class TestDeadlines:
-    def test_client_deadline_expires_mid_stream(self):
-        async def run():
-            service = TraceService(_engine())
-            flight = _stuck_flight(service)
-            payload = dict(_PAYLOAD, deadline_ms=30.0)
-            hops, terminal = await _collect(service, payload)
-            return service, flight, terminal
-
-        service, flight, terminal = asyncio.run(run())
-        assert terminal["type"] == "error"
-        assert terminal["code"] == "deadline_exceeded"
-        assert terminal["deadline_ms"] == 30.0
-        assert "30" in terminal["error"]
-        assert service.deadlined == 1
-        assert service.errors == 0, \
-            "a deadline is its own outcome, not a generic error"
-
-    def test_buffered_hops_precede_the_deadline_record(self):
-        """Hops published before the deadline are served before its
-        ``deadline_exceeded`` record, even when read after it passed."""
-        async def run():
-            service = TraceService(_engine())
-            flight = _stuck_flight(service)
-            flight.publish({"ip": "60.0.0.1", "ttl": 1})
-            stream = service.handle_trace(dict(_PAYLOAD, deadline_ms=20.0))
-            records = [await stream.__anext__()]  # the replayed hop
-            for ttl in (2, 3, 4):
-                flight.publish({"ip": f"60.0.0.{ttl}", "ttl": ttl})
-            await asyncio.sleep(0.05)  # past the deadline, unread
-            async for record in stream:
-                records.append(record)
-            return service, flight, records
-
-        service, flight, records = asyncio.run(run())
-        assert [record.get("ttl") for record in records] == [1, 2, 3, 4,
-                                                             None]
-        assert records[-1]["code"] == "deadline_exceeded"
-        assert service.deadlined == 1
-        assert flight.subscriber_count == 0
-
     def test_a_flight_finished_before_the_deadline_ends_done(self):
-        """Records published before the timer fires win over the
-        deadline, the ``done`` record included: a slow reader of a
-        flight that finished in time gets the whole trace."""
+        """A deadline bounds only the wait for admission: an admitted
+        request is answered in full, even to a reader that reads on past
+        its deadline."""
         async def run():
-            service = TraceService(_engine())
-            flight = _stuck_flight(service)
-            flight.publish({"ip": "60.0.0.1", "ttl": 1})
-            stream = service.handle_trace(dict(_PAYLOAD, deadline_ms=20.0))
-            records = [await stream.__anext__()]  # the replayed hop
-            flight.publish({"ip": "60.0.0.2", "ttl": 2})
-            flight.finish({"probes": 2})
+            service = TraceService(_engine(), max_inflight=1)
+            stream, records = await _park(
+                service, dict(_PAYLOAD, deadline_ms=20.0))
             await asyncio.sleep(0.05)  # past the deadline, unread
-            async for record in stream:
-                records.append(record)
-            return service, records
+            return service, await _finish(stream, records)
 
         service, records = asyncio.run(run())
-        assert [record.get("ttl") for record in records] == [1, 2, None]
+        assert all(record["type"] == "hop" for record in records[:-1])
+        assert len(records) > 2
         assert records[-1]["type"] == "done"
-        assert records[-1]["cache"] == "coalesced"
+        assert records[-1]["cache"] == "miss"
         assert service.deadlined == 0
 
     def test_no_deadline_timer_outlives_its_request(self):
         """A request's deadline timer goes with it: sleeping past the
-        deadline after a served request fires nothing."""
+        deadline after a request that queued and was served fires
+        nothing."""
         async def run():
             loop = asyncio.get_running_loop()
-            service = TraceService(_engine())
+            service = TraceService(_engine(), max_inflight=1,
+                                   max_queued=1)
+            occupier, records = await _park(service)
             armed, fired = [], []
             real_call_at = loop.call_at
 
@@ -208,25 +154,31 @@ class TestDeadlines:
 
             loop.call_at = call_at
             try:
-                hops, terminal = await _collect(
-                    service, dict(_PAYLOAD, deadline_ms=50.0))
+                waiter = asyncio.ensure_future(_collect(
+                    service, dict(_PAYLOAD, deadline_ms=50.0)))
+                while not service._admit_queue:
+                    await asyncio.sleep(0)  # arms no timer of its own
+                await _finish(occupier, records)
+                hops, terminal = await waiter
             finally:
                 del loop.call_at
             await asyncio.sleep(0.1)
             return hops, terminal, armed, fired
 
         hops, terminal, armed, fired = asyncio.run(run())
-        assert terminal["type"] == "done" and terminal["cache"] == "miss"
+        assert terminal["type"] == "done" and terminal["cache"] == "hit"
         assert hops
-        assert armed, "a live deadlined request arms its timer"
+        assert armed, "a queued deadlined request arms its timer"
         assert fired == []
         assert all(handle.cancelled() for handle in armed)
 
     def test_default_deadline_applies_when_client_sends_none(self):
         async def run():
-            service = TraceService(_engine(), default_deadline_ms=25.0)
-            _stuck_flight(service)
+            service = TraceService(_engine(), default_deadline_ms=25.0,
+                                   max_inflight=1, max_queued=1)
+            occupier, _ = await _park(service)
             _, terminal = await _collect(service, dict(_PAYLOAD))
+            await occupier.aclose()
             return terminal
 
         terminal = asyncio.run(run())
@@ -235,10 +187,12 @@ class TestDeadlines:
 
     def test_client_deadline_overrides_default(self):
         async def run():
-            service = TraceService(_engine(), default_deadline_ms=10_000)
-            _stuck_flight(service)
+            service = TraceService(_engine(), default_deadline_ms=10_000,
+                                   max_inflight=1, max_queued=1)
+            occupier, _ = await _park(service)
             _, terminal = await _collect(
                 service, dict(_PAYLOAD, deadline_ms=20.0))
+            await occupier.aclose()
             return terminal
 
         terminal = asyncio.run(run())
@@ -269,10 +223,12 @@ class TestDeadlines:
 
     def test_deadline_outcome_reaches_telemetry(self):
         async def run():
-            service = TraceService(_engine(),
+            service = TraceService(_engine(), max_inflight=1,
+                                   max_queued=1,
                                    telemetry=ServiceTelemetry())
-            _stuck_flight(service)
+            occupier, _ = await _park(service)
             await _collect(service, dict(_PAYLOAD, deadline_ms=20.0))
+            await occupier.aclose()
             return service.telemetry.metrics_snapshot(service)
 
         snapshot = asyncio.run(run())
@@ -286,28 +242,14 @@ class TestDeadlines:
 
 
 class TestAdmissionControl:
-    def _occupy(self, service):
-        """Start a handle_trace that holds an admission slot for as
-        long as its wedged flight lives; returns (task, flight)."""
-        flight = _stuck_flight(service)
-        stream = service.handle_trace(dict(_PAYLOAD))
-
-        async def pump():
-            async for _ in stream:
-                pass
-
-        return asyncio.ensure_future(pump()), flight
-
     def test_overflow_sheds_with_structured_record(self):
         async def run():
             service = TraceService(_engine(), max_inflight=1,
                                    telemetry=ServiceTelemetry())
-            task, _ = self._occupy(service)
-            await asyncio.sleep(0)  # let the occupier take the slot
+            occupier, _ = await _park(service)
             other = {"destination": "20.0.9.9", "flow": 5}
             _, terminal = await _collect(service, other)
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
+            await occupier.aclose()
             return service, terminal
 
         service, terminal = asyncio.run(run())
@@ -323,16 +265,14 @@ class TestAdmissionControl:
         async def run():
             service = TraceService(_engine(), max_inflight=1,
                                    max_queued=4)
-            task, flight = self._occupy(service)
-            await asyncio.sleep(0)
+            occupier, records = await _park(service)
             other = {"destination": "20.0.9.9", "flow": 5}
             waiter = asyncio.ensure_future(_collect(service, other))
             await asyncio.sleep(0.01)
             assert not waiter.done(), "no free slot yet"
-            # Free the slot: the wedged flight finishes, the occupier's
-            # stream ends, the queued request is granted.
-            flight.finish({"probes": 0})
-            await asyncio.gather(task, return_exceptions=True)
+            # Free the slot: the occupier's stream is read to its end,
+            # the queued request is granted.
+            await _finish(occupier, records)
             _, terminal = await waiter
             return terminal
 
@@ -343,13 +283,11 @@ class TestAdmissionControl:
         async def run():
             service = TraceService(_engine(), max_inflight=1,
                                    max_queued=4)
-            task, _ = self._occupy(service)
-            await asyncio.sleep(0)
+            occupier, _ = await _park(service)
             other = {"destination": "20.0.9.9", "flow": 5,
                      "deadline_ms": 25.0}
             _, terminal = await _collect(service, other)
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
+            await occupier.aclose()
             return service, terminal
 
         service, terminal = asyncio.run(run())
@@ -363,8 +301,7 @@ class TestAdmissionControl:
             service = TraceService(_engine(), max_inflight=1,
                                    max_queued=1,
                                    telemetry=ServiceTelemetry())
-            task, flight = self._occupy(service)
-            await asyncio.sleep(0)
+            occupier, records = await _park(service)
             other = {"destination": "20.0.9.9", "flow": 5}
             waiter = asyncio.ensure_future(_collect(service, other))
             await asyncio.sleep(0.01)
@@ -377,8 +314,7 @@ class TestAdmissionControl:
             # shed) and is served once the occupier lets go.
             successor = asyncio.ensure_future(_collect(service, other))
             await asyncio.sleep(0.01)
-            flight.finish({"probes": 0, "first": 0.0, "last": 0.0})
-            await asyncio.gather(task, return_exceptions=True)
+            await _finish(occupier, records)
             _, terminal = await successor
             counters = service.telemetry.registry.snapshot()["counters"]
             return service, terminal, counters
@@ -420,22 +356,6 @@ class TestDrain:
         assert registry["service.shed.draining"] == 1
         assert service.health()["draining"] is True
 
-    def test_cancel_flights_wakes_subscribers(self):
-        async def run():
-            service = TraceService(_engine())
-            flight = _stuck_flight(service)
-            _wedge_task(flight)
-            collector = asyncio.ensure_future(
-                _collect(service, dict(_PAYLOAD)))
-            await asyncio.sleep(0.01)
-            assert service.cancel_flights() == 1
-            await service.drain()
-            return await collector
-
-        _, terminal = asyncio.run(run())
-        assert terminal["type"] == "error"
-        assert "cancelled" in terminal["error"]
-
     def test_server_drain_refuses_then_finishes(self):
         async def run():
             handle = await start_service(_engine(), port=0)
@@ -443,7 +363,7 @@ class TestDrain:
             # A healthy trace completes before the drain starts.
             _, done = await trace_stream(dict(_PAYLOAD), host=host,
                                          port=port)
-            await handle.drain(drain_seconds=2.0)
+            await handle.drain()
             assert handle.service.draining
             # The listener is closed: new connections fail.
             with pytest.raises(OSError):
@@ -455,21 +375,39 @@ class TestDrain:
         assert done["type"] == "done"
 
     def test_server_drain_cancels_stragglers_on_timeout(self):
+        """A handler still waiting when the drain's grace period ends —
+        here, queued behind a slot that is never freed — is cancelled:
+        its client sees the connection close, and the request leaves the
+        queue with a ``cancelled`` outcome."""
         async def run():
-            handle = await start_service(_engine(), port=0)
+            handle = await start_service(_engine(), port=0,
+                                         max_inflight=1, max_queued=1,
+                                         telemetry=ServiceTelemetry())
             service = handle.service
-            flight = _stuck_flight(service)
-            _wedge_task(flight)
-            collector = asyncio.ensure_future(
-                _collect(service, dict(_PAYLOAD)))
-            await asyncio.sleep(0.01)
-            await handle.drain(drain_seconds=0.05)
-            _, terminal = await collector
-            return terminal
+            occupier, _ = await _park(service)
+            reader, writer = await open_connection(handle.host,
+                                                   handle.port)
+            writer.write(json.dumps(
+                {"destination": "20.0.9.9", "flow": 5}).encode() + b"\n")
+            await writer.drain()
+            for _ in range(100):
+                if service._admit_queue:
+                    break
+                await asyncio.sleep(0.01)
+            queued = len(service._admit_queue)
+            await handle.drain()
+            answer = await asyncio.wait_for(reader.read(), 5)
+            writer.close()
+            await occupier.aclose()
+            counters = service.telemetry.registry.snapshot()["counters"]
+            return queued, answer, service, counters
 
-        terminal = asyncio.run(run())
-        assert terminal["type"] == "error"
-        assert "cancelled" in terminal["error"]
+        queued, answer, service, counters = asyncio.run(run())
+        assert queued == 1
+        assert answer == b"", "a cancelled straggler sends nothing"
+        assert len(service._admit_queue) == 0
+        assert counters["service.requests.cancelled"] == 2
+        assert counters["service.requests.total"] == service.requests
 
 
 class TestFaultIsolation:
@@ -609,7 +547,7 @@ class TestBurst:
                           resets=4, malformed=4)
         outcomes, hostile, stats, pong = _burst(chaos, max_inflight=8,
                                                 max_queued=40)
-        admitted = outcomes["hit"] + outcomes["miss"] + outcomes["coalesced"]
+        admitted = outcomes["hit"] + outcomes["miss"]
         shed = outcomes["overloaded"]
         assert admitted + shed == _CLIENTS and shed > 0, outcomes
         assert stats["shed"] == shed, (stats, outcomes)
@@ -619,11 +557,10 @@ class TestBurst:
 
     def test_unthrottled_burst_takes_every_serving_path(self):
         outcomes, _, stats, _ = _burst()
-        assert outcomes["hit"] + outcomes["miss"] + outcomes["coalesced"] \
-            == _CLIENTS, outcomes
-        assert min(outcomes["hit"], outcomes["miss"],
-                   outcomes["coalesced"]) > 0, outcomes
-        # Each key is traced at most once, however many clients ask.
+        assert outcomes["hit"] + outcomes["miss"] == _CLIENTS, outcomes
+        assert min(outcomes["hit"], outcomes["miss"]) > 0, outcomes
+        # Each key is traced at most once, however many clients ask:
+        # a same-key request finds the trace finished and hits.
         assert stats["traces_started"] <= _KEYS, stats
 
 

@@ -153,7 +153,7 @@ class TestExposition:
     def _snapshot(self):
         registry = MetricsRegistry()
         registry.inc("service.requests.total", 7)
-        registry.set_gauge("service.inflight", 2)
+        registry.set_gauge("service.cache.entries", 2)
         for value in (0.5, 3.0, 3.5, 40.0):
             registry.observe("service.latency_virtual_ms.fresh", value,
                              buckets=(1, 5, 10))
@@ -164,8 +164,8 @@ class TestExposition:
         lines = text.splitlines()
         assert "# TYPE flashroute_service_requests_total counter" in lines
         assert "flashroute_service_requests_total 7" in lines
-        assert "# TYPE flashroute_service_inflight gauge" in lines
-        assert "flashroute_service_inflight 2" in lines
+        assert "# TYPE flashroute_service_cache_entries gauge" in lines
+        assert "flashroute_service_cache_entries 2" in lines
         base = "flashroute_service_latency_virtual_ms_fresh"
         # Cumulative buckets: <=1 holds 1, <=5 holds 3, <=10 still 3,
         # +Inf holds all 4 observations.
@@ -212,7 +212,6 @@ class TestPrimitives:
                            "p99": 5.0, "max": 5.0}
 
     @pytest.mark.parametrize("outcome,probes,cause", [
-        ("coalesced", 0, "coalesce_wait"),
         ("error", 0, "error"),
         ("hit", 0, "cache_replay"),
         ("cancelled", 0, "client_disconnect"),
@@ -270,7 +269,8 @@ class TestPrimitives:
 
 class TestServiceTelemetry:
     def _drive(self, telemetry):
-        """A fixed request mix: 2 fresh, 1 hit, 2 coalesced, 1 error,
+        """A fixed request mix: 2 fresh, 3 hits (two of them same-key
+        requests started together with the second fresh trace), 1 error,
         1 cancelled."""
         async def run():
             service = TraceService(_engine(), telemetry=telemetry)
@@ -292,7 +292,6 @@ class TestServiceTelemetry:
             await stream.__anext__()
             await stream.__anext__()
             await stream.aclose()
-            await service.drain()
             return service
 
         return asyncio.run(run())
@@ -306,12 +305,11 @@ class TestServiceTelemetry:
         assert total == sum(counters.get(f"service.requests.{outcome}", 0)
                             for outcome in OUTCOMES)
         assert counters["service.requests.fresh"] == 2
-        assert counters["service.requests.hit"] == 1
-        assert counters["service.requests.coalesced"] == 2
+        assert counters["service.requests.hit"] == 3
         assert counters["service.requests.error"] == 1
         assert counters["service.requests.cancelled"] == 1
-        # The abandoned client's flight still ran to completion and its
-        # probes were recorded once (flights own probes, not clients).
+        # The abandoned client's trace still ran to completion and its
+        # probes were recorded once (traces own probes, not clients).
         assert counters["service.probes.sent"] == service.probes_sent > 0
 
     def test_request_ids_are_monotonic(self):
@@ -354,8 +352,8 @@ class TestServiceTelemetry:
         self._drive(telemetry)
         assert telemetry.slow_total == 7
         causes = {entry["cause"] for entry in telemetry.slow_requests}
-        assert causes == {"cache_miss", "cache_replay", "coalesce_wait",
-                          "error", "client_disconnect"}
+        assert causes == {"cache_miss", "cache_replay", "error",
+                          "client_disconnect"}
         for entry in telemetry.slow_requests:
             assert entry["wall_ms"] >= 0.0
 
@@ -431,24 +429,30 @@ class TestControlOps:
 
     def test_health_reports_the_tables_a_trace_built(self):
         """``route_cache_entries`` counts the outcome tables the warm core
-        holds, so it moves when a fresh trace builds one (it read the
-        test-only hop-vector dict, i.e. 0 for life)."""
+        holds.  A trace drops the tables it built as its walk ends, so
+        the count reads 0 at rest, while the route cache's own counters
+        show the trace built and used one."""
         async def run():
             handle = await start_service(_engine(), host="127.0.0.1",
                                          port=0)
+            route_cache = handle.service.engine.network.route_cache
             async with DaemonClient(host=handle.host,
                                     port=handle.port) as client:
                 cold = await client.control("health")
+                before = route_cache.stats()
                 await client.request({"destination":
                                       _destination(handle.service.engine),
                                       "flow": 0})
+                after = route_cache.stats()
                 warm = await client.control("health")
             await handle.drain()
-            return cold, warm
+            return cold, warm, before, after
 
-        cold, warm = asyncio.run(run())
+        cold, warm, before, after = asyncio.run(run())
         assert cold["engine"]["route_cache_entries"] == 0
-        assert warm["engine"]["route_cache_entries"] > 0
+        assert warm["engine"]["route_cache_entries"] == 0
+        assert after["misses"] > before["misses"]
+        assert after["hits"] > before["hits"]
 
     def test_health_without_telemetry(self):
         health = TraceService(_engine()).health()
@@ -521,10 +525,10 @@ class TestConcurrentTracing:
 # --------------------------------------------------------------------- #
 
 class TestTopDashboard:
-    _stats = {"requests": 10, "cache_hits": 4, "coalesced": 2,
+    _stats = {"requests": 10, "cache_hits": 6,
               "errors": 0, "traces_started": 4, "probes_sent": 120,
               "cache_entries": 4, "cache_evicted_epoch": 0,
-              "cache_evicted_lru": 0, "inflight": 1, "now": 4.0,
+              "cache_evicted_lru": 0, "now": 4.0,
               "epoch": 0, "address_space": "20.0.0.0..20.0.63.255"}
     _health = {"ready": True, "live": True, "status": "ok",
                "loop_lag_ms": 0.4, "telemetry": True}

@@ -35,14 +35,14 @@ WIRE_SHA256 = {
         "421b04172d1694ee529bc82702fce62adda1e8f35f1a5baca46577f473f26c33",
     "coalesced_leader":
         "af5621fa6c980a76ee949183acdcd3238362b44a8434940c6e0f759977083b60",
+    # The joiner's line is read in the leader's turn, after the leader's
+    # trace finished: a hit on the same hop lines.
     "coalesced_join":
-        "b0b81ae2428958cebdca05eb85df4b92e51765eb6919d744ec58b10681207f0f",
+        "778024dc543b31382e261329fe48ce1271e681205f9797d32b36ce5c91c9b520",
     "error":
         "2916772d264f4e6ff32eb6d42a9dd4736e29d48936cdac8a7f1a5798e412a3cc",
     "control_with_id":
         "15a4ef87bb5e2f209bd1e8e3a22a717ba0fc167708aa91c88a07f5e738caf7af",
-    "deadline_mid_stream":
-        "b908b117c347680986e9f1d435ef21f8bc599679a7ea9f59dee310dff1f1660d",
 }
 
 
@@ -90,10 +90,9 @@ async def _wire_cases() -> dict:
     _send(writer, dict(trace, id="h-1"))
     out["hit_with_id"] = await _response(reader)
 
-    # A coalesced join: both connections send the key in the same loop
-    # turn, so the daemon reads the leader's line first and starts the
-    # flight, then finds it running when it reads the joiner's, however
-    # many hops the flight publishes per turn.
+    # A same-key pair sent in one loop turn: the daemon reads the
+    # leader's line first and traces the key to its end, so the joiner's
+    # finds the trace finished and is a hit on the leader's hop lines.
     joiner_reader, joiner_writer = await _connect(handle)
     shared = {"destination": "20.0.0.9", "flow": 2}
     _send(writer, shared)
@@ -106,20 +105,6 @@ async def _wire_cases() -> dict:
     out["error"] = await _response(reader)
     _send(writer, {"control": "ping", "id": 7})
     out["control_with_id"] = await _response(reader)
-
-    # A deadline that expires mid-stream: a flight that never finishes
-    # has published two hops, so the request replays them, then waits
-    # out its deadline on the live queue.
-    key = (0x1400000B, 3)
-    flight = Flight(key, handle.service.epoch)
-    handle.service._flights[key] = flight
-    for ttl in (1, 2):
-        flight.publish({"ip": f"60.0.0.{ttl}", "ttl": ttl, "rtt_ms": 0.5})
-    _send(writer, {"destination": "20.0.0.11", "flow": 3,
-                   "deadline_ms": 50, "id": "d"})
-    out["deadline_mid_stream"] = await _response(reader)
-    flight.finish(None, error="test over")
-    del handle.service._flights[key]
 
     await _close(writer)
     await handle.drain()
@@ -134,15 +119,13 @@ class TestWireBytes:
                    for name, data in out.items()}
         assert records["miss"][-1]["cache"] == "miss"
         assert records["hit"][-1]["cache"] == "hit"
-        assert records["coalesced_join"][-1]["cache"] == "coalesced"
+        assert records["coalesced_join"][-1]["cache"] == "hit"
         assert records["coalesced_leader"][-1]["cache"] == "miss"
+        assert out["coalesced_join"].splitlines()[:-1] \
+            == out["coalesced_leader"].splitlines()[:-1]
         assert all(record["id"] == "h-1"
                    for record in records["hit_with_id"])
         assert records["control_with_id"] == [{"id": 7, "type": "pong"}]
-        assert records["deadline_mid_stream"][-1]["code"] \
-            == "deadline_exceeded"
-        assert [record["type"] for record in
-                records["deadline_mid_stream"]] == ["hop", "hop", "error"]
         digests = {name: hashlib.sha256(data).hexdigest()
                    for name, data in out.items()}
         changed = {name: out[name].decode() for name in out
@@ -162,7 +145,7 @@ _HOP_FIELDS = {"ip": _IPS, "rtt_ms": _FLOATS, "hop_probecount": st.just(0),
                "destination": _IPS}
 
 #: Hop records of the Manifold schema; ``ttl`` always, every other field
-#: maybe, so partial records like the deadline case's are drawn too.
+#: maybe, so partial records are drawn too.
 _HOPS = st.lists(st.fixed_dictionaries({"ttl": st.integers(1, 255)},
                                        optional=_HOP_FIELDS), max_size=20)
 
@@ -186,33 +169,22 @@ def _expected(records: list, request_id) -> bytes:
                     for record in records)
 
 
-async def _served_twice(hops, result, mode, request_id, split) -> tuple:
-    """What the daemon writes for one request while a flight publishes
-    ``hops`` (``split`` of them before the request subscribes, the rest
-    live), then for the same request once the flight is finished: the
-    first response encodes the records, the second replays them."""
+async def _served_twice(hops, result, mode, request_id) -> tuple:
+    """What the daemon writes for one request served from a finished
+    trace of ``hops``, twice: the first response encodes the records,
+    the second replays them."""
     handle = await start_service(_tiny_engine(), port=0)
-    flight = Flight((0x14000003, 0), handle.service.epoch)
+    flight = Flight((0x14000003, 0), handle.service.epoch, result)
     handle.service._lookup = lambda request: (flight, mode)
-    for hop in hops[:split]:
-        flight.publish(hop)
     payload = {"destination": "20.0.0.3"}
     if request_id is not _NO_ID:
         payload["id"] = request_id
     reader, writer = await _connect(handle)
     responses = []
     try:
-        _send(writer, payload)
-        for _ in range(1000):
-            if flight.subscriber_count:
-                break
-            await asyncio.sleep(0)
-        for hop in hops[split:]:
-            flight.publish(hop)
-        flight.finish(result)
-        responses.append(await _response(reader))
-        _send(writer, payload)
-        responses.append(await _response(reader))
+        for _ in range(2):
+            _send(writer, payload)
+            responses.append(await _response(reader))
     finally:
         await _close(writer)
         await handle.drain()
@@ -224,13 +196,12 @@ class TestEncodeOnce:
     the record encoded afresh for each response."""
 
     @settings(max_examples=40, deadline=None)
-    @given(hops=_HOPS, mode=st.sampled_from(["miss", "hit", "coalesced"]),
-           request_id=_IDS, split=st.integers(0, 20))
+    @given(hops=_HOPS, mode=st.sampled_from(["miss", "hit"]),
+           request_id=_IDS)
     @example(hops=[{"ttl": 1, "ip": "60.0.0.1", "rtt_ms": 0.5}], mode="hit",
-             request_id='say "h\u00e9" \u2603', split=0)
+             request_id='say "h\u00e9" \u2603')
     def test_stored_lines_equal_per_response_encoding(
-            self, hops, mode, request_id, split):
-        split = min(split, len(hops))
+            self, hops, mode, request_id):
         result = {"source": "10.0.0.1", "destination": "20.0.0.3",
                   "flow": 0, "hops": list(hops), "hop_count": len(hops),
                   "dest_reached": bool(hops),
@@ -241,7 +212,7 @@ class TestEncodeOnce:
             # The id as the daemon reads it back off the request line.
             request_id = json.loads(json.dumps(request_id))
         responses, epoch = asyncio.run(_served_twice(
-            hops, result, mode, request_id, split))
+            hops, result, mode, request_id))
         records = [{"type": "hop", **hop} for hop in hops] + [
             {"type": "done", "cache": mode, "epoch": epoch,
              "trace": result}]
@@ -269,77 +240,33 @@ async def _settle(handle) -> None:
     await asyncio.sleep(0.05)
 
 
-async def _vanished_client(held: bool) -> tuple:
+async def _vanished_client() -> tuple:
     """A client reads one hop of a trace, then closes; the daemon is left
-    to notice and end the stream.
-
-    ``held=False`` asks for a real trace, which may finish before the
-    close lands.  ``held=True`` registers a flight the test drives: the
-    client reads the replayed hop and closes, then the flight publishes
-    one hop per loop turn until the handler has exited, so the daemon
-    ends the stream while the trace is still running.
-    """
+    to notice the close."""
     handle = await start_service(_engine(), port=0,
                                  telemetry=ServiceTelemetry())
-    flight = None
-    if held:
-        key = (0x1400000D, 0)
-        flight = Flight(key, handle.service.epoch)
-        handle.service._flights[key] = flight
-        flight.publish({"ip": "60.0.0.1", "ttl": 1, "rtt_ms": 0.5})
     reader, writer = await _connect(handle)
     _send(writer, {"destination": "20.0.0.13", "flow": 0})
     first = json.loads(await asyncio.wait_for(reader.readline(), 10))
     writer.close()
-    if held:
-        for ttl in range(2, 200):
-            if not handle.connections:
-                break
-            flight.publish({"ip": f"60.0.0.{ttl}", "ttl": ttl,
-                            "rtt_ms": 0.5})
-            await asyncio.sleep(0)
-    await handle.service.drain()
     await _settle(handle)
     counters = handle.service.telemetry.registry.snapshot()["counters"]
     requests = handle.service.requests
     leftover = len(handle.connections)
-    subscribers = None
-    if held:
-        subscribers = flight.subscriber_count
-        flight.finish(None, error="test over")
-        del handle.service._flights[flight.key]
     await handle.drain()
-    return first, counters, requests, leftover, subscribers
-
-
-def _outcomes(counters) -> dict:
-    return {outcome: counters.get(f"service.requests.{outcome}", 0)
-            for outcome in OUTCOMES}
+    return first, counters, requests, leftover
 
 
 class TestVanishedClient:
     def test_requests_equal_sum_of_outcomes(self):
-        first, counters, requests, leftover, _ = asyncio.run(
-            _vanished_client(held=False))
+        first, counters, requests, leftover = asyncio.run(
+            _vanished_client())
         assert first["type"] == "hop"
         assert leftover == 0, "the handler outlived its client"
-        outcomes = _outcomes(counters)
+        outcomes = {outcome: counters.get(f"service.requests.{outcome}", 0)
+                    for outcome in OUTCOMES}
         assert requests == counters["service.requests.total"] == 1
         assert sum(outcomes.values()) == requests, outcomes
-
-    def test_stream_ended_mid_flight_is_cancelled(self):
-        first, counters, requests, leftover, subscribers = asyncio.run(
-            _vanished_client(held=True))
-        assert first == {"ip": "60.0.0.1", "rtt_ms": 0.5, "ttl": 1,
-                         "type": "hop"}
-        assert leftover == 0, "the handler outlived its client"
-        outcomes = _outcomes(counters)
-        assert requests == counters["service.requests.total"] == 1
-        assert sum(outcomes.values()) == requests, outcomes
-        # The daemon ends the stream before the trace does, and the
-        # abandoned request leaves no queue on the running flight.
-        assert outcomes["cancelled"] == 1, outcomes
-        assert subscribers == 0
 
 
 async def _broken_stream(payload):
@@ -447,28 +374,20 @@ class TestTransportCensus:
         rows = asyncio.run(_census(monkeypatch))
         _print_census("no deadline", rows)
         miss, hits = rows[0], rows[1:]
-        assert miss[0] == "miss" and miss[1] == 17, miss
-        # The fresh trace's flight is the daemon's one Task, and its
-        # records leave a quantum of hops per write (17 writes while a
-        # flight yielded after every hop).
-        assert miss[2] == 1, miss
-        assert miss[3] <= 3, miss
-        # Each record is encoded once and each hop once: the done record
-        # splices in the hop lines (17 encodes holding 32 hops while the
-        # done record encoded the hops again).  A hit encodes only its
-        # done record, without hops (17 and 32 while it encoded all).
-        assert miss[4:] == (17, 16), miss
+        # A fresh trace runs to its end in the step that looked it up,
+        # so its response is no Task and one write.  Each record is
+        # encoded once and each hop once: the done record splices in the
+        # hop lines.  A hit encodes only its done record, without hops.
+        assert miss == ("miss", 17, 0, 1, 17, 16), miss
         assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
 
-    def test_census_deadlined_miss_is_one_task(self, monkeypatch):
-        """A deadline is one timer per request, not one ``wait_for``
-        Task per live hop (18 Tasks and 17 writes when it was)."""
+    def test_census_deadlined_miss_is_one_write_and_no_task(
+            self, monkeypatch):
+        """A deadline bounds only the wait for admission, so it costs an
+        admitted request nothing: no timer Task, no extra write."""
         rows = asyncio.run(_census(monkeypatch, requests=2,
                                    deadline_ms=10_000.0))
         _print_census("deadline_ms 10000", rows)
         miss, hits = rows[0], rows[1:]
-        assert miss[0] == "miss" and miss[1] == 17, miss
-        assert miss[2] == 1, miss
-        assert miss[3] <= 3, miss
-        assert miss[4:] == (17, 16), miss
+        assert miss == ("miss", 17, 0, 1, 17, 16), miss
         assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
