@@ -62,7 +62,6 @@ __all__ = [
     "ScanSession",
     "TraceRequest",
     "TraceSession",
-    "open_session",
     "scan",
 ]
 
@@ -691,15 +690,3 @@ def scan(request: Optional[ScanRequest] = None, telemetry=None,
         return run_sharded_scan(ShardPlan.from_request(request)).result
     engine = Engine.from_request(request)
     return engine.open_session(request, telemetry=telemetry).run()
-
-
-def open_session(request, engine: Optional[Engine] = None,
-                 telemetry=None):
-    """Open a session for ``request``, building a fresh engine unless
-    one is supplied (reuse an engine to amortize topology construction)."""
-    if engine is None:
-        if isinstance(request, TraceRequest):
-            raise ValueError("trace sessions need an explicit engine "
-                             "(the warm core the daemon holds)")
-        engine = Engine.from_request(request)
-    return engine.open_session(request, telemetry=telemetry)

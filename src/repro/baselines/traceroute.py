@@ -56,15 +56,14 @@ def _runtime(network: SimulatedNetwork, tool: str, targets: Dict[int, int],
     return rt
 
 
-def _trace(rt: ScanRuntime, dst: int, max_ttl: int,
-           stop_at_unreachable: bool = True) -> TracerouteResult:
+def _trace(rt: ScanRuntime, dst: int, max_ttl: int) -> TracerouteResult:
     """The TTL 1..max_ttl walk toward ``dst``, low to high, one hop at a
     time: each ``probe_hop`` waits out the round trip (or the pacing gap,
-    whichever is longer) and re-sends a silent probe in place."""
+    whichever is longer) and re-sends a silent probe in place.  The
+    first unreachable ends the walk."""
     result = TracerouteResult(dst=dst)
     probes_before = rt.result.probes_sent
     responses_before = rt.result.responses
-    reached = False
     for ttl in range(1, max_ttl + 1):
         response = rt.probe_hop(dst, ttl, wait=True)
         if response is None:
@@ -72,14 +71,12 @@ def _trace(rt: ScanRuntime, dst: int, max_ttl: int,
         if response.kind is ResponseKind.TTL_EXCEEDED:
             result.hops[ttl] = response.responder
         elif response.kind.is_unreachable:
-            if result.triggering_ttl is None:
-                result.triggering_ttl = ttl
-                result.residual_distance = distance_from_unreachable(
-                    response, ttl)
-            if stop_at_unreachable:
-                reached = True
-                break
+            result.triggering_ttl = ttl
+            result.residual_distance = distance_from_unreachable(
+                response, ttl)
+            break
     if rt.events is not None:
+        reached = result.triggering_ttl is not None
         rt.events.stop_decision(rt.clock.now, dst >> 8,
                                 "dest_reached" if reached else "max_ttl",
                                 ttl if reached else max_ttl)
@@ -98,7 +95,6 @@ class ClassicTraceroute:
 
     def __init__(self, network: SimulatedNetwork, max_ttl: int = 32,
                  inter_probe_gap: float = 0.02,
-                 stop_at_unreachable: bool = True,
                  start_time: float = 0.0,
                  retries: int = 0,
                  registry=None, events=None) -> None:
@@ -109,7 +105,6 @@ class ClassicTraceroute:
         self.network = network
         self.max_ttl = max_ttl
         self.inter_probe_gap = inter_probe_gap
-        self.stop_at_unreachable = stop_at_unreachable
         #: Re-sends per silent hop before moving on (classic traceroute
         #: sends 3 probes per hop; 0 — the default — matches the paper's
         #: one-probe-per-hop comparison setup).
@@ -124,8 +119,7 @@ class ClassicTraceroute:
 
     def trace(self, dst: int) -> TracerouteResult:
         """Probe ``dst`` at TTL 1..max_ttl, low to high, one at a time."""
-        return _trace(self.runtime, dst, self.max_ttl,
-                      self.stop_at_unreachable)
+        return _trace(self.runtime, dst, self.max_ttl)
 
     def triggering_ttl(self, dst: int) -> Optional[int]:
         """Just the first TTL that triggers port-unreachable (Fig. 3)."""

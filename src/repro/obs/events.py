@@ -53,6 +53,8 @@ import struct
 from collections import deque
 from typing import Dict, List, Optional, TextIO, Tuple
 
+from ..simnet.faults import mix64
+
 #: Schema tag: first JSONL line / implied by the binary magic version.
 EVENTS_SCHEMA = "repro.obs.events/1"
 
@@ -114,19 +116,7 @@ _NO_VALUE = -1.0
 _FLAG_PRE = 1
 _FLAG_DUP = 2
 
-_MASK64 = (1 << 64) - 1
 _SAMPLE_SALT = 0x5EEDFACE0B5E47ED
-
-
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer (same avalanche as repro.simnet.faults)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
 
 
 def prefix_sampled(prefix: int, sample: float) -> bool:
@@ -141,7 +131,7 @@ def prefix_sampled(prefix: int, sample: float) -> bool:
         return True
     if sample <= 0.0:
         return False
-    draw = _mix64((prefix * 0x9E3779B97F4A7C15) ^ _SAMPLE_SALT)
+    draw = mix64((prefix * 0x9E3779B97F4A7C15) ^ _SAMPLE_SALT)
     return draw < sample * 18446744073709551616.0
 
 

@@ -4,9 +4,11 @@ The real FlashRoute prints a live console line during a scan — sending
 rate, destinations still in the ring, interfaces found.  The reproduction
 runs on virtual time, so the reporter's notion of "every N seconds" must
 be virtual too: a wall-clock interval would make ``--progress`` output
-depend on host speed and be untestable.  Engines call
-:meth:`ProgressReporter.maybe_report` at natural checkpoints (round ends,
-chunk boundaries, per-trace); the reporter emits at most one line per
+depend on host speed and be untestable.  Engines report through
+:meth:`~repro.core.runtime.ScanRuntime.report_progress` at natural
+checkpoints (round ends, chunk boundaries, per-trace), which asks
+:meth:`ProgressReporter.due` and only then assembles the fields for
+:meth:`ProgressReporter.report`; the reporter emits at most one line per
 ``interval`` of virtual time, so the sequence of lines is a pure function
 of the scan — reproducible under ``capsys``.
 """

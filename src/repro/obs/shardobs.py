@@ -10,7 +10,7 @@ merge problem.  This module owns the three shard-specific pieces:
   wall time) to the parent over a multiprocessing queue.  The parent's
   :class:`ShardProgressView` aggregates them into a live line with
   per-worker rates, aggregate pps, an ETA, and straggler flags when a
-  worker falls behind the median rate by a configurable factor.
+  worker falls behind the median rate by :data:`STRAGGLER_FACTOR`.
 * **Merged span forests** — :func:`merge_trace_logs` folds per-slice
   ``ScanTracer`` outputs into one multi-root JSONL forest (span ids
   renumbered, each event tagged with its ``slice``) that passes
@@ -45,7 +45,7 @@ HEARTBEAT_SCHEMA = "repro.obs.heartbeat/1"
 
 #: A worker is flagged as a straggler when its probing rate falls below
 #: the median worker rate divided by this factor.
-DEFAULT_STRAGGLER_FACTOR = 4.0
+STRAGGLER_FACTOR = 4.0
 
 #: Default minimum *wall-clock* gap between heartbeat emissions per
 #: worker.  The virtual clock can race wall time by orders of magnitude
@@ -64,7 +64,7 @@ class ShardHeartbeatReporter(ProgressReporter):
     """Worker-side progress reporter that streams heartbeats upward.
 
     Drop-in for :class:`ProgressReporter` — engines call ``due`` /
-    ``maybe_report`` at their usual checkpoints — but ``report`` builds a
+    ``report`` at their usual checkpoints — but ``report`` builds a
     heartbeat record and hands it to ``emit`` (a queue ``put`` or a
     direct callback) instead of writing a console line.  Throttling is
     two-level: the virtual ``interval`` decides when a beat is *due*
@@ -130,16 +130,12 @@ class ShardProgressView:
     def __init__(self, slices: int, workers: int = 1,
                  interval: float = 1.0,
                  stream: Optional[TextIO] = None,
-                 straggler_factor: float = DEFAULT_STRAGGLER_FACTOR,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if interval <= 0:
             raise ValueError("progress interval must be positive")
-        if straggler_factor < 1.0:
-            raise ValueError("straggler factor must be >= 1.0")
         self.slices = slices
         self.workers = workers
         self.interval = interval
-        self.straggler_factor = straggler_factor
         self._stream = stream
         self._clock = clock
         self._start: Optional[float] = None
@@ -194,14 +190,14 @@ class ShardProgressView:
                 if state["rate"] is not None}
 
     def stragglers(self) -> List[int]:
-        """Worker pids probing slower than median / straggler_factor."""
+        """Worker pids probing slower than median / STRAGGLER_FACTOR."""
         rates = self.worker_rates()
         if len(rates) < 2:
             return []
         median = statistics.median(rates.values())
         if median <= 0:
             return []
-        floor = median / self.straggler_factor
+        floor = median / STRAGGLER_FACTOR
         return [pid for pid, rate in rates.items() if rate < floor]
 
     # ------------------------------------------------------------------ #

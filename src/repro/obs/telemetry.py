@@ -24,7 +24,7 @@ Namespace contract (see docs/observability.md for the full table):
 
 from __future__ import annotations
 
-from typing import Optional, TextIO
+from typing import Optional
 
 from .artifacts import detect_artifacts, record_artifacts
 from .events import EventRecorder
@@ -63,7 +63,6 @@ class Telemetry:
     @classmethod
     def create(cls, trace_path: Optional[str] = None,
                progress_interval: Optional[float] = None,
-               progress_stream: Optional[TextIO] = None,
                events_path: Optional[str] = None,
                events_sample: float = 1.0,
                events_ring: Optional[int] = None) -> "Telemetry":
@@ -72,8 +71,7 @@ class Telemetry:
         was, a flight recorder when an events path was."""
         tracer = (ScanTracer(path=trace_path)
                   if trace_path is not None else None)
-        progress = (ProgressReporter(interval=progress_interval,
-                                     stream=progress_stream)
+        progress = (ProgressReporter(interval=progress_interval)
                     if progress_interval is not None else None)
         events = (EventRecorder(path=events_path, sample=events_sample,
                                 ring=events_ring)

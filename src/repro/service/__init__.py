@@ -12,14 +12,13 @@ from .daemon import (Flight, ServiceError, TraceService, serve,
                      start_service)
 from .client import (DEFAULT_TIMEOUT, DaemonClient, request_trace,
                      trace_stream)
-from .obs import RateRing, RequestContext, ServiceTelemetry
+from .obs import RequestContext, ServiceTelemetry
 from .top import render_frame, run_top
 
 __all__ = [
     "DEFAULT_TIMEOUT",
     "DaemonClient",
     "Flight",
-    "RateRing",
     "RequestContext",
     "ServiceError",
     "ServiceTelemetry",

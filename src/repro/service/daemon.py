@@ -61,6 +61,9 @@ DEFAULT_CACHE_SIZE = 4096
 #: daemon as not live — the loop is too far behind to serve promptly.
 LIVENESS_LAG_MS = 1000.0
 
+#: Wall seconds between the telemetry monitor's event-loop lag readings.
+LAG_INTERVAL = 0.5
+
 #: Unit of the ``retry_after_ms`` hint attached to ``overloaded`` sheds:
 #: the hint scales linearly with the work already admitted + queued, so
 #: backing clients off harder the deeper the backlog.
@@ -126,7 +129,6 @@ class TraceService:
 
     def __init__(self, engine: Engine,
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 trace_tick: float = TRACE_TICK,
                  telemetry: Optional[ServiceTelemetry] = None,
                  default_deadline_ms: Optional[float] = None,
                  max_inflight: Optional[int] = None,
@@ -144,7 +146,6 @@ class TraceService:
             raise ValueError("max_queued must be >= 0")
         self.engine = engine
         self.cache_size = cache_size
-        self.trace_tick = trace_tick
         #: Server-side deadline applied to requests that carry none of
         #: their own; ``None`` (the default) imposes no deadline.
         self.default_deadline_ms = default_deadline_ms
@@ -161,10 +162,6 @@ class TraceService:
         #: path on the uninstrumented code, matching repro.obs's
         #: zero-overhead contract).
         self.telemetry = telemetry
-        #: Readiness: the engine is warm by construction (topology and
-        #: network are built before the service exists); cleared only if
-        #: a future transport wants to gate on warm-up work.
-        self.ready = True
         #: The service's virtual clock — trace start times are drawn from
         #: it, which is what ties results to route epochs.
         self.now = 0.0
@@ -331,7 +328,7 @@ class TraceService:
         ever served; a later trace of the key rebuilds them."""
         epoch = self.epoch
         session = self.engine.open_session(request, start_time=self.now)
-        self.now += self.trace_tick
+        self.now += TRACE_TICK
         self.traces_started += 1
         try:
             for _ in session.stream():
@@ -482,14 +479,13 @@ class TraceService:
     def metrics(self) -> dict:
         """The ``metrics`` control op: deterministic registry snapshot,
         Prometheus-style text exposition, and the quarantined wall-clock
-        report (rates, exact percentiles, slow log)."""
+        report (exact percentiles, slow log, loop lag)."""
         if self.telemetry is None:
             raise ServiceError(
                 "telemetry is disabled; start the daemon with "
                 "--telemetry (or --trace/--metrics-out)")
         from ..obs.metrics import render_exposition
 
-        self.telemetry.sample(self)
         snapshot = self.telemetry.metrics_snapshot(self)
         return {"type": "metrics", "snapshot": snapshot,
                 "exposition": render_exposition(snapshot),
@@ -503,9 +499,11 @@ class TraceService:
         lag = obs.loop_lag_ms if obs is not None else None
         live = lag is None or lag <= LIVENESS_LAG_MS
         return {
-            "ready": self.ready,
+            # Always ready: the engine (topology and network) is built
+            # before the service exists, so it is warm by construction.
+            "ready": True,
             "live": live,
-            "status": "ok" if (self.ready and live) else "degraded",
+            "status": "ok" if live else "degraded",
             "draining": self.draining,
             "requests": self.requests,
             "errors": self.errors,
@@ -703,17 +701,15 @@ async def _handle_connection(service: TraceService,
 
 
 async def _telemetry_monitor(service: TraceService) -> None:
-    """Background sampler: rate-ring counter samples plus event-loop lag
-    (expected vs actual sleep wake-up) for the ``health`` op."""
+    """Background event-loop lag probe (expected vs actual sleep
+    wake-up) for the ``health`` op."""
     obs = service.telemetry
     loop = asyncio.get_event_loop()
-    interval = obs.sample_interval
     while True:
         before = loop.time()
-        await asyncio.sleep(interval)
-        lag_ms = max(0.0, (loop.time() - before - interval) * 1000.0)
+        await asyncio.sleep(LAG_INTERVAL)
+        lag_ms = max(0.0, (loop.time() - before - LAG_INTERVAL) * 1000.0)
         obs.note_loop_lag(round(lag_ms, 3))
-        obs.sample(service)
 
 
 @dataclass
@@ -725,7 +721,7 @@ class ServerHandle:
     shutdown: asyncio.Event
     #: Live connection-handler tasks (drain cancels stragglers).
     connections: Set[asyncio.Task]
-    #: The telemetry sampler task (only when telemetry is enabled).
+    #: The loop-lag monitor task (only when telemetry is enabled).
     monitor: Optional[asyncio.Task] = None
     host: Optional[str] = None
     #: The port the OS actually bound (resolves ``port=0``).
@@ -769,8 +765,8 @@ async def start_service(engine: Engine,
 
     ``service_knobs`` go to :class:`TraceService` unchanged — its
     constructor is the one place that declares, defaults and validates
-    ``cache_size``, ``trace_tick``, ``telemetry``,
-    ``default_deadline_ms``, ``max_inflight`` and ``max_queued``.
+    ``cache_size``, ``telemetry``, ``default_deadline_ms``,
+    ``max_inflight`` and ``max_queued``.
     """
     service = TraceService(engine, **service_knobs)
     shutdown = asyncio.Event()
@@ -814,8 +810,8 @@ def serve(request: Optional[ScanRequest] = None, *,
     persists on shutdown; ``default_deadline_ms`` bounds every request
     that does not carry its own ``deadline_ms``; ``max_inflight`` /
     ``max_queued`` admit that many concurrent trace streams and shed
-    the rest with structured ``overloaded`` errors; ``cache_size`` and
-    ``trace_tick`` size the result cache and the virtual-clock step.
+    the rest with structured ``overloaded`` errors; ``cache_size`` sizes
+    the result cache.
     """
     engine = Engine.from_request(request if request is not None
                                  else ScanRequest())

@@ -18,11 +18,8 @@ enabled it provides:
   ``error`` / ``cancelled``) recorded in **virtual
   time** into the :class:`~repro.obs.metrics.MetricsRegistry`, so
   same-virtual-clock runs snapshot byte-identically.  Wall-clock twins
-  (exact recent-window percentiles, the slow-request log, rolling rates)
-  are quarantined in the ``wall`` report, never in the snapshot.
-* **A rolling time-series ring** (:class:`RateRing`) of periodic counter
-  samples powering req/s, probes/s and hit-rate over the last N windows
-  — what the ``metrics`` control op and ``flashroute-sim top`` render.
+  (exact recent-window percentiles, the slow-request log, event-loop
+  lag) are quarantined in the ``wall`` report, never in the snapshot.
 """
 
 from __future__ import annotations
@@ -49,13 +46,9 @@ OUTCOMES = ("fresh", "hit", "error", "cancelled", "deadline", "shed")
 #: slow-request log.
 DEFAULT_SLOW_MS = 500.0
 #: Slow-log ring capacity (most recent entries win).
-DEFAULT_SLOW_LOG = 64
+SLOW_LOG = 64
 #: Per-outcome window of recent wall latencies kept for exact p50/p99.
-DEFAULT_WALL_WINDOW = 1024
-#: Rate-ring capacity (periodic counter samples).
-DEFAULT_RING_SLOTS = 120
-#: Default wall seconds between background counter samples.
-DEFAULT_SAMPLE_INTERVAL = 0.5
+WALL_WINDOW = 1024
 #: A fresh trace that sent more probes than this is slow because of its
 #: probe count (a long path / gap-limit walk), not merely the cache miss.
 PROBE_COUNT_THRESHOLD = 48
@@ -167,62 +160,12 @@ class RequestContext:
         tracer.end("service.request", f"req-{self.rid}", vt_end, **fields)
 
 
-class RateRing:
-    """A rolling ring of ``(wall_time, counters)`` samples.
-
-    The daemon's sampler task (and every ``metrics`` poll) appends; rate
-    queries difference the newest sample against the one ``window``
-    samples back, so req/s, probes/s and hit-rate reflect the last N
-    windows rather than the process lifetime.
-    """
-
-    def __init__(self, slots: int = DEFAULT_RING_SLOTS,
-                 min_interval: float = 0.1) -> None:
-        if slots < 2:
-            raise ValueError("rate ring needs at least 2 slots")
-        self.min_interval = min_interval
-        self._samples: Deque[Tuple[float, Dict[str, int]]] = \
-            deque(maxlen=slots)
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def sample(self, wall_now: float, counters: Dict[str, int]) -> bool:
-        """Append a sample unless the last one is younger than the
-        minimum interval (polling and the background sampler coexist)."""
-        if self._samples \
-                and wall_now - self._samples[-1][0] < self.min_interval:
-            return False
-        self._samples.append((wall_now, dict(counters)))
-        return True
-
-    def rates(self, window: int = 20) -> Dict[str, object]:
-        """Rates over (up to) the last ``window`` sample intervals."""
-        if len(self._samples) < 2:
-            return {"window_seconds": 0.0, "samples": len(self._samples)}
-        samples = list(self._samples)[-(window + 1):]
-        (t0, c0), (t1, c1) = samples[0], samples[-1]
-        dt = t1 - t0
-        if dt <= 0:
-            return {"window_seconds": 0.0, "samples": len(samples)}
-        d_req = c1.get("requests", 0) - c0.get("requests", 0)
-        d_hits = c1.get("cache_hits", 0) - c0.get("cache_hits", 0)
-        d_probes = c1.get("probes_sent", 0) - c0.get("probes_sent", 0)
-        return {
-            "window_seconds": round(dt, 3),
-            "samples": len(samples),
-            "req_per_s": round(d_req / dt, 1),
-            "probes_per_s": round(d_probes / dt, 1),
-            "hit_rate": (round(d_hits / d_req, 4) if d_req > 0 else None),
-        }
-
-
 class ServiceTelemetry:
     """The daemon's optional observability bundle.
 
     Deterministic state (counters, virtual-time latency histograms)
     lives in :attr:`registry`; everything wall-clock — recent-window
-    latency percentiles, the slow-request log, the rate ring, loop lag —
+    latency percentiles, the slow-request log, loop lag —
     is quarantined in :meth:`wall_report` and the saved snapshot's
     ``wall`` section, so two daemons driven through the same
     virtual-clock sequence snapshot byte-identically.
@@ -231,39 +174,30 @@ class ServiceTelemetry:
     def __init__(self, registry: Optional[MetricsRegistry] = None,
                  tracer: Optional[ScanTracer] = None, *,
                  slow_ms: float = DEFAULT_SLOW_MS,
-                 slow_log: int = DEFAULT_SLOW_LOG,
-                 wall_window: int = DEFAULT_WALL_WINDOW,
-                 ring_slots: int = DEFAULT_RING_SLOTS,
-                 sample_interval: float = DEFAULT_SAMPLE_INTERVAL,
                  wall_clock=time.perf_counter) -> None:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.tracer = tracer
         self.slow_ms = slow_ms
-        self.sample_interval = sample_interval
         self.wall_clock = wall_clock
         self.started_wall = wall_clock()
         self.slow_total = 0
         self.slow_requests: Deque[Dict[str, object]] = \
-            deque(maxlen=slow_log)
-        self.ring = RateRing(slots=ring_slots)
+            deque(maxlen=SLOW_LOG)
         self.loop_lag_ms: Optional[float] = None
         self.loop_lag_max_ms = 0.0
         self._next_rid = 1
         self._wall_latencies: Dict[str, Deque[float]] = {
-            outcome: deque(maxlen=wall_window) for outcome in OUTCOMES}
+            outcome: deque(maxlen=WALL_WINDOW) for outcome in OUTCOMES}
 
     @classmethod
     def create(cls, trace_path: Optional[str] = None,
-               slow_ms: float = DEFAULT_SLOW_MS,
-               sample_interval: float = DEFAULT_SAMPLE_INTERVAL
-               ) -> "ServiceTelemetry":
+               slow_ms: float = DEFAULT_SLOW_MS) -> "ServiceTelemetry":
         """The CLI constructor: a fresh registry, a file tracer when a
         trace path was requested."""
         tracer = (ScanTracer(path=trace_path)
                   if trace_path is not None else None)
-        return cls(tracer=tracer, slow_ms=slow_ms,
-                   sample_interval=sample_interval)
+        return cls(tracer=tracer, slow_ms=slow_ms)
 
     # -- request lifecycle ------------------------------------------------
 
@@ -326,20 +260,11 @@ class ServiceTelemetry:
         self.registry.inc("service.shed.total")
         self.registry.inc(f"service.shed.{reason}")
 
-    # -- loop health and rates --------------------------------------------
+    # -- loop health ------------------------------------------------------
 
     def note_loop_lag(self, lag_ms: float) -> None:
         self.loop_lag_ms = lag_ms
         self.loop_lag_max_ms = max(self.loop_lag_max_ms, lag_ms)
-
-    def sample(self, service) -> bool:
-        """Append a counter sample to the rate ring (sampler task and
-        every ``metrics`` poll both land here)."""
-        return self.ring.sample(self.wall_clock(), {
-            "requests": service.requests,
-            "cache_hits": service.cache_hits,
-            "probes_sent": service.probes_sent,
-        })
 
     # -- reports ----------------------------------------------------------
 
@@ -361,8 +286,8 @@ class ServiceTelemetry:
 
     def wall_report(self) -> Dict[str, object]:
         """Everything wall-clock, quarantined from the snapshot: exact
-        recent-window latency percentiles per outcome, rolling rates,
-        the slow-request log and event-loop lag."""
+        recent-window latency percentiles per outcome, the slow-request
+        log and event-loop lag."""
         latency = {outcome: latency_summary(list(values))
                    for outcome, values in sorted(
                        self._wall_latencies.items()) if values}
@@ -370,7 +295,6 @@ class ServiceTelemetry:
             "uptime_seconds": round(
                 self.wall_clock() - self.started_wall, 3),
             "latency_ms": latency,
-            "rates": self.ring.rates(),
             "slow_threshold_ms": self.slow_ms,
             "slow_total": self.slow_total,
             "slow_requests": list(self.slow_requests),

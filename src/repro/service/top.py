@@ -3,9 +3,9 @@
 Polls a running daemon's ``stats``/``health``/``metrics`` control ops
 over one persistent connection and redraws a plain-text dashboard in
 place (ANSI home+clear on TTYs; sequential frames otherwise — no curses
-dependency).  Works against any daemon: rates fall back to client-side
-deltas between polls when server-side telemetry is disabled, and the
-latency/slow-request panels simply note that telemetry is off.
+dependency).  Works against any daemon: rates are the deltas between
+two successive ``stats`` polls (so the first frame shows ``-``), and
+the latency/slow-request panels simply note when telemetry is off.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ def _num(value, digits: int = 1) -> str:
         else f"{value:,}"
 
 
-def _client_rates(prev: Optional[Tuple[float, dict]],
-                  now_wall: float, stats: dict) -> Dict[str, object]:
-    """Fallback rates from two successive stats polls (telemetry-off
-    daemons have no server-side rate ring)."""
+def _rates(prev: Optional[Tuple[float, dict]],
+           now_wall: float, stats: dict) -> Dict[str, object]:
+    """req/s, probes/s and hit rate between two successive ``stats``
+    polls; ``{}`` until there is an earlier poll to difference."""
     if prev is None:
         return {}
     prev_wall, prev_stats = prev
@@ -59,13 +59,12 @@ def _client_rates(prev: Optional[Tuple[float, dict]],
 
 def render_frame(target: str, frame: int, stats: dict, health: dict,
                  metrics: Optional[dict],
-                 fallback_rates: Optional[Dict[str, object]] = None
-                 ) -> str:
+                 rates: Optional[Dict[str, object]] = None) -> str:
     """One dashboard frame as a plain multi-line string (pure function:
     the tests drive it with canned control-op payloads)."""
     lines: List[str] = []
     wall = (metrics or {}).get("wall", {})
-    rates = wall.get("rates") or fallback_rates or {}
+    rates = rates or {}
     counters = ((metrics or {}).get("snapshot") or {}).get("counters", {})
 
     uptime = wall.get("uptime_seconds")
@@ -152,10 +151,10 @@ async def _top_loop(host: Optional[str], port: Optional[int],
             if metrics.get("type") != "metrics":
                 metrics = None  # telemetry disabled server-side
             now_wall = time.monotonic()
-            fallback = _client_rates(prev, now_wall, stats)
+            rates = _rates(prev, now_wall, stats)
             prev = (now_wall, stats)
             text = render_frame(target, frame, stats, health, metrics,
-                                fallback_rates=fallback)
+                                rates=rates)
             if clear:
                 stream.write(_CLEAR)
             stream.write(text)

@@ -67,7 +67,7 @@ _DUPLICATE_DELAY_BASE = 0.0005
 _DUPLICATE_DELAY_SPAN = 0.002
 
 
-def _mix64(x: int) -> int:
+def mix64(x: int) -> int:
     """SplitMix64 finalizer: avalanche an integer key to 64 uniform bits."""
     x &= _MASK64
     x ^= x >> 30
@@ -160,7 +160,7 @@ class FaultInjector:
 
     def __init__(self, model: FaultModel) -> None:
         self.model = model
-        self._seed = _mix64(model.seed * 0x9E3779B97F4A7C15 + 1)
+        self._seed = mix64(model.seed * 0x9E3779B97F4A7C15 + 1)
         self.probes_lost = 0
         self.responses_lost = 0
         self.blackout_drops = 0
@@ -194,15 +194,15 @@ class FaultInjector:
 
     def _unit(self, key: int, salt: int) -> float:
         """Uniform [0, 1) draw for one (probe, fault-kind) pair."""
-        return _mix64(self._seed ^ key ^ salt) / 18446744073709551616.0
+        return mix64(self._seed ^ key ^ salt) / 18446744073709551616.0
 
     def _blacked_out(self, responder: int, send_time: float) -> bool:
         model = self.model
-        pick = _mix64(self._seed ^ (responder * 0x9E3779B97F4A7C15)
+        pick = mix64(self._seed ^ (responder * 0x9E3779B97F4A7C15)
                       ^ _SALT_BLACKOUT_PICK) / 18446744073709551616.0
         if pick >= model.blackout_fraction:
             return False
-        phase = _mix64(self._seed ^ (responder * 0xC2B2AE3D27D4EB4F)
+        phase = mix64(self._seed ^ (responder * 0xC2B2AE3D27D4EB4F)
                        ^ _SALT_BLACKOUT_PHASE) / 18446744073709551616.0
         period = model.blackout_period
         return (send_time + phase * period) % period < model.blackout_duration

@@ -33,22 +33,11 @@ import os
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
-_MASK64 = (1 << 64) - 1
+from ..simnet.faults import mix64
 
 #: Salt separating chaos kill draws from every other SplitMix64 stream
 #: in the repo (fault injector, event sampling).
 _KILL_SALT = 0xC4A0_5EED_0B57_ACE5
-
-
-def _mix64(x: int) -> int:
-    """SplitMix64 finalizer (same avalanche as repro.simnet.faults)."""
-    x &= _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x
 
 
 class ChaosError(ValueError):
@@ -198,7 +187,7 @@ def should_kill(spec: ChaosSpec, slice_index: int, attempt: int) -> bool:
         return True
     if spec.kill_rate <= 0.0:
         return False
-    draw = _mix64((spec.seed * 0x9E3779B97F4A7C15)
+    draw = mix64((spec.seed * 0x9E3779B97F4A7C15)
                   ^ (slice_index * 0xC2B2AE3D27D4EB4F)
                   ^ (attempt * 0x165667B19E3779F9)
                   ^ _KILL_SALT)

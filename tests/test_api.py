@@ -533,10 +533,6 @@ class TestEngineSessions:
             engine.open_session(api.TraceRequest.parse(
                 {"destination": "99.0.0.1"}))
 
-    def test_trace_needs_engine(self):
-        with pytest.raises(ValueError, match="explicit engine"):
-            api.open_session(api.TraceRequest(destination=(20 << 24) + 1))
-
     def test_open_session_type_checked(self):
         with pytest.raises(TypeError):
             _engine().open_session({"destination": "20.0.0.1"})

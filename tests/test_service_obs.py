@@ -13,6 +13,7 @@ import asyncio
 import io
 import json
 import math
+import re
 
 import pytest
 
@@ -24,11 +25,11 @@ from repro.obs.trace import ScanTracer, read_trace, validate_trace
 from repro.service.client import DaemonClient, trace_stream
 from repro.service.daemon import (LIVENESS_LAG_MS, ServiceError,
                                   TraceService, start_service)
-from repro.service.obs import (OUTCOMES, RateRing, RequestContext,
+from repro.service.obs import (OUTCOMES, RequestContext,
                                ServiceTelemetry, classify_slow_cause,
                                latency_summary)
 from repro.service.top import render_frame, run_top
-from repro.service.top import _top_loop
+from repro.service.top import _rates, _top_loop
 
 
 def _engine(prefixes=64, seed=20201027):
@@ -220,27 +221,6 @@ class TestPrimitives:
     ])
     def test_classify_slow_cause(self, outcome, probes, cause):
         assert classify_slow_cause(outcome, probes) == cause
-
-    def test_rate_ring_differences_counters(self):
-        ring = RateRing(slots=10, min_interval=0.0)
-        ring.sample(0.0, {"requests": 0, "cache_hits": 0,
-                          "probes_sent": 0})
-        ring.sample(2.0, {"requests": 20, "cache_hits": 5,
-                          "probes_sent": 200})
-        rates = ring.rates()
-        assert rates["req_per_s"] == 10.0
-        assert rates["probes_per_s"] == 100.0
-        assert rates["hit_rate"] == 0.25
-        assert rates["window_seconds"] == 2.0
-
-    def test_rate_ring_min_interval_and_underflow(self):
-        ring = RateRing(slots=10, min_interval=1.0)
-        assert ring.sample(0.0, {"requests": 0}) is True
-        assert ring.sample(0.5, {"requests": 1}) is False  # too soon
-        assert len(ring) == 1
-        assert "req_per_s" not in ring.rates()  # one sample: no rate
-        with pytest.raises(ValueError):
-            RateRing(slots=1)
 
     def test_request_context_flushes_valid_span_tree(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
@@ -538,8 +518,6 @@ class TestTopDashboard:
             "snapshot": {"counters": {"service.requests.fresh": 4}},
             "wall": {
                 "uptime_seconds": 12.0,
-                "rates": {"req_per_s": 5.0, "probes_per_s": 60.0,
-                          "hit_rate": 0.4, "window_seconds": 2.0},
                 "latency_ms": {"fresh": {"count": 4, "p50": 1.2,
                                          "p90": 2.0, "p99": 2.5,
                                          "max": 2.5}},
@@ -552,7 +530,9 @@ class TestTopDashboard:
             },
         }
         text = render_frame("127.0.0.1:4792", 3, self._stats,
-                            self._health, metrics)
+                            self._health, metrics,
+                            rates={"req_per_s": 5.0, "probes_per_s": 60.0,
+                                   "hit_rate": 0.4, "window_seconds": 2.0})
         assert "5.0 req/s" in text
         assert "hit-rate 40.0%" in text
         assert "fresh" in text and "2.5" in text
@@ -562,13 +542,21 @@ class TestTopDashboard:
     def test_render_frame_without_telemetry_degrades(self):
         health = dict(self._health, telemetry=False, loop_lag_ms=None)
         text = render_frame("d.sock", 1, self._stats, health, None,
-                            fallback_rates={"req_per_s": 2.0,
-                                            "probes_per_s": 10.0,
-                                            "hit_rate": 0.5,
-                                            "window_seconds": 1.0})
+                            rates={"req_per_s": 2.0, "probes_per_s": 10.0,
+                                   "hit_rate": 0.5, "window_seconds": 1.0})
         assert "telemetry=off" in text
-        assert "2.0 req/s" in text  # client-side fallback rates
+        assert "2.0 req/s" in text
         assert "restart with serve --telemetry" in text
+
+    def test_rates_difference_successive_polls(self):
+        before = {"requests": 0, "cache_hits": 0, "probes_sent": 0}
+        after = {"requests": 20, "cache_hits": 5, "probes_sent": 200}
+        assert _rates((0.0, before), 2.0, after) == {
+            "window_seconds": 2.0, "req_per_s": 10.0,
+            "probes_per_s": 100.0, "hit_rate": 0.25}
+        assert _rates(None, 2.0, after) == {}  # no earlier poll
+        assert _rates((2.0, before), 2.0, after) == {}  # dt <= 0
+        assert _rates((0.0, before), 2.0, before)["hit_rate"] is None
 
     def test_live_dashboard_against_loopback_daemon(self):
         async def run():
@@ -591,6 +579,9 @@ class TestTopDashboard:
         assert text.count("flashroute-sim top") == 2
         assert "telemetry=on" in text
         assert "requests=1" in text
+        first, second = text.split("flashroute-sim top")[1:]
+        assert "rates   - req/s" in first  # no earlier poll yet
+        assert re.search(r"rates   [\d,]+\.\d req/s", second)
 
     def test_run_top_reports_unreachable_daemon(self, capsys):
         assert run_top(socket_path="/nonexistent/daemon.sock",

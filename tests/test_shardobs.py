@@ -274,7 +274,7 @@ class TestShardProgressView:
 
     def test_straggler_flagged_below_median_by_factor(self):
         stream = io.StringIO()
-        view = self._view(stream, interval=1000.0, straggler_factor=4.0)
+        view = self._view(stream, interval=1000.0)
         for pid, rate in ((1, 1000), (2, 900), (3, 1100), (4, 10)):
             view.observe(_beat(pid, 10.0, 0, slice_index=pid))
             view.observe(_beat(pid, 11.0, rate, slice_index=pid))
@@ -286,8 +286,6 @@ class TestShardProgressView:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ShardProgressView(slices=16, interval=0.0)
-        with pytest.raises(ValueError):
-            ShardProgressView(slices=16, straggler_factor=0.5)
 
 
 # --------------------------------------------------------------------- #

@@ -1,18 +1,16 @@
 #!/usr/bin/env python
 """Summarize one ``--metrics-out`` snapshot or diff two of them.
 
-Thin script wrapper over :func:`repro.obs.report.metrics_report`, for
-use without installing the package (CI, ad-hoc comparisons of a cached
-vs. uncached run, before/after fault-injection sweeps).
+Thin script wrapper over ``flashroute-sim metrics-report``, for use
+without installing the package (CI, ad-hoc comparisons of a cached vs.
+uncached run, before/after fault-injection sweeps).
 
 Usage: python tools/metrics_report.py METRICS.json [BASELINE.json]
-                                      [--changed-only]
+                                      [--changed-only] [--exposition]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import pathlib
 import sys
 
@@ -20,33 +18,12 @@ if __package__ in (None, ""):  # allow "python tools/metrics_report.py"
     sys.path.insert(
         0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.obs.report import metrics_report  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Summarize one metrics snapshot or diff two")
-    parser.add_argument("metrics", metavar="FILE",
-                        help="metrics JSON written by scan --metrics-out")
-    parser.add_argument("baseline", metavar="BASELINE", nargs="?",
-                        default=None,
-                        help="second snapshot to diff against (optional)")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="when diffing, show only rows whose value "
-                             "differs")
-    parser.add_argument("--exposition", action="store_true",
-                        help="render the snapshot as Prometheus text "
-                             "exposition instead of a table")
-    args = parser.parse_args(argv)
-    try:
-        report = metrics_report(args.metrics, args.baseline,
-                                changed_only=args.changed_only,
-                                exposition=args.exposition)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"metrics-report: {exc}", file=sys.stderr)
-        return 2
-    print(report)
-    return 0
+    return cli_main(["metrics-report",
+                     *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":
