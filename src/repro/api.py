@@ -2,14 +2,15 @@
 
 Three layers of callers — the CLI, the experiment drivers, and the
 :mod:`repro.service` daemon — used to build scanners by hand from a
-sprawl of per-engine configs (``FlashRouteConfig``/``YarrpConfig``),
-:class:`~repro.core.scanner.ScannerOptions` and ad-hoc kwargs.  This
-module collapses that into one request/engine/session shape:
+sprawl of per-engine configs (``FlashRouteConfig``/``YarrpConfig``) and
+ad-hoc kwargs.  This module collapses that into one request/engine/session
+shape:
 
 * :class:`ScanRequest` — a single **serializable** description of a whole
   scan (tool, topology, knobs, faults, resilience, shard decomposition).
   The CLI's checkpoint invocation record, the shard workers and the
-  daemon's startup configuration all round-trip through this one schema.
+  daemon's startup configuration all round-trip through this one schema,
+  and the scanner registry builds every tool from it.
 * :class:`TraceRequest` — a single per-destination trace (the daemon's
   request unit): ``(destination, flow)`` plus walk bounds.
 * :class:`Engine` — the shared **read-only core**: one warm
@@ -47,7 +48,7 @@ from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
 from .core.config import PreprobeMode
 from .core.resilience import CheckpointError, ResilienceConfig
 from .core.results import ScanResult
-from .core.scanner import ScannerOptions, create_scanner, scanner_names
+from .core.scanner import create_scanner, scanner_names
 from .net.addr import int_to_ip, ip_to_int
 from .net.icmp import ResponseKind
 from .simnet.config import TopologyConfig
@@ -345,22 +346,6 @@ class ScanRequest:
                           blackout_fraction=self.blackout,
                           seed=self.fault_seed)
 
-    def scanner_options(self, telemetry=None,
-                        resilience: Optional[ResilienceConfig] = None
-                        ) -> ScannerOptions:
-        """The per-tool construction knobs this request implies.
-
-        ``resilience`` overrides the request's own retry/adaptive-rate
-        fields (the CLI passes a fully built config carrying checkpoint
-        paths and hooks, which are deliberately not serializable here).
-        """
-        if resilience is None:
-            resilience = self.resilience_config()
-        return ScannerOptions(
-            probing_rate=self.rate, split_ttl=self.split_ttl,
-            gap_limit=self.gap_limit, preprobe=self.preprobe,
-            telemetry=telemetry, resilience=resilience)
-
     def resilience_config(self) -> Optional[ResilienceConfig]:
         if not (self.retries or self.adaptive_rate):
             return None
@@ -528,10 +513,7 @@ class ScanSession:
         #: (e.g. ``CapturingNetwork`` for ``--pcap``) before running.
         self.network = engine.network.open_session(
             faults=request.fault_model())
-        self.scanner = create_scanner(
-            request.tool,
-            request.scanner_options(telemetry=telemetry,
-                                    resilience=resilience))
+        self.scanner = create_scanner(request, telemetry, resilience)
 
     def run(self, **scan_kwargs) -> ScanResult:
         """Run the scan to completion (``scan_kwargs`` pass through to

@@ -8,12 +8,12 @@ The paper found (Fig. 7) that Scamper's backward probing does not implement
 textbook Doubletree: it "starts removing redundancy one hop later, and then
 preserves a certain level of probing redundancy until the TTL reduces to 6",
 where it plunges back to full redundancy elimination.  We model that
-empirical behaviour directly with two parameters:
+empirical behaviour directly with two constants:
 
-* ``stop_lag``: after the first stop-set hit above the window, Scamper
+* :data:`STOP_LAG`: after the first stop-set hit above the window, Scamper
   probes one more hop before terminating;
-* ``no_stop_window``: a TTL interval (default (6, 14]) inside which
-  stop-set hits do not terminate backward probing at all.
+* :data:`NO_STOP_WINDOW`: a TTL interval, (6, 14], inside which stop-set
+  hits do not terminate backward probing at all.
 
 The net effect matches the paper's measurement: ~35 % more probes than
 FlashRoute-16 and slightly more interfaces, found on the redundantly probed
@@ -23,7 +23,7 @@ middle hops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set
 
 from ..net.icmp import ResponseKind
 from ..simnet.config import scaled_probing_rate
@@ -32,6 +32,10 @@ from ..core.permutation import FeistelPermutation
 from ..core.results import ScanResult
 from ..core.runtime import ScanRuntime, destination_distance
 from ..core.targets import random_targets
+
+#: Empirical backward-probing quirks (see module docstring / Fig. 7).
+STOP_LAG = 1
+NO_STOP_WINDOW = (6, 14)
 
 
 @dataclass
@@ -46,10 +50,6 @@ class ScamperConfig:
     #: the simulated prefix count.
     probing_rate: Optional[float] = None
 
-    #: Empirical backward-probing quirks (see module docstring / Fig. 7).
-    stop_lag: int = 1
-    no_stop_window: Tuple[int, int] = (6, 14)
-
     seed: int = 1
 
     #: Extra attempts per silent hop (real scamper's ``-q`` is attempts
@@ -63,9 +63,6 @@ class ScamperConfig:
             raise ValueError("need 1 <= first_ttl <= max_ttl <= 32")
         if self.gap_limit < 0:
             raise ValueError("gap_limit must be non-negative")
-        low, high = self.no_stop_window
-        if low > high:
-            raise ValueError("no_stop_window must be (low, high) with low <= high")
         if self.retries < 0:
             raise ValueError("retries must be non-negative")
 
@@ -154,7 +151,7 @@ class Scamper:
 
         # Backward from the split point toward the vantage point, with
         # Scamper's empirically observed redundancy-elimination behaviour.
-        low, high = config.no_stop_window
+        low, high = NO_STOP_WINDOW
         lag_remaining: Optional[int] = None
         stopped_at: Optional[int] = None
         ttl = config.first_ttl - 1
@@ -175,7 +172,7 @@ class Scamper:
                             stopped_at = ttl
                             break
                         if ttl > high and lag_remaining is None:
-                            lag_remaining = config.stop_lag
+                            lag_remaining = STOP_LAG
                 else:
                     distance = destination_distance(response, dst, ttl)
                     if distance is not None:
@@ -193,21 +190,19 @@ class Scamper:
 # Scanner registry entries (see repro.core.scanner)
 # --------------------------------------------------------------------- #
 
-from ..core.scanner import ScannerOptions, register_scanner  # noqa: E402
+from ..core.scanner import register_scanner  # noqa: E402
 
 
 @register_scanner("scamper-16")
-def _build_scamper_16(options: ScannerOptions) -> Scamper:
-    overrides = {"probing_rate": options.probing_rate}
-    if options.seed is not None:
-        overrides["seed"] = options.seed
-    if options.gap_limit is not None:
-        overrides["gap_limit"] = options.gap_limit
-    if options.split_ttl is not None:
-        overrides["first_ttl"] = options.split_ttl
-    if options.resilience is not None:
+def _build_scamper_16(request, telemetry, resilience) -> Scamper:
+    overrides = {"probing_rate": request.rate}
+    if request.gap_limit is not None:
+        overrides["gap_limit"] = request.gap_limit
+    if request.split_ttl is not None:
+        overrides["first_ttl"] = request.split_ttl
+    if resilience is not None:
         # Scamper's synchronous model has no ring to checkpoint; it
         # honours the retry budget (real scamper's -q attempts).
-        overrides["retries"] = options.resilience.retries
+        overrides["retries"] = resilience.retries
     return Scamper(ScamperConfig.scamper_16(**overrides),
-                   telemetry=options.telemetry)
+                   telemetry=telemetry)

@@ -170,20 +170,18 @@ class TracerouteScanner:
 # Scanner registry entry (see repro.core.scanner)
 # --------------------------------------------------------------------- #
 
-from ..core.scanner import ScannerOptions, register_scanner  # noqa: E402
+from ..core.scanner import register_scanner  # noqa: E402
 
 
 @register_scanner("traceroute")
-def _build_traceroute(options: ScannerOptions) -> TracerouteScanner:
+def _build_traceroute(request, telemetry, resilience) -> TracerouteScanner:
     overrides = {}
-    if options.probing_rate is not None:
+    if request.rate is not None:
         # Classic traceroute has no global rate; the closest analogue is
         # the pacing gap between sequential probes.
-        overrides["inter_probe_gap"] = 1.0 / options.probing_rate
-    if options.seed is not None:
-        overrides["seed"] = options.seed
-    if options.resilience is not None:
+        overrides["inter_probe_gap"] = 1.0 / request.rate
+    if resilience is not None:
         # Classic traceroute re-probes each silent hop synchronously;
         # there is no cross-trace state worth checkpointing.
-        overrides["retries"] = options.resilience.retries
-    return TracerouteScanner(telemetry=options.telemetry, **overrides)
+        overrides["retries"] = resilience.retries
+    return TracerouteScanner(telemetry=telemetry, **overrides)

@@ -422,17 +422,13 @@ class _YarrpRun:
 # Scanner registry entries (see repro.core.scanner)
 # --------------------------------------------------------------------- #
 
-from ..core.scanner import ScannerOptions, register_scanner  # noqa: E402
+from ..core.scanner import register_scanner  # noqa: E402
 
 
 def _yarrp_factory(variant):
-    def build(options: ScannerOptions) -> Yarrp:
-        overrides = {"probing_rate": options.probing_rate}
-        if options.seed is not None:
-            overrides["seed"] = options.seed
-        if options.resilience is not None:
-            overrides["resilience"] = options.resilience
-        return Yarrp(variant(**overrides), telemetry=options.telemetry)
+    def build(request, telemetry, resilience) -> Yarrp:
+        return Yarrp(variant(probing_rate=request.rate,
+                             resilience=resilience), telemetry=telemetry)
     return build
 
 

@@ -37,7 +37,6 @@ from .prober import FlashRoute
 from .results import ScanResult, format_scan_time, union_interfaces
 from .scanner import (
     Scanner,
-    ScannerOptions,
     create_scanner,
     register_scanner,
     scanner_names,
@@ -85,7 +84,6 @@ __all__ = [
     "format_scan_time",
     "union_interfaces",
     "Scanner",
-    "ScannerOptions",
     "create_scanner",
     "register_scanner",
     "scanner_names",

@@ -73,9 +73,6 @@ class FlashRouteConfig:
     #: per IPv6 /64, over an IPv6 topology.
     granularity: int = 24
 
-    #: Safety valve: abort scans that somehow exceed this many rounds.
-    max_rounds: int = 4096
-
     #: Optional :class:`repro.core.resilience.ResilienceConfig` enabling
     #: probe retransmission, adaptive rate backoff and checkpoint/resume
     #: (see ``docs/robustness.md``).  ``None`` — or an inert config with

@@ -44,12 +44,14 @@ from ..simnet.topology import Topology
 from .config import FlashRouteConfig, PreprobeMode
 from .dcb import FLAG_DEST_REACHED, FLAG_REMOVED, DCBArray, ring_order
 from .preprobe import PreprobeOutcome, clamp_distance, predict_distances
-from .resilience import CheckpointError, RetryTracker
+from .resilience import RETRY_TIMEOUT, CheckpointError, RetryTracker
 from .results import ScanResult
 from .runtime import BURST_PROBES, ScanRuntime, checkpointed_result
 from .targets import random_targets
 
 _PREPROBE_TTL = 32
+#: Safety valve: abort scans that somehow exceed this many rounds.
+MAX_ROUNDS = 4096
 
 
 def _own_hitlist(topology: Topology, blocks: Iterable[int],
@@ -213,7 +215,7 @@ class _ScanRun:
         #: without a retry budget, which keeps the ring walk on its seed
         #: path.
         self._retry: Optional[RetryTracker] = (
-            RetryTracker(rt.retries, config.resilience.retry_timeout)
+            RetryTracker(rt.retries, RETRY_TIMEOUT)
             if rt.retries > 0 else None)
         #: The ``(dst, ttl)`` probes gathered for the next burst and, with
         #: a retry ledger, their attempts and ring offsets alongside.
@@ -472,7 +474,7 @@ class _ScanRun:
         max_ttl = config.max_ttl
         rt.open_window()
         while len(dcb) > 0:
-            if result.rounds >= config.max_rounds:
+            if result.rounds >= MAX_ROUNDS:
                 result.aborted = True
                 break
             result.rounds += 1
@@ -578,27 +580,21 @@ class _ScanRun:
 # Scanner registry entries (see repro.core.scanner)
 # --------------------------------------------------------------------- #
 
-from .scanner import ScannerOptions, register_scanner  # noqa: E402
+from .scanner import register_scanner  # noqa: E402
 
 
 def _flashroute_factory(default_split: int):
-    def build(options: ScannerOptions) -> FlashRoute:
-        overrides = {
-            "split_ttl": (options.split_ttl if options.split_ttl is not None
-                          else default_split),
-            "gap_limit": (options.gap_limit if options.gap_limit is not None
-                          else 5),
-            "preprobe": (PreprobeMode(options.preprobe)
-                         if options.preprobe is not None
-                         else PreprobeMode.HITLIST),
-            "probing_rate": options.probing_rate,
-        }
-        if options.seed is not None:
-            overrides["seed"] = options.seed
-        if options.resilience is not None:
-            overrides["resilience"] = options.resilience
-        return FlashRoute(FlashRouteConfig(**overrides),
-                          telemetry=options.telemetry)
+    def build(request, telemetry, resilience) -> FlashRoute:
+        return FlashRoute(FlashRouteConfig(
+            split_ttl=(request.split_ttl if request.split_ttl is not None
+                       else default_split),
+            gap_limit=(request.gap_limit if request.gap_limit is not None
+                       else 5),
+            preprobe=(PreprobeMode(request.preprobe)
+                      if request.preprobe is not None
+                      else PreprobeMode.HITLIST),
+            probing_rate=request.rate, resilience=resilience),
+            telemetry=telemetry)
     return build
 
 
@@ -607,11 +603,7 @@ register_scanner("flashroute-32", _flashroute_factory(32))
 
 
 @register_scanner("yarrp-32-udp-sim")
-def _build_yarrp32_udp_sim(options: ScannerOptions) -> FlashRoute:
-    overrides = {"probing_rate": options.probing_rate}
-    if options.seed is not None:
-        overrides["seed"] = options.seed
-    if options.resilience is not None:
-        overrides["resilience"] = options.resilience
-    return FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(**overrides),
-                      telemetry=options.telemetry)
+def _build_yarrp32_udp_sim(request, telemetry, resilience) -> FlashRoute:
+    return FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
+        probing_rate=request.rate, resilience=resilience),
+        telemetry=telemetry)

@@ -45,6 +45,26 @@ CHECKPOINT_FORMAT = "flashroute-sim-checkpoint"
 #: a version-1 file's record no longer rebuilds a ``ScanRequest``.
 CHECKPOINT_VERSION = 2
 
+#: Virtual seconds an outstanding probe may remain unanswered before it is
+#: re-armed for the next round.
+RETRY_TIMEOUT = 1.0
+#: Multiplicative factor applied to the rate when a round's loss (or
+#: rate-limiter drop ratio) crosses a threshold.
+BACKOFF_FACTOR = 0.5
+#: Fraction of the *base* rate added back per clean round (additive
+#: recovery).
+RECOVERY_FRACTION = 0.125
+#: The rate never drops below this fraction of the base rate.
+RATE_FLOOR_FRACTION = 0.1
+#: Per-round response-loss ratio (1 - responses / probes) at or above
+#: which the controller backs off.  Clean scans have a naturally nonzero
+#: silent ratio (void hops, gap-limit overshoot), so this sits well above
+#: it.
+LOSS_THRESHOLD = 0.85
+#: Per-round (rate-limiter drops / probes) ratio at or above which the
+#: controller backs off.
+DROP_THRESHOLD = 0.05
+
 
 class CheckpointError(ValueError):
     """Raised when a checkpoint file cannot be loaded or fails validation."""
@@ -72,21 +92,7 @@ class ResilienceConfig:
         retries: extra probes allowed per unanswered (destination, ttl)
             hop.  0 (the default) disables retransmission entirely and
             keeps the engine byte-identical to the seed behaviour.
-        retry_timeout: virtual seconds an outstanding probe may remain
-            unanswered before it is re-armed for the next round.
         adaptive_rate: enable the backoff controller.
-        backoff_factor: multiplicative factor applied to the rate when a
-            round's loss (or rate-limiter drop ratio) crosses a threshold.
-        recovery_fraction: fraction of the *base* rate added back per
-            clean round (additive recovery).
-        rate_floor_fraction: the rate never drops below this fraction of
-            the base rate.
-        loss_threshold: per-round response-loss ratio (1 - responses /
-            probes) at or above which the controller backs off.  Clean
-            scans have a naturally nonzero silent ratio (void hops,
-            gap-limit overshoot), so this defaults well above it.
-        drop_threshold: per-round (rate-limiter drops / probes) ratio at
-            or above which the controller backs off.
         checkpoint_path: file to write checkpoints to; ``None`` disables
             checkpointing (interrupts then re-raise unannotated).
         checkpoint_every: write a checkpoint every N round boundaries
@@ -101,13 +107,7 @@ class ResilienceConfig:
     """
 
     retries: int = 0
-    retry_timeout: float = 1.0
     adaptive_rate: bool = False
-    backoff_factor: float = 0.5
-    recovery_fraction: float = 0.125
-    rate_floor_fraction: float = 0.1
-    loss_threshold: float = 0.85
-    drop_threshold: float = 0.05
     checkpoint_path: Optional[str] = None
     checkpoint_every: int = 0
     checkpoint_meta: Optional[dict] = None
@@ -119,27 +119,8 @@ class ResilienceConfig:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.retries > 200:
             raise ValueError(f"retries must be <= 200, got {self.retries}")
-        if self.retry_timeout <= 0:
-            raise ValueError("retry_timeout must be positive")
-        if not 0.0 < self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be in (0, 1)")
-        if not 0.0 < self.recovery_fraction <= 1.0:
-            raise ValueError("recovery_fraction must be in (0, 1]")
-        if not 0.0 < self.rate_floor_fraction <= 1.0:
-            raise ValueError("rate_floor_fraction must be in (0, 1]")
-        if not 0.0 < self.loss_threshold <= 1.0:
-            raise ValueError("loss_threshold must be in (0, 1]")
-        if self.drop_threshold <= 0.0:
-            raise ValueError("drop_threshold must be positive")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-
-    @property
-    def enabled(self) -> bool:
-        """True when any mechanism deviates from the inert defaults."""
-        return (self.retries > 0 or self.adaptive_rate
-                or self.checkpoint_path is not None
-                or self.round_hook is not None)
 
 
 class RetryTracker:
@@ -266,25 +247,21 @@ class AdaptiveRateController:
 
     Once per round the engine reports the round's probe count, response
     count, and rate-limiter drop delta.  A round whose response-loss
-    ratio reaches ``loss_threshold`` — or whose drop ratio reaches
-    ``drop_threshold`` — halves the rate (``backoff_factor``), bounded by
-    the floor; a clean round adds ``recovery_fraction`` of the base rate
-    back, capped at the base.  Decisions depend only on deterministic
+    ratio reaches :data:`LOSS_THRESHOLD` — or whose drop ratio reaches
+    :data:`DROP_THRESHOLD` — halves the rate (:data:`BACKOFF_FACTOR`),
+    bounded by the floor; a clean round adds :data:`RECOVERY_FRACTION` of
+    the base rate back, capped at the base.  Decisions depend only on deterministic
     per-round counters, so same-seed runs adapt identically.
     """
 
-    __slots__ = ("base_rate", "rate", "floor", "backoff_factor",
-                 "recovery_step", "loss_threshold", "drop_threshold",
+    __slots__ = ("base_rate", "rate", "floor", "recovery_step",
                  "backoffs", "recoveries")
 
-    def __init__(self, base_rate: float, config: ResilienceConfig) -> None:
+    def __init__(self, base_rate: float) -> None:
         self.base_rate = base_rate
         self.rate = base_rate
-        self.floor = max(base_rate * config.rate_floor_fraction, 1.0)
-        self.backoff_factor = config.backoff_factor
-        self.recovery_step = base_rate * config.recovery_fraction
-        self.loss_threshold = config.loss_threshold
-        self.drop_threshold = config.drop_threshold
+        self.floor = max(base_rate * RATE_FLOOR_FRACTION, 1.0)
+        self.recovery_step = base_rate * RECOVERY_FRACTION
         self.backoffs = 0
         self.recoveries = 0
 
@@ -295,8 +272,8 @@ class AdaptiveRateController:
         if probes <= 0:
             return None
         loss = 1.0 - responses / probes
-        if loss >= self.loss_threshold or drops / probes >= self.drop_threshold:
-            new_rate = max(self.floor, self.rate * self.backoff_factor)
+        if loss >= LOSS_THRESHOLD or drops / probes >= DROP_THRESHOLD:
+            new_rate = max(self.floor, self.rate * BACKOFF_FACTOR)
             if new_rate < self.rate:
                 self.rate = new_rate
                 self.backoffs += 1

@@ -144,7 +144,7 @@ class ScanRuntime:
         self.resilience = resilience
         self.retries = resilience.retries if resilience is not None \
             else retries
-        self.controller = (AdaptiveRateController(self.rate, resilience)
+        self.controller = (AdaptiveRateController(self.rate)
                            if resilience is not None
                            and resilience.adaptive_rate else None)
         self.engine = engine

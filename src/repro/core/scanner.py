@@ -11,18 +11,22 @@ Adding a tool is one :func:`register_scanner` decorator in its module.
 
 The registry stores *factories*, not instances: scanners hold per-scan
 state, so every :func:`create_scanner` call builds a fresh one from a
-:class:`ScannerOptions`.  Options a tool has no counterpart for are
-ignored by its factory (e.g. ``gap_limit`` for traceroute), mirroring how
-the real tools' command lines differ.
+:class:`~repro.api.ScanRequest` — the same description the CLI, the
+checkpoints and the shard workers carry.  Knobs a tool has no counterpart
+for are ignored by its factory (e.g. ``gap_limit`` for traceroute),
+mirroring how the real tools' command lines differ.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
+from typing import (TYPE_CHECKING, Callable, Dict, Optional, Protocol, Tuple,
+                    runtime_checkable)
 
 from .results import ScanResult
+
+if TYPE_CHECKING:
+    from ..api import ScanRequest
 
 
 @runtime_checkable
@@ -34,46 +38,7 @@ class Scanner(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ScannerOptions:
-    """Tool-independent construction knobs, all optional.
-
-    ``None`` means "the tool's own default"; factories map each option
-    onto their config's field when one exists and ignore it otherwise.
-    """
-
-    #: Probes per second.
-    probing_rate: Optional[float] = None
-
-    #: Initial forward-probing TTL (FlashRoute's split TTL).
-    split_ttl: Optional[int] = None
-
-    #: Consecutive silent hops tolerated during forward probing.
-    gap_limit: Optional[int] = None
-
-    #: Preprobe mode name for tools that preprobe: a
-    #: :class:`~repro.core.config.PreprobeMode` value ("hitlist",
-    #: "random", "none").
-    preprobe: Optional[str] = None
-
-    #: Per-scan randomization seed (probing order, port draws).
-    seed: Optional[int] = None
-
-    #: Optional :class:`repro.obs.Telemetry` bundle (metrics registry,
-    #: tracer, progress reporter).  Factories hand it to their engine;
-    #: ``None`` (the default) keeps every tool on its zero-overhead path.
-    #: Typed loosely to keep this module import-light.
-    telemetry: Optional[object] = None
-
-    #: Optional :class:`repro.core.resilience.ResilienceConfig` (probe
-    #: retries, adaptive rate backoff, checkpoint/resume).  Factories map
-    #: what their tool supports: FlashRoute and Yarrp take the full
-    #: config, Scamper and traceroute honour the retry budget only.
-    #: ``None`` (the default) keeps every tool byte-identical to seed.
-    resilience: Optional[object] = None
-
-
-ScannerFactory = Callable[[ScannerOptions], Scanner]
+ScannerFactory = Callable[["ScanRequest", object, object], Scanner]
 
 _REGISTRY: Dict[str, ScannerFactory] = {}
 _DEFAULTS_LOADED = False
@@ -91,11 +56,14 @@ _DEFAULT_MODULES = (
 def register_scanner(name: str, factory: Optional[ScannerFactory] = None):
     """Register ``factory`` under ``name``; usable as a decorator.
 
-    ::
+    A factory takes a request, an optional :class:`repro.obs.Telemetry`
+    bundle and an optional
+    :class:`~repro.core.resilience.ResilienceConfig`; ``None`` keeps the
+    tool on its zero-overhead, seed-identical path::
 
         @register_scanner("mytool")
-        def _build(options: ScannerOptions) -> Scanner:
-            return MyTool(...)
+        def _build(request, telemetry, resilience) -> Scanner:
+            return MyTool(rate=request.rate, telemetry=telemetry)
 
     Registering an already-taken name raises — shadowing a tool silently
     would corrupt experiment comparisons.
@@ -131,12 +99,12 @@ def scanner_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def create_scanner(name: str,
-                   options: Optional[ScannerOptions] = None) -> Scanner:
-    """Build a fresh scanner registered under ``name``."""
+def create_scanner(request: ScanRequest, telemetry=None,
+                   resilience=None) -> Scanner:
+    """Build a fresh ``request.tool`` scanner (``ScanRequest`` checked
+    the name).  ``resilience`` overrides the request's retry fields: the
+    CLI's config carries a checkpoint path and a round hook."""
     _load_defaults()
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(f"unknown scanner {name!r} (known: {known})")
-    return factory(options if options is not None else ScannerOptions())
+    if resilience is None:
+        resilience = request.resilience_config()
+    return _REGISTRY[request.tool](request, telemetry, resilience)

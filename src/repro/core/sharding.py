@@ -187,8 +187,7 @@ def _tool_profile(plan: ShardPlan) -> Tuple[int, int]:
     prefixes, so per-slice draws would not compose) and hand each slice
     its sub-dict.
     """
-    probe = create_scanner(plan.request.tool,
-                           plan.request.scanner_options())
+    probe = create_scanner(plan.request)
     config = getattr(probe, "config", probe)
     return getattr(config, "seed", 1), getattr(config, "granularity", 24)
 

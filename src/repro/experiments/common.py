@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional
 
-from ..core.scanner import Scanner, ScannerOptions, create_scanner
 from ..core.targets import hitlist_targets, random_targets
 from ..simnet.config import TopologyConfig
 from ..simnet.faults import FaultModel
@@ -81,11 +80,6 @@ class ExperimentContext:
         """A fresh per-scan network (clean rate-limit bins and counters)."""
         return SimulatedNetwork(self.topology, log_probes=log_probes,
                                 rate_limit=rate_limit, faults=faults)
-
-    def tool_scanner(self, name: str,
-                     options: Optional[ScannerOptions] = None) -> Scanner:
-        """A fresh scanner by registry name (see ``repro.core.scanner``)."""
-        return create_scanner(name, options)
 
     @classmethod
     def for_bench(cls, num_prefixes: Optional[int] = None) -> "ExperimentContext":

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from ..analysis.report import render_table
-from ..core.resilience import ResilienceConfig
+from ..api import ScanRequest
 from ..core.results import ScanResult
-from ..core.scanner import ScannerOptions
+from ..core.scanner import create_scanner
 from ..simnet.faults import FaultModel
 from .common import ExperimentContext
 
@@ -73,7 +73,7 @@ def run_loss_sweep(context: ExperimentContext,
     for tool in tools:
         for loss in loss_rates:
             model = FaultModel.symmetric_loss(loss, seed=fault_seed)
-            scanner = context.tool_scanner(tool)
+            scanner = create_scanner(ScanRequest(tool=tool))
             scan = scanner.scan(context.network(faults=model),
                                 targets=context.random_targets)
             result.scans[(tool, loss)] = scan
@@ -90,8 +90,8 @@ def run_loss_sweep(context: ExperimentContext,
     gap_loss = max(loss_rates)
     for gap in (5, 1):
         model = FaultModel.symmetric_loss(gap_loss, seed=fault_seed)
-        scanner = context.tool_scanner(
-            "flashroute-16", ScannerOptions(gap_limit=gap))
+        scanner = create_scanner(
+            ScanRequest(tool="flashroute-16", gap_limit=gap))
         scan = scanner.scan(context.network(faults=model),
                             targets=context.random_targets)
         result.scans[(f"flashroute-16/gap-{gap}", gap_loss)] = scan
@@ -170,16 +170,16 @@ def run_loss_recovery(context: ExperimentContext,
                  f"Holes r{retries}", "Induced", "Recovered", "Recovery",
                  "Probe cost"])
     for tool in tools:
-        clean = context.tool_scanner(tool).scan(
+        clean = create_scanner(ScanRequest(tool=tool)).scan(
             context.network(), targets=context.random_targets)
         clean_holes = _hole_set(clean)
         for loss in loss_rates:
             model = FaultModel.symmetric_loss(loss, seed=fault_seed)
-            bare = context.tool_scanner(tool).scan(
+            bare = create_scanner(ScanRequest(tool=tool)).scan(
                 context.network(faults=model),
                 targets=context.random_targets)
-            retried = context.tool_scanner(tool, ScannerOptions(
-                resilience=ResilienceConfig(retries=retries))).scan(
+            retried = create_scanner(
+                ScanRequest(tool=tool, retries=retries)).scan(
                 context.network(faults=model),
                 targets=context.random_targets)
             result.scans[(tool, loss, 0)] = bare

@@ -11,10 +11,12 @@ from typing import Dict, List
 
 from ..analysis.intrusiveness import TopologyMap, analyze_overprobing
 from ..analysis.report import render_table
+from ..api import ScanRequest
 from ..baselines.yarrp import Yarrp, YarrpConfig
 from ..core.config import FlashRouteConfig, PreprobeMode
 from ..core.prober import FlashRoute
 from ..core.results import ScanResult, format_scan_time
+from ..core.scanner import create_scanner
 from .common import PAPER_RATE_LIMIT, ExperimentContext
 
 
@@ -93,7 +95,7 @@ def run_table3(context: ExperimentContext,
     """FlashRoute-16/32, Yarrp-16/32, Scamper-16, Yarrp-32-UDP simulation.
 
     Tools are resolved through the scanner registry
-    (:mod:`repro.core.scanner`) with default options — the exact
+    (:mod:`repro.core.scanner`) from default requests — the exact
     configurations their registrations encode, which are the paper's
     Table 3 configurations.
     """
@@ -102,7 +104,7 @@ def run_table3(context: ExperimentContext,
         headers=["Tool", "Interfaces", "Probes", "Scan Time"])
 
     def add(label: str, tool: str) -> None:
-        scan = context.tool_scanner(tool).scan(
+        scan = create_scanner(ScanRequest(tool=tool)).scan(
             context.network(), targets=context.random_targets,
             tool_name=label)
         result.scans[label] = scan

@@ -19,7 +19,7 @@ the same instrument panel, dependency-free:
   remaining, discovered interfaces) to stderr, keyed off the *virtual*
   clock so ``--progress`` output is reproducible in tests.
 * :class:`Telemetry` — the bundle engines accept (``telemetry=`` on every
-  scanner constructor / :class:`~repro.core.scanner.ScannerOptions`).
+  scanner constructor and on :func:`~repro.core.scanner.create_scanner`).
   ``None`` (the default) keeps every hot path on its pre-telemetry code,
   byte-identical results included.
 * :class:`Stopwatch` — the one wall-clock timing helper (replaces ad-hoc

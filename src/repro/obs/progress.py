@@ -52,14 +52,6 @@ class ProgressReporter:
         self.lines_emitted += 1
         self._next_at = vnow + self.interval
 
-    def maybe_report(self, vnow: float,
-                     fields: Dict[str, object]) -> bool:
-        """Report if due; returns whether a line was emitted."""
-        if vnow < self._next_at:
-            return False
-        self.report(vnow, fields)
-        return True
-
     @staticmethod
     def _fmt(value: object) -> str:
         if isinstance(value, float):

@@ -24,7 +24,7 @@ from hypothesis import example, given, strategies as st
 from repro import api
 from repro.cli import _build_parser, main
 from repro.core.config import FlashRouteConfig, PreprobeMode
-from repro.core.scanner import create_scanner, ScannerOptions, scanner_names
+from repro.core.scanner import create_scanner, scanner_names
 from repro.core.sharding import ShardPlan
 from repro.net.packets import IPv4Header, ProbeHeader
 from repro.net.pcap import read_pcap
@@ -458,8 +458,7 @@ class TestEngineSessions:
 
         network = SimulatedNetwork(Topology(request.topology_config()),
                                    faults=request.fault_model())
-        via_registry = create_scanner(
-            "flashroute-16", ScannerOptions()).scan(network)
+        via_registry = create_scanner(request).scan(network)
         assert via_api.fingerprint() == via_registry.fingerprint()
         assert via_api.probes_sent == via_registry.probes_sent
 
@@ -560,7 +559,7 @@ class TestDeprecation:
 
         for build in (FlashRoute, Yarrp, Scamper, TracerouteScanner):
             build()
-        create_scanner("flashroute-16", ScannerOptions())
+        create_scanner(api.ScanRequest())
         api.scan(tool="traceroute", prefixes=4)
 
     def test_discovery_mode_is_sanctioned(self):

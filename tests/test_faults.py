@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import ScanRequest
 from repro.core import FlashRoute, FlashRouteConfig
 from repro.core.output import result_to_dict
-from repro.core.scanner import ScannerOptions, create_scanner
+from repro.core.scanner import create_scanner
 from repro.simnet import (
     FaultInjector,
     FaultModel,
@@ -166,8 +167,8 @@ class TestGapLimitUnderLoss:
         model = FaultModel.symmetric_loss(0.1, seed=6)
 
         def interfaces(gap):
-            scanner = create_scanner("flashroute-16",
-                                     ScannerOptions(gap_limit=gap))
+            scanner = create_scanner(
+                ScanRequest(tool="flashroute-16", gap_limit=gap))
             network = SimulatedNetwork(topology, faults=model)
             return scanner.scan(network).interface_count()
 

@@ -200,12 +200,13 @@ class TestProgressReporter:
         stream = io.StringIO()
         progress = ProgressReporter(interval=10.0, stream=stream)
         assert progress.due(0.0)
-        assert progress.maybe_report(0.0, {"probes": 5})
+        progress.report(0.0, {"probes": 5})
         # Not due again until 10 virtual seconds later, no matter how
         # many checkpoints happen in between.
-        assert not progress.maybe_report(3.0, {"probes": 6})
+        assert not progress.due(3.0)
         assert not progress.due(9.99)
-        assert progress.maybe_report(12.0, {"probes": 1234})
+        assert progress.due(12.0)
+        progress.report(12.0, {"probes": 1234})
         assert progress.lines_emitted == 2
         lines = stream.getvalue().splitlines()
         assert lines[0] == "[progress] t=0.0s probes=5"
@@ -343,15 +344,15 @@ class TestBaselineTelemetry:
     @pytest.mark.parametrize("tool", ["yarrp-16", "scamper-16",
                                       "traceroute"])
     def test_registry_tools_record(self, topology, tool, tmp_path):
-        from repro.core.scanner import ScannerOptions, create_scanner
+        from repro.api import ScanRequest
+        from repro.core.scanner import create_scanner
 
         path = str(tmp_path / "trace.jsonl")
         stream = io.StringIO()
         telemetry = Telemetry(
             tracer=ScanTracer(path=path),
             progress=ProgressReporter(interval=5.0, stream=stream))
-        scanner = create_scanner(tool, ScannerOptions(seed=1,
-                                                      telemetry=telemetry))
+        scanner = create_scanner(ScanRequest(tool=tool), telemetry)
         network = SimulatedNetwork(topology)
         result = scanner.scan(network)
         telemetry.record_network(network)

@@ -27,7 +27,7 @@ from repro.core.resilience import (
     load_checkpoint,
     write_checkpoint,
 )
-from repro.core.scanner import ScannerOptions, create_scanner
+from repro.core.scanner import create_scanner
 from repro.core.targets import random_targets
 from repro.obs import EventRecorder, Telemetry, read_events, validate_events
 from repro.obs.scandiff import diff_views, view_from_events
@@ -65,9 +65,8 @@ def run_tool(topology, tool, resilience=None, events_path=None,
     telemetry = None
     if events_path is not None:
         telemetry = Telemetry(events=EventRecorder(path=str(events_path)))
-    scanner = create_scanner(tool, ScannerOptions(
-        seed=1, probing_rate=rate, telemetry=telemetry,
-        resilience=resilience))
+    scanner = create_scanner(ScanRequest(tool=tool, rate=rate), telemetry,
+                             resilience)
     network = network_class(topology, faults=faults)
     result = scanner.scan(network, targets=random_targets(topology, seed=1))
     if telemetry is not None:
@@ -172,9 +171,8 @@ class TestRetryRecovery:
 # --------------------------------------------------------------------- #
 
 class TestAdaptiveRateController:
-    def controller(self, base=1000.0, **knobs):
-        return AdaptiveRateController(
-            base, ResilienceConfig(adaptive_rate=True, **knobs))
+    def controller(self, base=1000.0):
+        return AdaptiveRateController(base)
 
     def test_quiet_round_is_a_no_op(self):
         controller = self.controller()

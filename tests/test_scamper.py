@@ -31,7 +31,6 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"first_ttl": 0}, {"first_ttl": 20, "max_ttl": 18},
         {"max_ttl": 40}, {"gap_limit": -1},
-        {"no_stop_window": (10, 5)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import pickle
 
 from repro.api import ScanRequest
 from repro.core import sharding
-from repro.core.scanner import ScannerOptions, create_scanner
+from repro.core.scanner import create_scanner
 from repro.core.sharding import ShardPlan, build_slice_targets
 from repro.simnet.config import TopologyConfig
 from repro.simnet.network import SimulatedNetwork
@@ -67,7 +67,7 @@ class TestDeterministicRebuild:
         fingerprints = []
         for topology in (Topology(_CONFIG), Topology(_CONFIG)):
             network = SimulatedNetwork(topology)
-            scanner = create_scanner("flashroute-16", ScannerOptions())
+            scanner = create_scanner(ScanRequest())
             fingerprints.append(scanner.scan(network).fingerprint())
         assert fingerprints[0] == fingerprints[1]
 

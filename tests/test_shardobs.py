@@ -192,10 +192,11 @@ class TestShardHeartbeatReporter:
     def test_record_schema_and_fields(self):
         records = []
         reporter = ShardHeartbeatReporter(1.0, records.append, 7)
-        reporter.maybe_report(0.0, {"tool": "FlashRoute-16", "round": 1,
-                                    "probes": 100, "responses": 40,
-                                    "pps": 50.0, "remaining": 12,
-                                    "interfaces": 9, "ignored": "x"})
+        assert reporter.due(0.0)
+        reporter.report(0.0, {"tool": "FlashRoute-16", "round": 1,
+                              "probes": 100, "responses": 40,
+                              "pps": 50.0, "remaining": 12,
+                              "interfaces": 9, "ignored": "x"})
         assert len(records) == 1
         record = records[0]
         assert record["schema"] == HEARTBEAT_SCHEMA
@@ -212,7 +213,8 @@ class TestShardHeartbeatReporter:
         reporter = ShardHeartbeatReporter(10.0, records.append, 0,
                                           min_wall_seconds=0.0)
         for vt in (0.0, 1.0, 5.0, 9.9, 10.0, 15.0, 20.0):
-            reporter.maybe_report(vt, {"probes": int(vt)})
+            if reporter.due(vt):
+                reporter.report(vt, {"probes": int(vt)})
         assert [r["vt"] for r in records] == [0.0, 10.0, 20.0]
         assert reporter.heartbeats_sent == 3
 
@@ -224,7 +226,8 @@ class TestShardHeartbeatReporter:
         reporter = ShardHeartbeatReporter(1.0, records.append, 0,
                                           min_wall_seconds=3600.0)
         for vt in (0.0, 1.0, 2.0, 3.0):
-            reporter.maybe_report(vt, {"probes": int(vt)})
+            if reporter.due(vt):
+                reporter.report(vt, {"probes": int(vt)})
         assert [r["vt"] for r in records] == [0.0]
         assert reporter.heartbeats_sent == 1
         assert reporter.heartbeats_suppressed == 3
