@@ -2,28 +2,32 @@
 
 The paper defers IPv6 to future work, noting that the control state must
 be redesigned for sparse allocation.  This benchmark runs FlashRoute's one
-engine over a seed-list-driven sparse topology — the DCB array indexed
-through a dict of the scan's own /64s — against Yarrp's stateless sweep of
-one probe per (target, hop), and checks that FlashRoute's headline carries
-over: a small fraction of the probes for (nearly) the same interface
-discovery.
+engine over the simulator's IPv6 address plan — the one routed topology
+with each stub a /48 site and each block a sparsely numbered /64, scanned
+from its seed list of one known address per /64, with the DCB array
+indexed through a dict of the scan's own /64s — against Yarrp's stateless
+sweep of one probe per (target, hop), and checks that FlashRoute's
+headline carries over: a small fraction of the probes for (nearly) the
+same interface discovery.
 """
 
 from conftest import run_once
 from repro.analysis.report import render_table
 from repro.core import FlashRoute, FlashRouteConfig
 from repro.core.results import format_scan_time
-from repro.v6 import SimulatedNetwork6, Topology6, TopologyConfig6
+from repro.simnet import SimulatedNetwork, Topology, TopologyConfig
 
 
 def _run_v6_comparison():
-    topology = Topology6(TopologyConfig6(num_sites=256))
+    # seed 2018: Yarrp6's IMC year.
+    topology = Topology(TopologyConfig(num_prefixes=1024, seed=2018,
+                                       address_bits=128))
     targets = topology.seed_targets()
     flashroute = FlashRoute(FlashRouteConfig.flashroute_16_v6()).scan(
-        SimulatedNetwork6(topology), targets=targets)
+        SimulatedNetwork(topology), targets=targets)
     exhaustive = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
         granularity=64, probing_rate=1000.0)).scan(
-        SimulatedNetwork6(topology), targets=targets,
+        SimulatedNetwork(topology), targets=targets,
         tool_name="Yarrp-32-UDP sim")
     return topology, flashroute, exhaustive
 

@@ -6,11 +6,12 @@ the target list comes from seed addresses (hitlists/traces) and the
 control state cannot be an array over the prefix space.  FlashRoute's one
 engine handles both: over a v6 topology it keys blocks by /64 and indexes
 the DCB array through a dict of the scan's own targets.  This example
-builds a sparse simulated v6 Internet, scans its seed list, compares
+builds the simulated Internet with its IPv6 address plan (each stub a /48
+site, each block a sparsely numbered /64), scans its seed list, compares
 against Yarrp's sweep of one probe per (target, hop), and shows why the
 array over the prefix space had to go.
 
-Run:  python examples/ipv6_scan.py [num_sites]
+Run:  python examples/ipv6_scan.py [num_subnets]
 """
 
 import sys
@@ -19,14 +20,15 @@ from repro.core import (DCBArray, FlashRoute, FlashRouteConfig,
                         projected_scan_memory)
 from repro.core.results import format_scan_time
 from repro.net.addr6 import int_to_ip6
-from repro.v6 import SimulatedNetwork6, Topology6, TopologyConfig6
+from repro.simnet import SimulatedNetwork, Topology, TopologyConfig
 
 
 def main() -> None:
-    num_sites = int(sys.argv[1]) if len(sys.argv) > 1 else 128
-    topology = Topology6(TopologyConfig6(num_sites=num_sites))
+    num_subnets = int(sys.argv[1]) if len(sys.argv) > 1 else 512
+    topology = Topology(TopologyConfig(num_prefixes=num_subnets,
+                                       address_bits=128))
     targets = topology.seed_targets()
-    print(f"Sparse v6 Internet: {num_sites} sites announcing "
+    print(f"Sparse v6 Internet: {len(topology.stubs)} /48 sites announcing "
           f"{len(targets)} /64 subnets (seed list):")
     for subnet, target in list(sorted(targets.items()))[:3]:
         print(f"  {int_to_ip6(subnet << 64)}/64 -> seed "
@@ -43,11 +45,11 @@ def main() -> None:
           f"by /64 prefix would need 2^64 slots (the /32 IPv4 array alone "
           f"is already {projected_scan_memory(32) / 2**30:.0f} GiB, §5.4).")
 
-    result = FlashRoute(config).scan(SimulatedNetwork6(topology),
+    result = FlashRoute(config).scan(SimulatedNetwork(topology),
                                      targets=targets)
     baseline = FlashRoute(FlashRouteConfig.yarrp32_udp_simulation(
         granularity=64, probing_rate=1000.0)).scan(
-        SimulatedNetwork6(topology), targets=targets)
+        SimulatedNetwork(topology), targets=targets)
 
     print(f"\nFlashRoute-16: interfaces={result.interface_count():,} "
           f"probes={result.probes_sent:,} "

@@ -199,52 +199,6 @@ class MultiplicativeCycle:
                 yield step, value - 1
             value = value * self.g % self.p
 
-    # ------------------------------------------------------------------ #
-    # Shard slicing
-    # ------------------------------------------------------------------ #
-
-    def split_steps(self, num_shards: int) -> List[tuple]:
-        """Contiguous ``(first_step, stop_step)`` ranges splitting the full
-        group walk into ``num_shards`` near-equal pieces.
-
-        ``iter_steps(first, stop)`` over the ranges in order replays the
-        full cycle exactly: the ranges are disjoint, union-complete, and
-        order-preserving.  Ranges at the tail may be empty when
-        ``num_shards`` exceeds the cycle length.
-        """
-        if num_shards <= 0:
-            raise PermutationError("num_shards must be positive")
-        total = self.p - 1
-        base, extra = divmod(total, num_shards)
-        ranges = []
-        first = 0
-        for shard in range(num_shards):
-            width = base + (1 if shard < extra else 0)
-            ranges.append((first, first + width))
-            first += width
-        return ranges
-
-    def iter_shard(self, shard_index: int,
-                   num_shards: int) -> Iterator[tuple]:
-        """The stride-``num_shards`` residue slice of the cycle's *emission*
-        order: ``(emission_index, domain_value)`` for every in-domain value
-        whose position in the full walk satisfies
-        ``emission_index % num_shards == shard_index``.
-
-        The ``num_shards`` slices partition the full cycle exactly —
-        disjoint, union-complete, and (interleaved by emission index)
-        reproducing ``__iter__``'s order — which is what lets independent
-        workers walk deterministic subsets of the keyspace.
-        """
-        if num_shards <= 0:
-            raise PermutationError("num_shards must be positive")
-        if not 0 <= shard_index < num_shards:
-            raise PermutationError(
-                f"shard_index must be in [0, {num_shards})")
-        for emission, (_, domain_value) in enumerate(self.iter_steps(0)):
-            if emission % num_shards == shard_index:
-                yield emission, domain_value
-
 
 def _prime_factors(value: int) -> List[int]:
     factors = []

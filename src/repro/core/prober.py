@@ -79,11 +79,13 @@ def _check_family(config: FlashRouteConfig, topology) -> None:
         raise ValueError(f"granularity /{config.granularity} does not fit "
                          f"{where}")
     if v6 and config.preprobe is PreprobeMode.HITLIST:
-        raise ValueError(f"preprobe mode 'hitlist' does not fit {where}, "
-                         f"which has no hitlist")
+        raise ValueError(f"preprobe mode 'hitlist' does not fit {where}: "
+                         f"its seed list already holds one known address "
+                         f"per /64, so §5.4 preprobes the targets")
     if v6 and config.probing_rate is None:
-        raise ValueError(f"probing_rate None does not fit {where}, which "
-                         f"has no prefix count to scale it to")
+        raise ValueError(f"probing_rate None does not fit {where}: the "
+                         f"paper's rate scales with the IPv4 /24 space, "
+                         f"which a /64 seed list does not sample")
 
 
 def _measured_distance(response: IcmpResponse, dst: int,

@@ -141,6 +141,10 @@ class ScanRuntime:
                        and telemetry.tracer.enabled else None)
         self.progress = telemetry.progress if telemetry is not None else None
         self.events = telemetry.events if telemetry is not None else None
+        if topology.address_bits == 128 and self.events is not None \
+                and self.events.binary:
+            raise ValueError("a binary event log packs addresses in 32 "
+                             "bits; record IPv6 scans as JSONL")
         self.resilience = resilience
         self.retries = resilience.retries if resilience is not None \
             else retries
@@ -419,7 +423,7 @@ class ScanRuntime:
         """Start the adaptive controller's observation window here."""
         self._window = (self.clock.now, self.result.probes_sent,
                         self.result.responses,
-                        getattr(self.network, "drop_count", 0))
+                        self.network.drop_count)
 
     def boundary(self, window: float = 0.0) -> None:
         """One round or chunk boundary: feed the adaptive controller the
@@ -462,7 +466,6 @@ class ScanRuntime:
         immutable topology and performance-only.
         """
         now = self.clock.now
-        export = getattr(self.network, "export_dynamic_state", None)
         state = {
             "engine": self.engine,
             "clock": now,
@@ -471,7 +474,7 @@ class ScanRuntime:
             "queue": [response_to_dict(r) for r in self.queue.snapshot()],
             "adaptive": (self.controller.state_dict()
                          if self.controller is not None else None),
-            "network": export(now) if export is not None else None,
+            "network": self.network.export_dynamic_state(now),
         }
         state.update(self.policy_state())
         return state
@@ -492,10 +495,9 @@ class ScanRuntime:
         self._delivered = self.clock.now
         if state.get("adaptive") is not None and self.controller is not None:
             self.controller.restore_state(state["adaptive"])
-        restore = getattr(self.network, "restore_dynamic_state", None)
-        if state.get("network") is not None and restore is not None:
+        if state.get("network") is not None:
             try:
-                restore(state["network"])
+                self.network.restore_dynamic_state(state["network"])
             except ValueError as exc:
                 raise CheckpointError(
                     f"checkpoint network state: {exc}") from None

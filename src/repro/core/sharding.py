@@ -4,8 +4,7 @@ The scan keyspace is cut into a **fixed number of logical slices**
 (:data:`DEFAULT_SLICES`, independent of the worker count): the global
 :class:`~repro.core.permutation.MultiplicativeCycle` over the prefix
 domain assigns the ``k``-th emitted prefix to slice ``k % slices``
-(exactly :meth:`~repro.core.permutation.MultiplicativeCycle.iter_shard`'s
-stride-residue partition).  Each slice runs as an independent, fully
+(:func:`slice_assignment`'s stride-residue partition).  Each slice runs as an independent, fully
 deterministic subscan — its own :class:`~repro.api.ScanSession` on a
 fresh :class:`~repro.api.Engine` (fresh virtual clock, rate-limiter
 bins, route cache and fault counters) over the *shared read-only*
@@ -197,8 +196,8 @@ def slice_assignment(num_prefixes: int, seed: int,
     """Slice index of each prefix offset, derived from the global
     permutation: the ``k``-th prefix the full
     :class:`MultiplicativeCycle` walk emits lands in slice
-    ``k % slices`` (the same stride-residue partition
-    :meth:`MultiplicativeCycle.iter_shard` yields slice by slice)."""
+    ``k % slices``: a stride-residue partition, so slices differ in size
+    by at most one prefix and interleave back into the walk's order."""
     cycle = MultiplicativeCycle(num_prefixes, seed=seed ^ _SLICE_SALT)
     assignment = [0] * num_prefixes
     for emission, offset in enumerate(cycle):

@@ -2,21 +2,17 @@
 
 The paper's §5.4 plans a FlashRoute extension to IPv6, noting the control
 state must be redesigned because allocated IPv6 addresses are sparse [20] —
-no 2^24-style array can index them.  This module supplies the address
-plumbing for that extension (see ``repro.v6``): parsing/formatting with
-RFC 5952 ``::`` compression, prefix math on 128-bit integers, and the
-standard scanning-related constants.
+no 2^24-style array can index them.  The simulator's IPv6 address plan
+(``repro.simnet.topology``) and the examples read and print addresses
+through this module: parsing and formatting with RFC 5952 ``::``
+compression.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 MAX_IPV6 = 2**128 - 1
-
-#: Conventional subnet size; one target per /64 is the Yarrp6-style
-#: granularity the v6 extension scans at.
-SUBNET_PREFIX_LEN = 64
 
 
 class Address6Error(ValueError):
@@ -95,45 +91,3 @@ def int_to_ip6(value: int) -> str:
     head = ":".join(f"{group:x}" for group in groups[:best_start])
     tail = ":".join(f"{group:x}" for group in groups[best_start + best_len:])
     return f"{head}::{tail}"
-
-
-def prefix6_of(addr: int, length: int) -> int:
-    """Network part of ``addr`` under a /``length`` mask."""
-    if not 0 <= addr <= MAX_IPV6:
-        raise Address6Error(f"address out of range: {addr:#x}")
-    if not 0 <= length <= 128:
-        raise Address6Error(f"prefix length out of range: {length}")
-    if length == 0:
-        return 0
-    mask = (MAX_IPV6 << (128 - length)) & MAX_IPV6
-    return addr & mask
-
-
-def subnet64_of(addr: int) -> int:
-    """The /64 subnet index (upper 64 bits) of an address."""
-    if not 0 <= addr <= MAX_IPV6:
-        raise Address6Error(f"address out of range: {addr:#x}")
-    return addr >> 64
-
-
-def addr_in_subnet64(subnet: int, interface_id: int) -> int:
-    """Compose an address from a /64 index and a 64-bit interface id."""
-    if not 0 <= subnet < 2**64:
-        raise Address6Error(f"subnet index out of range: {subnet:#x}")
-    if not 0 <= interface_id < 2**64:
-        raise Address6Error(f"interface id out of range: {interface_id:#x}")
-    return (subnet << 64) | interface_id
-
-
-def cidr6_to_range(cidr: str) -> Tuple[int, int]:
-    """Parse ``addr/len`` into an inclusive (first, last) pair."""
-    try:
-        base_text, length_text = cidr.split("/")
-    except ValueError as exc:
-        raise Address6Error(f"not CIDR notation: {cidr!r}") from exc
-    length = int(length_text)
-    if not 0 <= length <= 128:
-        raise Address6Error(f"prefix length out of range in {cidr!r}")
-    base = prefix6_of(ip6_to_int(base_text), length)
-    span = 1 << (128 - length)
-    return base, base + span - 1

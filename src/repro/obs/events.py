@@ -190,6 +190,12 @@ class EventRecorder:
         if self._ring is None:
             self._write_header()
 
+    @property
+    def binary(self) -> bool:
+        """Whether records use the fixed binary layout, whose prefix and
+        address fields are 32 bits wide."""
+        return self._binary
+
     # ------------------------------------------------------------------ #
     # Emission (engine hot paths call these; keep them lean)
     # ------------------------------------------------------------------ #

@@ -38,6 +38,12 @@ class TopologyConfig:
     #: deterministic in this seed.
     seed: int = 20201027  # IMC '20 started Oct 27 2020
 
+    #: Address family the topology is probed in: 32 (IPv4), or 128 for
+    #: the IPv6 address plan over the same routed structure (each stub a
+    #: /48 site, each of its /24 blocks a sparsely numbered /64; see
+    #: ``docs/simulator.md``).
+    address_bits: int = 32
+
     # ------------------------------------------------------------------ #
     # Stub networks
     # ------------------------------------------------------------------ #
@@ -240,6 +246,8 @@ class TopologyConfig:
         scan_end = self.base_prefix_addr + self.num_prefixes * 256
         if self.base_prefix_addr <= overlap_start < scan_end:
             raise ValueError("infrastructure space overlaps the scanned space")
+        if self.address_bits not in (32, 128):
+            raise ValueError("address_bits must be 32 or 128")
         if not 0 < self.icmp_rate_limit:
             raise ValueError("icmp_rate_limit must be positive")
 

@@ -53,9 +53,8 @@ class ResponseQueue:
         self._seq += 1
         heapq.heappush(self._heap, (response.arrival_time, self._seq, response))
         # An injected duplicate (repro.simnet.faults) rides chained on its
-        # original; deliver it as an independent arrival.  getattr: the v6
-        # layer pushes its own response type, which carries no fault slots.
-        dup = getattr(response, "dup", None)
+        # original; deliver it as an independent arrival.
+        dup = response.dup
         if dup is not None:
             self._seq += 1
             heapq.heappush(self._heap, (dup.arrival_time, self._seq, dup))
@@ -72,7 +71,7 @@ class ResponseQueue:
             if response is not None:
                 seq += 1
                 push(heap, (response.arrival_time, seq, response))
-                dup = getattr(response, "dup", None)
+                dup = response.dup
                 if dup is not None:
                     seq += 1
                     push(heap, (dup.arrival_time, seq, dup))

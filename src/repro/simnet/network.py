@@ -35,11 +35,20 @@ stateless per-probe hashes, so the same fault seed yields the same fault
 sequence on either path and the cached-vs-uncached equivalence guarantee
 extends to faulted scans.  A disabled (default) model costs the hot path
 nothing beyond one ``is not None`` test per response.
+
+Over a 128-bit topology (the IPv6 address plan, :mod:`repro.simnet.
+topology`) a network is built as its class's IPv6 edge, chosen once in
+``__new__``: ``send_probe``/``send_probes`` map each destination to its
+internal IPv4 form, hand the burst to the class's own (IPv4) send path,
+and map each response's responder and quoted addresses back.  Everything
+in between — route cache, rate limiter, faults, flows, epochs and
+middleboxes — is the IPv4 code path, and no IPv4 probe pays a family test.
 """
 
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..net.icmp import IcmpResponse, ResponseKind
@@ -71,6 +80,12 @@ class SimulatedNetwork:
                  "probe_log", "probes_sent", "responses_generated",
                  "rewritten_responses", "_flap_epoch_seconds", "faults",
                  "_spare_limiters", "__weakref__")
+
+    def __new__(cls, topology: Topology, *args, **kwargs):
+        """Over a 128-bit topology, build the class's IPv6 edge."""
+        if topology.address_bits == 128 and not issubclass(cls, _Ipv6Edge):
+            cls = _ipv6_edge(cls)
+        return super().__new__(cls)
 
     def __init__(self, topology: Topology, log_probes: bool = False,
                  rate_limit: Optional[int] = None,
@@ -211,7 +226,7 @@ class SimulatedNetwork:
         limiter returns to the core, and the next session takes it with
         every bin invalidated by :meth:`IcmpRateLimiter.reset`.
         """
-        session = SimulatedNetwork.__new__(SimulatedNetwork)
+        session = SimulatedNetwork.__new__(SimulatedNetwork, self.topology)
         spares = self._spare_limiters
         session._open(self.topology, self.latency, self.route_cache, faults,
                       rate_limit, log_probes, spares)
@@ -503,3 +518,62 @@ class SimulatedNetwork:
         if faults is not None:
             return faults.filter(dst, ttl, send_time, response)
         return response
+
+
+class _Ipv6Edge:
+    """The network's edge over an IPv6 address plan, mixed in ahead of a
+    network class by ``SimulatedNetwork.__new__``.
+
+    A probe to an unannounced /64, or to an interface ID above 255, is
+    silence, but it is still counted as sent.  The ``single`` hint stays
+    behind: it only spares a table build, and responses are the same."""
+
+    __slots__ = ()
+
+    def send_probe(self, dst: int, ttl: int, send_time: float,
+                   src_port: int, dst_port: int = 33434, ipid: int = 0,
+                   udp_length: int = UDP_HEADER_LEN, proto: int = PROTO_UDP,
+                   flow: Optional[int] = None,
+                   single: bool = False) -> Optional[IcmpResponse]:
+        return self.send_probes(
+            ((dst, ttl, send_time, src_port, ipid, udp_length),),
+            dst_port, proto, flow)[0]
+
+    def send_probes(self, probes: Iterable[BatchProbe],
+                    dst_port: int = 33434, proto: int = PROTO_UDP,
+                    flow: Optional[int] = None
+                    ) -> List[Optional[IcmpResponse]]:
+        topo = self.topology
+        internal = topo.internal_addr
+        inbound = []
+        slots = []
+        count = 0
+        for dst, ttl, send_time, src_port, ipid, udp_length in probes:
+            dst = internal(dst)
+            if dst >= 0:
+                inbound.append((dst, ttl, send_time, src_port, ipid,
+                                udp_length))
+                slots.append(count)
+            count += 1
+        self.probes_sent += count - len(inbound)
+        results: List[Optional[IcmpResponse]] = [None] * count
+        external = topo.external_addr
+        for slot, response in zip(slots, super().send_probes(
+                inbound, dst_port, proto, flow)):
+            if response is not None:
+                response.responder = external(response.responder)
+                quoted = response.quoted
+                quoted.src = external(quoted.src)
+                quoted.dst = external(quoted.dst)
+                if response.dup is not None:
+                    # The duplicate shares its original's quotation.
+                    response.dup.responder = response.responder
+                results[slot] = response
+        return results
+
+
+
+@lru_cache(maxsize=None)
+def _ipv6_edge(cls: type) -> type:
+    """``cls`` with :class:`_Ipv6Edge` ahead of it, one class per ``cls``."""
+    return type(cls.__name__, (_Ipv6Edge, cls), {"__slots__": ()})

@@ -33,6 +33,19 @@ not with /24s.  ``prefixes[i]`` builds a :class:`PrefixInfo` view from the
 columns for analysis and tests; nothing on the probe or set-up path reads
 through it.  ``tests/oracle/topology.py`` keeps the object form this
 replaced, and ``tests/test_topology_oracle.py`` holds the two equal.
+
+IPv6 address plan
+-----------------
+With ``TopologyConfig.address_bits == 128`` the same structure is
+addressed in IPv6 (§5.4): each stub is a /48 site under 2001:db8::/32 and
+each of its /24 blocks a /64 at a sparse 16-bit subnet ID, drawn from its
+own RNG stream after everything above, so the columns are the IPv4
+topology's.  An in-block address ``prefix_base | octet`` is ``/64 | octet``;
+infrastructure interfaces count up from 2001:db8:ffff::, the vantage just
+below.  :meth:`internal_addr` and :meth:`external_addr` translate; the
+public queries (:meth:`true_route`, :meth:`destination_distance`,
+:meth:`seed_targets`) take and give IPv6 addresses, while :meth:`hop_at`
+and every column stay in the internal IPv4 form.
 """
 
 from __future__ import annotations
@@ -41,9 +54,10 @@ import random
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..net.addr import prefix24_base
+from ..net.addr6 import ip6_to_int
 from .config import TopologyConfig, weighted_choice
 from .entities import (
     VOID_HOP,
@@ -69,6 +83,15 @@ _HOST_OCTETS = bytes(range(2, 250))
 _GATEWAY_OCTET = 0x01
 _ALT_OCTET = 240
 _CHAIN_TOP = 254
+
+#: The IPv6 plan: sites are /48s of 2001:db8::/32 (site ID in bits 16-31 of
+#: the /64 key), infrastructure counts up from 2001:db8:ffff::, which
+#: reserves site 0xFFFF.
+_SITE6_KEY = ip6_to_int("2001:db8::") >> 64
+_INFRA6_BASE = ip6_to_int("2001:db8:ffff::")
+_MAX_SITES6 = 0xFFFF
+_IID_MASK = (1 << 64) - 1
+_PLAN6_SALT = 0x36363636
 
 
 def _host_pool(taken: Set[int]) -> bytes:
@@ -111,11 +134,10 @@ class PrefixRecords(Sequence):
 class Topology:
     """Immutable simulated topology plus ground-truth query methods."""
 
-    #: The address family a scan over this topology probes (IPv4).
-    address_bits = 32
-
     def __init__(self, config: TopologyConfig) -> None:
         self.config = config
+        #: The address family a scan over this topology probes.
+        self.address_bits = config.address_bits
         self.base_prefix = config.base_prefix_addr >> 8
         self.num_prefixes = config.num_prefixes
         self.vantage_addr = config.infrastructure_base_addr - 1
@@ -157,6 +179,8 @@ class Topology:
         self.ping_octets = bytearray()
 
         self._generate(random.Random(config.seed))
+        if self.address_bits == 128:
+            self._draw_address_plan(random.Random(config.seed ^ _PLAN6_SALT))
 
     @property
     def prefixes(self) -> PrefixRecords:
@@ -392,6 +416,22 @@ class Topology:
         from .hitlist import synthesize_hitlist  # local import: avoids cycle
         synthesize_hitlist(self, random.Random(cfg.seed ^ 0x48495453))
 
+    def _draw_address_plan(self, rng: random.Random) -> None:
+        """Number each stub's blocks as /64s of its /48 site: sparse
+        subnet IDs, not 0..k (the sparsity [20] that rules out
+        array-indexed control state)."""
+        if len(self.stubs) > _MAX_SITES6:
+            raise ValueError(f"{len(self.stubs)} stubs do not fit the "
+                             f"IPv6 plan's {_MAX_SITES6} /48 sites")
+        #: Block offset -> its /64 key (``subnets`` maps back).
+        self.subnet_keys = keys = array("Q")
+        for stub in self.stubs:
+            site = _SITE6_KEY | stub.stub_id << 16
+            keys.extend(site | subnet_id for subnet_id
+                        in rng.sample(range(1, 0xFFFF), stub.block_size))
+        self.subnets: Dict[int, int] = {
+            key: offset for offset, key in enumerate(keys)}
+
     # ------------------------------------------------------------------ #
     # Column reads
     # ------------------------------------------------------------------ #
@@ -453,6 +493,35 @@ class Topology:
             flap=bool(flags & FLAP),
             hitlist_host=self.hitlist_host[offset],
             alt_last_hop=first + count if flags & ALT_LAST_HOP else -1)
+
+    # ------------------------------------------------------------------ #
+    # The IPv6 address plan (128-bit topologies only)
+    # ------------------------------------------------------------------ #
+
+    def internal_addr(self, addr: int) -> int:
+        """The internal IPv4 form of an IPv6 destination, or -1 when its
+        /64 is not announced or its interface ID is above 255."""
+        offset = self.subnets.get(addr >> 64)
+        iid = addr & _IID_MASK
+        if offset is None or iid > 0xFF:
+            return -1
+        return (self.base_prefix + offset) << 8 | iid
+
+    def external_addr(self, addr: int) -> int:
+        """The IPv6 form of an internal address: an in-block one keeps
+        its octet in its /64, infrastructure (and the vantage, just below
+        it) maps in order from 2001:db8:ffff::."""
+        offset = (addr >> 8) - self.base_prefix
+        if 0 <= offset < self.num_prefixes:
+            return self.subnet_keys[offset] << 64 | addr & 0xFF
+        return _INFRA6_BASE + addr - self.config.infrastructure_base_addr
+
+    def seed_targets(self) -> Dict[int, int]:
+        """/64 key -> one known address in it, at its block's hitlist
+        octet: Yarrp6's seed list of one address per announced /64."""
+        hosts = self.hitlist_host
+        return {key: key << 64 | hosts[offset]
+                for key, offset in self.subnets.items()}
 
     # ------------------------------------------------------------------ #
     # Ground-truth queries
@@ -604,19 +673,27 @@ class Topology:
         ``None`` marks hops where nothing would ever answer (void, silent
         router, or the destination itself occupying that TTL and beyond).
         Responsiveness is applied: silent routers appear as ``None``.
+        On a 128-bit topology ``dst`` and the route are IPv6.
         """
+        v6 = self.address_bits == 128
+        if v6:
+            dst = self.internal_addr(dst)
         route: List[Optional[int]] = []
         for ttl in range(1, max_ttl + 1):
             hop = self.hop_at(dst, ttl, flow=flow, epoch=epoch)
             if hop.kind in (HopKind.ROUTER, HopKind.LOOP_ROUTER) \
                     and self.udp_resp[hop.iface]:
-                route.append(self.iface_addrs[hop.iface])
+                addr = self.iface_addrs[hop.iface]
+                route.append(self.external_addr(addr) if v6 else addr)
             else:
                 route.append(None)
         return route
 
     def destination_distance(self, dst: int, epoch: int = 0) -> Optional[int]:
-        """True hop distance of ``dst`` if it is assigned, else ``None``."""
+        """True hop distance of ``dst`` if it is assigned, else ``None``
+        (an IPv6 ``dst`` on a 128-bit topology)."""
+        if self.address_bits == 128:
+            dst = self.internal_addr(dst)
         offset = self.prefix_offset(dst)
         if offset < 0:
             return None

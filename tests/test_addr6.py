@@ -1,18 +1,9 @@
-"""IPv6 address parsing/formatting and prefix math."""
+"""IPv6 address parsing and formatting."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.addr6 import (
-    Address6Error,
-    MAX_IPV6,
-    addr_in_subnet64,
-    cidr6_to_range,
-    int_to_ip6,
-    ip6_to_int,
-    prefix6_of,
-    subnet64_of,
-)
+from repro.net.addr6 import Address6Error, MAX_IPV6, int_to_ip6, ip6_to_int
 
 
 class TestParse:
@@ -64,33 +55,3 @@ class TestFormat:
     @given(st.integers(min_value=0, max_value=MAX_IPV6))
     def test_round_trip(self, value):
         assert ip6_to_int(int_to_ip6(value)) == value
-
-
-class TestPrefixMath:
-    def test_prefix6_of(self):
-        addr = ip6_to_int("2001:db8:1:2::99")
-        assert int_to_ip6(prefix6_of(addr, 48)) == "2001:db8:1::"
-
-    def test_prefix_zero(self):
-        assert prefix6_of(MAX_IPV6, 0) == 0
-
-    def test_subnet64(self):
-        addr = ip6_to_int("2001:db8:1:2::99")
-        assert subnet64_of(addr) == addr >> 64
-
-    def test_compose(self):
-        addr = ip6_to_int("2001:db8::42")
-        assert addr_in_subnet64(subnet64_of(addr), 0x42) == addr
-
-    def test_compose_rejects_bad_interface_id(self):
-        with pytest.raises(Address6Error):
-            addr_in_subnet64(0, 2**64)
-
-    def test_cidr_range(self):
-        first, last = cidr6_to_range("2001:db8::/64")
-        assert last - first + 1 == 2**64
-        assert int_to_ip6(first) == "2001:db8::"
-
-    def test_cidr_rejects_bad_length(self):
-        with pytest.raises(Address6Error):
-            cidr6_to_range("2001:db8::/129")

@@ -302,6 +302,9 @@ class ScriptedNetwork:
     def send_probes(self, probes, dst_port=33434, proto=17, flow=None):
         return [self.script.pop(0) for _ in probes]
 
+    def export_dynamic_state(self, now):
+        return None  # no limiter bins or fault counters to carry
+
 
 class TestOwes:
     def runtime(self, script):

@@ -11,7 +11,7 @@ behavior-preserving; these tests are the proof obligations:
 * cached and uncached networks answer identical probe streams with
   *identical* response objects (rate limiter included);
 * full FlashRoute and Yarrp scans produce identical :class:`ScanResult`
-  fields either way, batched ring walk and all.
+  fields either way, batched ring walk and all, IPv6 address plan too.
 """
 
 from __future__ import annotations
@@ -139,6 +139,21 @@ class TestScanEquivalence:
         for network_class in (SimulatedNetwork, OracleNetwork):
             results.append(FlashRoute(FlashRouteConfig()).scan(
                 network_class(tiny_topology), targets=tiny_targets))
+        assert _result_fields(results[0]) == _result_fields(results[1])
+
+    @pytest.mark.parametrize("faults", [None, FaultModel(
+        probe_loss=0.05, response_loss=0.05, seed=5)],
+        ids=["clean", "lossy"])
+    def test_ipv6_scan_identical(self, faults):
+        """Over the IPv6 address plan both networks sit behind the same
+        edge, so the tables answer v6 scans as the topology does."""
+        topology = Topology(TopologyConfig(num_prefixes=128, seed=3,
+                                           address_bits=128))
+        results = []
+        for network_class in (SimulatedNetwork, OracleNetwork):
+            results.append(FlashRoute(FlashRouteConfig.flashroute_16_v6()
+                                      ).scan(network_class(topology,
+                                                           faults=faults)))
         assert _result_fields(results[0]) == _result_fields(results[1])
 
     def test_scan_leaves_an_uncached_network_uncached(

@@ -15,6 +15,7 @@ import pytest
 
 from repro.api import Engine, ScanRequest
 from repro.core.output import result_to_dict
+from repro.core.permutation import MultiplicativeCycle
 from repro.core.resilience import (
     CheckpointError,
     ScanInterrupted,
@@ -279,6 +280,11 @@ class TestSliceConstruction:
         sizes = [assignment.count(index)
                  for index in range(DEFAULT_SLICES)]
         assert max(sizes) - min(sizes) <= 1
+        # Stride residues: slice k holds the emissions = k mod slices.
+        cycle = MultiplicativeCycle(_PREFIXES,
+                                    seed=_SEED ^ sharding._SLICE_SALT)
+        for emission, offset in enumerate(cycle):
+            assert assignment[offset] == emission % DEFAULT_SLICES
 
     def test_slice_assignment_deterministic(self):
         assert slice_assignment(500, 7, 16) == slice_assignment(500, 7, 16)

@@ -1,6 +1,11 @@
-"""The IPv6 extension: the sparse v6 topology, and FlashRoute scanning it
-on the one engine (``FlashRoute.scan`` over ``ScanRuntime`` and the DCB
-ring), with the address family read from the topology."""
+"""The IPv6 extension: the address plan over the one topology generator,
+the network's edge that answers v6 probes on the IPv4 code path, and
+FlashRoute scanning it on the one engine (``FlashRoute.scan`` over
+``ScanRuntime`` and the DCB ring), with the address family read from the
+topology."""
+
+import io
+from dataclasses import replace
 
 import pytest
 
@@ -10,16 +15,30 @@ from repro.core.encoding import (EncodingError, decode_response,
                                  destination_intact, encode_probe, rtt_ms)
 from repro.core.prober import _ScanRun
 from repro.core.runtime import ScanRuntime
+from repro.net.addr6 import ip6_to_int
 from repro.net.checksum import flow_source_port
 from repro.net.icmp import ResponseKind
 from repro.obs import EventRecorder, Telemetry, read_events
 from repro.simnet import SimulatedNetwork, Topology, TopologyConfig
-from repro.v6 import SimulatedNetwork6, Topology6, TopologyConfig6
+from repro.simnet.faults import FaultModel
+
+from oracle.network import OracleNetwork
+
+
+def v6_topology(num_prefixes, seed=2018):
+    return Topology(TopologyConfig(num_prefixes=num_prefixes, seed=seed,
+                                   address_bits=128))
 
 
 @pytest.fixture(scope="module")
 def topo6():
-    return Topology6(TopologyConfig6(num_sites=48, seed=5))
+    return v6_topology(192, seed=5)
+
+
+@pytest.fixture(scope="module")
+def topo4(topo6):
+    """The same config built as IPv4: the structure the plan relabels."""
+    return Topology(replace(topo6.config, address_bits=32))
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +51,7 @@ def scan6(topology, targets=None, telemetry=None, network=None,
     """FlashRoute-16 over IPv6 (``overrides`` adjust its config)."""
     config = FlashRouteConfig.flashroute_16_v6(**overrides)
     return FlashRoute(config, telemetry=telemetry).scan(
-        network if network is not None else SimulatedNetwork6(topology),
+        network if network is not None else SimulatedNetwork(topology),
         targets=targets)
 
 
@@ -40,14 +59,14 @@ def exhaustive6(topology, targets):
     """Yarrp's sweep of one probe per (target, hop), at the v6 rate."""
     config = FlashRouteConfig.yarrp32_udp_simulation(granularity=64,
                                                      probing_rate=1000.0)
-    return FlashRoute(config).scan(SimulatedNetwork6(topology),
+    return FlashRoute(config).scan(SimulatedNetwork(topology),
                                    targets=targets)
 
 
 def scan_run(topology, targets):
     """The set-up of a v6 scan, for its DCB array and runtime."""
     return _ScanRun(FlashRouteConfig.flashroute_16_v6(),
-                    SimulatedNetwork6(topology), targets,
+                    SimulatedNetwork(topology), targets,
                     None, None, None, None, None)
 
 
@@ -58,16 +77,23 @@ def spread_targets(count):
             for key in range(1, count * step, step)}
 
 
-class RecordingNetwork6(SimulatedNetwork6):
-    """Keeps every (destination, TTL) it was sent."""
+class RecordingNetwork:
+    """Forwards to a network, keeping every (destination, TTL) it sent."""
 
-    def __init__(self, topology):
-        super().__init__(topology)
+    def __init__(self, network):
+        self._network = network
         self.sent = []
 
-    def send_probe(self, dst, hop_limit, *args, **kwargs):
-        self.sent.append((dst, hop_limit))
-        return super().send_probe(dst, hop_limit, *args, **kwargs)
+    def __getattr__(self, name):
+        return getattr(self._network, name)
+
+    def send_probes(self, probes, *args, **kwargs):
+        self.sent.extend((probe[0], probe[1]) for probe in probes)
+        return self._network.send_probes(probes, *args, **kwargs)
+
+    def send_probe(self, dst, ttl, *args, **kwargs):
+        self.sent.append((dst, ttl))
+        return self._network.send_probe(dst, ttl, *args, **kwargs)
 
 
 class TestSparseStore:
@@ -76,7 +102,7 @@ class TestSparseStore:
 
     def test_one_block_per_subnet(self):
         targets = spread_targets(5)
-        run = scan_run(Topology6(TopologyConfig6(num_sites=4)), targets)
+        run = scan_run(v6_topology(16), targets)
         assert run.dcb.size == len(run.dcb) == len(targets)
         for key, dst in targets.items():
             assert run.dcb.destination[run.rt.block_index[key]] == dst
@@ -84,7 +110,7 @@ class TestSparseStore:
     def test_o1_lookup_by_subnet(self, topo6, seed_targets):
         seen = []
         rt = ScanRuntime(
-            SimulatedNetwork6(topo6), "lookup", seed_targets, 1000.0,
+            SimulatedNetwork(topo6), "lookup", seed_targets, 1000.0,
             block_shift=64, verify_quotes=True,
             on_response=lambda response, dst, ttl, pre, offset:
             seen.append((dst, ttl, offset)))
@@ -96,15 +122,13 @@ class TestSparseStore:
         assert rt.block_keys[seen[0][2]] == key
 
     def test_ring_is_shuffled_permutation(self):
-        run = scan_run(Topology6(TopologyConfig6(num_sites=4)),
-                       spread_targets(50))
+        run = scan_run(v6_topology(16), spread_targets(50))
         ring = list(run.dcb.iter_ring())
         assert sorted(ring) == list(range(50))
         assert ring != sorted(ring)
 
     def test_remove_unlinks(self):
-        dcb = scan_run(Topology6(TopologyConfig6(num_sites=4)),
-                       spread_targets(5)).dcb
+        dcb = scan_run(v6_topology(16), spread_targets(5)).dcb
         ring = list(dcb.iter_ring())
         dcb.remove(ring[2])
         assert list(dcb.iter_ring()) == ring[:2] + ring[3:]
@@ -112,8 +136,7 @@ class TestSparseStore:
         assert dcb.is_removed(ring[2])
 
     def test_remove_all(self):
-        dcb = scan_run(Topology6(TopologyConfig6(num_sites=4)),
-                       spread_targets(5)).dcb
+        dcb = scan_run(v6_topology(16), spread_targets(5)).dcb
         for index in dcb.iter_ring():
             dcb.remove(index)
         assert len(dcb) == 0
@@ -122,7 +145,7 @@ class TestSparseStore:
 
     def test_set_distance(self):
         targets = spread_targets(5)
-        run = scan_run(Topology6(TopologyConfig6(num_sites=4)), targets)
+        run = scan_run(v6_topology(16), targets)
         index = run.rt.block_index[sorted(targets)[3]]
         run.dcb.set_distance(index, 12, predicted=False)
         view = run.dcb.view(index)
@@ -133,7 +156,7 @@ class TestSparseStore:
         assert not view.distance_predicted
 
     def test_memory_scales_with_targets_not_universe(self):
-        topology = Topology6(TopologyConfig6(num_sites=4))
+        topology = v6_topology(16)
         small = scan_run(topology, spread_targets(10)).dcb
         large = scan_run(topology, spread_targets(1000)).dcb
         ratio = large.memory_footprint() / small.memory_footprint()
@@ -146,22 +169,27 @@ class TestSparseStore:
 
 class TestEncoding6:
     """The one §3.1 marking over 128-bit addresses: the word rides the
-    UDP payload and SimulatedNetwork6 quotes it back."""
+    ipid slot and the network quotes it back."""
 
     def answer(self, topo6, seed_targets, send_time, ttl=32,
                is_preprobe=True):
-        subnet = next(subnet for subnet, record in topo6.subnets.items()
-                      if record.target_responds)
-        dst = seed_targets[subnet]
-        marking = encode_probe(dst, ttl, send_time, is_preprobe=is_preprobe)
-        response = SimulatedNetwork6(topo6).send_probe(
-            dst, ttl, send_time, marking.src_port, ipid=marking.ipid,
-            udp_length=marking.udp_length)
-        return dst, response
+        network = SimulatedNetwork(topo6)
+        for dst in seed_targets.values():
+            if topo6.destination_distance(dst) is None:
+                continue
+            marking = encode_probe(dst, ttl, send_time,
+                                   is_preprobe=is_preprobe)
+            response = network.send_probe(
+                dst, ttl, send_time, marking.src_port, ipid=marking.ipid,
+                udp_length=marking.udp_length)
+            if response is not None and response.quoted.dst == dst:
+                return dst, response
+        raise AssertionError("no seed target answers")
 
     def test_round_trip(self, topo6, seed_targets):
         dst, response = self.answer(topo6, seed_targets, send_time=3.5)
         assert response.kind is ResponseKind.PORT_UNREACHABLE
+        assert response.responder == dst
         decoded = decode_response(response)
         assert decoded.initial_ttl == 32
         assert decoded.is_preprobe
@@ -197,50 +225,125 @@ class TestEncoding6:
             assert 1024 <= encode_probe(addr, 8, 0.0).src_port <= 65535
 
 
-class TestTopology6:
+class TestAddressPlan:
+    """A 128-bit topology is the IPv4 one, relabelled."""
+
     def test_sparse_subnet_numbering(self, topo6):
-        # Announced /64 subnet ids are scattered, not 0..k.
-        for site in topo6.sites:
-            subnet_ids = [record.subnet & 0xFFFF
-                          for record in topo6.subnets.values()
-                          if record.site_id == site.site_id]
+        # Each stub is a /48 site; its /64 subnet IDs are unique within
+        # it and scattered, not 0..k.
+        site_prefix = ip6_to_int("2001:db8::") >> 64
+        for stub in topo6.stubs:
+            keys = topo6.subnet_keys[stub.first_offset:
+                                     stub.first_offset + stub.block_size]
+            assert {key >> 16 for key in keys} == {
+                site_prefix >> 16 | stub.stub_id}
+            subnet_ids = [key & 0xFFFF for key in keys]
+            assert len(set(subnet_ids)) == len(subnet_ids)
             if len(subnet_ids) >= 3:
                 assert max(subnet_ids) - min(subnet_ids) >= len(subnet_ids)
-                break
 
     def test_seed_targets_one_per_subnet(self, topo6, seed_targets):
-        assert len(seed_targets) == len(topo6.subnets)
-        for subnet, target in seed_targets.items():
-            assert target >> 64 == subnet
+        assert len(seed_targets) == len(topo6.subnets) == topo6.num_prefixes
+        for key, target in seed_targets.items():
+            assert target >> 64 == key
+            offset = topo6.subnets[key]
+            assert target & 0xFF == topo6.hitlist_host[offset]
 
-    def test_route_structure(self, topo6, seed_targets):
-        subnet, target = next(iter(seed_targets.items()))
-        record = topo6.subnets[subnet]
-        site = topo6.sites[record.site_id]
-        assert topo6.hop_iface_at(target, site.border_depth) == \
-            site.border_iface
-        assert topo6.hop_iface_at(target, site.border_depth + 1) == \
-            record.router_iface
-        assert topo6.hop_iface_at(target, site.border_depth + 2) is None
+    def test_route_structure(self, topo6, topo4, seed_targets):
+        # The v6 route is the v4 route of the internal address, mapped.
+        for dst in list(seed_targets.values())[:40]:
+            internal = topo6.internal_addr(dst)
+            assert topo6.external_addr(internal) == dst
+            for flow in (0, flow_source_port(dst)):
+                v4_route = topo4.true_route(internal, flow=flow)
+                assert topo6.true_route(dst, flow=flow) == [
+                    None if addr is None else topo6.external_addr(addr)
+                    for addr in v4_route]
 
-    def test_destination_distance(self, topo6, seed_targets):
-        for subnet, target in seed_targets.items():
-            record = topo6.subnets[subnet]
-            distance = topo6.destination_distance(target)
-            if record.target_responds:
-                site = topo6.sites[record.site_id]
-                assert distance == site.border_depth + 2
-            else:
-                assert distance is None
+    def test_destination_distance(self, topo6, topo4, seed_targets):
+        for target in seed_targets.values():
+            for epoch in (0, 1):
+                assert topo6.destination_distance(target, epoch) == \
+                    topo4.destination_distance(topo6.internal_addr(target),
+                                              epoch)
 
-    def test_unknown_subnet_is_off_route(self, topo6):
-        assert topo6.hop_iface_at(0xDEAD << 64, 5) is None
+    def test_unknown_subnet_is_off_route(self, topo6, seed_targets):
+        known = next(iter(seed_targets))
+        for dst in (0xDEAD << 64, known << 64 | 0x100):
+            assert topo6.internal_addr(dst) == -1
+            assert topo6.true_route(dst) == [None] * 32
+            assert topo6.destination_distance(dst) is None
 
     def test_deterministic(self):
-        a = Topology6(TopologyConfig6(num_sites=16, seed=9))
-        b = Topology6(TopologyConfig6(num_sites=16, seed=9))
-        assert a.iface_addrs == b.iface_addrs
+        a = v6_topology(64, seed=9)
+        b = v6_topology(64, seed=9)
+        assert a.subnet_keys == b.subnet_keys
         assert a.seed_targets() == b.seed_targets()
+
+    def test_v4_columns_unchanged(self, topo6, topo4):
+        assert topo4.address_bits == 32
+        assert not hasattr(topo4, "subnets")
+        for column in ("iface_addrs", "iface_depth", "udp_resp",
+                       "chain_start", "chain_len", "prefix_flags",
+                       "hitlist_host", "active_octets", "ping_octets"):
+            assert getattr(topo4, column) == getattr(topo6, column)
+
+    def test_rejects_other_families(self):
+        with pytest.raises(ValueError, match="address_bits"):
+            TopologyConfig(address_bits=64)
+
+
+class TestEdge:
+    """Translation happens at the network's edge only; between the edges
+    a v6 probe takes the IPv4 path."""
+
+    def test_unknown_subnet_is_silence_but_sent(self, topo6, seed_targets):
+        network = SimulatedNetwork(topo6)
+        known = next(iter(seed_targets))
+        for dst in (0xDEAD << 64 | 1, known << 64 | 0x1FF):
+            assert network.send_probe(dst, 1, 0.0, 40000) is None
+        assert network.send_probes([(0xBEEF << 64, 1, 0.0, 40000, 0, 8),
+                                    (seed_targets[known], 1, 0.0, 40000,
+                                     0, 8)])[0] is None
+        assert network.probes_sent == 4
+
+    def test_responses_carry_v6_addresses(self, topo6, seed_targets):
+        network = SimulatedNetwork(topo6)
+        dst = next(iter(seed_targets.values()))
+        response = network.send_probe(dst, 1, 0.0, 40000)
+        assert response.kind is ResponseKind.TTL_EXCEEDED
+        assert response.responder == topo6.true_route(dst, 40000)[0]
+        assert response.responder == ip6_to_int("2001:db8:ffff::")
+        assert response.quoted.dst == dst
+        assert response.quoted.src == ip6_to_int("2001:db8:ffff::") - 1
+
+    @pytest.mark.parametrize("faults", [None, FaultModel(
+        probe_loss=0.05, response_loss=0.05, duplicate_probability=0.2,
+        reorder_window=0.05, seed=3)], ids=["clean", "faulted"])
+    def test_oracle_and_cached_network_agree(self, topo6, seed_targets,
+                                             faults):
+        networks = [network_class(topo6, log_probes=True, faults=faults)
+                    for network_class in (SimulatedNetwork, OracleNetwork)]
+        cached, oracle = networks
+        known = sorted(seed_targets)[:12]
+        now = 0.0
+        for index in range(600):
+            key = known[index % len(known)]
+            dst = key << 64 | (index * 37) % 300
+            ttl = 1 + index % 32
+            port = flow_source_port(dst)
+            got = cached.send_probe(dst, ttl, now, port, ipid=index)
+            expected = oracle.send_probe(dst, ttl, now, port, ipid=index)
+            assert got == expected
+            assert (got is None) or (got.dup == expected.dup)
+            now += 0.003
+        assert cached.stats()["faults"] == oracle.stats()["faults"]
+        assert cached.probes_sent == oracle.probes_sent == 600
+
+    def test_sessions_keep_the_edge(self, topo6, seed_targets):
+        dst = next(iter(seed_targets.values()))
+        session = SimulatedNetwork(topo6).open_session()
+        assert session.send_probe(dst, 1, 0.0, 40000).quoted.dst == dst
 
 
 class TestV6Scan:
@@ -257,7 +360,8 @@ class TestV6Scan:
         assert scan.granularity == 64
 
     def test_interfaces_are_real(self, scan, topo6):
-        assert scan.interfaces() <= set(topo6.iface_addrs)
+        assert scan.interfaces() <= {topo6.external_addr(addr)
+                                     for addr in topo6.iface_addrs}
 
     def test_probe_savings(self, scan, exhaustive):
         """The v4 headline transfers: far fewer probes, same discovery."""
@@ -293,7 +397,7 @@ class TestV6Scan:
 
     def test_excluded_subnet_is_never_probed(self, topo6, seed_targets):
         subnet, dst = sorted(seed_targets.items())[3]
-        network = RecordingNetwork6(topo6)
+        network = RecordingNetwork(SimulatedNetwork(topo6))
         result = FlashRoute(FlashRouteConfig.flashroute_16_v6()).scan(
             network, targets=seed_targets, excluded=[subnet])
         probed = {probe_dst for probe_dst, _ in network.sent}
@@ -303,7 +407,7 @@ class TestV6Scan:
 
     def test_start_ttls_map_through_the_index(self, topo6, seed_targets):
         subnet, dst = sorted(seed_targets.items())[3]
-        network = RecordingNetwork6(topo6)
+        network = RecordingNetwork(SimulatedNetwork(topo6))
         FlashRoute(FlashRouteConfig.flashroute_16_v6(
             preprobe=PreprobeMode.NONE)).scan(
             network, targets=seed_targets, start_ttls={subnet: 3})
@@ -323,6 +427,24 @@ class TestV6Scan:
         keys = {event["prefix"] for event in events[1:]
                 if event["ev"] == "probe_sent"}
         assert keys == set(scan.targets)
+
+    @pytest.mark.parametrize("ring", [None, 64])
+    def test_binary_event_log_is_refused(self, topo6, ring):
+        """Its records pack prefix and address as u32: refused before any
+        probe, naming the format that fits."""
+        network = SimulatedNetwork(topo6)
+        telemetry = Telemetry(events=EventRecorder(
+            stream=io.BytesIO(), binary=True, ring=ring))
+        with pytest.raises(ValueError, match="JSONL"):
+            scan6(topo6, telemetry=telemetry, network=network)
+        assert network.probes_sent == 0
+
+    def test_faulted_scan_is_deterministic(self, topo6, seed_targets):
+        faults = FaultModel(probe_loss=0.05, response_loss=0.05, seed=11)
+        first, second = (scan6(topo6, seed_targets, network=SimulatedNetwork(
+            topo6, faults=faults)) for _ in range(2))
+        assert first == second
+        assert first.probes_sent != scan6(topo6, seed_targets).probes_sent
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -345,9 +467,9 @@ class TestFamilyGuard:
 
     @pytest.mark.parametrize("granularity", [24, 30])
     def test_ipv4_granularity_on_ipv6(self, topo6, granularity):
-        network = SimulatedNetwork6(topo6)
+        network = SimulatedNetwork(topo6)
         with pytest.raises(ValueError,
-                           match=f"/{granularity} .*IPv6 .*Topology6"):
+                           match=f"/{granularity} .*IPv6 .*Topology"):
             scan6(topo6, network=network, granularity=granularity)
         assert network.probes_sent == 0
 
@@ -358,11 +480,11 @@ class TestFamilyGuard:
         assert network.probes_sent == 0
 
     def test_hitlist_preprobing_on_ipv6(self, topo6):
-        network = SimulatedNetwork6(topo6)
-        with pytest.raises(ValueError, match="hitlist.*IPv6 .*Topology6"):
+        network = SimulatedNetwork(topo6)
+        with pytest.raises(ValueError, match="hitlist.*IPv6 .*seed list"):
             scan6(topo6, network=network, preprobe=PreprobeMode.HITLIST)
         assert network.probes_sent == 0
 
     def test_unscaled_rate_on_ipv6(self, topo6):
-        with pytest.raises(ValueError, match="probing_rate.*Topology6"):
+        with pytest.raises(ValueError, match="probing_rate.*IPv6"):
             scan6(topo6, probing_rate=None)
