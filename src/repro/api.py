@@ -50,6 +50,7 @@ from .core.resilience import CheckpointError, ResilienceConfig
 from .core.results import ScanResult
 from .core.scanner import create_scanner, scanner_names
 from .net.addr import int_to_ip, ip_to_int
+from .net.addr6 import int_to_ip6
 from .net.icmp import ResponseKind
 from .simnet.config import TopologyConfig
 from .simnet.engine import VirtualClock
@@ -435,13 +436,20 @@ class Engine:
 
     def contains(self, destination: int) -> bool:
         """Whether an address falls inside the simulated scanned space."""
-        offset = (destination >> 8) - self.topology.base_prefix
-        return 0 <= offset < self.topology.num_prefixes
+        topology = self.topology
+        if topology.address_bits == 128:
+            return topology.internal_addr(destination) >= 0
+        offset = (destination >> 8) - topology.base_prefix
+        return 0 <= offset < topology.num_prefixes
 
     def address_space(self) -> str:
-        first = self.topology.base_prefix << 8
-        last = ((self.topology.base_prefix
-                 + self.topology.num_prefixes) << 8) - 1
+        topology = self.topology
+        if topology.address_bits == 128:  # one /48 site per stub
+            first, last = (int_to_ip6(key >> 16 << 80) for key in (
+                topology.subnet_keys[0], topology.subnet_keys[-1]))
+            return f"{first}/48..{last}/48 ({topology.num_prefixes} /64s)"
+        first = topology.base_prefix << 8
+        last = ((topology.base_prefix + topology.num_prefixes) << 8) - 1
         return f"{int_to_ip(first)}..{int_to_ip(last)}"
 
     @property

@@ -1,13 +1,14 @@
 """Sharded multi-worker scanning with a byte-stable merge.
 
 The scan keyspace is cut into a **fixed number of logical slices**
-(:data:`DEFAULT_SLICES`, independent of the worker count): the global
-:class:`~repro.core.permutation.MultiplicativeCycle` over the prefix
-domain assigns the ``k``-th emitted prefix to slice ``k % slices``
-(:func:`slice_assignment`'s stride-residue partition).  Each slice runs as an independent, fully
-deterministic subscan — its own :class:`~repro.api.ScanSession` on a
-fresh :class:`~repro.api.Engine` (fresh virtual clock, rate-limiter
-bins, route cache and fault counters) over the *shared read-only*
+(:data:`DEFAULT_SLICES`, independent of the worker count) of contiguous
+prefix ranges (:func:`slice_assignment`): a stub's /24s are neighbours,
+so a slice holds whole stubs — bar one at each end — and its stop set
+and proximity spans do not re-trace what another slice traces.  Each
+slice runs as an independent, fully deterministic subscan — its own
+:class:`~repro.api.ScanSession` on a fresh :class:`~repro.api.Engine`
+(fresh virtual clock, rate-limiter bins, route cache and fault
+counters) over the *shared read-only*
 :class:`~repro.simnet.topology.Topology` — and ``--shards N`` merely
 distributes the slices over ``N`` worker processes.
 
@@ -50,7 +51,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..api import Engine, ScanRequest
 from ..simnet.topology import Topology
 from .output import result_from_dict, result_to_dict
-from .permutation import MultiplicativeCycle
 from .resilience import (
     CheckpointError,
     ScanInterrupted,
@@ -64,11 +64,11 @@ from .targets import random_targets
 #: worker count — what makes the merged output invariant in ``--shards``.
 DEFAULT_SLICES = 16
 
-#: Salt mixed into the tool's seed for the slice-assignment permutation.
-_SLICE_SALT = 0x51BCE5
-
 #: Checkpoint engine tag of sharded-scan checkpoints.
 SHARDED_ENGINE = "sharded"
+
+#: The slice partition a sharded checkpoint names (see load_sharded_state).
+PARTITION = "contiguous"
 
 
 class ShardError(RuntimeError):
@@ -191,18 +191,13 @@ def _tool_profile(plan: ShardPlan) -> Tuple[int, int]:
     return getattr(config, "seed", 1), getattr(config, "granularity", 24)
 
 
-def slice_assignment(num_prefixes: int, seed: int,
-                     slices: int) -> List[int]:
-    """Slice index of each prefix offset, derived from the global
-    permutation: the ``k``-th prefix the full
-    :class:`MultiplicativeCycle` walk emits lands in slice
-    ``k % slices``: a stride-residue partition, so slices differ in size
-    by at most one prefix and interleave back into the walk's order."""
-    cycle = MultiplicativeCycle(num_prefixes, seed=seed ^ _SLICE_SALT)
-    assignment = [0] * num_prefixes
-    for emission, offset in enumerate(cycle):
-        assignment[offset] = emission % slices
-    return assignment
+def slice_assignment(num_prefixes: int, slices: int) -> List[int]:
+    """Slice index of each prefix offset: slice ``k`` holds the
+    contiguous offsets ``[k*num_prefixes//slices,
+    (k+1)*num_prefixes//slices)``, so slices differ in size by at most
+    one prefix and neighbouring /24s share a slice."""
+    return [((offset + 1) * slices - 1) // num_prefixes
+            for offset in range(num_prefixes)]
 
 
 def build_slice_targets(topology: Topology, plan: ShardPlan
@@ -216,14 +211,12 @@ def build_slice_targets(topology: Topology, plan: ShardPlan
     seed, granularity = _tool_profile(plan)
     slices = plan.request.shard_slices
     full = random_targets(topology, seed, granularity=granularity)
-    prefixes = list(topology.scanned_prefixes())
-    assignment = slice_assignment(len(prefixes), seed, slices)
-    slice_of = {prefix: assignment[index]
-                for index, prefix in enumerate(prefixes)}
+    assignment = slice_assignment(topology.num_prefixes, slices)
+    base = topology.base_prefix
     shift = granularity - 24
     per_slice: List[Dict[int, int]] = [{} for _ in range(slices)]
     for block, addr in full.items():
-        per_slice[slice_of[block >> shift]][block] = addr
+        per_slice[assignment[(block >> shift) - base]][block] = addr
     return per_slice
 
 
@@ -571,6 +564,7 @@ def _checkpoint_state(plan: ShardPlan,
         "engine": SHARDED_ENGINE,
         "tool": plan.request.tool,
         "slices": plan.request.shard_slices,
+        "partition": PARTITION,
         "completed": {str(index): _payload_to_state(completed[index])
                       for index in sorted(completed)},
     }
@@ -580,7 +574,7 @@ def load_sharded_state(plan: ShardPlan, state: Dict[str, object]
                        ) -> Dict[int, Dict[str, object]]:
     """Validate a sharded checkpoint's state against ``plan`` and decode
     the completed-slice payloads.  Raises :class:`CheckpointError` on an
-    engine/tool/slice-count mismatch — resuming under a different
+    engine/tool/slice-count/partition mismatch — resuming under another
     decomposition would merge mismatched keyspaces."""
     if state.get("engine") != SHARDED_ENGINE:
         raise CheckpointError(
@@ -595,6 +589,10 @@ def load_sharded_state(plan: ShardPlan, state: Dict[str, object]
         raise CheckpointError(
             f"checkpoint has {state.get('slices')!r} slices, this scan "
             f"uses {request.shard_slices}")
+    if state.get("partition") != PARTITION:
+        raise CheckpointError(
+            f"checkpoint 'partition' is {state.get('partition')!r}, this "
+            f"scan cuts {PARTITION!r} slices")
     completed = {}
     for key, payload_state in state.get("completed", {}).items():
         index = int(key)

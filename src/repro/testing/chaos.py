@@ -106,12 +106,6 @@ class ChaosSpec:
         return self.kills_per_slice > 0 \
             and (bool(self.kill_slices) or self.kill_rate > 0.0)
 
-    @property
-    def daemon_clients(self) -> int:
-        """Total hostile clients the daemon side fans out."""
-        return (self.slow_loris + self.disconnects + self.resets
-                + self.malformed)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "seed": self.seed,

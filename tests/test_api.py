@@ -104,17 +104,17 @@ SHARDED_CASES = {
 }
 GOLDEN_SHARDED = {
     "hitlist": (
-        "e080d4d253b5724d64715fd7145b2f1f0257b0d235f7cbcc05c80134ccebd6d2",
-        "cd446d1eefa37f1bed7f07db1b72d09bc2d8486f38ea73bebff228847e99c1b9",
-        "99e34807b29d7f7f497d1bb0d5b8f2e744482868435be3094c565f61b0bd9771"),
+        "148d6d0fde97968d32f72faf03c0283f484c10b3853f7df8e6f5de076c7e9e09",
+        "5c07b2e89aaab9c92b2f637c642331d273f6263e3d1bd27d79422cb5ff4a3178",
+        "30d441ec67b339816ab963d732c5dfb91236093394ed38e6b9be3675a44cf83b"),
     "folded": (
-        "a881f1847cde2dda204de5f1d29371251ae38be676f531d5071b5a810c32a54a",
-        "5f2a676bd1bef813b89045bd9a524b89d05accc5f2aa040c6bdb394e7d5a5823",
-        "093fd494b81a6e5b9ab9fc34e96c779b63c230c4de46e1509c6ee70b8af60702"),
+        "34d057430b6c03596cdc03455f0f298d12fc7c46dc115814adad6c52abd8dcc1",
+        "bb2e1eb595354e682e82506cf9470c0d21f891bc441af4a18167428262def509",
+        "04d07bfe343b3993da4f01a08de01efc324ebb3c4a3c0883fb37d00ca4392db6"),
     "faulted": (
-        "ef63a57a83046068edba2eecf9ffd9f21b6d8d10c1e67710342a226541cbd188",
-        "41aa3da525738245939917bee10276032f587871bd7628c4c26fc276f12b34b5",
-        "a78ae1cfb64b6e213adb047023b4458c8083ef899afcfd198a9b3906f3bc855a"),
+        "4ded6b669caa880e6f8726e39b517d8da26a1546db3bea0da5910cd8dc745cb6",
+        "8630728b65cd79e949732d0c3b9f76da0e46e6366bc76c74338e1ce4d41c51ed",
+        "fb2a6cf8fa2715203c6249d3267aaa4fb394fcae237fb61cd80499b189899502"),
 }
 
 

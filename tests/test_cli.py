@@ -489,6 +489,26 @@ class TestShardedScanCLI:
         assert (tmp_path / "part.jsonl").read_bytes() == \
             full[1].read_bytes()
 
+    def test_resume_refuses_a_checkpoint_without_its_partition(
+            self, tmp_path, capsys):
+        """A sharded checkpoint written before checkpoints named their
+        partition was cut by another one; resuming it would merge
+        slices holding other prefixes."""
+        from repro.core.resilience import load_checkpoint, write_checkpoint
+
+        ckpt = str(tmp_path / "scan.ckpt")
+        assert main(["scan", "--prefixes", "96", "--seed", "3",
+                     "--shards", "2", "--checkpoint", ckpt,
+                     "--interrupt-after-round", "5"]) == 130
+        document = load_checkpoint(ckpt)
+        del document["state"]["partition"]
+        write_checkpoint(ckpt, document["engine"], document["state"],
+                         meta=document["invocation"])
+        capsys.readouterr()
+        assert main(["scan", "--resume", ckpt]) == 2
+        assert "resume: checkpoint 'partition' is None" in \
+            capsys.readouterr().err
+
     def test_shard_index_runs_one_worker_standalone(self, capsys):
         assert main(["scan", "--prefixes", "96", "--seed", "3",
                      "--shards", "2", "--shard-index", "1"]) == 0

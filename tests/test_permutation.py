@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import sharding
 from repro.core.permutation import (
     FeistelPermutation,
     MultiplicativeCycle,
@@ -120,49 +119,3 @@ class TestMultiplicativeCycle:
     def test_cover_property(self, n, seed):
         assert sorted(MultiplicativeCycle(n, seed=seed)) == list(range(n))
 
-
-def _shard(n, seed, index, num_shards):
-    """``(emission_index, prefix)`` for every prefix that
-    :func:`~repro.core.sharding.slice_assignment` puts in slice
-    ``index``, in the order the global cycle emits them."""
-    assignment = sharding.slice_assignment(n, seed, num_shards)
-    cycle = MultiplicativeCycle(n, seed=seed ^ sharding._SLICE_SALT)
-    return [(emission, value) for emission, value in enumerate(cycle)
-            if assignment[value] == index]
-
-
-class TestShardSlicing:
-    """Slices must partition the cycle's emission order *exactly* by
-    stride residue — the property the sharded scanner's byte-stable
-    merge rests on."""
-
-    def test_iter_shard_partitions_emissions(self):
-        full = list(MultiplicativeCycle(1000, seed=7 ^ sharding._SLICE_SALT))
-        shards = [_shard(1000, 7, i, 4) for i in range(4)]
-        # Disjoint and union-complete over emission indexes.
-        emissions = [e for shard in shards for e, _ in shard]
-        assert sorted(emissions) == list(range(len(full)))
-        # Interleaving by emission index reconstructs the walk's order.
-        merged = sorted((pair for shard in shards for pair in shard))
-        assert [value for _, value in merged] == full
-
-    def test_iter_shard_stride_residues(self):
-        for index in range(3):
-            assert all(e % 3 == index for e, _ in _shard(200, 3, index, 3))
-
-    def test_iter_shard_deterministic(self):
-        assert _shard(700, 5, 2, 4) == _shard(700, 5, 2, 4)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=1, max_value=2000),
-           st.integers(min_value=0, max_value=2**31),
-           st.integers(min_value=1, max_value=9))
-    def test_shard_partition_property(self, n, seed, num_shards):
-        shards = [_shard(n, seed, index, num_shards)
-                  for index in range(num_shards)]
-        for index, shard in enumerate(shards):
-            assert all(e % num_shards == index for e, _ in shard)
-        pairs = sorted(pair for shard in shards for pair in shard)
-        full = list(MultiplicativeCycle(n, seed=seed ^ sharding._SLICE_SALT))
-        assert [e for e, _ in pairs] == list(range(len(full)))
-        assert [v for _, v in pairs] == full

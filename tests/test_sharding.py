@@ -12,10 +12,10 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import Engine, ScanRequest
 from repro.core.output import result_to_dict
-from repro.core.permutation import MultiplicativeCycle
 from repro.core.resilience import (
     CheckpointError,
     ScanInterrupted,
@@ -248,10 +248,64 @@ class TestShardedCheckpoint:
         with pytest.raises(CheckpointError):
             load_sharded_state(plan, dict(state, engine="flashroute"))
 
+    @pytest.mark.parametrize("partition", [None, "stride"])
+    def test_resume_refuses_another_partition(self, tmp_path, partition):
+        """A checkpoint cut by another partition (or one written before
+        checkpoints named theirs) would merge slices holding other
+        prefixes: overlapping some, missing others."""
+        plan = _plan(shards=1)
+        path = str(tmp_path / "scan.ckpt")
+        with pytest.raises(ScanInterrupted):
+            run_sharded_scan(plan, checkpoint_path=path,
+                             slice_hook=self._interrupt_after(2))
+        state = load_checkpoint(path)["state"]
+        assert state["partition"] == "contiguous"
+        state = {key: value for key, value in state.items()
+                 if key != "partition"}
+        if partition is not None:
+            state["partition"] = partition
+        with pytest.raises(CheckpointError, match="'partition'"):
+            run_sharded_scan(plan, resume_state=state)
+
     def test_interrupt_without_checkpoint_reraises(self):
         with pytest.raises(KeyboardInterrupt):
             run_sharded_scan(_plan(shards=1),
                              slice_hook=self._interrupt_after(2))
+
+
+class TestBenchmarkedScan:
+    """Tier-1 guards for what the benchmark measures and checks on its
+    sharded workload (bench/scans.py)."""
+
+    @pytest.mark.parametrize("tool", ["flashroute-16", "flashroute-32"])
+    def test_slicing_re_probes_little(self, tool):
+        """A slice holds whole stubs, so its stop set and proximity
+        spans do not re-trace its neighbours' (a stride partition, which
+        deals every stub's /24s out to every slice, read 1.126 / 1.338
+        here)."""
+        request = ScanRequest(tool=tool, prefixes=1024, seed=3)
+        topology = Topology(request.topology_config())
+        sharded = run_sharded_scan(
+            ShardPlan(dataclasses.replace(request, shards=1)),
+            topology=topology).result
+        whole = Engine(topology=topology).open_session(request).run()
+        assert sharded.probes_sent <= 1.05 * whole.probes_sent
+
+    def test_repeated_pool_runs_agree_and_stay_on_the_topology(self):
+        """One plan and one topology reused across pool runs, as the
+        benchmark's repeats do: equal digests, and every reported
+        interface exists in the topology."""
+        request = ScanRequest(tool="flashroute-16", prefixes=1024, seed=3,
+                              shards=2)
+        plan = ShardPlan(request)
+        topology = Topology(request.topology_config())
+        first, second = (run_sharded_scan(plan, topology=topology).result
+                         for _ in range(2))
+        assert json.dumps(result_to_dict(first), sort_keys=True) == \
+            json.dumps(result_to_dict(second), sort_keys=True)
+        reachable = {topology.iface_addrs[iface]
+                     for iface in topology.reachable_interfaces()}
+        assert first.interfaces() <= reachable
 
 
 class TestFailurePropagation:
@@ -273,21 +327,38 @@ class TestFailurePropagation:
 
 
 class TestSliceConstruction:
-    def test_slice_assignment_partitions_prefixes(self):
-        assignment = slice_assignment(_PREFIXES, _SEED, DEFAULT_SLICES)
-        assert len(assignment) == _PREFIXES
-        assert set(assignment) == set(range(DEFAULT_SLICES))
-        sizes = [assignment.count(index)
-                 for index in range(DEFAULT_SLICES)]
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5000),
+           st.integers(min_value=1, max_value=64))
+    def test_slice_assignment_partitions_prefixes(self, prefixes, slices):
+        """Slice k is the one contiguous run [k*n//s, (k+1)*n//s): the
+        slices cover every offset once, in order, sizes within one."""
+        assignment = slice_assignment(prefixes, slices)
+        assert len(assignment) == prefixes
+        assert assignment == sorted(assignment)
+        assert 0 <= assignment[0] and assignment[-1] < slices
+        sizes = [assignment.count(index) for index in range(slices)]
+        assert sum(sizes) == prefixes
         assert max(sizes) - min(sizes) <= 1
-        # Stride residues: slice k holds the emissions = k mod slices.
-        cycle = MultiplicativeCycle(_PREFIXES,
-                                    seed=_SEED ^ sharding._SLICE_SALT)
-        for emission, offset in enumerate(cycle):
-            assert assignment[offset] == emission % DEFAULT_SLICES
+        starts = [index * prefixes // slices for index in range(slices)]
+        for index, start in enumerate(starts):
+            assert assignment[start:start + sizes[index]] == \
+                [index] * sizes[index]
 
-    def test_slice_assignment_deterministic(self):
-        assert slice_assignment(500, 7, 16) == slice_assignment(500, 7, 16)
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31),
+           slices=st.integers(min_value=1, max_value=32))
+    def test_slice_assignment_deterministic(self, tiny_topology, seed,
+                                            slices):
+        """The tool's seed draws each /24's target, never its slice."""
+        topology = tiny_topology
+        plan = _plan(seed=seed, shard_slices=slices)
+        assignment = slice_assignment(topology.num_prefixes, slices)
+        for index, targets in enumerate(
+                build_slice_targets(topology, plan)):
+            assert [block - topology.base_prefix for block in targets] \
+                == [offset for offset, owner in enumerate(assignment)
+                    if owner == index]
 
     def test_build_slice_targets_partitions_full_draw(self):
         plan = _plan(shards=1)

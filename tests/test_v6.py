@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Engine
 from repro.core import FlashRoute, FlashRouteConfig
 from repro.core.config import PreprobeMode
 from repro.core.encoding import (EncodingError, decode_response,
@@ -291,6 +292,17 @@ class TestAddressPlan:
     def test_rejects_other_families(self):
         with pytest.raises(ValueError, match="address_bits"):
             TopologyConfig(address_bits=64)
+
+
+class TestEngineAddressSpace:
+    def test_contains_the_v6_plan_not_its_internal_form(self):
+        engine = Engine(topology=v6_topology(16))
+        targets = engine.topology.seed_targets().values()
+        assert all(engine.contains(target) for target in targets)
+        assert not any(engine.contains(engine.topology.internal_addr(target))
+                       for target in targets)
+        assert engine.address_space() == "2001:db8::/48..2001:db8:2::/48 " \
+            "(16 /64s)"
 
 
 class TestEdge:
