@@ -118,6 +118,22 @@ GOLDEN_SHARDED = {
 }
 
 
+#: (tool, faulted) -> sha256 of ``scan --output x.csv`` at ``--prefixes
+#: 96 --seed 20201027``; the faulted column adds ``--loss 0.05
+#: --fault-seed 7``.  Captured while ``write_hops_csv`` still formatted
+#: every hop's address anew.
+GOLDEN_CSV = {
+    ("flashroute-16", False):
+        "80338f73420097445f43be8c3b0570c9525e002dd85e00ad48b3171bf34b8278",
+    ("flashroute-16", True):
+        "3f990de175a99a1b7591edd5a29adda39408182f5c5f6e1611e0a361f5736629",
+    ("yarrp-32", False):
+        "5cba7c93b4bfaf71e10469c88343f0797356823f836b662b110e89679db8c044",
+    ("yarrp-32", True):
+        "f41c687ec4cf91a0e5a6c9326e5d49a5f35933074e5befd6eacbd34028360998",
+}
+
+
 def _sha(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -183,6 +199,16 @@ class TestGoldenEquivalence:
             snapshot = deterministic_snapshot(snapshot)
         assert (output_sha, _sha(events), _canonical_sha(snapshot)) \
             == GOLDEN_BASELINES[tool, faulted]
+
+    @pytest.mark.parametrize("tool,faulted", sorted(GOLDEN_CSV))
+    def test_csv_output_is_pinned(self, tmp_path, capsys, tool, faulted):
+        out = tmp_path / "out.csv"
+        argv = ["scan", "--tool", tool, "--prefixes", "96", "--seed",
+                "20201027", "--output", str(out)]
+        if faulted:
+            argv += ["--loss", "0.05", "--fault-seed", "7"]
+        assert main(argv) == 0
+        assert _sha(out) == GOLDEN_CSV[tool, faulted]
 
     @pytest.mark.parametrize("case", sorted(SHARDED_CASES))
     def test_sharded_scan_outputs_are_pinned(self, tmp_path, capsys, case):
