@@ -296,7 +296,7 @@ class SimulatedNetwork:
         else:
             tables = cache.udp_tables
             resp = topo.udp_resp
-        iface_addrs = topo.iface_addrs
+        responders = cache.responders
         latency = self.latency
         ow_base = latency._one_way_base
         rt_base = latency._round_trip_base
@@ -357,7 +357,9 @@ class SimulatedNetwork:
                 rt_delay = rt_base[ttl] + span \
                     * ((((h + 1) >> 8) & 0xFFFF) / 65536.0)
                 kind = _TTL_EXCEEDED
-                responder = iface_addrs[iface]
+                responder = responders[iface]
+                if responder is None:
+                    responder = cache.responder(iface)
                 residual = 1
                 quoted_dst = dst
                 rewrite = False
@@ -448,7 +450,7 @@ class SimulatedNetwork:
                     iface, send_time + self.latency.one_way(depth, dst, ttl)):
                 return None
             return self._respond(ResponseKind.TTL_EXCEEDED,
-                                 topo.iface_addrs[iface], dst, ttl,
+                                 self.route_cache.responder(iface), dst, ttl,
                                  residual=1, depth=depth,
                                  send_time=send_time, src_port=src_port,
                                  dst_port=dst_port, ipid=ipid,
@@ -466,7 +468,7 @@ class SimulatedNetwork:
                     iface, send_time + self.latency.one_way(depth, dst, ttl)):
                 return None
             return self._respond(ResponseKind.HOST_UNREACHABLE,
-                                 topo.iface_addrs[iface], dst, ttl,
+                                 self.route_cache.responder(iface), dst, ttl,
                                  residual=1, depth=depth,
                                  send_time=send_time, src_port=src_port,
                                  dst_port=dst_port, ipid=ipid,
@@ -558,10 +560,15 @@ class _Ipv6Edge:
         self.probes_sent += count - len(inbound)
         results: List[Optional[IcmpResponse]] = [None] * count
         external = topo.external_addr
+        responders = self.route_cache.external_responders
         for slot, response in zip(slots, super().send_probes(
                 inbound, dst_port, proto, flow)):
             if response is not None:
-                response.responder = external(response.responder)
+                responder = responders.get(response.responder)
+                if responder is None:
+                    responder = responders[response.responder] = \
+                        external(response.responder)
+                response.responder = responder
                 quoted = response.quoted
                 quoted.src = external(quoted.src)
                 quoted.dst = external(quoted.dst)

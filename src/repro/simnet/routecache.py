@@ -51,7 +51,7 @@ shareable across fault models.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..net.icmp import ResponseKind
 from ..net.packets import PROTO_TCP
@@ -158,11 +158,19 @@ class RouteCache:
     ``udp_tables``/``tcp_tables`` are deliberately public plain dicts:
     ``SimulatedNetwork`` keeps direct references and probes them inline,
     calling back into :meth:`outcome_table` only on a miss.
+
+    ``responders`` holds one shared ``int`` per interface that has
+    answered, filled from ``Topology.iface_addrs`` on first use
+    (:meth:`responder`): an ``array`` column allocates a new ``int`` on
+    every read, and a scan's results, stop set and seen-interface set
+    keep every responder they are handed.  The list lives here, not on
+    the topology, because the topology is read-only (shard workers
+    receive it prebuilt) and each value is a pure function of it.
     """
 
     __slots__ = ("_topology", "_latency", "_stub_lb_slots",
-                 "_host_tcp_rst", "udp_tables", "tcp_tables", "hits",
-                 "misses")
+                 "_host_tcp_rst", "udp_tables", "tcp_tables", "responders",
+                 "external_responders", "hits", "misses")
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
@@ -180,6 +188,13 @@ class RouteCache:
         #: (dst, flow, epoch & 1) -> outcome table, per probe protocol.
         self.udp_tables: Dict[Tuple[int, int, int], Sequence[Slot]] = {}
         self.tcp_tables: Dict[Tuple[int, int, int], Sequence[Slot]] = {}
+        #: Interface id -> its address as one shared ``int``, or ``None``
+        #: until the interface first answers.
+        self.responders: List[Optional[int]] = \
+            [None] * len(topology.iface_addrs)
+        #: Internal responder address -> its shared IPv6 form (the IPv6
+        #: edge's translation, filled as responders first answer).
+        self.external_responders: Dict[int, int] = {}
         self.hits = 0
         self.misses = 0
 
@@ -198,6 +213,13 @@ class RouteCache:
                 "udp_tables": len(self.udp_tables),
                 "tcp_tables": len(self.tcp_tables),
                 "hits": self.hits, "misses": self.misses}
+
+    def responder(self, iface: int) -> int:
+        """The shared ``int`` address of interface ``iface``."""
+        addr = self.responders[iface]
+        if addr is None:
+            addr = self.responders[iface] = self._topology.iface_addrs[iface]
+        return addr
 
     def drop(self, dst: int, flow: int) -> None:
         """Forget the tables of one route, both parities and protocols
@@ -286,7 +308,7 @@ class RouteCache:
                 # for its latency.
                 tail = self._tail(
                     ResponseKind.HOST_UNREACHABLE, dst,
-                    topo.iface_addrs[last_hop], last_hop, stub.gateway_depth,
+                    self.responder(last_hop), last_hop, stub.gateway_depth,
                     gateway_depth, None, ROUTE_CACHE_TTLS, stub.rewrite)
 
         if len(table) < gateway_depth:

@@ -18,8 +18,9 @@ from repro.simnet.network import BatchProbe, SimulatedNetwork
 
 
 class OracleNetwork(SimulatedNetwork):
-    """A :class:`SimulatedNetwork` that never reads its route cache and
-    reports none in :meth:`stats`."""
+    """A :class:`SimulatedNetwork` that never reads its outcome tables and
+    reports no route cache in :meth:`stats` (responder addresses still
+    come from the cache's shared ints, as on the uncached path)."""
 
     __slots__ = ()
 

@@ -28,6 +28,7 @@ from repro import api
 from repro.baselines.yarrp import Yarrp, YarrpConfig
 from repro.core.config import FlashRouteConfig, PreprobeMode
 from repro.core.prober import FlashRoute
+from repro.core.scanner import scanner_names
 from repro.net.packets import PROTO_TCP, PROTO_UDP
 from repro.simnet.config import TopologyConfig
 from repro.simnet.entities import HopKind
@@ -255,6 +256,28 @@ class TestTablesAreRoutes:
         distinct = len({id(table) for table in cache.udp_tables.values()})
         assert distinct >= 1024
         assert held <= 1024 * distinct, (held, distinct)
+
+
+class TestOneObjectPerInterface:
+    """A responder is the route cache's one shared ``int`` for its
+    interface, so every tool's routes hold one object per address (they
+    held one per hop: yarrp-32 had 3,538 objects for 506 addresses)."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return api.Engine(TopologyConfig(num_prefixes=256, seed=3))
+
+    @pytest.mark.parametrize("loss", [0.0, 0.05])
+    @pytest.mark.parametrize("tool", scanner_names())
+    def test_routes_hold_one_object_per_address(self, engine, tool, loss):
+        request = api.ScanRequest(tool=tool, prefixes=256, seed=3,
+                                  loss=loss, fault_seed=7)
+        result = engine.open_session(request).run()
+        responders = [responder for hops in result.routes.values()
+                      for responder in hops.values()]
+        assert len(responders) > len(set(responders))
+        assert len({id(responder) for responder in responders}) \
+            == len(set(responders))
 
 
 @lru_cache(maxsize=None)

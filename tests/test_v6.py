@@ -352,6 +352,17 @@ class TestEdge:
         assert cached.stats()["faults"] == oracle.stats()["faults"]
         assert cached.probes_sent == oracle.probes_sent == 600
 
+    def test_one_object_per_responder_address(self):
+        """The edge translates each responder once per network, so a scan
+        holds one 128-bit ``int`` per address (it held one per hop: 816
+        objects for 465 addresses on this scan)."""
+        result = scan6(v6_topology(256, seed=3))
+        responders = [responder for hops in result.routes.values()
+                      for responder in hops.values()]
+        assert len(responders) > len(set(responders))
+        assert len({id(responder) for responder in responders}) \
+            == len(set(responders))
+
     def test_sessions_keep_the_edge(self, topo6, seed_targets):
         dst = next(iter(seed_targets.values()))
         session = SimulatedNetwork(topo6).open_session()
