@@ -1,15 +1,24 @@
-"""Scale drill: peak memory of one large ``flashroute-16`` scan.
+"""Scale drill: peak memory of large scans, in fresh interpreters.
 
-One 65,536-prefix scan in a fresh interpreter (so ``ru_maxrss`` is the
-scan's own high-water mark, not pytest's), failing when the process peaks
-above 153 MiB or above 2.4 KiB of RSS per /24: the measured 133.2 MiB
-(2.08 KiB per /24) plus 15 %.  With the topology as columns the scan peaks
-there; with one object graph per /24 it peaked at ~234 MiB (3.65 KiB per
-/24), and with a response tuple per ``(destination, TTL)`` slot in the
-route cache at 414 MiB — either coming back fails this.  ~15 s; run by
-CI's ``bench-smoke`` job, outside tier-1.
+Each row runs at 65,536 prefixes in its own interpreter (so ``ru_maxrss``
+is the run's own high-water mark, not pytest's) and fails above its
+measured peak plus 15 %:
 
-This is the scale row ROADMAP item 1's "scale pair" takes over inside
+* **the scan** — one ``flashroute-16`` scan through the API: above
+  153 MiB or 2.4 KiB of RSS per /24 (measured 133.2 MiB, 2.08 KiB per
+  /24).  With the topology as columns the scan peaks there; with one
+  object graph per /24 it peaked at ~234 MiB (3.65 KiB per /24), and
+  with a response tuple per ``(destination, TTL)`` slot in the route
+  cache at 414 MiB — either coming back fails this.
+* **the writer** — ``scan --tool yarrp-32 --output F.json`` through the
+  CLI, which holds the result and its JSON document at once: above
+  188 MiB (measured 163 MiB).  With a new responder ``int`` per hop in
+  the simulator and two new strings per hop in ``result_to_dict`` it
+  peaked at 288 MiB — either coming back fails this.
+
+~40 s together; run by CI's ``bench-smoke`` job, outside tier-1.
+
+This is the scale row ROADMAP item 3's "scale pair" takes over inside
 ``bench/`` (``ns_per_probe`` and KiB of RSS per /24 at 4,096 and 65,536
 prefixes, from the traced pass).  Delete this file when that lands.
 """
@@ -27,6 +36,7 @@ import repro
 PREFIXES = 65_536
 MAX_RSS_MIB = 153.0
 MAX_KIB_PER_PREFIX = 2.4
+MAX_OUTPUT_RSS_MIB = 188.0
 
 _SCAN = """
 import json, resource, sys, time
@@ -41,14 +51,31 @@ print(json.dumps({
     "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
+_CLI = """
+import contextlib, io, json, resource, sys, time
+from repro.cli import main
+started = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+wall = time.perf_counter() - started
+print(json.dumps({
+    "code": code, "wall_s": wall,
+    "maxrss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
 
-def test_scan_memory_at_scale(save_result):
+
+def _run(program: str, *args: str) -> dict:
+    """Run ``program`` in a fresh interpreter; return its JSON report."""
     src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _SCAN, str(PREFIXES)],
+    done = subprocess.run([sys.executable, "-c", program, *args],
                           env=env, capture_output=True, text=True,
                           timeout=600, check=True)
-    report = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_scan_memory_at_scale(save_result):
+    report = _run(_SCAN, str(PREFIXES))
     rss_mib = report["maxrss_kib"] / 1024.0
     kib_per_prefix = report["maxrss_kib"] / PREFIXES
     save_result("scale_memory", (
@@ -58,3 +85,17 @@ def test_scan_memory_at_scale(save_result):
     assert report["probes"] > PREFIXES
     assert rss_mib <= MAX_RSS_MIB
     assert kib_per_prefix <= MAX_KIB_PER_PREFIX
+
+
+def test_output_memory_at_scale(save_result, tmp_path):
+    out = tmp_path / "scan.json"
+    report = _run(_CLI, "scan", "--tool", "yarrp-32", "--prefixes",
+                  str(PREFIXES), "--output", str(out))
+    rss_mib = report["maxrss_kib"] / 1024.0
+    save_result("scale_memory_output", (
+        f"yarrp-32 scan --output, {PREFIXES} prefixes: "
+        f"{report['wall_s']:.1f} s, peak RSS {rss_mib:.0f} MiB, "
+        f"{out.stat().st_size / 2**20:.1f} MiB written"))
+    assert report["code"] == 0
+    assert out.stat().st_size > 0
+    assert rss_mib <= MAX_OUTPUT_RSS_MIB
