@@ -38,6 +38,7 @@ import asyncio
 import contextlib
 import json
 import math
+import operator
 import signal
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -110,7 +111,7 @@ class Flight:
         self.result = result
         self.error = error
         self.hops: List[dict] = result["hops"] if result else []
-        #: Wire lines of :attr:`hops`, encoded by the first response
+        #: Wire lines of :attr:`hops`, formatted by the first response
         #: that carries them (see :func:`_hop_lines`).
         self.lines: List[bytes] = []
 
@@ -565,6 +566,9 @@ def bound_reads(writer: asyncio.StreamWriter) -> None:
 #: line is a function of its content.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: How that encoder quotes a string (json's C function when built).
+_quote = json.encoder.encode_basestring_ascii
+
 #: The end of every hop line: ``"type"`` sorts after every key of the
 #: hop schema, so the line without it is the hop's body, open at the end.
 _HOP_TAIL = b',"type":"hop"}\n'
@@ -574,11 +578,96 @@ def _line(record: dict) -> bytes:
     return _encode(record).encode() + b"\n"
 
 
+# The two records a trace puts on the wire have fixed shapes, Manifold's
+# ``hop`` and ``traceroute`` (see TraceSession), so their lines are
+# formatted from templates with the keys in sorted order.  A value goes
+# in as the encoder writes it: a string quoted by ``_quote``, an int by
+# ``%d`` (``int.__repr__``), a finite float by ``%r`` (``float.__repr__``),
+# ``null``/``true``/``false`` spelled out.  A template takes a record
+# only if its keys are the schema's and each value has its schema type
+# exactly (no bool for an int, no int for a float, no nan or infinity);
+# anything else returns ``None`` and goes through ``_encode``.
+
+#: The hop schema's keys, sorted.
+HOP_SCHEMA = ("destination", "hop_probecount", "ip", "path", "rtt_ms",
+              "source", "ttl")
+_hop_values = operator.itemgetter(*HOP_SCHEMA)
+_HOP_LINE = ('{"destination":%s,"hop_probecount":%d,"ip":%s,"path":%d,'
+             '"rtt_ms":%r,"source":%s,"ttl":%d,"type":"hop"}\n')
+
+#: The trace summary's keys, sorted.
+TRACE_SCHEMA = ("dest_distance", "dest_reached", "destination", "first",
+                "flow", "hop_count", "hops", "last", "probes", "source",
+                "ts")
+_trace_values = operator.itemgetter(*TRACE_SCHEMA)
+_DONE_HEAD = ('{"cache":%s,"epoch":%d,"trace":{"dest_distance":%s,'
+              '"dest_reached":%s,"destination":%s,"first":%r,"flow":%d,'
+              '"hop_count":%d,"hops":[')
+_DONE_TAIL = ('],"last":%r,"probes":%d,"source":%s,"ts":%r},'
+              '"type":"done"}\n')
+
+
+def _hop_template(record: dict) -> Optional[bytes]:
+    """The wire line of a hop record of the schema, else ``None``."""
+    if len(record) != len(HOP_SCHEMA):
+        return None
+    try:
+        dst, probecount, ip, path, rtt, src, ttl = _hop_values(record)
+    except KeyError:
+        return None
+    if type(dst) is str and type(probecount) is int and type(ip) is str \
+            and type(path) is int and type(rtt) is float \
+            and type(src) is str and type(ttl) is int \
+            and rtt - rtt == 0.0:  # false for nan and ±inf
+        return (_HOP_LINE % (_quote(dst), probecount, _quote(ip), path,
+                             rtt, _quote(src), ttl)).encode()
+    return None
+
+
+def _done_template(flight: Flight, mode: str) -> Optional[tuple]:
+    """The ``done`` line of a trace summary of the schema, split around
+    its hop list (``head`` ends ``"hops":[``, ``tail`` starts ``],``),
+    else ``None``."""
+    result = flight.result
+    if len(result) != len(TRACE_SCHEMA):
+        return None
+    try:
+        (distance, reached, dst, first, flow, hop_count, _, last, probes,
+         src, ts) = _trace_values(result)
+    except KeyError:
+        return None
+    epoch = flight.epoch
+    if type(reached) is bool and type(dst) is str \
+            and type(first) is float and type(flow) is int \
+            and type(hop_count) is int and type(last) is float \
+            and type(probes) is int and type(src) is str \
+            and type(ts) is float and type(mode) is str \
+            and type(epoch) is int \
+            and first - first == last - last == ts - ts == 0.0:
+        if distance is None:
+            distance = "null"
+        elif type(distance) is int:
+            distance = "%d" % distance
+        else:
+            return None
+        head = _DONE_HEAD % (_quote(mode), epoch, distance,
+                             "true" if reached else "false", _quote(dst),
+                             first, flow, hop_count)
+        tail = _DONE_TAIL % (last, probes, _quote(src), ts)
+        return head.encode(), tail.encode()
+    return None
+
+
 def _hop_lines(flight: Flight) -> List[bytes]:
-    """The wire lines of ``flight.hops``: encoded by the first response
-    that carries them and kept on the flight for every later one."""
+    """The wire lines of ``flight.hops``: formatted by the first response
+    that carries them and kept on the flight for every later one.  A
+    record of the hop schema (every hop a :class:`TraceSession` makes)
+    is formatted from its template; any other goes through ``_encode``.
+    Either way the line is the compact, key-sorted encoding of
+    ``{"type": "hop", **record}``."""
     if not flight.lines:
-        flight.lines = [_line({"type": "hop", **record})
+        flight.lines = [_hop_template(record)
+                        or _line({"type": "hop", **record})
                         for record in flight.hops]
     return flight.lines
 
@@ -586,16 +675,20 @@ def _hop_lines(flight: Flight) -> List[bytes]:
 def _done_line(flight: Flight, mode: str) -> bytes:
     """The ``done`` line, its hops spliced in from their kept lines.
 
-    The record is encoded with an empty hop list, then split at its one
-    ``"hops":[]`` (a key: in a string value the quotes would be
-    escaped).  The response has already sent every hop, so every hop
-    of the trace has its line."""
-    head, _, tail = _encode({
-        "type": "done", "cache": mode, "epoch": flight.epoch,
-        "trace": {**flight.result, "hops": []}}).partition('"hops":[]')
+    A trace summary of the schema is formatted from its template, split
+    around the hop list; any other is encoded with an empty hop list,
+    then split at its one ``"hops":[]`` (a key: in a string value the
+    quotes would be escaped).  The response has already sent every hop,
+    so every hop of the trace has its line."""
+    parts = _done_template(flight, mode)
+    if parts is None:
+        head, _, tail = _encode({
+            "type": "done", "cache": mode, "epoch": flight.epoch,
+            "trace": {**flight.result, "hops": []}}).partition('"hops":[]')
+        parts = (head + '"hops":[').encode(), (']' + tail + "\n").encode()
+    head, tail = parts
     hops = b"},".join([line[:-len(_HOP_TAIL)] for line in flight.lines])
-    return b"".join((head.encode(), b'"hops":[', hops,
-                     b"}]" if hops else b"]", tail.encode(), b"\n"))
+    return b"".join((head, hops, b"}" if hops else b"", tail))
 
 
 async def _send(writer: asyncio.StreamWriter, lines: List[bytes]) -> None:

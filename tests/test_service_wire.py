@@ -14,6 +14,7 @@ import asyncio
 import functools
 import hashlib
 import json
+import math
 from typing import Optional
 
 from hypothesis import example, given, settings, strategies as st
@@ -230,6 +231,179 @@ class TestEncodeOnce:
         assert max(hop) < "type"
 
 
+#: Strings the quoting must get right: quotes, backslashes, control
+#: characters, non-ASCII and astral text, a lone surrogate.
+_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\té ☃'
+                    '\U0001f600\ud800'),
+    st.characters()), max_size=12)
+
+#: Finite floats, with the edges of ``float.__repr__``: signed zeros,
+#: subnormals and exponent forms.
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16,
+                     1e300, 1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+#: ... and the floats the encoder writes as ``NaN``/``Infinity``, which
+#: the templates leave to it.
+_ANY_FLOATS = st.one_of(_FINITE,
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+#: Ints, including either side of 2**63 and far above it.
+_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2),
+                  st.integers(min_value=2**64))
+
+#: Values of any JSON type, to bend a record off its schema.
+_ANY = st.one_of(st.none(), st.booleans(), _INTS, _ANY_FLOATS, _TEXT,
+                 st.lists(st.integers(), max_size=2))
+
+#: The hop schema with each value's exact type.
+_HOP_TYPES = {"destination": str, "hop_probecount": int, "ip": str,
+              "path": int, "rtt_ms": float, "source": str, "ttl": int}
+
+#: The trace summary's schema; ``dest_distance`` may also be ``None``.
+_TRACE_TYPES = {"dest_distance": int, "dest_reached": bool,
+                "destination": str, "first": float, "flow": int,
+                "hop_count": int, "hops": list, "last": float,
+                "probes": int, "source": str, "ts": float}
+
+#: A value of each schema type; ``_bent`` puts in the others, nan and
+#: infinity among them.
+_SLOT = {str: _TEXT, int: _INTS, float: _FINITE, bool: st.booleans()}
+
+_FULL_HOPS = st.fixed_dictionaries(
+    {key: _SLOT[kind] for key, kind in _HOP_TYPES.items()})
+
+
+@st.composite
+def _bent(draw, records, keys):
+    """A record of ``records``, as drawn or bent off its schema: a key
+    dropped, a key added, or a value of any type put in."""
+    record = draw(records)
+    how = draw(st.sampled_from(["as drawn", "as drawn", "drop", "set"]))
+    if how == "drop":
+        del record[draw(st.sampled_from(keys))]
+    elif how == "set":
+        # "note" sorts before "type", as every hop key must for the
+        # done line's splice.
+        record[draw(st.sampled_from(keys + ("note",)))] = draw(_ANY)
+    return record
+
+
+_HOPS_BENT = _bent(_FULL_HOPS, tuple(_HOP_TYPES))
+
+_TRACES_BENT = _bent(st.fixed_dictionaries(dict(
+    {key: _SLOT.get(kind) for key, kind in _TRACE_TYPES.items()},
+    dest_distance=st.none() | _INTS,
+    hops=st.lists(_HOPS_BENT, max_size=3))),
+    tuple(key for key in _TRACE_TYPES if key != "hops"))
+
+
+def _fits(record: dict, types: dict) -> bool:
+    """Whether ``record`` has exactly the keys of ``types``, each value
+    of its type exactly, and no float that is nan or infinite."""
+    return set(record) == set(types) and all(
+        type(record[key]) is kind
+        and (kind is not float or math.isfinite(record[key]))
+        for key, kind in types.items())
+
+
+def _generic(record: dict) -> bytes:
+    return (daemon._encode(record) + "\n").encode()
+
+
+class TestSchemaTemplates:
+    """A hop or ``done`` line formatted from its schema template is the
+    generic encoder's line, byte for byte; a record off the schema goes
+    to the generic encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hops=st.lists(_HOPS_BENT, max_size=4))
+    @example(hops=[{"destination": "20.0.0.3", "hop_probecount": 0,
+                    "ip": "60.0.0.1", "path": 2**63, "rtt_ms": rtt,
+                    "source": 'a"\\é\x01', "ttl": ttl}
+                   for rtt, ttl in [(-0.0, 1), (math.nan, 2), (math.inf, 3),
+                                    (-math.inf, 4), (1, 5), (0.5, True)]])
+    def test_hop_lines_equal_the_generic_encoding(self, hops):
+        flight = Flight((0, 0), 0, {"hops": hops})
+        assert daemon._hop_lines(flight) == [
+            _generic({"type": "hop", **hop}) for hop in hops]
+        for hop in hops:
+            line = daemon._hop_template(hop)
+            assert (line is not None) == _fits(hop, _HOP_TYPES), hop
+
+    @settings(max_examples=300, deadline=None)
+    @given(result=_TRACES_BENT, mode=_TEXT, epoch=_INTS)
+    @example(result={"dest_distance": None, "dest_reached": False,
+                     "destination": "20.0.0.3", "first": 1e16,
+                     "flow": 2**64, "hop_count": 0, "hops": [],
+                     "last": 5e-324, "probes": 0, "source": "☃",
+                     "ts": 1e300}, mode="miss", epoch=0)
+    @example(result={"dest_distance": 3, "dest_reached": True,
+                     "destination": "20.0.0.3", "first": math.nan,
+                     "flow": 0, "hop_count": 0, "hops": [],
+                     "last": math.inf, "probes": 0, "source": "10.0.0.1",
+                     "ts": -math.inf}, mode="hit", epoch=1)
+    @example(result={"dest_distance": 3, "dest_reached": True,
+                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
+                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
+                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
+             epoch=True)
+    @example(result={"dest_distance": True, "dest_reached": True,
+                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
+                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
+                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
+             epoch=0)
+    @example(result={"dest_distance": 3, "dest_reached": 1,
+                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
+                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
+                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
+             epoch=0)
+    @example(result={"dest_distance": 3, "dest_reached": None,
+                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
+                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
+                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
+             epoch=0)
+    @example(result={"dest_distance": 3, "dest_reached": True,
+                     "destination": "20.0.0.3", "first": 1, "flow": 0,
+                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
+                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
+             epoch=0)
+    def test_done_line_equals_the_generic_encoding(self, result, mode,
+                                                   epoch):
+        flight = Flight((0, 0), epoch, result)
+        daemon._hop_lines(flight)
+        assert daemon._done_line(flight, mode) == _generic(
+            {"type": "done", "cache": mode, "epoch": epoch,
+             "trace": result})
+        types = dict(_TRACE_TYPES)
+        if result.get("dest_distance", 0) is None:
+            types["dest_distance"] = type(None)
+        fits = _fits(result, types) and type(epoch) is int
+        assert (daemon._done_template(flight, mode) is not None) == fits
+
+    def test_templates_hold_every_field_a_trace_publishes(self):
+        """A new field of the hop record or of ``result()`` fails here
+        rather than going missing from the wire; the daemon's own traces,
+        reaching their destination or not, take the templates."""
+        assert daemon.HOP_SCHEMA == tuple(sorted(_HOP_TYPES))
+        assert daemon.TRACE_SCHEMA == tuple(sorted(_TRACE_TYPES))
+        engine = _engine(prefixes=64)
+        ends = set()
+        for destination in range(0x14000001, 0x14000201, 7):
+            result = engine.open_session(
+                api.TraceRequest(destination=destination)).run()
+            ends.add(result["dest_reached"])
+            assert set(result) == set(daemon.TRACE_SCHEMA)
+            flight = Flight((destination, 0), 0, result)
+            for hop in flight.hops:
+                assert set(hop) == set(daemon.HOP_SCHEMA)
+                assert daemon._hop_template(hop) is not None, hop
+            assert daemon._done_template(flight, "miss") is not None
+        assert ends == {True, False}
+
+
 async def _settle(handle) -> None:
     """Wait for every connection handler to exit; an abandoned stream is
     finalised on a later loop turn."""
@@ -312,14 +486,15 @@ def _hops_in(record: dict) -> int:
 async def _census(monkeypatch, requests: int = 8,
                   deadline_ms: Optional[float] = None) -> list:
     """Per request of a persistent client: Tasks created on the loop,
-    daemon-side ``write`` calls, the daemon's JSON encodes and the hop
-    records those encodes held, for one fresh trace and then cached hits
-    (20.0.7.1 flow 0 is 16 hops and a ``done`` record on ``serve
-    --prefixes 256``'s topology), each carrying ``deadline_ms`` when it
-    is given."""
+    daemon-side ``write`` calls, the daemon's generic JSON encodes, the
+    lines it formatted from the hop and trace-summary templates, and the
+    hops those encodes and lines held, for one fresh trace and then
+    cached hits (20.0.7.1 flow 0 is 16 hops and a ``done`` record on
+    ``serve --prefixes 256``'s topology), each carrying ``deadline_ms``
+    when it is given."""
     loop = asyncio.get_running_loop()
     handle = await start_service(_engine(prefixes=256), port=0)
-    tasks, writes, encoded = [], [], []
+    tasks, writes, encoded, formatted = [], [], [], []
 
     def factory(loop, coro, **kwargs):
         tasks.append(coro)
@@ -338,8 +513,21 @@ async def _census(monkeypatch, requests: int = 8,
         encoded.append(record)
         return real_encode(record)
 
+    def counting(template, hops: int):
+        """``template``, recording the ``hops`` of each line it formats."""
+        def count(*args):
+            line = template(*args)
+            if line is not None:
+                formatted.append(hops)
+            return line
+        return count
+
     monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
     monkeypatch.setattr(daemon, "_encode", counting_encode)
+    monkeypatch.setattr(daemon, "_hop_template",
+                        counting(daemon._hop_template, 1))
+    monkeypatch.setattr(daemon, "_done_template",
+                        counting(daemon._done_template, 0))
     rows = []
     try:
         async with DaemonClient(host=handle.host, port=handle.port) as client:
@@ -348,11 +536,11 @@ async def _census(monkeypatch, requests: int = 8,
             if deadline_ms is not None:
                 payload["deadline_ms"] = deadline_ms
             for _ in range(1 + requests):
-                del tasks[:], writes[:], encoded[:]
+                del tasks[:], writes[:], encoded[:], formatted[:]
                 hops, done = await client.request(dict(payload))
                 rows.append((done["cache"], len(hops) + 1, len(tasks),
-                             len(writes), len(encoded),
-                             sum(map(_hops_in, encoded))))
+                             len(writes), len(encoded), len(formatted),
+                             sum(map(_hops_in, encoded)) + sum(formatted)))
     finally:
         loop.set_task_factory(None)
         await handle.drain()
@@ -361,10 +549,10 @@ async def _census(monkeypatch, requests: int = 8,
 
 def _print_census(title: str, rows: list) -> None:
     print(f"\n{title}\ncache  records  loop Tasks  daemon writes"
-          "  JSON encodes  hops encoded")
-    for cache, records, tasks, writes, encodes, hops in rows:
+          "  JSON encodes  template lines  hops formatted")
+    for cache, records, tasks, writes, encodes, lines, hops in rows:
         print(f"{cache:<6} {records:>7} {tasks:>11} {writes:>14}"
-              f" {encodes:>13} {hops:>13}")
+              f" {encodes:>13} {lines:>15} {hops:>15}")
 
 
 class TestTransportCensus:
@@ -375,11 +563,12 @@ class TestTransportCensus:
         _print_census("no deadline", rows)
         miss, hits = rows[0], rows[1:]
         # A fresh trace runs to its end in the step that looked it up,
-        # so its response is no Task and one write.  Each record is
-        # encoded once and each hop once: the done record splices in the
-        # hop lines.  A hit encodes only its done record, without hops.
-        assert miss == ("miss", 17, 0, 1, 17, 16), miss
-        assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
+        # so its response is no Task and one write.  Its 17 lines are
+        # formatted from the schema templates, none by the generic
+        # encoder, and each hop once: the done line splices in the hop
+        # lines.  A hit formats only its done line, without hops.
+        assert miss == ("miss", 17, 0, 1, 0, 17, 16), miss
+        assert set(hits) == {("hit", 17, 0, 1, 0, 1, 0)}, hits
 
     def test_census_deadlined_miss_is_one_write_and_no_task(
             self, monkeypatch):
@@ -389,5 +578,5 @@ class TestTransportCensus:
                                    deadline_ms=10_000.0))
         _print_census("deadline_ms 10000", rows)
         miss, hits = rows[0], rows[1:]
-        assert miss == ("miss", 17, 0, 1, 17, 16), miss
-        assert set(hits) == {("hit", 17, 0, 1, 1, 0)}, hits
+        assert miss == ("miss", 17, 0, 1, 0, 17, 16), miss
+        assert set(hits) == {("hit", 17, 0, 1, 0, 1, 0)}, hits
