@@ -5,16 +5,19 @@ is the run's own high-water mark, not pytest's) and fails above its
 measured peak plus 15 %:
 
 * **the scan** — one ``flashroute-16`` scan through the API: above
-  153 MiB or 2.4 KiB of RSS per /24 (measured 133.2 MiB, 2.08 KiB per
-  /24).  With the topology as columns the scan peaks there; with one
-  object graph per /24 it peaked at ~234 MiB (3.65 KiB per /24), and
-  with a response tuple per ``(destination, TTL)`` slot in the route
-  cache at 414 MiB — either coming back fails this.
+  131.6 MiB or 2.06 KiB of RSS per /24 (measured 114.4 MiB, 1.79 KiB
+  per /24).  With the result's hops as one columnar table and the
+  topology as columns the scan peaks there; with a ``{ttl: responder}``
+  dict per prefix it peaked at 130.9 MiB (2.04 KiB per /24), with one
+  object graph per /24 at ~234 MiB (3.65 KiB per /24), and with a
+  response tuple per ``(destination, TTL)`` slot in the route cache at
+  414 MiB — any of them coming back fails this.
 * **the writer** — ``scan --tool yarrp-32 --output F.json`` through the
   CLI, which holds the result and its JSON document at once: above
-  188 MiB (measured 163 MiB).  With a new responder ``int`` per hop in
-  the simulator and two new strings per hop in ``result_to_dict`` it
-  peaked at 288 MiB — either coming back fails this.
+  144.2 MiB (measured 125.4 MiB).  With the per-prefix route dicts it
+  peaked at 163 MiB, and with a new responder ``int`` per hop in the
+  simulator and two new strings per hop in ``result_to_dict`` at
+  288 MiB — any of them coming back fails this.
 
 ~40 s together; run by CI's ``bench-smoke`` job, outside tier-1.
 
@@ -34,9 +37,9 @@ import sys
 import repro
 
 PREFIXES = 65_536
-MAX_RSS_MIB = 153.0
-MAX_KIB_PER_PREFIX = 2.4
-MAX_OUTPUT_RSS_MIB = 188.0
+MAX_RSS_MIB = 131.6
+MAX_KIB_PER_PREFIX = 2.06
+MAX_OUTPUT_RSS_MIB = 144.2
 
 _SCAN = """
 import json, resource, sys, time

@@ -33,9 +33,9 @@ def main() -> None:
     # Show the best-covered route to a responding destination,
     # traceroute style.  (Starred hops were skipped by backward probing's
     # redundancy elimination or simply never answered.)
-    prefix = max(result.dest_distance,
-                 key=lambda p: len(result.routes.get(p, {})))
-    hops = result.routes.get(prefix, {})
+    routes = result.routes
+    prefix = max(result.dest_distance, key=lambda p: len(routes.get(p, {})))
+    hops = routes.get(prefix, {})
     target = result.targets[prefix]
     print(f"\nRoute toward {int_to_ip(target)}:")
     end = result.dest_distance.get(prefix)

@@ -81,13 +81,8 @@ def _route_has_loop(hops: Dict[int, int]) -> bool:
     return False
 
 
-def _tail_interfaces(longer: ScanResult, shorter: ScanResult,
-                     prefix: int) -> Set[int]:
-    """Interfaces on the part of ``longer``'s route past ``shorter``'s end."""
-    short_end = shorter.route_length(prefix)
-    if short_end is None:
-        short_end = 0
-    hops = longer.routes.get(prefix, {})
+def _tail_interfaces(hops: Dict[int, int], short_end: int) -> Set[int]:
+    """Interfaces on the part of a route past another route's end."""
     return {responder for ttl, responder in hops.items() if ttl > short_end}
 
 
@@ -95,6 +90,9 @@ def analyze_hitlist_bias(hitlist_scan: ScanResult,
                          random_scan: ScanResult) -> HitlistBiasReport:
     """Compute the full §5.1 report from two exhaustive scans."""
     prefixes = set(hitlist_scan.targets) & set(random_scan.targets)
+    random_routes, hitlist_routes = random_scan.routes, hitlist_scan.routes
+    random_lengths = random_scan.route_lengths()
+    hitlist_lengths = hitlist_scan.route_lengths()
 
     random_longer = 0
     hitlist_longer = 0
@@ -107,17 +105,17 @@ def analyze_hitlist_bias(hitlist_scan: ScanResult,
     hitlist_tail: Set[int] = set()
 
     for prefix in prefixes:
-        random_len = random_scan.route_length(prefix)
-        hitlist_len = hitlist_scan.route_length(prefix)
+        random_len = random_lengths.get(prefix)
+        hitlist_len = hitlist_lengths.get(prefix)
         if random_len is not None and hitlist_len is not None:
             if random_len > hitlist_len:
                 random_longer += 1
-                random_tail |= _tail_interfaces(random_scan, hitlist_scan,
-                                                prefix)
+                random_tail |= _tail_interfaces(
+                    random_routes.get(prefix, {}), hitlist_len)
             elif hitlist_len > random_len:
                 hitlist_longer += 1
-                hitlist_tail |= _tail_interfaces(hitlist_scan, random_scan,
-                                                 prefix)
+                hitlist_tail |= _tail_interfaces(
+                    hitlist_routes.get(prefix, {}), random_len)
 
         hit_responded = prefix in hitlist_scan.dest_distance
         rand_responded = prefix in random_scan.dest_distance
@@ -131,25 +129,21 @@ def analyze_hitlist_bias(hitlist_scan: ScanResult,
                 both_hitlist_longer += 1
         if hit_responded and not rand_responded:
             unresponsive_random += 1
-            if _route_has_loop(random_scan.routes.get(prefix, {})):
+            if _route_has_loop(random_routes.get(prefix, {})):
                 looped += 1
 
     hitlist_addresses = set(hitlist_scan.targets.values())
     random_addresses = set(random_scan.targets.values())
-    random_route_hops: Set[int] = set()
-    for hops in random_scan.routes.values():
-        random_route_hops.update(hops.values())
-    hitlist_route_hops: Set[int] = set()
-    for hops in hitlist_scan.routes.values():
-        hitlist_route_hops.update(hops.values())
+    random_route_hops = random_scan.interfaces()
+    hitlist_route_hops = hitlist_scan.interfaces()
 
     return HitlistBiasReport(
-        hitlist_interfaces=hitlist_scan.interface_count(),
-        random_interfaces=random_scan.interface_count(),
+        hitlist_interfaces=len(hitlist_route_hops),
+        random_interfaces=len(random_route_hops),
         random_longer=random_longer,
         hitlist_longer=hitlist_longer,
-        random_extra_tail_interfaces=len(random_tail - hitlist_scan.interfaces()),
-        hitlist_extra_tail_interfaces=len(hitlist_tail - random_scan.interfaces()),
+        random_extra_tail_interfaces=len(random_tail - hitlist_route_hops),
+        hitlist_extra_tail_interfaces=len(hitlist_tail - random_route_hops),
         hitlist_on_random_routes=len(hitlist_addresses & random_route_hops),
         random_on_hitlist_routes=len(random_addresses & hitlist_route_hops),
         hitlist_responsive=len(hitlist_scan.dest_distance),

@@ -99,20 +99,13 @@ def count_route_holes(result: ScanResult,
         probed.setdefault(dst >> shift, set()).add(ttl)
 
     holes = 0
+    routes, lengths = result.routes, result.route_lengths()
     for prefix, ttls in probed.items():
-        hops = result.routes.get(prefix, {})
-        end = result.route_length(prefix)
+        end = lengths.get(prefix)
         if end is None:
             continue
-        dest_distance = result.dest_distance.get(prefix)
-        for ttl in ttls:
-            if ttl >= end:
-                continue
-            if ttl in hops:
-                continue
-            if dest_distance is not None and ttl >= dest_distance:
-                continue
-            holes += 1
+        hops = routes.get(prefix, {})
+        holes += sum(1 for ttl in ttls if ttl < end and ttl not in hops)
     return holes
 
 

@@ -43,8 +43,9 @@ def targets_probed_per_ttl(result: ScanResult) -> Dict[int, int]:
 def route_length_distribution(result: ScanResult) -> Dict[int, int]:
     """Histogram of measured route lengths across targets."""
     histogram: Counter = Counter()
+    lengths = result.route_lengths()
     for prefix in result.targets:
-        length = result.route_length(prefix)
+        length = lengths.get(prefix)
         if length is not None:
             histogram[length] += 1
     return dict(sorted(histogram.items()))

@@ -177,6 +177,8 @@ class _YarrpRun:
             ttl: 0.0 for ttl in range(1, config.neighborhood_radius + 1)}
         self.skipped_by_protection = 0
         self._seen_ifaces: set = set()
+        #: Fill mode's deepest answered TTL per offset (0: none yet).
+        self._deepest: Optional[bytearray] = None
         #: (dst, ttl) pairs probed / answered — only tracked when a retry
         #: budget exists, so the default path carries no per-probe cost.
         self._sent: Optional[set] = set() if rt.retries > 0 else None
@@ -220,20 +222,21 @@ class _YarrpRun:
         prefix = self.base_prefix + offset
 
         if response.kind is ResponseKind.TTL_EXCEEDED:
-            known = result.routes.get(prefix)
-            is_new_iface = response.responder not in self._seen_ifaces
-            result.routes.setdefault(prefix, {})[ttl] = response.responder
-            if is_new_iface:
-                self._seen_ifaces.add(response.responder)
+            responder = response.responder
+            self._add_key(prefix)
+            self._add_ttl(ttl)
+            self._add_responder(responder)
+            if responder not in self._seen_ifaces:
+                self._seen_ifaces.add(responder)
                 if ttl in self.last_new_iface_at:
                     self.last_new_iface_at[ttl] = response.arrival_time
-            if (config.fill_start is not None
-                    and ttl >= config.fill_start
-                    and ttl < config.max_ttl
-                    and (not known or max(known) <= ttl)):
-                # Fill mode: extend the route one hop past the farthest
-                # responding hop (inherent gap limit of 1).
-                self.fill_backlog.append((dst, ttl + 1))
+            deepest = self._deepest
+            if deepest is not None and deepest[offset] <= ttl:
+                deepest[offset] = ttl
+                if config.fill_start <= ttl < config.max_ttl:
+                    # Fill mode: extend the route one hop past the
+                    # farthest responding hop (inherent gap limit of 1).
+                    self.fill_backlog.append((dst, ttl + 1))
             return
 
         distance = destination_distance(response, dst, ttl)
@@ -319,6 +322,14 @@ class _YarrpRun:
     # ------------------------------------------------------------------ #
 
     def execute(self) -> ScanResult:
+        hops = self.rt.result.hops  # read after a resume replaced it
+        self._add_key, self._add_ttl, self._add_responder = hops.appenders()
+        if self.config.fill_start is not None:
+            # From the table: a resumed scan's holds the hops so far.
+            self._deepest = deepest = bytearray(self.rt.num_prefixes)
+            for prefix, ttl in zip(hops.keys, hops.ttls):
+                offset = prefix - self.base_prefix
+                deepest[offset] = max(deepest[offset], ttl)
         return self.rt.run(self._scan)
 
     def _scan(self) -> None:

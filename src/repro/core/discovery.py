@@ -62,8 +62,9 @@ def _length_guided_start_ttls(targets: Dict[int, int], main: ScanResult,
                               slack: int = 5) -> Dict[int, int]:
     """Starting TTL in [1, route_length + slack], per §5.4's proposal."""
     start: Dict[int, int] = {}
+    lengths = main.route_lengths()
     for prefix in targets:
-        length = main.route_length(prefix)
+        length = lengths.get(prefix)
         upper = min(length + slack, max_ttl) if length is not None else max_ttl
         start[prefix] = rng.randint(1, max(upper, 1))
     return start

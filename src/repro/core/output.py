@@ -9,7 +9,9 @@ durable formats:
   ad-hoc analysis;
 * **text** — human traceroute-style dumps.
 
-A scan's hops name far fewer interfaces than they number (a 16,384-prefix
+Each writer groups the rows of the result's hop table per prefix in one
+pass (a later row for a (prefix, TTL) replaces an earlier one).  A scan's
+hops name far fewer interfaces than they number (a 16,384-prefix
 ``yarrp-32`` scan reports ~236 K hops at ~24 K interfaces), and a TTL key
 repeats in every route.  So each writer formats every distinct address,
 prefix and TTL once per call and hands the same ``str`` to every place it
@@ -24,11 +26,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from json.encoder import encode_basestring_ascii as quoted
-from typing import Callable, Dict, Optional, TextIO
+from typing import Any, Callable, Dict, Optional, TextIO
 
-from ..net.addr import int_to_ip, ip_to_int
+from ..net.addr import AddressError, int_to_ip, ip_to_int
 from .results import ScanResult, format_scan_time
 
 _FORMAT_VERSION = 1
@@ -36,15 +38,15 @@ _FORMAT_VERSION = 1
 
 class _Text(dict):
     """One call's memo: ``text[key]`` formats ``key`` on first use and
-    returns the same string after."""
+    returns the same object after (parsing text works alike)."""
 
     __slots__ = ("_format",)
 
-    def __init__(self, format: Callable[[int], str]) -> None:
+    def __init__(self, format: Callable[[Any], Any]) -> None:
         super().__init__()
         self._format = format
 
-    def __missing__(self, key: int) -> str:
+    def __missing__(self, key: Any) -> Any:
         text = self[key] = self._format(key)
         return text
 
@@ -54,6 +56,17 @@ def result_to_dict(result: ScanResult) -> Dict[str, object]:
     # JSON objects key by string; prefixes/ttls are ints.
     key = _Text(str)
     ip = _Text(int_to_ip)
+    table = result.hops
+    routes: Dict[int, Dict[str, str]] = defaultdict(dict)
+    try:
+        for prefix, ttl, responder in zip(table.keys, table.ttls,
+                                          table.responders):
+            routes[prefix][key[ttl]] = ip[responder]
+    except AddressError:
+        # Unwritable only if no later row replaced it: format survivors.
+        routes = {prefix: {key[ttl]: ip[responder]
+                           for ttl, responder in hops.items()}
+                  for prefix, hops in table.routes().items()}
     return {
         "format_version": _FORMAT_VERSION,
         "tool": result.tool,
@@ -74,9 +87,7 @@ def result_to_dict(result: ScanResult) -> Dict[str, object]:
                     for prefix, addr in result.targets.items()},
         "dest_distance": {key[prefix]: distance
                           for prefix, distance in result.dest_distance.items()},
-        "routes": {key[prefix]: {key[ttl]: ip[responder]
-                                 for ttl, responder in hops.items()}
-                   for prefix, hops in result.routes.items()},
+        "routes": {key[prefix]: hops for prefix, hops in routes.items()},
         "ttl_probe_histogram": {key[ttl]: count for ttl, count
                                 in result.ttl_probe_histogram.items()},
         "response_kinds": dict(result.response_kinds),
@@ -106,10 +117,10 @@ def result_from_dict(payload: Dict[str, object]) -> ScanResult:
                       for prefix, addr in payload["targets"].items()}
     result.dest_distance = {int(prefix): int(distance) for prefix, distance
                             in payload["dest_distance"].items()}
-    result.routes = {
-        int(prefix): {int(ttl): ip_to_int(responder)
-                      for ttl, responder in hops.items()}
-        for prefix, hops in payload["routes"].items()}
+    address = _Text(ip_to_int)
+    for prefix, hops in payload["routes"].items():
+        for ttl, responder in hops.items():
+            result.add_hop(int(prefix), int(ttl), address[responder])
     result.ttl_probe_histogram = Counter(
         {int(ttl): int(count) for ttl, count
          in payload["ttl_probe_histogram"].items()})
@@ -180,11 +191,12 @@ def write_hops_csv(result: ScanResult, stream: TextIO) -> int:
     ip = _Text(int_to_ip)
     rows = 0
     shift = 32 - result.granularity
-    for prefix in sorted(result.routes.keys() | result.dest_distance.keys()):
+    routes = result.hops.routes()
+    for prefix in sorted(routes.keys() | result.dest_distance.keys()):
         target = result.targets.get(prefix)
         target_text = int_to_ip(target) if target is not None else ""
         prefix_text = f"{int_to_ip(prefix << shift)}/{result.granularity}"
-        for ttl, responder in sorted(result.routes.get(prefix, {}).items()):
+        for ttl, responder in sorted(routes.get(prefix, {}).items()):
             writer.writerow([prefix_text, target_text, ttl, ip[responder],
                              0])
             rows += 1
@@ -210,7 +222,7 @@ def format_route(result: ScanResult, prefix: int,
                  show_missing: bool = True) -> str:
     """One route as classic traceroute output (``*`` for silent hops)."""
     target = result.targets.get(prefix)
-    hops = result.routes.get(prefix, {})
+    hops = result.hops.route(prefix)
     distance = result.dest_distance.get(prefix)
     end = distance if distance is not None else (max(hops) if hops else 0)
     shift = 32 - result.granularity

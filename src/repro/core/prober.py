@@ -298,7 +298,9 @@ class _ScanRun:
 
         if kind is ResponseKind.TTL_EXCEEDED:
             responder = response.responder
-            rt.result.routes.setdefault(prefix, {})[ttl] = responder
+            self._add_key(prefix)
+            self._add_ttl(ttl)
+            self._add_responder(responder)
             horizon = ttl + config.gap_limit
             if horizon > 255:
                 horizon = 255
@@ -561,6 +563,8 @@ class _ScanRun:
             self._retry.restore_state(state["retry"])
 
     def execute(self, skip_preprobe: bool = False) -> ScanResult:
+        hops = self.rt.result.hops  # read after a resume replaced it
+        self._add_key, self._add_ttl, self._add_responder = hops.appenders()
         return self.rt.run(self._scan, skip_preprobe)
 
     def _scan(self, skip_preprobe: bool) -> None:

@@ -2,16 +2,19 @@
 
 A :class:`ScanResult` is produced by every probing engine in this library
 (FlashRoute and the baselines), so the analysis layer can compare tools
-uniformly.  Routes are stored per /24 prefix as ``{ttl: responder}``
-mappings; the interface set, per-TTL probing histogram (Fig. 7), and the
-table-style summary all derive from it.
+uniformly.  Its hops live in one :class:`HopTable`: three columns (block
+key, TTL, responder) in arrival order, as Yarrp records each answer as a
+flat ``(target, TTL, hop)`` row.  Every view of the routes (the interface
+set, a route, its length and holes) is one pass over the columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 
 def format_scan_time(seconds: float) -> str:
@@ -27,6 +30,74 @@ def format_scan_time(seconds: float) -> str:
     return f"{minutes}:{rest:05.2f}"
 
 
+class HopTable:
+    """Every TTL-exceeded hop of a scan, one row per answer in arrival
+    order: the block key (``array('Q')``), the TTL (``array('B')``) and
+    the responder (a list of the simulator's shared ``int`` per interface,
+    IPv4 and IPv6 alike).  A later row for a (key, TTL) supersedes an
+    earlier one; tables compare by the routes they resolve to."""
+
+    __slots__ = ("keys", "ttls", "responders")
+
+    def __init__(self) -> None:
+        self.keys = array("Q")
+        self.ttls = array("B")
+        self.responders: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HopTable) and self.routes() == other.routes()
+
+    def appenders(self) -> Tuple[Callable[[int], None], ...]:
+        """The three columns' bound ``append``s, for an engine to hoist."""
+        return self.keys.append, self.ttls.append, self.responders.append
+
+    def extend(self, other: "HopTable") -> None:
+        self.keys.extend(other.keys)
+        self.ttls.extend(other.ttls)
+        self.responders.extend(other.responders)
+
+    def routes(self) -> Dict[int, Dict[int, int]]:
+        """A new ``{key: {ttl: responder}}``, later rows winning."""
+        routes: Dict[int, Dict[int, int]] = defaultdict(dict)
+        for key, ttl, responder in zip(self.keys, self.ttls,
+                                       self.responders):
+            routes[key][ttl] = responder
+        return dict(routes)
+
+    def route(self, key: int) -> Dict[int, int]:
+        """One key's ``{ttl: responder}``, later rows winning."""
+        return {ttl: responder for row, ttl, responder
+                in zip(self.keys, self.ttls, self.responders) if row == key}
+
+    def ttl_masks(self) -> Dict[int, int]:
+        """Per key, the bit set of its answered TTLs."""
+        masks: Dict[int, int] = {}
+        for key, ttl in zip(self.keys, self.ttls):
+            masks[key] = masks.get(key, 0) | 1 << ttl
+        return masks
+
+    def live_responders(self) -> Set[int]:
+        """Responders of the rows no later row supersedes, holding one TTL
+        bit set per key and no object per hop.  When the bit sets count
+        every row, no (key, TTL) repeats and every row is live."""
+        masks = self.ttl_masks()
+        if sum(bin(mask).count("1") for mask in masks.values()) == len(self):
+            return set(self.responders)
+        found: Set[int] = set()
+        seen = dict.fromkeys(masks, 0)
+        for key, ttl, responder in zip(reversed(self.keys),
+                                       reversed(self.ttls),
+                                       reversed(self.responders)):
+            mask = seen[key]
+            if not mask >> ttl & 1:
+                seen[key] = mask | 1 << ttl
+                found.add(responder)
+        return found
+
+
 @dataclass
 class ScanResult:
     """Everything one scan discovered and what it cost."""
@@ -35,12 +106,12 @@ class ScanResult:
     num_targets: int = 0
 
     #: Prefix bits of one scanned block (24 = one target per /24; the keys
-    #: of ``routes``/``targets``/``dest_distance`` are ``addr >> (32 -
+    #: of ``hops``/``targets``/``dest_distance`` are ``addr >> (32 -
     #: granularity)``).
     granularity: int = 24
 
-    #: prefix index -> {ttl -> responder address} for TTL-exceeded hops.
-    routes: Dict[int, Dict[int, int]] = field(default_factory=dict)
+    #: (prefix index, ttl, responder address) of every TTL-exceeded hop.
+    hops: HopTable = field(default_factory=HopTable)
 
     #: prefix index -> measured hop distance of the destination (from
     #: "unreachable"-family responses).
@@ -87,11 +158,10 @@ class ScanResult:
     def add_hop(self, prefix: int, ttl: int, responder: int) -> None:
         """Record a TTL-exceeded response: ``responder`` sits at ``ttl`` on
         the route toward ``prefix``'s representative."""
-        hops = self.routes.get(prefix)
-        if hops is None:
-            hops = {}
-            self.routes[prefix] = hops
-        hops[ttl] = responder
+        hops = self.hops
+        hops.keys.append(prefix)
+        hops.ttls.append(ttl)
+        hops.responders.append(responder)
 
     def record_destination(self, prefix: int, distance: int) -> None:
         """Record that the representative answered from ``distance`` hops."""
@@ -112,30 +182,34 @@ class ScanResult:
     # Derived views
     # ------------------------------------------------------------------ #
 
+    @property
+    def routes(self) -> Dict[int, Dict[int, int]]:
+        """prefix index -> {ttl -> responder}: a new dict per read, for
+        tests and one-shot analysis."""
+        return self.hops.routes()
+
     def interfaces(self) -> Set[int]:
         """Unique router interface addresses revealed by the scan."""
-        found: Set[int] = set()
-        for hops in self.routes.values():
-            found.update(hops.values())
-        return found
+        return self.hops.live_responders()
 
     def interface_count(self) -> int:
         return len(self.interfaces())
 
     def route(self, prefix: int) -> List[Tuple[int, int]]:
         """Sorted ``(ttl, responder)`` pairs for one prefix."""
-        return sorted(self.routes.get(prefix, {}).items())
+        return sorted(self.hops.route(prefix).items())
 
     def route_length(self, prefix: int) -> Optional[int]:
         """Measured route length: the destination's distance if it answered,
         else the deepest responding hop, else ``None``."""
-        distance = self.dest_distance.get(prefix)
-        if distance is not None:
-            return distance
-        hops = self.routes.get(prefix)
-        if hops:
-            return max(hops)
-        return None
+        return self.route_lengths().get(prefix)
+
+    def route_lengths(self) -> Dict[int, int]:
+        """:meth:`route_length` of every prefix that has one, in one pass."""
+        lengths = {prefix: mask.bit_length() - 1
+                   for prefix, mask in self.hops.ttl_masks().items()}
+        lengths.update(self.dest_distance)
+        return lengths
 
     def mean_rtt_ms(self) -> Optional[float]:
         if self.rtt_count == 0:
@@ -152,16 +226,17 @@ class ScanResult:
         is the per-scan observable of loss-induced route damage; a
         loss-free scan of a fully responsive path reports 0.
         """
-        holes = 0
-        for prefix, hops in self.routes.items():
-            if not hops:
-                continue
-            first = min(hops)
-            distance = self.dest_distance.get(prefix)
-            last = max(hops) if distance is None else distance
-            holes += sum(1 for ttl in range(first + 1, last)
-                         if ttl not in hops)
-        return holes
+        return len(self.holes())
+
+    def holes(self) -> Set[Tuple[int, int]]:
+        """The ``(prefix, ttl)`` pairs :meth:`route_holes` counts."""
+        found: Set[Tuple[int, int]] = set()
+        for prefix, mask in self.hops.ttl_masks().items():
+            end = self.dest_distance.get(prefix, mask.bit_length() - 1)
+            found.update((prefix, ttl) for ttl
+                         in range((mask & -mask).bit_length(), end)
+                         if not mask >> ttl & 1)
+        return found
 
     def probes_per_target(self) -> float:
         if self.num_targets == 0:

@@ -388,9 +388,10 @@ def _run_slice_job(job) -> Dict[str, object]:
 def merge_results(results: Sequence[ScanResult]) -> ScanResult:
     """Fold per-slice :class:`ScanResult`s (in slice order) into one.
 
-    Per-prefix maps union (slices are disjoint by construction); probe
-    and response counters sum; ``duration``/``rounds`` take the maximum
-    (slices run concurrently on independent virtual clocks).  With the
+    Per-prefix maps union and hop tables concatenate (slices are
+    disjoint by construction); probe and response counters sum;
+    ``duration``/``rounds`` take the maximum (slices run concurrently on
+    independent virtual clocks).  With the
     same slice decomposition, the merged result — and hence its
     :meth:`~ScanResult.fingerprint` — is identical for every worker
     count.
@@ -405,7 +406,7 @@ def merge_results(results: Sequence[ScanResult]) -> ScanResult:
                 f"cannot merge results from different tools: "
                 f"{first.tool!r} vs {result.tool!r}")
         merged.num_targets += result.num_targets
-        merged.routes.update(result.routes)
+        merged.hops.extend(result.hops)
         merged.dest_distance.update(result.dest_distance)
         merged.targets.update(result.targets)
         merged.probes_sent += result.probes_sent

@@ -55,11 +55,12 @@ class LossSweepResult:
 
 
 def _mean_route_length(scan: ScanResult) -> float:
-    lengths = [length for prefix in scan.routes
-               if (length := scan.route_length(prefix)) is not None]
-    if not lengths:
+    """Mean :meth:`ScanResult.route_length` over the prefixes with hops."""
+    lengths = scan.route_lengths()
+    prefixes = set(scan.hops.keys)
+    if not prefixes:
         return 0.0
-    return sum(lengths) / len(lengths)
+    return sum(lengths[prefix] for prefix in prefixes) / len(prefixes)
 
 
 def run_loss_sweep(context: ExperimentContext,
@@ -135,21 +136,6 @@ class LossRecoveryResult:
         }
 
 
-def _hole_set(scan: ScanResult) -> set:
-    """The (prefix, ttl) holes :meth:`ScanResult.route_holes` counts."""
-    holes = set()
-    for prefix, hops in scan.routes.items():
-        if not hops:
-            continue
-        first = min(hops)
-        length = scan.route_length(prefix)
-        end = length if length is not None else max(hops)
-        for ttl in range(first + 1, end):
-            if ttl not in hops:
-                holes.add((prefix, ttl))
-    return holes
-
-
 def run_loss_recovery(context: ExperimentContext,
                       loss_rates: Tuple[float, ...] = (0.02, 0.05),
                       tools: Tuple[str, ...] = DEFAULT_TOOLS,
@@ -172,7 +158,7 @@ def run_loss_recovery(context: ExperimentContext,
     for tool in tools:
         clean = create_scanner(ScanRequest(tool=tool)).scan(
             context.network(), targets=context.random_targets)
-        clean_holes = _hole_set(clean)
+        clean_holes = clean.holes()
         for loss in loss_rates:
             model = FaultModel.symmetric_loss(loss, seed=fault_seed)
             bare = create_scanner(ScanRequest(tool=tool)).scan(
@@ -184,8 +170,8 @@ def run_loss_recovery(context: ExperimentContext,
                 targets=context.random_targets)
             result.scans[(tool, loss, 0)] = bare
             result.scans[(tool, loss, retries)] = retried
-            induced = _hole_set(bare) - clean_holes
-            recovered = induced - _hole_set(retried)
+            induced = bare.holes() - clean_holes
+            recovered = induced - retried.holes()
             fraction = (len(recovered) / len(induced)) if induced else 1.0
             result.recovery[(tool, loss)] = fraction
             cost = (retried.probes_sent / bare.probes_sent

@@ -161,8 +161,7 @@ def load_view(path: str) -> ScanView:
         if isinstance(payload, dict) and "format_version" in payload:
             result = result_from_dict(payload)
             view = ScanView(label=path, source="result")
-            view.routes = {prefix: dict(hops)
-                           for prefix, hops in result.routes.items()}
+            view.routes = result.routes
             view.dest_distance = dict(result.dest_distance)
             return view
     raise ValueError(f"{path}: not an event log or scan result file")

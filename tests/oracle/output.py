@@ -76,3 +76,25 @@ def write_hops_csv(result: ScanResult, stream: TextIO) -> int:
                              target_text, 1])
             rows += 1
     return rows
+
+
+def format_route(result: ScanResult, prefix: int,
+                 show_missing: bool = True) -> str:
+    """``repro.core.output.format_route`` over ``result.routes``."""
+    target = result.targets.get(prefix)
+    hops = result.routes.get(prefix, {})
+    distance = result.dest_distance.get(prefix)
+    end = distance if distance is not None else (max(hops) if hops else 0)
+    shift = 32 - result.granularity
+    target_text = int_to_ip(target) if target is not None else "?"
+    lines = [f"traceroute to {target_text} "
+             f"({int_to_ip(prefix << shift)}/{result.granularity})"]
+    for ttl in range(1, end + 1):
+        responder = hops.get(ttl)
+        if ttl == distance and target is not None:
+            lines.append(f"  {ttl:2d}  {target_text}  [destination]")
+        elif responder is not None:
+            lines.append(f"  {ttl:2d}  {int_to_ip(responder)}")
+        elif show_missing:
+            lines.append(f"  {ttl:2d}  *")
+    return "\n".join(lines)

@@ -228,7 +228,9 @@ class TestEngineWiring:
         # route_holes() computed over the replayed routes agrees.
         from repro.core.results import ScanResult
         replay = ScanResult(tool="replay")
-        replay.routes = view.routes
+        for prefix, hops in view.routes.items():
+            for ttl, responder in hops.items():
+                replay.add_hop(prefix, ttl, responder)
         replay.dest_distance = view.dest_distance
         assert replay.route_holes() == result.route_holes()
         # Stop decisions cover every retired destination's forward stop.

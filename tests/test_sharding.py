@@ -400,18 +400,18 @@ class TestMergeHelpers:
 
     def test_merge_results_sums_and_unions(self):
         a = self._result(num_targets=2, probes_sent=10, responses=8,
-                         duration=1.5, rounds=3,
-                         routes={1: {(9, 0xA)}}, targets={1: 0x0101011D})
+                         duration=1.5, rounds=3, targets={1: 0x0101011D})
+        a.add_hop(1, 9, 0xA)
         b = self._result(num_targets=3, probes_sent=20, responses=15,
-                         duration=2.5, rounds=2,
-                         routes={2: {(9, 0xB)}}, targets={2: 0x0202021D})
+                         duration=2.5, rounds=2, targets={2: 0x0202021D})
+        b.add_hop(2, 9, 0xB)
         merged = merge_results([a, b])
         assert merged.num_targets == 5
         assert merged.probes_sent == 30
         assert merged.responses == 23
         assert merged.duration == 2.5
         assert merged.rounds == 3
-        assert merged.routes == {1: {(9, 0xA)}, 2: {(9, 0xB)}}
+        assert merged.routes == {1: {9: 0xA}, 2: {9: 0xB}}
         assert merged.targets == {1: 0x0101011D, 2: 0x0202021D}
 
     def test_merge_results_rejects_empty_and_mixed_tools(self):
