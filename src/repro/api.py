@@ -41,9 +41,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, fields
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, get_args, get_type_hints)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, get_args, get_type_hints)
 
 from .core.config import PreprobeMode
 from .core.resilience import CheckpointError, ResilienceConfig
@@ -52,6 +53,7 @@ from .core.scanner import create_scanner, scanner_names
 from .net.addr import int_to_ip, ip_to_int
 from .net.addr6 import int_to_ip6
 from .net.icmp import ResponseKind
+from .net.packets import PROTO_UDP, UDP_HEADER_LEN
 from .simnet.config import TopologyConfig
 from .simnet.engine import VirtualClock
 from .simnet.faults import FaultModel
@@ -538,14 +540,85 @@ class ScanSession:
         return resume(self.network, state)
 
 
+#: One responding TTL of a trace: ``(ttl, responder, rtt_ms)``.  The
+#: responder is the route cache's shared ``int`` for its interface; the
+#: round trip is in milliseconds, rounded to 3 places.
+TraceRow = Tuple[int, int, float]
+
+
+def hop_records(rows: Iterable[TraceRow], source: str, destination: str,
+                flow: int) -> Iterator[Dict[str, object]]:
+    """``rows`` as Manifold's hop records (manifold-tdmi.h): KEY(source,
+    destination, ttl) with the probe id in ``path``."""
+    for ttl, responder, rtt_ms in rows:
+        yield {"ip": int_to_ip(responder), "ttl": ttl, "hop_probecount": 0,
+               "path": flow, "source": source, "destination": destination,
+               "rtt_ms": rtt_ms}
+
+
+def trace_record(rows: Sequence[TraceRow], source: str, destination: str,
+                 flow: int, dest_distance: Optional[int], probes: int,
+                 first: float, last: float) -> Dict[str, object]:
+    """A walk's rows and summary as Manifold's traceroute record."""
+    return {
+        "source": source,
+        "destination": destination,
+        "flow": flow,
+        "hops": list(hop_records(rows, source, destination, flow)),
+        "hop_count": len(rows),
+        "dest_reached": dest_distance is not None,
+        "dest_distance": dest_distance,
+        "probes": probes,
+        "first": first,
+        "last": last,
+        "ts": last,
+    }
+
+
+def _walk(request: TraceRequest, network, clock: VirtualClock,
+          rows: List[TraceRow]) -> Iterator[bool]:
+    """A trace's sequential walk: appends each responding TTL's row to
+    ``rows``, then yields whether the destination answered it.  It holds
+    no reference to its session, so a session dropped mid-walk is freed
+    with its network view (and the view's rate limiter) at once."""
+    send = network.send_probes
+    dst = request.destination
+    flow = request.flow
+    src_port = _TRACE_PORT_BASE + flow % (0x10000 - _TRACE_PORT_BASE)
+    silent = 0
+    for ttl in range(1, request.max_ttl + 1):
+        sent_at = clock.now
+        response = send(((dst, ttl, sent_at, src_port, 0, UDP_HEADER_LEN),),
+                        33434, PROTO_UDP, flow)[0]
+        clock.advance(TRACE_PROBE_GAP)
+        if response is None:
+            silent += 1
+            if silent >= request.gap_limit:
+                return
+            continue
+        silent = 0
+        arrival = response.arrival_time
+        clock.advance_to(arrival)
+        rows.append((ttl, response.responder,
+                     round((arrival - sent_at) * 1000.0, 3)))
+        # Unreachable family / TCP RST: the destination answered.
+        reached = response.kind is not ResponseKind.TTL_EXCEEDED
+        yield reached
+        if reached:
+            return
+
+
 class TraceSession:
-    """One streamed per-destination traceroute over an engine.
+    """One per-destination traceroute over an engine.
 
     The walk is the classic sequential one (probe TTL 1, wait, probe
     TTL 2, …) on the session's own virtual clock, stopping at the
-    destination or after ``gap_limit`` consecutive silent hops.  Hops
-    stream as Manifold-schema records (see docs/service.md); sessions
-    interleave freely over one engine.
+    destination or after ``gap_limit`` consecutive silent hops.  It
+    records one row per responding TTL in :attr:`rows`, a
+    one-destination hop table; the Manifold-schema records (see
+    docs/service.md) are built from the rows when a caller asks for
+    them.  A session walks its path once, however many callers iterate
+    it; sessions interleave freely over one engine.
     """
 
     def __init__(self, engine: Engine, request: TraceRequest,
@@ -560,91 +633,51 @@ class TraceSession:
         self.network = engine.network.open_session(faults=faults)
         self.clock = VirtualClock(start_time)
         self.start_time = start_time
-        self.hops: List[Dict[str, object]] = []
-        self.dest_reached = False
+        # Interned: the sessions of an engine, and the daemon's cached
+        # traces, share one string.
+        self.source = sys.intern(int_to_ip(engine.topology.vantage_addr))
+        self.rows: List[TraceRow] = []
         self.dest_distance: Optional[int] = None
-        self.done = False
-        # Formatted once: every hop record shares these two strings.
-        self._source = int_to_ip(engine.topology.vantage_addr)
-        self._destination = int_to_ip(request.destination)
+        # The one walk, started by the first walk().
+        self._walk: Optional[Iterator[bool]] = None
 
-    def _hop_record(self, ttl: int, responder: int,
-                    rtt_ms: float) -> Dict[str, object]:
-        # Manifold's hop schema (manifold-tdmi.h): KEY(source,
-        # destination, ttl) with the probe id in `path`.
-        return {
-            "ip": int_to_ip(responder),
-            "ttl": ttl,
-            "hop_probecount": 0,
-            "path": self.request.flow,
-            "source": self._source,
-            "destination": self._destination,
-            "rtt_ms": round(rtt_ms, 3),
-        }
+    def walk(self) -> Iterator[TraceRow]:
+        """Yield the walk's rows: those recorded so far, then each one
+        the walk records as it goes on."""
+        if self._walk is None:
+            self._walk = _walk(self.request, self.network, self.clock,
+                               self.rows)
+        rows = self.rows
+        index = 0
+        while True:
+            if index == len(rows):
+                reached = next(self._walk, None)
+                if reached is None:
+                    return
+                if reached:
+                    self.dest_distance = rows[-1][0]
+            yield rows[index]
+            index += 1
 
     def stream(self) -> Iterator[Dict[str, object]]:
-        """Walk the path, yielding one hop record per responding TTL.
-
-        Records also accumulate on :attr:`hops`, which :meth:`result`
-        returns; the daemon drains the walk in one go and serves the
-        finished trace.
-        """
-        request = self.request
-        network = self.network
-        clock = self.clock
-        dst = request.destination
-        src_port = _TRACE_PORT_BASE \
-            + request.flow % (0x10000 - _TRACE_PORT_BASE)
-        silent = 0
-        for ttl in range(1, request.max_ttl + 1):
-            sent_at = clock.now
-            response = network.send_probe(dst, ttl, sent_at, src_port,
-                                          flow=request.flow)
-            clock.advance(TRACE_PROBE_GAP)
-            if response is None:
-                silent += 1
-                if silent >= request.gap_limit:
-                    break
-                continue
-            silent = 0
-            clock.advance_to(response.arrival_time)
-            rtt_ms = (response.arrival_time - sent_at) * 1000.0
-            if response.kind is ResponseKind.TTL_EXCEEDED:
-                record = self._hop_record(ttl, response.responder, rtt_ms)
-                self.hops.append(record)
-                yield record
-                continue
-            # Unreachable family / TCP RST: the destination answered.
-            record = self._hop_record(ttl, response.responder, rtt_ms)
-            self.hops.append(record)
-            self.dest_reached = True
-            self.dest_distance = ttl
-            yield record
-            break
-        self.done = True
+        """:meth:`walk`, one Manifold hop record per row."""
+        return hop_records(self.walk(), self.source,
+                           int_to_ip(self.request.destination),
+                           self.request.flow)
 
     def run(self) -> Dict[str, object]:
         """Drain the walk and return the Manifold traceroute record."""
-        if not self.done:
-            for _ in self.stream():
-                pass
+        for _ in self.walk():
+            pass
         return self.result()
 
     def result(self) -> Dict[str, object]:
-        """The Manifold-schema traceroute record for the finished walk."""
-        return {
-            "source": self._source,
-            "destination": self._destination,
-            "flow": self.request.flow,
-            "hops": list(self.hops),
-            "hop_count": len(self.hops),
-            "dest_reached": self.dest_reached,
-            "dest_distance": self.dest_distance,
-            "probes": self.network.probes_sent,
-            "first": self.start_time,
-            "last": self.clock.now,
-            "ts": self.clock.now,
-        }
+        """The Manifold-schema traceroute record of the rows so far."""
+        return trace_record(self.rows, self.source,
+                            int_to_ip(self.request.destination),
+                            self.request.flow, self.dest_distance,
+                            self.network.probes_sent, self.start_time,
+                            self.clock.now)
 
 
 # --------------------------------------------------------------------- #

@@ -23,7 +23,6 @@ one ``write`` per route, and writes exactly the bytes ``json.dump`` would.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import Counter, defaultdict
@@ -185,26 +184,41 @@ CSV_FIELDS = ("prefix", "target", "ttl", "interface", "is_destination")
 
 def write_hops_csv(result: ScanResult, stream: TextIO) -> int:
     """One row per discovered hop (plus destination rows); returns the
-    number of rows written."""
-    writer = csv.writer(stream)
-    writer.writerow(CSV_FIELDS)
+    number of rows written.
+
+    The text is what ``csv.writer`` writes in its ``excel`` dialect:
+    fields joined by ``,``, each row ended by ``\r\n``.  No field needs
+    its quoting (each is an address, a prefix, an int or empty), so each
+    route's rows are formatted from the text of the grouping pass and
+    written at once."""
     ip = _Text(int_to_ip)
+    table = result.hops
+    routes: Dict[int, Dict[int, str]] = defaultdict(dict)
+    try:
+        for prefix, ttl, responder in zip(table.keys, table.ttls,
+                                          table.responders):
+            routes[prefix][ttl] = ip[responder]
+    except AddressError:
+        # Unwritable only if no later row replaced it: format survivors.
+        routes = {prefix: {ttl: ip[responder]
+                           for ttl, responder in hops.items()}
+                  for prefix, hops in table.routes().items()}
+    write = stream.write
+    write(",".join(CSV_FIELDS) + "\r\n")
     rows = 0
     shift = 32 - result.granularity
-    routes = result.hops.routes()
     for prefix in sorted(routes.keys() | result.dest_distance.keys()):
         target = result.targets.get(prefix)
         target_text = int_to_ip(target) if target is not None else ""
-        prefix_text = f"{int_to_ip(prefix << shift)}/{result.granularity}"
-        for ttl, responder in sorted(routes.get(prefix, {}).items()):
-            writer.writerow([prefix_text, target_text, ttl, ip[responder],
-                             0])
-            rows += 1
+        head = (f"{int_to_ip(prefix << shift)}/{result.granularity},"
+                f"{target_text},")
+        hops = routes.get(prefix, {})
+        lines = [f"{head}{ttl},{hops[ttl]},0\r\n" for ttl in sorted(hops)]
         distance = result.dest_distance.get(prefix)
         if distance is not None and target is not None:
-            writer.writerow([prefix_text, target_text, distance,
-                             target_text, 1])
-            rows += 1
+            lines.append(f"{head}{distance},{target_text},1\r\n")
+        write("".join(lines))
+        rows += len(lines)
     return rows
 
 

@@ -38,13 +38,14 @@ import asyncio
 import contextlib
 import json
 import math
-import operator
 import signal
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import AsyncIterator, Deque, List, Optional, Set, Tuple
 
-from ..api import Engine, ScanRequest, TraceRequest
+from ..api import (Engine, ScanRequest, TraceRequest, TraceRow,
+                   hop_records, trace_record)
+from ..net.addr import int_to_ip
 from ..simnet.ratelimit import MAX_VIRTUAL_SECONDS
 from .obs import ServiceTelemetry
 
@@ -96,33 +97,49 @@ def _internal_error(exc: Exception) -> dict:
 class Flight:
     """One finished trace: the daemon's only per-key record.
 
-    A walk that completed carries its ``result`` (whose ``hops`` are
-    :attr:`hops`) and is the cache entry the next request for its key is
-    served from; one that failed carries only its ``error``.
+    A walk that completed is the cache entry the next request for its
+    key is served from: the walk's typed summary, its rows ``(ttl,
+    responder, rtt_ms)`` and, once a response has carried them, their
+    wire lines.  It keeps no record dicts and not the session, whose
+    network view holds a rate limiter until it dies.  A walk that failed
+    carries only its ``error``.
     """
 
-    __slots__ = ("key", "epoch", "hops", "lines", "result", "error")
+    __slots__ = ("key", "epoch", "error", "source", "rows", "distance",
+                 "probes", "first", "last", "lines")
 
     def __init__(self, key: Tuple[int, int], epoch: int,
-                 result: Optional[dict] = None,
+                 rows: Tuple[TraceRow, ...] = (), source: str = "",
+                 distance: Optional[int] = None, probes: int = 0,
+                 first: float = 0.0, last: float = 0.0,
                  error: Optional[str] = None) -> None:
         self.key = key
         self.epoch = epoch
-        self.result = result
         self.error = error
-        self.hops: List[dict] = result["hops"] if result else []
-        #: Wire lines of :attr:`hops`, formatted by the first response
-        #: that carries them (see :func:`_hop_lines`).
-        self.lines: List[bytes] = []
+        self.source = source
+        self.rows = rows
+        self.distance = distance
+        self.probes = probes
+        self.first = first
+        self.last = last
+        #: The wire lines of :attr:`rows`, one ``bytes``, formatted by
+        #: the first response that carries them (see :func:`_hop_lines`).
+        self.lines: Optional[bytes] = None
 
 
 def _hop_records(flight: Flight) -> List[dict]:
-    return [{"type": "hop", **record} for record in flight.hops]
+    destination, flow = flight.key
+    return [{"type": "hop", **record} for record in hop_records(
+        flight.rows, flight.source, int_to_ip(destination), flow)]
 
 
 def _done_record(flight: Flight, mode: str) -> dict:
+    destination, flow = flight.key
     return {"type": "done", "cache": mode, "epoch": flight.epoch,
-            "trace": flight.result}
+            "trace": trace_record(flight.rows, flight.source,
+                                  int_to_ip(destination), flow,
+                                  flight.distance, flight.probes,
+                                  flight.first, flight.last)}
 
 
 class TraceService:
@@ -332,29 +349,23 @@ class TraceService:
         self.now += TRACE_TICK
         self.traces_started += 1
         try:
-            for _ in session.stream():
+            for _ in session.walk():
                 pass
-            flight = Flight(request.key, epoch, session.result())
+            flight = Flight(request.key, epoch, tuple(session.rows),
+                            session.source, session.dest_distance,
+                            session.network.probes_sent,
+                            session.start_time, session.clock.now)
         except Exception as exc:  # answer this request, never kill the daemon
             return Flight(request.key, epoch, error=f"trace failed: {exc}")
         finally:
             self.engine.drop_route(*request.key)
-        probes = session.network.probes_sent
-        self.probes_sent += probes
+        self.probes_sent += flight.probes
         if self.telemetry is not None:
-            self.telemetry.record_flight_probes(probes)
+            self.telemetry.record_flight_probes(flight.probes)
         self.cache_store(flight)
         return flight
 
     # -- request handling ------------------------------------------------
-
-    @staticmethod
-    def _virtual_ms(result: Optional[dict]) -> float:
-        """A trace's virtual-time duration in milliseconds (the
-        deterministic latency the histograms record)."""
-        if not result:
-            return 0.0
-        return max(0.0, (result["last"] - result["first"]) * 1000.0)
 
     async def handle_trace(self, payload: dict, hops=_hop_records,
                            done=_done_record) -> AsyncIterator:
@@ -362,7 +373,7 @@ class TraceService:
 
         Yields ``hop`` records followed by exactly one terminal record
         (``done`` or ``error``).  ``hops(flight)`` (the records of
-        ``flight.hops``) and ``done(flight, mode)`` build the served
+        ``flight.rows``) and ``done(flight, mode)`` build the served
         records; the defaults build protocol dicts, the transport passes
         builders of wire lines (:func:`_hop_lines`, :func:`_done_line`).
         Every ``error`` record is a dict.  Raises nothing: malformed
@@ -440,13 +451,16 @@ class TraceService:
                 ctx.phase("respond", self.now)
             yield record
             if ctx is not None:
-                result = flight.result if error is None else None
+                served = flight if error is None else None
                 obs.finish_request(
                     self, ctx, outcome, self.now,
-                    virtual_ms=self._virtual_ms(result),
-                    probes=(result.get("probes", 0)
-                            if result and outcome == "fresh" else 0),
-                    hops=len(flight.hops) if flight is not None else 0,
+                    # The trace's virtual duration: the deterministic
+                    # latency the histograms record.
+                    virtual_ms=max(0.0, (served.last - served.first)
+                                   * 1000.0) if served else 0.0,
+                    probes=(served.probes
+                            if served and outcome == "fresh" else 0),
+                    hops=len(flight.rows) if flight is not None else 0,
                     error=error)
         finally:
             if admitted:
@@ -566,9 +580,6 @@ def bound_reads(writer: asyncio.StreamWriter) -> None:
 #: line is a function of its content.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-#: How that encoder quotes a string (json's C function when built).
-_quote = json.encoder.encode_basestring_ascii
-
 #: The end of every hop line: ``"type"`` sorts after every key of the
 #: hop schema, so the line without it is the hop's body, open at the end.
 _HOP_TAIL = b',"type":"hop"}\n'
@@ -578,117 +589,56 @@ def _line(record: dict) -> bytes:
     return _encode(record).encode() + b"\n"
 
 
-# The two records a trace puts on the wire have fixed shapes, Manifold's
-# ``hop`` and ``traceroute`` (see TraceSession), so their lines are
-# formatted from templates with the keys in sorted order.  A value goes
-# in as the encoder writes it: a string quoted by ``_quote``, an int by
-# ``%d`` (``int.__repr__``), a finite float by ``%r`` (``float.__repr__``),
-# ``null``/``true``/``false`` spelled out.  A template takes a record
-# only if its keys are the schema's and each value has its schema type
-# exactly (no bool for an int, no int for a float, no nan or infinity);
-# anything else returns ``None`` and goes through ``_encode``.
-
-#: The hop schema's keys, sorted.
-HOP_SCHEMA = ("destination", "hop_probecount", "ip", "path", "rtt_ms",
-              "source", "ttl")
-_hop_values = operator.itemgetter(*HOP_SCHEMA)
-_HOP_LINE = ('{"destination":%s,"hop_probecount":%d,"ip":%s,"path":%d,'
-             '"rtt_ms":%r,"source":%s,"ttl":%d,"type":"hop"}\n')
-
-#: The trace summary's keys, sorted.
-TRACE_SCHEMA = ("dest_distance", "dest_reached", "destination", "first",
-                "flow", "hop_count", "hops", "last", "probes", "source",
-                "ts")
-_trace_values = operator.itemgetter(*TRACE_SCHEMA)
-_DONE_HEAD = ('{"cache":%s,"epoch":%d,"trace":{"dest_distance":%s,'
-              '"dest_reached":%s,"destination":%s,"first":%r,"flow":%d,'
+# A trace's two wire records have fixed shapes, Manifold's ``hop`` and
+# ``traceroute`` (see api.trace_record), and every value in them is of
+# one type by construction: an address is a dotted quad, which needs no
+# escaping, a count an ``int``, a stamp or round trip a finite
+# ``float``.  So their lines are formatted from a flight's rows and
+# summary with the keys in sorted order, each value written as the
+# encoder writes it: ``%d`` is ``int.__repr__``, ``%r`` of a float
+# ``float.__repr__``, and ``null``/``true``/``false`` are spelled out.
+_HOP_LINE = ('{"destination":"%s","hop_probecount":0,"ip":"%s","path":%d,'
+             '"rtt_ms":%r,"source":"%s","ttl":%d,"type":"hop"}\n')
+_DONE_HEAD = ('{"cache":"%s","epoch":%d,"trace":{"dest_distance":%s,'
+              '"dest_reached":%s,"destination":"%s","first":%r,"flow":%d,'
               '"hop_count":%d,"hops":[')
-_DONE_TAIL = ('],"last":%r,"probes":%d,"source":%s,"ts":%r},'
+_DONE_TAIL = ('],"last":%r,"probes":%d,"source":"%s","ts":%r},'
               '"type":"done"}\n')
 
 
-def _hop_template(record: dict) -> Optional[bytes]:
-    """The wire line of a hop record of the schema, else ``None``."""
-    if len(record) != len(HOP_SCHEMA):
-        return None
-    try:
-        dst, probecount, ip, path, rtt, src, ttl = _hop_values(record)
-    except KeyError:
-        return None
-    if type(dst) is str and type(probecount) is int and type(ip) is str \
-            and type(path) is int and type(rtt) is float \
-            and type(src) is str and type(ttl) is int \
-            and rtt - rtt == 0.0:  # false for nan and ±inf
-        return (_HOP_LINE % (_quote(dst), probecount, _quote(ip), path,
-                             rtt, _quote(src), ttl)).encode()
-    return None
-
-
-def _done_template(flight: Flight, mode: str) -> Optional[tuple]:
-    """The ``done`` line of a trace summary of the schema, split around
-    its hop list (``head`` ends ``"hops":[``, ``tail`` starts ``],``),
-    else ``None``."""
-    result = flight.result
-    if len(result) != len(TRACE_SCHEMA):
-        return None
-    try:
-        (distance, reached, dst, first, flow, hop_count, _, last, probes,
-         src, ts) = _trace_values(result)
-    except KeyError:
-        return None
-    epoch = flight.epoch
-    if type(reached) is bool and type(dst) is str \
-            and type(first) is float and type(flow) is int \
-            and type(hop_count) is int and type(last) is float \
-            and type(probes) is int and type(src) is str \
-            and type(ts) is float and type(mode) is str \
-            and type(epoch) is int \
-            and first - first == last - last == ts - ts == 0.0:
-        if distance is None:
-            distance = "null"
-        elif type(distance) is int:
-            distance = "%d" % distance
-        else:
-            return None
-        head = _DONE_HEAD % (_quote(mode), epoch, distance,
-                             "true" if reached else "false", _quote(dst),
-                             first, flow, hop_count)
-        tail = _DONE_TAIL % (last, probes, _quote(src), ts)
-        return head.encode(), tail.encode()
-    return None
-
-
 def _hop_lines(flight: Flight) -> List[bytes]:
-    """The wire lines of ``flight.hops``: formatted by the first response
-    that carries them and kept on the flight for every later one.  A
-    record of the hop schema (every hop a :class:`TraceSession` makes)
-    is formatted from its template; any other goes through ``_encode``.
-    Either way the line is the compact, key-sorted encoding of
-    ``{"type": "hop", **record}``."""
-    if not flight.lines:
-        flight.lines = [_hop_template(record)
-                        or _line({"type": "hop", **record})
-                        for record in flight.hops]
-    return flight.lines
+    """The wire lines of ``flight.rows``, each the compact, key-sorted
+    encoding of its hop record: formatted by the first response that
+    carries them and kept on the flight, as one ``bytes``, for every
+    later one."""
+    if flight.lines is None:
+        destination, path = flight.key
+        destination = int_to_ip(destination)
+        source = flight.source
+        flight.lines = "".join([
+            _HOP_LINE % (destination, int_to_ip(responder), path, rtt_ms,
+                         source, ttl)
+            for ttl, responder, rtt_ms in flight.rows]).encode()
+    return [flight.lines]
 
 
 def _done_line(flight: Flight, mode: str) -> bytes:
-    """The ``done`` line, its hops spliced in from their kept lines.
-
-    A trace summary of the schema is formatted from its template, split
-    around the hop list; any other is encoded with an empty hop list,
-    then split at its one ``"hops":[]`` (a key: in a string value the
-    quotes would be escaped).  The response has already sent every hop,
-    so every hop of the trace has its line."""
-    parts = _done_template(flight, mode)
-    if parts is None:
-        head, _, tail = _encode({
-            "type": "done", "cache": mode, "epoch": flight.epoch,
-            "trace": {**flight.result, "hops": []}}).partition('"hops":[]')
-        parts = (head + '"hops":[').encode(), (']' + tail + "\n").encode()
-    head, tail = parts
-    hops = b"},".join([line[:-len(_HOP_TAIL)] for line in flight.lines])
-    return b"".join((head, hops, b"}" if hops else b"", tail))
+    """The ``done`` line, its hops spliced in from their kept lines (the
+    response has already sent every hop, so every hop has its line)."""
+    destination, flow = flight.key
+    distance = flight.distance
+    head = _DONE_HEAD % (mode, flight.epoch,
+                         "null" if distance is None else distance,
+                         "false" if distance is None else "true",
+                         int_to_ip(destination), flight.first, flow,
+                         len(flight.rows))
+    tail = _DONE_TAIL % (flight.last, flight.probes, flight.source,
+                         flight.last)
+    # Each kept line is its record's body, then _HOP_TAIL; the hop list
+    # is the bodies, each closed by "}", joined by ",".
+    hops = flight.lines.replace(_HOP_TAIL + b"{", b"},{")
+    return b"".join((head.encode(), hops[:-len(_HOP_TAIL)],
+                     b"}" if hops else b"", tail.encode()))
 
 
 async def _send(writer: asyncio.StreamWriter, lines: List[bytes]) -> None:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import hashlib
 import io
 import json
 import typing
+import weakref
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -545,6 +547,53 @@ class TestEngineSessions:
         # Below the wrap the port is what it always was.
         expected = 33434 + flow if flow <= 32101 else probes[0].src_port
         assert {probe.src_port for probe in probes} == {expected}
+
+    def test_second_stream_replays_the_one_walk(self):
+        """A finished session streamed again replays its rows: it sent
+        19 probes for 16 hops, and walked the path again (38 probes, 32
+        hops, every hop twice) before a session had one walk."""
+        engine = _engine(prefixes=256)
+        session = engine.open_session(api.TraceRequest.parse(
+            {"destination": "20.0.7.1"}))
+        first = list(session.stream())
+        probes = session.network.probes_sent
+        assert (probes, len(first)) == (19, 16)
+        assert list(session.stream()) == first
+        assert session.network.probes_sent == probes
+        assert session.result()["hops"] == first
+
+    def test_run_after_a_partial_stream_continues_its_walk(self):
+        """``run()`` after two hops of ``stream()`` drains the same walk;
+        it started another at TTL 1, and its record held 18 hops, TTLs 1
+        and 2 twice, where the path has 16."""
+        engine = _engine(prefixes=256)
+        request = api.TraceRequest.parse({"destination": "20.0.7.1"})
+        session = engine.open_session(request)
+        stream = session.stream()
+        head = [next(stream), next(stream)]
+        result = session.run()
+        assert result == engine.open_session(request).run()
+        assert [hop["ttl"] for hop in result["hops"]] \
+            == sorted({hop["ttl"] for hop in result["hops"]})
+        assert result["hops"][:2] == head
+        # The partial stream goes on from where it stopped.
+        assert head + list(stream) == result["hops"]
+
+    def test_a_session_dropped_mid_walk_is_freed_at_once(self):
+        """The open walk holds no reference back to its session: a
+        session dropped mid-stream frees its network view, and with it
+        the view's rate limiter, without waiting for the cyclic GC."""
+        session = _engine().open_session(api.TraceRequest.parse(
+            {"destination": "20.0.0.7"}))
+        view = weakref.ref(session.network)
+        stream = session.stream()
+        next(stream)
+        gc.disable()
+        try:
+            del session, stream
+            assert view() is None
+        finally:
+            gc.enable()
 
     def test_trace_is_deterministic_per_engine(self):
         request = api.TraceRequest.parse({"destination": "20.0.0.9"})

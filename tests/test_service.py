@@ -258,13 +258,13 @@ class TestCache:
 
             def failing(request, start_time):
                 session = real_open(request, start_time=start_time)
-                walk = session.stream
+                rows = session.walk
 
-                def stream():
-                    yield from itertools.islice(walk(), 3)
+                def walk():
+                    yield from itertools.islice(rows(), 3)
                     raise RuntimeError("walk broke")
 
-                session.stream = stream
+                session.walk = walk
                 return session
 
             service.engine.open_session = failing

@@ -24,6 +24,7 @@ import pytest
 
 from repro import api
 from repro.obs.trace import ScanTracer, validate_trace
+from repro.service import daemon
 from repro.service.daemon import TraceService
 from repro.service.obs import OUTCOMES, ServiceTelemetry
 
@@ -43,16 +44,8 @@ _DRAINING_MESSAGE = ("daemon is draining (shutting down); no new traces "
 _OUTSIDE_MESSAGE = ("destination 99.99.0.1 is outside the simulated "
                     "space 20.0.0.0..20.0.63.255")
 
-#: Two hop records a broken walk yields before it fails (Manifold
-#: schema).
-_FAKE_HOPS = [
-    {"ip": "60.0.0.0", "ttl": 1, "hop_probecount": 0, "path": 1,
-     "source": "59.255.255.255", "destination": "20.0.0.7",
-     "rtt_ms": 6.5},
-    {"ip": "60.0.0.1", "ttl": 2, "hop_probecount": 0, "path": 1,
-     "source": "59.255.255.255", "destination": "20.0.0.7",
-     "rtt_ms": 11.4},
-]
+#: Two rows a broken walk yields before it fails.
+_FAKE_ROWS = [(1, 0x3C000000, 6.5), (2, 0x3C000001, 11.4)]
 
 
 def _engine():
@@ -236,8 +229,8 @@ async def _failed_flight():
     run = _Run()
 
     class BrokenSession:
-        def stream(self):
-            yield from _FAKE_HOPS
+        def walk(self):
+            yield from _FAKE_ROWS
             raise RuntimeError("boom")
 
     run.service.engine.open_session = \
@@ -251,8 +244,8 @@ async def _client_gone():
     run = _Run()
     await run.measure(_PAYLOAD, walk_away_after=2)
     flight = run.service._cache[_KEY]
-    assert [{"type": "hop", **hop} for hop in flight.hops] \
-        == _reference()[0], "the vanished client's trace is cached whole"
+    assert daemon._hop_records(flight) == _reference()[0], \
+        "the vanished client's trace is cached whole"
     return run
 
 

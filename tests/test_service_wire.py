@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import gc
 import hashlib
 import json
-import math
+import random
+import tracemalloc
 from typing import Optional
 
 from hypothesis import example, given, settings, strategies as st
@@ -138,27 +140,53 @@ class TestWireBytes:
 _NO_ID = object()
 
 _IPS = st.integers(0, MAX_IPV4).map(int_to_ip)
-_FLOATS = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
 
-#: The hop schema's fields other than ``ttl``.
-_HOP_FIELDS = {"ip": _IPS, "rtt_ms": _FLOATS, "hop_probecount": st.just(0),
-               "path": st.integers(0, 0xFFFF), "source": _IPS,
-               "destination": _IPS}
+#: Finite floats, with the edges of ``float.__repr__``: signed zeros,
+#: subnormals and exponent forms.
+_FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16,
+                     1e300, 1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False))
 
-#: Hop records of the Manifold schema; ``ttl`` always, every other field
-#: maybe, so partial records are drawn too.
-_HOPS = st.lists(st.fixed_dictionaries({"ttl": st.integers(1, 255)},
-                                       optional=_HOP_FIELDS), max_size=20)
+#: Rows of a walk: ``(ttl, responder, rtt_ms)``.
+_ROWS = st.lists(st.tuples(st.integers(1, 32), st.integers(0, MAX_IPV4),
+                           _FINITE), max_size=6).map(tuple)
+
+#: Ints, including either side of 2**63 and far above it.
+_COUNTS = st.one_of(st.integers(0, 2**16), st.integers(2**63 - 2, 2**64 + 2),
+                    st.integers(min_value=2**64))
+
+
+#: Finished traces: any key, and rows and a summary of their types.
+_FLIGHTS = st.builds(
+    Flight, st.tuples(st.integers(0, MAX_IPV4), st.integers(0, 0xFFFF)),
+    _COUNTS, _ROWS, _IPS, st.none() | st.integers(1, 32), _COUNTS, _FINITE,
+    _FINITE)
+
 
 _IDS = st.one_of(
     st.just(_NO_ID), st.none(), st.text(), st.integers(),
     st.floats(allow_nan=False, allow_infinity=False),
     st.lists(st.one_of(st.integers(), st.text()), max_size=3))
 
+_MODES = st.sampled_from(["miss", "hit"])
+
 
 @functools.lru_cache(maxsize=None)
 def _tiny_engine():
     return _engine(prefixes=8)
+
+
+def _records(flight: Flight, mode: str) -> list:
+    """The hop and ``done`` records of ``flight``, built by the API from
+    its rows and summary."""
+    destination, flow = flight.key
+    trace = api.trace_record(flight.rows, flight.source,
+                             int_to_ip(destination), flow, flight.distance,
+                             flight.probes, flight.first, flight.last)
+    return [{"type": "hop", **hop} for hop in trace["hops"]] + [
+        {"type": "done", "cache": mode, "epoch": flight.epoch,
+         "trace": trace}]
 
 
 def _expected(records: list, request_id) -> bytes:
@@ -170,12 +198,11 @@ def _expected(records: list, request_id) -> bytes:
                     for record in records)
 
 
-async def _served_twice(hops, result, mode, request_id) -> tuple:
-    """What the daemon writes for one request served from a finished
-    trace of ``hops``, twice: the first response encodes the records,
-    the second replays them."""
+async def _served_twice(flight, mode, request_id) -> list:
+    """What the daemon writes for one request served from ``flight``,
+    twice: the first response formats the lines, the second replays
+    them."""
     handle = await start_service(_tiny_engine(), port=0)
-    flight = Flight((0x14000003, 0), handle.service.epoch, result)
     handle.service._lookup = lambda request: (flight, mode)
     payload = {"destination": "20.0.0.3"}
     if request_id is not _NO_ID:
@@ -189,124 +216,37 @@ async def _served_twice(hops, result, mode, request_id) -> tuple:
     finally:
         await _close(writer)
         await handle.drain()
-    return responses, flight.epoch
+    return responses
 
 
 class TestEncodeOnce:
-    """A record encoded once per flight and replayed is, byte for byte,
-    the record encoded afresh for each response."""
+    """Lines formatted once per flight and replayed are, byte for byte,
+    the records encoded afresh for each response."""
 
-    @settings(max_examples=40, deadline=None)
-    @given(hops=_HOPS, mode=st.sampled_from(["miss", "hit"]),
+    @settings(max_examples=30, deadline=None)
+    @given(flight=_FLIGHTS, mode=_MODES,
            request_id=_IDS)
-    @example(hops=[{"ttl": 1, "ip": "60.0.0.1", "rtt_ms": 0.5}], mode="hit",
-             request_id='say "h\u00e9" \u2603')
+    @example(flight=Flight((0x14000003, 0), 0, ((1, 0x3C000001, 0.5),),
+                           "59.255.255.255", 1, 2, 12.0, 12.5),
+             mode="hit", request_id='say "hé" ☃')
     def test_stored_lines_equal_per_response_encoding(
-            self, hops, mode, request_id):
-        result = {"source": "10.0.0.1", "destination": "20.0.0.3",
-                  "flow": 0, "hops": list(hops), "hop_count": len(hops),
-                  "dest_reached": bool(hops),
-                  "dest_distance": hops[-1]["ttl"] if hops else None,
-                  "probes": 2 * len(hops) + 1, "first": 12.0,
-                  "last": 12.0 + 0.001 * len(hops), "ts": 12.5}
+            self, flight, mode, request_id):
         if request_id is not _NO_ID:
             # The id as the daemon reads it back off the request line.
             request_id = json.loads(json.dumps(request_id))
-        responses, epoch = asyncio.run(_served_twice(
-            hops, result, mode, request_id))
-        records = [{"type": "hop", **hop} for hop in hops] + [
-            {"type": "done", "cache": mode, "epoch": epoch,
-             "trace": result}]
-        expected = _expected(records, request_id)
+        responses = asyncio.run(_served_twice(flight, mode, request_id))
+        expected = _expected(_records(flight, mode), request_id)
         assert responses == [expected, expected]
 
     def test_drawn_fields_are_the_hop_schema(self):
-        """The records above are the ones a trace publishes, and every
-        field sorts before ``"type"``, which the done line's splice of
-        stored hop lines relies on."""
+        """Every field of a trace's hop record sorts before ``"type"``,
+        which the done line's splice of stored hop lines relies on."""
         engine = _tiny_engine()
         request = api.TraceRequest(destination=0x14000003)
         hop = engine.open_session(request).run()["hops"][0]
-        assert set(hop) == {"ttl", *_HOP_FIELDS}
+        assert set(hop) == {"ip", "ttl", "hop_probecount", "path",
+                            "source", "destination", "rtt_ms"}
         assert max(hop) < "type"
-
-
-#: Strings the quoting must get right: quotes, backslashes, control
-#: characters, non-ASCII and astral text, a lone surrogate.
-_TEXT = st.text(st.one_of(
-    st.sampled_from('"\\/\x00\x1f\x7f\n\té ☃'
-                    '\U0001f600\ud800'),
-    st.characters()), max_size=12)
-
-#: Finite floats, with the edges of ``float.__repr__``: signed zeros,
-#: subnormals and exponent forms.
-_FINITE = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16,
-                     1e300, 1e-7]),
-    st.floats(allow_nan=False, allow_infinity=False))
-
-#: ... and the floats the encoder writes as ``NaN``/``Infinity``, which
-#: the templates leave to it.
-_ANY_FLOATS = st.one_of(_FINITE,
-                        st.sampled_from([math.nan, math.inf, -math.inf]))
-
-#: Ints, including either side of 2**63 and far above it.
-_INTS = st.one_of(st.integers(), st.integers(2**63 - 2, 2**64 + 2),
-                  st.integers(min_value=2**64))
-
-#: Values of any JSON type, to bend a record off its schema.
-_ANY = st.one_of(st.none(), st.booleans(), _INTS, _ANY_FLOATS, _TEXT,
-                 st.lists(st.integers(), max_size=2))
-
-#: The hop schema with each value's exact type.
-_HOP_TYPES = {"destination": str, "hop_probecount": int, "ip": str,
-              "path": int, "rtt_ms": float, "source": str, "ttl": int}
-
-#: The trace summary's schema; ``dest_distance`` may also be ``None``.
-_TRACE_TYPES = {"dest_distance": int, "dest_reached": bool,
-                "destination": str, "first": float, "flow": int,
-                "hop_count": int, "hops": list, "last": float,
-                "probes": int, "source": str, "ts": float}
-
-#: A value of each schema type; ``_bent`` puts in the others, nan and
-#: infinity among them.
-_SLOT = {str: _TEXT, int: _INTS, float: _FINITE, bool: st.booleans()}
-
-_FULL_HOPS = st.fixed_dictionaries(
-    {key: _SLOT[kind] for key, kind in _HOP_TYPES.items()})
-
-
-@st.composite
-def _bent(draw, records, keys):
-    """A record of ``records``, as drawn or bent off its schema: a key
-    dropped, a key added, or a value of any type put in."""
-    record = draw(records)
-    how = draw(st.sampled_from(["as drawn", "as drawn", "drop", "set"]))
-    if how == "drop":
-        del record[draw(st.sampled_from(keys))]
-    elif how == "set":
-        # "note" sorts before "type", as every hop key must for the
-        # done line's splice.
-        record[draw(st.sampled_from(keys + ("note",)))] = draw(_ANY)
-    return record
-
-
-_HOPS_BENT = _bent(_FULL_HOPS, tuple(_HOP_TYPES))
-
-_TRACES_BENT = _bent(st.fixed_dictionaries(dict(
-    {key: _SLOT.get(kind) for key, kind in _TRACE_TYPES.items()},
-    dest_distance=st.none() | _INTS,
-    hops=st.lists(_HOPS_BENT, max_size=3))),
-    tuple(key for key in _TRACE_TYPES if key != "hops"))
-
-
-def _fits(record: dict, types: dict) -> bool:
-    """Whether ``record`` has exactly the keys of ``types``, each value
-    of its type exactly, and no float that is nan or infinite."""
-    return set(record) == set(types) and all(
-        type(record[key]) is kind
-        and (kind is not float or math.isfinite(record[key]))
-        for key, kind in types.items())
 
 
 def _generic(record: dict) -> bytes:
@@ -314,93 +254,47 @@ def _generic(record: dict) -> bytes:
 
 
 class TestSchemaTemplates:
-    """A hop or ``done`` line formatted from its schema template is the
-    generic encoder's line, byte for byte; a record off the schema goes
-    to the generic encoder."""
+    """A hop or ``done`` line formatted from a flight's rows and summary
+    is the generic encoder's line of its record, byte for byte."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(hops=st.lists(_HOPS_BENT, max_size=4))
-    @example(hops=[{"destination": "20.0.0.3", "hop_probecount": 0,
-                    "ip": "60.0.0.1", "path": 2**63, "rtt_ms": rtt,
-                    "source": 'a"\\é\x01', "ttl": ttl}
-                   for rtt, ttl in [(-0.0, 1), (math.nan, 2), (math.inf, 3),
-                                    (-math.inf, 4), (1, 5), (0.5, True)]])
-    def test_hop_lines_equal_the_generic_encoding(self, hops):
-        flight = Flight((0, 0), 0, {"hops": hops})
-        assert daemon._hop_lines(flight) == [
-            _generic({"type": "hop", **hop}) for hop in hops]
-        for hop in hops:
-            line = daemon._hop_template(hop)
-            assert (line is not None) == _fits(hop, _HOP_TYPES), hop
+    @settings(max_examples=150, deadline=None)
+    @given(flight=_FLIGHTS)
+    def test_hop_lines_equal_the_generic_encoding(self, flight):
+        assert daemon._hop_lines(flight) == [b"".join(
+            _generic(record) for record in daemon._hop_records(flight))]
+        assert daemon._hop_records(flight) == _records(flight, "hit")[:-1]
 
-    @settings(max_examples=300, deadline=None)
-    @given(result=_TRACES_BENT, mode=_TEXT, epoch=_INTS)
-    @example(result={"dest_distance": None, "dest_reached": False,
-                     "destination": "20.0.0.3", "first": 1e16,
-                     "flow": 2**64, "hop_count": 0, "hops": [],
-                     "last": 5e-324, "probes": 0, "source": "☃",
-                     "ts": 1e300}, mode="miss", epoch=0)
-    @example(result={"dest_distance": 3, "dest_reached": True,
-                     "destination": "20.0.0.3", "first": math.nan,
-                     "flow": 0, "hop_count": 0, "hops": [],
-                     "last": math.inf, "probes": 0, "source": "10.0.0.1",
-                     "ts": -math.inf}, mode="hit", epoch=1)
-    @example(result={"dest_distance": 3, "dest_reached": True,
-                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
-                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
-                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
-             epoch=True)
-    @example(result={"dest_distance": True, "dest_reached": True,
-                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
-                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
-                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
-             epoch=0)
-    @example(result={"dest_distance": 3, "dest_reached": 1,
-                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
-                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
-                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
-             epoch=0)
-    @example(result={"dest_distance": 3, "dest_reached": None,
-                     "destination": "20.0.0.3", "first": 1.5, "flow": 0,
-                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
-                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
-             epoch=0)
-    @example(result={"dest_distance": 3, "dest_reached": True,
-                     "destination": "20.0.0.3", "first": 1, "flow": 0,
-                     "hop_count": 0, "hops": [], "last": 2.0, "probes": 0,
-                     "source": "10.0.0.1", "ts": 2.0}, mode="hit",
-             epoch=0)
-    def test_done_line_equals_the_generic_encoding(self, result, mode,
-                                                   epoch):
-        flight = Flight((0, 0), epoch, result)
+    @settings(max_examples=150, deadline=None)
+    @given(flight=_FLIGHTS, mode=_MODES)
+    @example(flight=Flight((0x14000003, 2**64), 0, (), "10.0.0.1", None,
+                           0, 1e16, 5e-324), mode="miss")
+    @example(flight=Flight((0x14000003, 0), 1, ((1, 0, -0.0),),
+                           "10.0.0.1", 1, 3, -0.0, 1e300), mode="hit")
+    def test_done_line_equals_the_generic_encoding(self, flight, mode):
         daemon._hop_lines(flight)
-        assert daemon._done_line(flight, mode) == _generic(
-            {"type": "done", "cache": mode, "epoch": epoch,
-             "trace": result})
-        types = dict(_TRACE_TYPES)
-        if result.get("dest_distance", 0) is None:
-            types["dest_distance"] = type(None)
-        fits = _fits(result, types) and type(epoch) is int
-        assert (daemon._done_template(flight, mode) is not None) == fits
+        record = daemon._done_record(flight, mode)
+        assert daemon._done_line(flight, mode) == _generic(record)
+        assert record == _records(flight, mode)[-1]
 
     def test_templates_hold_every_field_a_trace_publishes(self):
-        """A new field of the hop record or of ``result()`` fails here
-        rather than going missing from the wire; the daemon's own traces,
-        reaching their destination or not, take the templates."""
-        assert daemon.HOP_SCHEMA == tuple(sorted(_HOP_TYPES))
-        assert daemon.TRACE_SCHEMA == tuple(sorted(_TRACE_TYPES))
+        """The daemon's own traces, reaching their destination or not:
+        a flight keeps what the walk's own record holds, and its lines
+        are that record's encoding."""
         engine = _engine(prefixes=64)
+        service = daemon.TraceService(engine)
         ends = set()
         for destination in range(0x14000001, 0x14000201, 7):
-            result = engine.open_session(
-                api.TraceRequest(destination=destination)).run()
-            ends.add(result["dest_reached"])
-            assert set(result) == set(daemon.TRACE_SCHEMA)
-            flight = Flight((destination, 0), 0, result)
-            for hop in flight.hops:
-                assert set(hop) == set(daemon.HOP_SCHEMA)
-                assert daemon._hop_template(hop) is not None, hop
-            assert daemon._done_template(flight, "miss") is not None
+            request = api.TraceRequest(destination=destination)
+            flight = service._start_flight(request)
+            trace = engine.open_session(
+                request, start_time=flight.first).run()
+            ends.add(trace["dest_reached"])
+            records = [{"type": "hop", **hop} for hop in trace["hops"]] + [
+                {"type": "done", "cache": "miss", "epoch": flight.epoch,
+                 "trace": trace}]
+            assert b"".join(daemon._hop_lines(flight) + [
+                daemon._done_line(flight, "miss")]) \
+                == b"".join(_generic(record) for record in records)
         assert ends == {True, False}
 
 
@@ -487,8 +381,8 @@ async def _census(monkeypatch, requests: int = 8,
                   deadline_ms: Optional[float] = None) -> list:
     """Per request of a persistent client: Tasks created on the loop,
     daemon-side ``write`` calls, the daemon's generic JSON encodes, the
-    lines it formatted from the hop and trace-summary templates, and the
-    hops those encodes and lines held, for one fresh trace and then
+    lines it formatted from a flight's rows and summary, and the hops
+    those encodes and lines held, for one fresh trace and then
     cached hits (20.0.7.1 flow 0 is 16 hops and a ``done`` record on
     ``serve --prefixes 256``'s topology), each carrying ``deadline_ms``
     when it is given."""
@@ -513,21 +407,24 @@ async def _census(monkeypatch, requests: int = 8,
         encoded.append(record)
         return real_encode(record)
 
-    def counting(template, hops: int):
-        """``template``, recording the ``hops`` of each line it formats."""
-        def count(*args):
-            line = template(*args)
-            if line is not None:
-                formatted.append(hops)
-            return line
-        return count
+    class Counted(str):
+        """A line template that records the hops of each line it
+        formats."""
+
+        def __mod__(self, values):
+            formatted.append(self.hops)
+            return str.__mod__(self, values)
+
+    def counted(template: str, hops: int) -> Counted:
+        template = Counted(template)
+        template.hops = hops
+        return template
 
     monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
     monkeypatch.setattr(daemon, "_encode", counting_encode)
-    monkeypatch.setattr(daemon, "_hop_template",
-                        counting(daemon._hop_template, 1))
-    monkeypatch.setattr(daemon, "_done_template",
-                        counting(daemon._done_template, 0))
+    monkeypatch.setattr(daemon, "_HOP_LINE", counted(daemon._HOP_LINE, 1))
+    monkeypatch.setattr(daemon, "_DONE_HEAD",
+                        counted(daemon._DONE_HEAD, 0))
     rows = []
     try:
         async with DaemonClient(host=handle.host, port=handle.port) as client:
@@ -549,7 +446,7 @@ async def _census(monkeypatch, requests: int = 8,
 
 def _print_census(title: str, rows: list) -> None:
     print(f"\n{title}\ncache  records  loop Tasks  daemon writes"
-          "  JSON encodes  template lines  hops formatted")
+          "  JSON encodes  lines formatted  hops formatted")
     for cache, records, tasks, writes, encodes, lines, hops in rows:
         print(f"{cache:<6} {records:>7} {tasks:>11} {writes:>14}"
               f" {encodes:>13} {lines:>15} {hops:>15}")
@@ -564,9 +461,9 @@ class TestTransportCensus:
         miss, hits = rows[0], rows[1:]
         # A fresh trace runs to its end in the step that looked it up,
         # so its response is no Task and one write.  Its 17 lines are
-        # formatted from the schema templates, none by the generic
-        # encoder, and each hop once: the done line splices in the hop
-        # lines.  A hit formats only its done line, without hops.
+        # formatted from the flight's rows and summary, none by the
+        # generic encoder, and each hop once: the done line splices in
+        # the hop lines.  A hit formats only its done line, without hops.
         assert miss == ("miss", 17, 0, 1, 0, 17, 16), miss
         assert set(hits) == {("hit", 17, 0, 1, 0, 1, 0)}, hits
 
@@ -580,3 +477,45 @@ class TestTransportCensus:
         miss, hits = rows[0], rows[1:]
         assert miss == ("miss", 17, 0, 1, 0, 17, 16), miss
         assert set(hits) == {("hit", 17, 0, 1, 0, 1, 0)}, hits
+
+
+async def _fill(service, keys) -> None:
+    """Serve each key once, as the transport does without an ``id``."""
+    for destination, flow in keys:
+        async for _ in service.handle_trace(
+                {"destination": destination, "flow": flow},
+                daemon._hop_lines, daemon._done_line):
+            pass
+
+
+class TestCacheMemory:
+    def test_flight_bytes_per_cached_trace(self):
+        """Deterministic memory guard: a full 1,024-entry cache of fresh
+        traces, their wire lines formatted, holds ≤ 3.8 MiB under
+        tracemalloc, about 3.8 KB a flight of ~15 hops (8.7 MiB while a
+        flight kept its hops as Manifold dicts beside their lines)."""
+        engine = _engine(prefixes=256)
+        base = engine.topology.base_prefix << 8
+        draw = random.Random(5)
+        keys = set()
+        while len(keys) < 1024:
+            keys.add((base + draw.randrange(256 << 8), draw.randrange(8)))
+        service = daemon.TraceService(engine, cache_size=1024)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            asyncio.run(_fill(service, sorted(keys)))
+            gc.collect()
+            full = tracemalloc.get_traced_memory()[0]
+            hops = sum(len(flight.rows)
+                       for flight in service._cache.values())
+            service._cache.clear()
+            gc.collect()
+            held = full - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert service.traces_started == 1024 and hops > 10 * 1024
+        print(f"\n1024 cached flights, {hops} hops: {held / 2**20:.3f} "
+              f"MiB, {held / 1024:.0f} B per flight, "
+              f"{held / hops:.0f} B per hop")
+        assert held <= 3.8 * 2**20, held
